@@ -64,7 +64,7 @@ sys.path.insert(
 from repro.core import SEOracle, pack_oracle  # noqa: E402
 from repro.geodesic import GeodesicEngine  # noqa: E402
 from repro.core import open_oracle  # noqa: E402
-from repro.serving import OracleService, ThreadedServer  # noqa: E402
+from repro.serving import OracleService, TerrainSpec, ThreadedServer  # noqa: E402
 from repro.serving.loadgen import (  # noqa: E402
     closed_loop,
     open_loop,
@@ -137,9 +137,9 @@ def closed_loop_legs(
     equivalence gating.
     """
     service_single = OracleService(max_resident=2)
-    service_single.register(terrain, store_path)
+    service_single.register(terrain, TerrainSpec(store_path))
     service_coalesced = OracleService(max_resident=2)
-    service_coalesced.register(terrain, store_path)
+    service_coalesced.register(terrain, TerrainSpec(store_path))
     single_reports = []
     coalesced_reports = []
     with ThreadedServer(service_single, max_batch=1) as single_server:
@@ -187,7 +187,7 @@ def measure_scale(
     repeats: int,
 ) -> dict:
     service = OracleService(max_resident=2)
-    service.register(scale, store_path)
+    service.register(scale, TerrainSpec(store_path))
     num_pois = SCALES[scale]["pois"]
     pairs = sample_pairs(num_pois, queries, seed=seed + 2)
     reference = np.asarray(
@@ -219,7 +219,7 @@ def measure_scale(
     open_rate = max(100.0, coalesced["qps"] * open_rate_fraction)
     open_pairs = pairs[: min(queries, 2000)]
     service_open = OracleService(max_resident=2)
-    service_open.register(scale, store_path)
+    service_open.register(scale, TerrainSpec(store_path))
     with ThreadedServer(
         service_open, max_batch=max_batch, linger_us=linger_us
     ) as server:
@@ -283,7 +283,7 @@ def measure_scenarios(
 
     terrain = "real"
     service = OracleService(max_resident=2)
-    service.register(terrain, store_path)
+    service.register(terrain, TerrainSpec(store_path))
     runs = []
     with ThreadedServer(service) as server:
         for scenario in scenarios:

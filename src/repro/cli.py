@@ -416,37 +416,25 @@ def _cmd_query(args) -> int:
               "works on v4 binary stores)", file=sys.stderr)
         return 2
     engine = _workload(args.mesh, args.pois, args.poi_seed, args.density)
-    if args.store:
-        stored = open_oracle(args.oracle, engine=engine,
-                             max_resident_bytes=args.max_resident_bytes)
+    if not args.store:
+        return _answer_query(args, engine, load_oracle(args.oracle, engine))
+    with open_oracle(args.oracle, engine=engine,
+                     max_resident_bytes=args.max_resident_bytes) as stored:
         backing = ("paged" if args.max_resident_bytes is not None
                    else "mmap")
         print(f"opened {args.oracle} in "
               f"{stored.load_seconds * 1e3:.2f} ms "
               f"({backing}, n={stored.num_pois} "
               f"pairs={stored.num_pairs})")
-        if args.batch is not None:
-            code = _run_query_batch(args, stored)
+        code = _answer_query(args, engine, stored)
+        # The ledger follows every batch and every answered pair.
+        if code == 0 or args.batch is not None:
             _print_page_ledger(stored)
-            return code
-        if args.source is None or args.target is None:
-            print("error: source and target are required without --batch",
-                  file=sys.stderr)
-            return 2
-        if not _check_poi_ids(stored, (args.source, args.target)):
-            return 2
-        started = time.perf_counter()
-        distance = stored.query(args.source, args.target)
-        micros = (time.perf_counter() - started) * 1e6
-        print(f"d({args.source}, {args.target}) = {distance:.3f} "
-              f"[{micros:.1f} us]")
-        if args.exact:
-            exact = engine.distance(args.source, args.target)
-            error = abs(distance - exact) / exact if exact else 0.0
-            print(f"exact = {exact:.3f}  error = {error:.4f}")
-        _print_page_ledger(stored)
-        return 0
-    oracle = load_oracle(args.oracle, engine)
+        return code
+
+
+def _answer_query(args, engine, oracle) -> int:
+    """The ``query`` verb's answer: a ``--batch`` run or one pair."""
     if args.batch is not None:
         return _run_query_batch(args, oracle)
     if args.source is None or args.target is None:
@@ -556,15 +544,22 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .serving import OracleService, TerrainSpec
+    from .serving import OracleService
     if (args.max_resident_bytes is not None
             and args.max_resident_tiles is not None):
         print("error: --max-resident-tiles pages tiled stores and "
               "--max-resident-bytes pages monolithic ones; pick one",
               file=sys.stderr)
         return 2
-    service = OracleService(max_resident=args.max_resident)
+    with OracleService(max_resident=args.max_resident) as service:
+        return _serve_terrains(args, service)
+
+
+def _serve_terrains(args, service) -> int:
+    """Register ``serve``'s terrains on ``service`` and serve them."""
     import zipfile
+
+    from .serving import TerrainSpec
     mutable_meshes = {}
     for token in args.mutable:
         name, _, mesh_path = token.partition("=")

@@ -9,31 +9,31 @@ against the same v4 store through a **fixed-size page pool**:
 
 * the O(#pairs) columns — ``pair_keys``, ``pair_distances``,
   ``hash_level2_a/shift/offset``, ``hash_slots`` — are never mapped.
-  Each batch probe is an element *gather*: candidate indices are
-  grouped by page (``numpy.argsort`` over page ids) so every resident
-  page is touched exactly once per gather, pages load with
-  ``read(page_bytes)`` at the section's fixed file offset, and an LRU
-  bounds how many stay resident;
+  Each one is a lazy column whose ``column[indices]`` is a pool
+  *gather*: indices are grouped by page (``numpy.argsort`` over page
+  ids) so every page is touched exactly once per gather, pages load
+  with ``read(page_bytes)`` at the section's fixed file offset, and a
+  :class:`~repro.core.residency.Residency` LRU bounds how many stay
+  resident;
 * the small routing state — the ancestor-chain matrix and its derived
   key planes, the tree tables, the two level-1 hash scalars — loads
   once at open (O(n·h) bytes, independent of the pair count) and is
   accounted separately as ``fixed_bytes``;
-* the probe **arithmetic** is byte-for-byte the compiled oracle's:
-  the inner engine *is* a :class:`CompiledOracle` whose frozen pair
-  table has been swapped for a paged gather layer
-  (:class:`_PagedPairTable` reproduces
+* the probe is the compiled oracle's own: the lazy columns go into an
+  ordinary :class:`~repro.datastructures.perfect_hash.PerfectHashMap`
+  via :func:`~repro.core.store.compile_sections`, so
   :meth:`~repro.datastructures.perfect_hash.PerfectHashMap.get_batch`
-  exactly, element accesses routed through the pool).  Because paging
-  only changes *where* an element's bytes come from — never which
-  element is read — results are bit-identical to the mmap'd
-  ``CompiledOracle`` at any pool bound, down to a single page.
+  is the one multiply-shift probe for mmap'd, tiled and paged stores
+  alike.  Paging only changes *where* an element's bytes come from —
+  never which element is read — so results are bit-identical to the
+  mmap'd ``CompiledOracle`` at any pool bound, down to a single page.
 
-The ledger mirrors the tiled oracle's
-(:meth:`~repro.core.tiled.TiledOracle.tile_counters`): page
-``loads`` / ``evictions`` / ``hits`` reconcile as
-``loads - evictions == resident_pages``, and
-``resident_bytes`` / ``peak_resident_bytes`` never exceed the
-configured pool budget.  ``benchmarks/bench_paged.py`` gates both the
+The ledger is the shared residency ledger: page ``loads`` /
+``evictions`` / ``hits`` reconcile as ``loads - evictions ==
+resident_pages``, and ``resident_bytes`` / ``peak_resident_bytes``
+never exceed the configured pool budget.  The pool holds the store's
+one file handle; :meth:`PagedOracle.close` (or leaving a ``with``
+block) closes it.  ``benchmarks/bench_paged.py`` gates both the
 equivalence and the memory ceiling in CI.
 """
 
@@ -42,13 +42,13 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .compiled import CompiledOracle
-from .store import PathLike, file_signature, section_layouts
+from .residency import Residency
+from .store import (CompiledStore, PathLike, _ClosedTables, compile_sections,
+                    file_signature, section_layouts)
 
 __all__ = ["PagedOracle", "DEFAULT_PAGE_BYTES", "PAGED_SECTIONS"]
 
@@ -67,6 +67,8 @@ PAGED_SECTIONS = ("pair_keys", "pair_distances", "hash_level2_a",
 _RESIDENT_SECTIONS = ("tree_table", "tree_radii", "chains",
                       "hash_level1")
 
+Layout = Tuple[int, np.dtype, Tuple[int, ...]]
+
 
 class _PagePool:
     """LRU pool of fixed-size pages over a store file's flat sections.
@@ -78,9 +80,7 @@ class _PagePool:
     order the probe produced the indices in.
     """
 
-    def __init__(self, path: PathLike,
-                 layouts: Dict[str, Tuple[int, np.dtype,
-                                          Tuple[int, ...]]],
+    def __init__(self, path: PathLike, layouts: Dict[str, Layout],
                  page_bytes: int, max_pages: int):
         if page_bytes < 8 or page_bytes % 8:
             raise ValueError("page_bytes must be a positive multiple "
@@ -90,32 +90,20 @@ class _PagePool:
             raise ValueError("page pool needs at least one page")
         self.page_bytes = int(page_bytes)
         self.max_pages = int(max_pages)
-        self._handle = open(path, "rb")
         self._geometry: Dict[str, Tuple[int, np.dtype, int, int]] = {}
         for name in PAGED_SECTIONS:
             offset, dtype, shape = layouts[name]
             total = int(np.prod(shape, dtype=np.int64)) if shape else 1
             per_page = max(1, self.page_bytes // dtype.itemsize)
             self._geometry[name] = (offset, dtype, total, per_page)
-        self._pages: "OrderedDict[Tuple[str, int], np.ndarray]" = \
-            OrderedDict()
+        self.pages = Residency(self.max_pages)
         self._lock = threading.RLock()
-        self.loads = 0
-        self.evictions = 0
-        self.hits = 0
-        self.resident_bytes = 0
-        self.peak_resident_bytes = 0
+        self._handle = open(path, "rb")
 
     def close(self) -> None:
         with self._lock:
-            self._pages.clear()
-            self.resident_bytes = 0
-            if not self._handle.closed:
-                self._handle.close()
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._pages)
+            self.pages.clear()
+            self._handle.close()
 
     def gather(self, section: str, indices: np.ndarray) -> np.ndarray:
         """``section_array[indices]`` with page-grouped access.
@@ -143,11 +131,13 @@ class _PagePool:
 
     def _page(self, section: str, page_no: int) -> np.ndarray:
         key = (section, page_no)
-        page = self._pages.get(key)
-        if page is not None:
-            self._pages.move_to_end(key)
-            self.hits += 1
-            return page
+        page = self.pages.get(key)
+        if page is None:
+            page = self._read(section, page_no)
+            self.pages.admit(key, page, page.nbytes)
+        return page
+
+    def _read(self, section: str, page_no: int) -> np.ndarray:
         offset, dtype, total, per_page = self._geometry[section]
         start = page_no * per_page
         count = min(per_page, total - start)
@@ -156,77 +146,24 @@ class _PagePool:
         if len(raw) != count * dtype.itemsize:  # pragma: no cover
             raise ValueError(
                 f"short read paging {section} page {page_no}")
-        page = np.frombuffer(raw, dtype=dtype)
-        while len(self._pages) >= self.max_pages:
-            _, evicted = self._pages.popitem(last=False)
-            self.resident_bytes -= evicted.nbytes
-            self.evictions += 1
-        self._pages[key] = page
-        self.resident_bytes += page.nbytes
-        self.peak_resident_bytes = max(self.peak_resident_bytes,
-                                       self.resident_bytes)
-        self.loads += 1
-        return page
+        return np.frombuffer(raw, dtype=dtype)
 
 
-class _PagedPairTable:
-    """Frozen-pair-table stand-in whose element reads page on demand.
+class _PagedColumn:
+    """One paged section as a frozen-hash column: ``column[indices]``
+    gathers through the pool, so the section is never read whole."""
 
-    Reproduces :meth:`PerfectHashMap.get_batch` operation for
-    operation — same dtypes, same multiply-shift arithmetic, same
-    guarded-miss handling — with each table access routed through
-    :meth:`_PagePool.gather`.  ``CompiledOracle`` only ever calls
-    ``get_batch`` and ``_freeze`` on its pair table, so this duck-type
-    is a complete drop-in.
-    """
-
-    def __init__(self, pool: _PagePool, level1: np.ndarray,
-                 num_pairs: int):
+    def __init__(self, pool: _PagePool, section: str):
         self._pool = pool
-        self._level1_a = np.uint64(level1[0])
-        self._level1_shift = np.uint64(level1[1])
-        self._n = int(num_pairs)
+        self._section = section
+        _, self.dtype, total, _ = pool._geometry[section]
+        self.shape = (total,)
 
-    def _freeze(self) -> None:
-        """No-op: the tables are already frozen on disk."""
-
-    def get_batch(self, keys, default: float = float("nan")
-                  ) -> np.ndarray:
-        key_array = np.asarray(keys, dtype=np.uint64)
-        if self._n == 0:
-            return np.full(key_array.shape, default, dtype=np.float64)
-        flat = np.ascontiguousarray(key_array).reshape(-1)
-        bucket = ((self._level1_a * flat)
-                  >> self._level1_shift).astype(np.int64)
-        a = self._pool.gather("hash_level2_a", bucket)
-        shift = self._pool.gather("hash_level2_shift", bucket)
-        offset = self._pool.gather("hash_level2_offset", bucket)
-        slot = ((a * flat) >> shift).astype(np.int64)
-        index = self._pool.gather("hash_slots", offset + slot)
-        guarded = np.where(index >= 0, index, 0)
-        found = ((index >= 0)
-                 & (self._pool.gather("pair_keys", guarded) == flat))
-        result = np.where(found,
-                          self._pool.gather("pair_distances", guarded),
-                          np.float64(default))
-        return result.reshape(key_array.shape)
-
-    def size_bytes(self, value_bytes: int = 8) -> int:
-        """Same byte model as the frozen hash (on-disk columns)."""
-        _, _, slots, _ = self._pool._geometry["hash_slots"]
-        return 8 * slots + (8 + value_bytes) * self._n
+    def __getitem__(self, indices) -> np.ndarray:
+        return self._pool.gather(self._section, indices)
 
 
-def _read_section(handle, layout: Tuple[int, np.dtype, Tuple[int, ...]]
-                  ) -> np.ndarray:
-    offset, dtype, shape = layout
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    handle.seek(offset)
-    raw = handle.read(count * dtype.itemsize)
-    return np.frombuffer(raw, dtype=dtype).reshape(shape)
-
-
-class PagedOracle:
+class PagedOracle(CompiledStore):
     """A v4 store served through a bounded page pool.
 
     Implements ``DistanceIndex`` (``query`` / ``query_batch`` /
@@ -285,105 +222,55 @@ class PagedOracle:
         self.build: Dict[str, Any] = meta.get("build", {})
         self.stats: Dict[str, Any] = dict(meta.get("stats", {}))
         self.tree_meta: Dict[str, Any] = meta["tree"]
-        self._num_pairs = int(layouts["pair_keys"][2][0])
 
+        sections: Dict[str, Any] = {}
+        for name in _RESIDENT_SECTIONS:
+            offset, dtype, shape = layouts[name]
+            sections[name] = np.fromfile(
+                path, dtype=dtype, count=int(np.prod(shape)),
+                offset=offset).reshape(shape)
+        # Fixed resident state: every resident section plus the four
+        # key planes derived from the chains (4 × n·(h+1) × 8 bytes).
+        # Reported in the ledger so "bounded" is an auditable claim,
+        # not a slogan.
+        resident = sum(array.nbytes for array in sections.values())
+        self.fixed_bytes = resident + 4 * sections["chains"].nbytes
         self._pool = _PagePool(path, layouts, page_bytes, max_pages)
-        with open(path, "rb") as handle:
-            chains = _read_section(handle, layouts["chains"])
-            level1 = _read_section(handle, layouts["hash_level1"])
-            self._tree_table = _read_section(handle,
-                                             layouts["tree_table"])
-            self._tree_radii = _read_section(handle,
-                                             layouts["tree_radii"])
-        table = _PagedPairTable(self._pool, level1, self._num_pairs)
-        self.compiled = CompiledOracle(chains, table, self.epsilon)
-        # Fixed resident state: chains + the four derived key planes
-        # (5 × n·(h+1) × 8 bytes) plus the tree tables.  Reported in
-        # the ledger so "bounded" is an auditable claim, not a slogan.
-        self.fixed_bytes = (5 * chains.nbytes + self._tree_table.nbytes
-                            + self._tree_radii.nbytes + level1.nbytes)
+        for name in PAGED_SECTIONS:
+            sections[name] = _PagedColumn(self._pool, name)
+        try:
+            self.compiled = compile_sections(sections, seed=self.seed,
+                                             epsilon=self.epsilon)
+        except BaseException:
+            self._pool.close()  # no caller will get to close it
+            raise
         self.load_seconds = time.perf_counter() - started
 
-    # ------------------------------------------------------------------
-    # DistanceIndex protocol
-    # ------------------------------------------------------------------
-    @property
-    def num_pois(self) -> int:
-        return self.compiled.num_pois
-
-    @property
-    def num_pairs(self) -> int:
-        return self._num_pairs
-
-    @property
-    def height(self) -> int:
-        return self.compiled.height
-
-    @property
-    def supports_updates(self) -> bool:
-        return False
-
-    @property
-    def is_compiled(self) -> bool:
-        return True
-
-    def query(self, source: int, target: int) -> float:
-        return self.compiled.query(source, target)
-
-    def query_batch(self, sources, targets) -> np.ndarray:
-        return self.compiled.query_batch(sources, targets)
-
-    def query_matrix(self, pois=None) -> np.ndarray:
-        return self.compiled.query_matrix(pois)
+    def _release(self) -> None:
+        self.compiled = _ClosedTables(self.path)
+        self._pool.close()
 
     # ------------------------------------------------------------------
-    # ledger (mirrors TiledOracle.tile_counters)
+    # ledger (the page pool's Residency)
     # ------------------------------------------------------------------
     def page_counters(self) -> Dict[str, Any]:
         """The paging ledger: ``loads - evictions == resident_pages``,
         ``peak_resident_bytes <= page_bytes * max_pages`` always."""
         pool = self._pool
+        pages = pool.pages
         return {
             "page_bytes": pool.page_bytes,
             "max_pages": pool.max_pages,
             "budget_bytes": pool.page_bytes * pool.max_pages,
-            "loads": pool.loads,
-            "evictions": pool.evictions,
-            "hits": pool.hits,
-            "resident_pages": pool.resident_pages,
-            "resident_bytes": pool.resident_bytes,
-            "peak_resident_bytes": pool.peak_resident_bytes,
+            "loads": pages.loads,
+            "evictions": pages.evictions,
+            "hits": pages.hits,
+            "resident_pages": len(pages),
+            "resident_bytes": pages.resident_bytes,
+            "peak_resident_bytes": pages.peak_resident_bytes,
             "fixed_bytes": self.fixed_bytes,
         }
 
-    def resident_bytes(self) -> int:
-        return self._pool.resident_bytes
-
     @property
     def peak_resident_bytes(self) -> int:
-        return self._pool.peak_resident_bytes
-
-    # ------------------------------------------------------------------
-    # store plumbing (same surface the service uses on StoredOracle)
-    # ------------------------------------------------------------------
-    def size_bytes(self) -> int:
-        """The store's on-disk footprint."""
-        return os.path.getsize(self.path)
-
-    def is_stale(self) -> bool:
-        """True when the file on disk is a newer generation than the
-        one this pool pages from (see ``StoredOracle.is_stale``)."""
-        if self.stat_signature is None:
-            return False
-        current = file_signature(self.path)
-        return current is not None and current != self.stat_signature
-
-    def check_fingerprint(self, engine) -> None:
-        from .serialize import workload_fingerprint
-        if self.fingerprint != workload_fingerprint(engine):
-            raise ValueError(
-                f"{self.path}: oracle was built for a different "
-                "workload (terrain / POIs / Steiner density mismatch)")
-
-    def close(self) -> None:
-        self._pool.close()
+        return self._pool.pages.peak_resident_bytes

@@ -77,8 +77,8 @@ from .node_pairs import NodePairSet
 from .oracle import SEOracle
 
 __all__ = ["pack_oracle", "pack_document", "open_oracle", "StoredOracle",
-           "STORE_VERSION", "file_signature", "oracle_sections",
-           "section_layouts"]
+           "StoreHandle", "CompiledStore", "STORE_VERSION", "compile_sections",
+           "file_signature", "oracle_sections", "section_layouts"]
 
 PathLike = Union[str, os.PathLike]
 
@@ -456,6 +456,112 @@ def read_store_meta(path: PathLike) -> Dict[str, Any]:
         return _read_meta_member(archive, path)
 
 
+def compile_sections(sections, *, seed: int,
+                     epsilon: float) -> CompiledOracle:
+    """The query tables over one v4 section set (arrays, mmap'd or not,
+    or lazy page-pool columns): the one construction behind
+    :func:`open_oracle`, the tile loader and the paged backend."""
+    pair_hash = PerfectHashMap.from_frozen(
+        **{name: sections[section]
+           for section, name in _HASH_SECTIONS.items()}, seed=seed)
+    return CompiledOracle(sections["chains"], pair_hash, epsilon)
+
+
+class _ClosedTables:
+    """A closed store's tables and sections: any use raises."""
+
+    def __init__(self, path) -> None:
+        self._path = path
+
+    def __getattr__(self, name: str):
+        raise ValueError(f"{self._path}: store is closed")
+
+    __getitem__ = __getattr__
+
+
+class StoreHandle:
+    """What every opened store shares: the file it serves
+    (``path``), the file generation it opened (``stat_signature``),
+    the workload it was packed for (``fingerprint``), and an
+    idempotent :meth:`close`, also run on leaving a ``with`` block.
+    Subclasses release their resources in :meth:`_release`."""
+
+    closed = False
+
+    @property
+    def supports_updates(self) -> bool:
+        """A store is immutable; a dynamic overlay adds updates."""
+        return False
+
+    @property
+    def is_compiled(self) -> bool:
+        return True
+
+    def is_stale(self) -> bool:
+        """True when the file on disk is a newer generation than the
+        one this handle opened.  A replaced file (atomic repack =
+        ``os.replace`` = new inode) flips this; a missing file does
+        not — there is nothing newer to re-open."""
+        if self.stat_signature is None or self.path is None:
+            return False
+        current = file_signature(self.path)
+        return current is not None and current != self.stat_signature
+
+    def size_bytes(self) -> int:
+        """The store's on-disk footprint."""
+        return os.path.getsize(self.path)
+
+    def check_fingerprint(self, engine: GeodesicEngine) -> None:
+        """Raise unless the store was packed for ``engine``'s workload."""
+        from .serialize import workload_fingerprint
+        if self.fingerprint != workload_fingerprint(engine):
+            raise ValueError(
+                f"{self.path}: oracle was built for a different workload "
+                "(terrain / POIs / Steiner density mismatch)"
+            )
+
+    def close(self) -> None:
+        """Release the tables and any file handle; later queries raise
+        ``ValueError``.  Closing twice is a no-op."""
+        if not self.closed:
+            self.closed = True
+            self._release()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class CompiledStore(StoreHandle):
+    """A store that answers through one :class:`CompiledOracle`
+    (``self.compiled``): the whole-mmap and the paged backends."""
+
+    @property
+    def num_pois(self) -> int:
+        return self.compiled.num_pois
+
+    @property
+    def num_pairs(self) -> int:
+        return len(self.compiled.pair_hash)
+
+    @property
+    def height(self) -> int:
+        return self.compiled.height
+
+    # Queries delegate to the compiled tables (bit-identical to the
+    # scalar SEOracle.query by the compiled oracle's contract).
+    def query(self, source: int, target: int) -> float:
+        return self.compiled.query(source, target)
+
+    def query_batch(self, sources, targets) -> np.ndarray:
+        return self.compiled.query_batch(sources, targets)
+
+    def query_matrix(self, pois=None) -> np.ndarray:
+        return self.compiled.query_matrix(pois)
+
+
 class _MappedPairSet(NodePairSet):
     """A :class:`NodePairSet` over the store's mapped key/distance
     columns.
@@ -493,13 +599,15 @@ class _MappedPairSet(NodePairSet):
 
 
 @dataclass
-class StoredOracle:
+class StoredOracle(CompiledStore):
     """An opened v4 store: compiled query tables + build metadata.
 
     The compiled tables are live immediately (queries need no engine);
     :meth:`to_oracle` rehydrates a full :class:`~repro.core.oracle.
     SEOracle` against a terrain engine when the scalar/tree API is
-    needed — e.g. for a binary -> JSON conversion.
+    needed — e.g. for a binary -> JSON conversion.  :meth:`close`
+    drops the maps; tables already handed out (an overlay's base, a
+    rehydrated oracle) keep their own references.
     """
 
     path: str
@@ -517,66 +625,8 @@ class StoredOracle:
     #: file generation the maps were opened from (None: unknown)
     stat_signature: Optional[Tuple[int, int, int]] = None
 
-    def is_stale(self) -> bool:
-        """True when the store file on disk is a newer generation than
-        the one these tables were mapped from.
-
-        A replaced file (atomic repack = ``os.replace`` = new inode)
-        flips this; the old maps stay valid — POSIX keeps the mapped
-        inode alive — so in-flight queries finish on the old
-        generation while the caller re-opens the new one.  A missing
-        file is *not* stale: there is nothing newer to re-map.
-        """
-        if self.stat_signature is None:
-            return False
-        current = file_signature(self.path)
-        return current is not None and current != self.stat_signature
-
-    @property
-    def num_pois(self) -> int:
-        return self.compiled.num_pois
-
-    @property
-    def num_pairs(self) -> int:
-        return int(self._sections["pair_keys"].shape[0])
-
-    @property
-    def height(self) -> int:
-        return self.compiled.height
-
-    @property
-    def supports_updates(self) -> bool:
-        """``DistanceIndex`` flag: a mapped store is immutable — the
-        serving layer wraps it in a dynamic overlay for updates."""
-        return False
-
-    @property
-    def is_compiled(self) -> bool:
-        return True
-
-    # Queries delegate to the compiled tables (bit-identical to the
-    # scalar SEOracle.query by the compiled oracle's contract).
-    def query(self, source: int, target: int) -> float:
-        return self.compiled.query(source, target)
-
-    def query_batch(self, sources, targets) -> np.ndarray:
-        return self.compiled.query_batch(sources, targets)
-
-    def query_matrix(self, pois=None) -> np.ndarray:
-        return self.compiled.query_matrix(pois)
-
-    def size_bytes(self) -> int:
-        """The store's on-disk footprint."""
-        return os.path.getsize(self.path)
-
-    def check_fingerprint(self, engine: GeodesicEngine) -> None:
-        """Raise unless the store was packed for ``engine``'s workload."""
-        from .serialize import workload_fingerprint
-        if self.fingerprint != workload_fingerprint(engine):
-            raise ValueError(
-                f"{self.path}: oracle was built for a different workload "
-                "(terrain / POIs / Steiner density mismatch)"
-            )
+    def _release(self) -> None:
+        self._sections = self.compiled = _ClosedTables(self.path)
 
     def tree(self) -> CompressedPartitionTree:
         """Rebuild the compressed partition tree from the table section."""
@@ -673,7 +723,6 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
         tile granularity — combining both is an error.
     """
     started = time.perf_counter()
-    signature = file_signature(path)
     if "tiles" in read_store_meta(path):
         if max_resident_bytes is not None:
             raise ValueError(
@@ -682,31 +731,35 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
         from .tiled import open_tiled_oracle
         stored = open_tiled_oracle(
             path, mmap=mmap, max_resident_tiles=max_resident_tiles)
-        if engine is not None and strict:
-            stored.check_fingerprint(engine)
-        return stored
-    if max_resident_bytes is not None:
+    elif max_resident_bytes is not None:
         from .paged import PagedOracle
-        paged = PagedOracle(path, max_resident_bytes=max_resident_bytes)
-        if engine is not None and strict:
-            paged.check_fingerprint(engine)
-        return paged
+        stored = PagedOracle(path, max_resident_bytes=max_resident_bytes)
+    else:
+        stored = _open_mapped(path, mmap, started)
+    if engine is not None and strict:
+        try:
+            stored.check_fingerprint(engine)
+        except ValueError:
+            stored.close()
+            raise
+    return stored
+
+
+def _open_mapped(path: PathLike, mmap: bool,
+                 started: float) -> StoredOracle:
+    """The whole-section :class:`StoredOracle` half of
+    :func:`open_oracle` (``started``: when the open began)."""
+    signature = file_signature(path)
     meta, sections = read_store(path, mmap=mmap)
-    pair_hash = PerfectHashMap.from_frozen(
-        sections["pair_keys"], sections["pair_distances"],
-        sections["hash_level1"], sections["hash_level2_a"],
-        sections["hash_level2_shift"], sections["hash_level2_offset"],
-        sections["hash_slots"], seed=meta["seed"],
-    )
-    compiled = CompiledOracle(sections["chains"], pair_hash,
-                              meta["epsilon"])
+    compiled = compile_sections(sections, seed=meta["seed"],
+                                epsilon=meta["epsilon"])
     # Surface the zero-copy ledger: sections that could not be mapped
     # in place (compressed members) are a serving-performance smell.
     stats = dict(meta.get("stats", {}))
     stats["non_zero_copy_sections"] = sorted(
         name for name, info in meta.get("sections", {}).items()
         if not info.get("zero_copy", True))
-    stored = StoredOracle(
+    return StoredOracle(
         path=os.fspath(path),
         epsilon=meta["epsilon"],
         strategy=meta["strategy"],
@@ -717,13 +770,8 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
         stats=stats,
         tree_meta=meta["tree"],
         compiled=compiled,
-        load_seconds=0.0,
+        # The open itself, not the cost of hashing the terrain.
+        load_seconds=time.perf_counter() - started,
         _sections=sections,
         stat_signature=signature,
     )
-    # Captured before the (optional) fingerprint check: load_seconds
-    # reports the open itself, not the cost of hashing the terrain.
-    stored.load_seconds = time.perf_counter() - started
-    if engine is not None and strict:
-        stored.check_fingerprint(engine)
-    return stored

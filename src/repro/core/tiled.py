@@ -49,11 +49,11 @@ Tile extraction is order-preserving (faces ascending, vertices via
 full-mesh positions bitwise, a single-tile build is **bit-identical**
 to the monolithic oracle, and parallel tile builds are bit-identical
 to serial ones.  At query time only the per-tile query tables (chains
-+ frozen hash) page through an internal LRU (``max_resident_tiles``);
-the stitch consumes tile A's probe matrix *before* touching tile B, so
-a one-tile budget serves cross-tile batches correctly — and, the
-arithmetic being independent of residency, bit-identically to an
-all-resident run.
++ frozen hash) page, through a :class:`~repro.core.residency.
+Residency` LRU (``max_resident_tiles``); the stitch consumes tile A's
+probe matrix *before* touching tile B, so a one-tile budget serves
+cross-tile batches correctly — and, the arithmetic being independent
+of residency, bit-identically to an all-resident run.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import os
 import threading
 import time
 import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -76,7 +75,6 @@ from typing import (
 
 import numpy as np
 
-from ..datastructures.perfect_hash import PerfectHashMap
 from ..geodesic.engine import GeodesicEngine
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POI, POISet
@@ -84,6 +82,7 @@ from .compiled import CompiledOracle
 from .index import DistanceIndexMixin, aligned_id_arrays
 from .oracle import SEOracle
 from .parallel import map_jobs
+from .residency import Counts, Residency
 from .store import (
     _FORMAT_NAME,
     _HASH_SECTIONS,
@@ -91,6 +90,8 @@ from .store import (
     _read_meta_member,
     _write_store,
     STORE_VERSION,
+    StoreHandle,
+    compile_sections,
     file_signature,
 )
 
@@ -567,23 +568,16 @@ def _min_plus(left: np.ndarray, middle: np.ndarray,
     return out
 
 
-class _ResidentTile:
-    __slots__ = ("compiled", "nbytes")
-
-    def __init__(self, compiled: CompiledOracle, nbytes: int):
-        self.compiled = compiled
-        self.nbytes = nbytes
-
-
-class TiledOracle(DistanceIndexMixin):
+class TiledOracle(StoreHandle, DistanceIndexMixin):
     """``DistanceIndex`` over tile shards with LRU tile paging.
 
     Global POI ids are the build POI set's indices; the routing arrays
     map each id to its owning tile and tile-local site id.  Per-tile
     query tables (chains + frozen hash) load lazily through
     ``loader`` and at most ``max_resident_tiles`` stay resident
-    (``None``: unbounded); loads, evictions and hits are counted per
-    tile for the serving layer's ``stats``.
+    (``None``: unbounded) in a :class:`~repro.core.residency.
+    Residency`; loads, evictions and hits are counted per tile for the
+    serving layer's ``stats``.
 
     Thread-safe: one re-entrant lock serialises paging and queries, so
     an eviction can never tear an in-flight batch.  Results are
@@ -621,13 +615,9 @@ class TiledOracle(DistanceIndexMixin):
             max_resident_tiles = int(max_resident_tiles)
             if max_resident_tiles < 1:
                 raise ValueError("max_resident_tiles must be >= 1")
-        self._max_resident_tiles = max_resident_tiles
-        self._resident: "OrderedDict[int, _ResidentTile]" = OrderedDict()
-        self._counters = [
-            {"loads": 0, "evictions": 0, "hits": 0}
-            for _ in range(self._num_tiles)
-        ]
-        self._peak_resident_bytes = 0
+        self._counts = [Counts() for _ in range(self._num_tiles)]
+        self._resident = Residency(max_resident_tiles,
+                                   counts=self._counts.__getitem__)
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -654,112 +644,72 @@ class TiledOracle(DistanceIndexMixin):
         return int(self.stats.get("height", 0))
 
     @property
-    def supports_updates(self) -> bool:
-        return False
-
-    @property
-    def is_compiled(self) -> bool:
-        return True
-
-    @property
     def max_resident_tiles(self) -> Optional[int]:
-        return self._max_resident_tiles
-
-    def is_stale(self) -> bool:
-        """Same replaced-file semantics as ``StoredOracle.is_stale``."""
-        if self.stat_signature is None or self.path is None:
-            return False
-        current = file_signature(self.path)
-        return current is not None and current != self.stat_signature
+        return self._resident.capacity
 
     def size_bytes(self) -> int:
         """On-disk footprint (store-backed) or the routing + resident
         table bytes (in-memory build)."""
         if self.path is not None:
-            return os.path.getsize(self.path)
+            return super().size_bytes()
         routing = (int(np.asarray(self._boundary).nbytes)
                    + int(self._owner.nbytes) + int(self._local.nbytes)
                    + sum(int(e.nbytes) for e in self._escape))
         return routing + self.resident_bytes()
 
-    def check_fingerprint(self, engine: GeodesicEngine) -> None:
-        from .serialize import workload_fingerprint
-        if self.fingerprint != workload_fingerprint(engine):
-            raise ValueError(
-                f"{self.path}: oracle was built for a different "
-                "workload (terrain / POIs / Steiner density mismatch)")
+    def _release(self) -> None:
+        with self._lock:
+            self._resident.clear()
 
     # ------------------------------------------------------------------
     # paging
     # ------------------------------------------------------------------
     def _tile(self, tile: int) -> CompiledOracle:
         with self._lock:
-            resident = self._resident.get(tile)
-            counters = self._counters[tile]
-            if resident is not None:
-                self._resident.move_to_end(tile)
-                counters["hits"] += 1
-                return resident.compiled
-            sections = self._loader(tile)
-            pair_hash = PerfectHashMap.from_frozen(
-                sections["pair_keys"], sections["pair_distances"],
-                sections["hash_level1"], sections["hash_level2_a"],
-                sections["hash_level2_shift"],
-                sections["hash_level2_offset"],
-                sections["hash_slots"], seed=self.seed,
-            )
-            compiled = CompiledOracle(sections["chains"], pair_hash,
-                                      self.epsilon)
-            nbytes = sum(int(array.nbytes)
-                         for array in sections.values())
-            counters["loads"] += 1
-            if self._max_resident_tiles is not None:
-                while len(self._resident) >= self._max_resident_tiles:
-                    evicted, _ = self._resident.popitem(last=False)
-                    self._counters[evicted]["evictions"] += 1
-            self._resident[tile] = _ResidentTile(compiled, nbytes)
-            self._peak_resident_bytes = max(
-                self._peak_resident_bytes, self.resident_bytes())
+            compiled = self._resident.get(tile)
+            if compiled is None:
+                if self.closed:
+                    raise ValueError(f"{self.path}: store is closed")
+                sections = self._loader(tile)
+                compiled = compile_sections(sections, seed=self.seed,
+                                            epsilon=self.epsilon)
+                nbytes = sum(int(array.nbytes)
+                             for array in sections.values())
+                self._resident.admit(tile, compiled, nbytes)
             return compiled
 
     def resident_tiles(self) -> List[int]:
         with self._lock:
-            return list(self._resident)
+            return self._resident.keys()
 
     def resident_bytes(self) -> int:
         """Bytes of per-tile query tables currently resident — the
         deterministic footprint ``max_resident_tiles`` bounds (the
         process RSS also carries the interpreter, NumPy, and the
         always-resident routing arrays)."""
-        with self._lock:
-            return sum(entry.nbytes
-                       for entry in self._resident.values())
+        return self._resident.resident_bytes
 
     @property
     def peak_resident_bytes(self) -> int:
-        return self._peak_resident_bytes
+        return self._resident.peak_resident_bytes
 
     def evict_tile(self, tile: int) -> bool:
         """Drop one tile's tables; a later query transparently
         reloads them.  Returns whether the tile was resident."""
         with self._lock:
-            if tile not in self._resident:
-                return False
-            del self._resident[tile]
-            self._counters[tile]["evictions"] += 1
-            return True
+            return self._resident.drop(tile)
 
     def tile_counters(self) -> Dict[str, Any]:
         """Paging ledger for ``OracleService.stats``: totals plus the
         per-tile load/eviction/hit counts and the resident set."""
         with self._lock:
+            resident = self._resident
             return {
-                "resident": list(self._resident),
-                "loads": sum(c["loads"] for c in self._counters),
-                "evictions": sum(c["evictions"]
-                                 for c in self._counters),
-                "hits": sum(c["hits"] for c in self._counters),
-                "tile": [dict(c) for c in self._counters],
+                "resident": resident.keys(),
+                "loads": resident.loads,
+                "evictions": resident.evictions,
+                "hits": resident.hits,
+                "tile": [dict(vars(counts)) for counts in self._counts],
             }
 
     # ------------------------------------------------------------------

@@ -626,10 +626,11 @@ def _worker_main(
     ready: Any = None,
 ) -> None:
     """Entry point of one worker process."""
-    service = build_service(config, worker_id)
-    asyncio.run(
-        _worker_serve(service, config, worker_id, port, writer_port, ready)
-    )
+    with build_service(config, worker_id) as service:
+        asyncio.run(
+            _worker_serve(service, config, worker_id, port, writer_port,
+                          ready)
+        )
 
 
 async def _worker_serve(

@@ -11,29 +11,29 @@ Design
 * **One registration entry point.**  ``register`` takes a
   :class:`TerrainSpec` — a frozen declarative description (``path``,
   ``mutable=``, ``engine=``, ``track_generation=``, ``pin=``,
-  ``max_resident_tiles=``) that the CLI and
-  :class:`~repro.serving.server.ServerConfig` both construct.  The old
-  ``register(id, path, track_generation)`` / ``register_mutable``
-  signatures survive as thin deprecated shims (``DeprecationWarning``;
-  removal planned for the next API-cleanup PR).
+  ``max_resident_tiles=``, ``max_resident_bytes=``) that the CLI and
+  :class:`~repro.serving.server.ServerConfig` both construct.
 * **Registration is free.**  ``register`` reads only the store's
   ``meta.json`` member (a few hundred bytes) — no array section is
   touched, so a service can register thousands of terrains at startup.
-* **Residency is LRU-bounded.**  Compiled tables materialise on first
-  query and at most ``max_resident`` terrains stay mapped; the least
-  recently used is evicted when the bound would be exceeded.  Because
-  sections are ``mmap``-ed read-only, eviction just drops references —
-  the OS page cache decides what actually leaves memory, and a re-load
-  of a warm store is microseconds.  ``pin=True`` keeps a terrain out
-  of the eviction order entirely.
-* **Tiled terrains page at tile granularity.**  A store packed by
-  ``build --tiles`` opens as a
-  :class:`~repro.core.tiled.TiledOracle`: the service-level LRU holds
-  the (small) routing arrays while the oracle's internal LRU pages
-  individual tile tables under ``TerrainSpec.max_resident_tiles``;
-  per-tile load/evict/hit counters surface in :meth:`stats` and
-  :meth:`describe`, so a terrain larger than RAM serves with bounded
-  residency.
+* **Residency is LRU-bounded.**  Opened stores live in a
+  :class:`~repro.core.residency.Residency`: they materialise on first
+  query and at most ``max_resident`` terrains stay open; the least
+  recently used unpinned one is evicted when the bound would be
+  exceeded (``pin=True`` terrains count toward the bound but are never
+  victims).  Every path that drops an open store — LRU eviction,
+  :meth:`evict`, a generation refresh, re-registration,
+  :meth:`unregister`, :meth:`close` — counts one eviction and closes
+  it, so ``loads - evictions`` is the number of resident stores and a
+  paged store's file handle never outlives its residency.
+* **Tiled and paged terrains page inside the store.**  A store packed
+  by ``build --tiles`` opens as a :class:`~repro.core.tiled.
+  TiledOracle` whose own residency pages tile tables under
+  ``TerrainSpec.max_resident_tiles``; ``max_resident_bytes`` opens a
+  monolithic store as a :class:`~repro.core.paged.PagedOracle` whose
+  page pool is one more residency.  :meth:`stats` and
+  :meth:`describe` surface either ledger, so a terrain larger than RAM
+  serves with bounded residency.
 * **Mutable terrains.**  ``TerrainSpec(mutable=True, engine=...)``
   pairs a store with its terrain workload and wraps it in a
   :class:`~repro.core.dynamic.DynamicSEOracle` overlay
@@ -63,21 +63,22 @@ import functools
 import os
 import threading
 import time
-import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.dynamic import DynamicSEOracle
 from ..core.index import DistanceIndex, ensure_index
+from ..core.paged import PagedOracle
+from ..core.residency import Residency
 from ..core.store import (
-    StoredOracle,
+    StoreHandle,
     open_oracle,
     pack_oracle,
     read_store_meta,
 )
+from ..core.tiled import TiledOracle
 from ..geodesic.engine import GeodesicEngine
 from ..queries import (
     k_nearest_neighbors,
@@ -169,7 +170,7 @@ class TerrainCounters:
     batches: int = 0          # query_batch / proximity dispatches
     hits: int = 0             # dispatches served by resident tables
     loads: int = 0            # store opens (cold + post-eviction)
-    evictions: int = 0        # times this terrain lost residency
+    evictions: int = 0        # open stores dropped (and closed)
     refreshes: int = 0        # generation re-mmaps (tracked terrains)
     updates: int = 0          # POI inserts + deletes (mutable only)
     flushes: int = 0          # rebuild + repack cycles (mutable only)
@@ -276,14 +277,17 @@ class OracleService:
     Parameters
     ----------
     max_resident:
-        Upper bound on simultaneously resident (mapped + compiled)
-        terrains.  Must be >= 1; the least recently *used* terrain is
+        Upper bound on simultaneously resident (opened) terrains.
+        Must be >= 1; the least recently *used* unpinned terrain is
         evicted first.
+
+    :meth:`close` (or leaving a ``with`` block) closes every open
+    store.
 
     Example
     -------
     >>> service = OracleService(max_resident=2)
-    >>> service.register("alps", "alps.store")     # doctest: +SKIP
+    >>> service.register("alps", TerrainSpec("alps.store"))  # doctest: +SKIP
     >>> service.query_batch("alps", [0, 3], [7, 9])  # doctest: +SKIP
     """
 
@@ -292,16 +296,17 @@ class OracleService:
             raise ValueError("max_resident must be at least 1")
         self.max_resident = max_resident
         self._registry: Dict[str, _Registration] = {}
-        self._resident: "OrderedDict[str, StoredOracle]" = OrderedDict()
+        self._resident = Residency(
+            max_resident,
+            pinned=lambda terrain_id: self._registry[terrain_id].pin,
+            counts=lambda terrain_id: self._registry[terrain_id].counters)
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # registry
     # ------------------------------------------------------------------
     @_locked
-    def register(self, terrain_id: str,
-                 spec: Union[TerrainSpec, str, os.PathLike],
-                 track_generation: Optional[bool] = None
+    def register(self, terrain_id: str, spec: TerrainSpec
                  ) -> Dict[str, Any]:
         """Register a terrain from a :class:`TerrainSpec`; returns its
         store meta.
@@ -315,55 +320,36 @@ class OracleService:
 
         ``TerrainSpec.track_generation`` makes the registration follow
         the file across atomic repacks: every access re-checks the
-        store's :func:`~repro.core.store.file_signature` and re-mmaps
+        store's :func:`~repro.core.store.file_signature` and re-opens
         when a writer has published a new generation (counted as a
         ``refresh``).  This is the reader half of the multi-worker
         single-writer story.
-
-        .. deprecated:: PR 7
-            ``register(terrain_id, path, track_generation=...)`` with
-            a bare path still works but warns; it will be removed in
-            the next API-cleanup PR.
         """
         if not isinstance(spec, TerrainSpec):
-            warnings.warn(
-                "register(terrain_id, path, track_generation=...) is "
-                "deprecated; pass register(terrain_id, "
-                "TerrainSpec(path, ...)) — the path form will be "
-                "removed in the next API-cleanup PR",
-                DeprecationWarning, stacklevel=2)
-            spec = TerrainSpec(path=os.fspath(spec),
-                               track_generation=bool(track_generation))
-        elif track_generation is not None:
             raise TypeError(
-                "track_generation rides inside TerrainSpec; do not "
-                "pass it alongside a spec")
-        self._refuse_dirty_replacement(terrain_id)
+                f"register takes a TerrainSpec, not {type(spec).__name__}"
+                "; wrap the path: TerrainSpec(path, ...)")
+        previous = self._registry.get(terrain_id)
+        if previous is not None and previous.mutable and previous.dirty:
+            # Re-registration must not silently drop unflushed updates.
+            raise ValueError(
+                f"terrain {terrain_id!r} has unflushed updates; "
+                "flush or unregister it before re-registering")
         if spec.mutable:
-            return self._register_mutable(terrain_id, spec)
+            return self._register_overlay(terrain_id, spec)
         meta = read_store_meta(spec.path)
         if spec.max_resident_bytes is not None and "tiles" in meta:
             raise ValueError(
                 f"{spec.path}: tiled stores page at tile granularity; "
                 "use max_resident_tiles instead of max_resident_bytes")
-        previous = self._registry.get(terrain_id)
-        if terrain_id in self._resident:
-            del self._resident[terrain_id]
-            if previous is not None:
-                # The terrain lost residency: account it like any
-                # other eviction so loads/evictions reconcile.
-                previous.counters.evictions += 1
-        registration = _Registration(
+        self._install(terrain_id, _Registration(
             path=spec.path, meta=meta,
             track_generation=spec.track_generation, pin=spec.pin,
             max_resident_tiles=spec.max_resident_tiles,
-            max_resident_bytes=spec.max_resident_bytes)
-        if previous is not None:
-            registration.counters = previous.counters
-        self._registry[terrain_id] = registration
+            max_resident_bytes=spec.max_resident_bytes))
         return meta
 
-    def _register_mutable(self, terrain_id: str,
+    def _register_overlay(self, terrain_id: str,
                           spec: TerrainSpec) -> Dict[str, Any]:
         """The mutable half of :meth:`register`.
 
@@ -381,55 +367,50 @@ class OracleService:
                 f"{spec.path}: tiled stores cannot be registered "
                 "mutable — tile shards are immutable; rebuild with "
                 "--tiles after editing the POI set")
-        stored = open_oracle(spec.path, engine=spec.engine, strict=True)
-        overlay = DynamicSEOracle.from_store(
-            stored, spec.engine, rebuild_factor=spec.rebuild_factor,
-            jobs=spec.jobs)
+        # The overlay keeps its own references to the mapped tables;
+        # the store handle itself is closed here.
+        with open_oracle(spec.path, engine=spec.engine,
+                         strict=True) as stored:
+            overlay = DynamicSEOracle.from_store(
+                stored, spec.engine, rebuild_factor=spec.rebuild_factor,
+                jobs=spec.jobs)
         ensure_index(overlay)
-        previous = self._registry.get(terrain_id)
-        self._resident.pop(terrain_id, None)
         registration = MutableRegistration(
             path=spec.path, meta=meta, overlay=overlay, pin=True)
+        self._install(terrain_id, registration)
+        return registration.meta
+
+    def _install(self, terrain_id: str,
+                 registration: _Registration) -> None:
+        """Replace ``terrain_id``'s registration, carrying its counters
+        over.  A resident store of the old registration is dropped
+        (closed, and counted as an eviction) first."""
+        self._resident.drop(terrain_id)
+        previous = self._registry.get(terrain_id)
         if previous is not None:
             registration.counters = previous.counters
         self._registry[terrain_id] = registration
-        return registration.meta
-
-    def register_mutable(self, terrain_id: str, path: str,
-                         engine: GeodesicEngine,
-                         rebuild_factor: float = 0.25,
-                         jobs: int = 1) -> Dict[str, Any]:
-        """Deprecated shim for the pre-:class:`TerrainSpec` signature.
-
-        .. deprecated:: PR 7
-            Use ``register(terrain_id, TerrainSpec(path, mutable=True,
-            engine=engine, ...))``; this shim will be removed in the
-            next API-cleanup PR.
-        """
-        warnings.warn(
-            "register_mutable is deprecated; use register(terrain_id, "
-            "TerrainSpec(path, mutable=True, engine=engine, ...)) — "
-            "removal planned for the next API-cleanup PR",
-            DeprecationWarning, stacklevel=2)
-        return self.register(terrain_id, TerrainSpec(
-            path=os.fspath(path), mutable=True, engine=engine,
-            rebuild_factor=rebuild_factor, jobs=jobs))
-
-    def _refuse_dirty_replacement(self, terrain_id: str) -> None:
-        """Re-registration must not silently drop unflushed updates."""
-        previous = self._registry.get(terrain_id)
-        if previous is not None and previous.mutable and previous.dirty:
-            raise ValueError(
-                f"terrain {terrain_id!r} has unflushed updates; "
-                "flush or unregister it before re-registering"
-            )
 
     @_locked
     def unregister(self, terrain_id: str) -> None:
-        """Drop a registration (unflushed overlay updates are lost)."""
+        """Drop a registration (unflushed overlay updates are lost)
+        and close its open store."""
         self._registration(terrain_id)
-        self._resident.pop(terrain_id, None)
+        self._resident.drop(terrain_id)
         del self._registry[terrain_id]
+
+    @_locked
+    def close(self) -> None:
+        """Drop and close every open store (each counted as an
+        eviction).  Idempotent; registrations stay, so a later query
+        re-opens its store lazily."""
+        self._resident.clear()
+
+    def __enter__(self) -> "OracleService":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     @_locked
     def terrains(self) -> List[str]:
@@ -450,12 +431,22 @@ class OracleService:
             meta["dirty"] = registration.dirty
         else:
             meta["resident"] = terrain_id in self._resident
-            stored = self._resident.get(terrain_id)
-            if stored is not None and hasattr(stored, "tile_counters"):
-                meta["tile_paging"] = stored.tile_counters()
-            if stored is not None and hasattr(stored, "page_counters"):
-                meta["paging"] = stored.page_counters()
+            ledger = self._paging_ledger(terrain_id)
+            if "tiles" in ledger:
+                meta["tile_paging"] = ledger.pop("tiles")
+            meta.update(ledger)
         return meta
+
+    def _paging_ledger(self, terrain_id: str) -> Dict[str, Any]:
+        """The open store's own paging ledger, keyed as :meth:`stats`
+        reports it: ``tiles`` for a tiled store's tile residency,
+        ``paging`` for a paged store's page pool, nothing otherwise."""
+        stored = self._resident.peek(terrain_id)
+        if isinstance(stored, TiledOracle):
+            return {"tiles": stored.tile_counters()}
+        if isinstance(stored, PagedOracle):
+            return {"paging": stored.page_counters()}
+        return {}
 
     def _registration(self, terrain_id: str) -> _Registration:
         try:
@@ -470,49 +461,35 @@ class OracleService:
     # residency
     # ------------------------------------------------------------------
     @_locked
-    def oracle(self, terrain_id: str) -> StoredOracle:
-        """The resident :class:`StoredOracle`, loading (and possibly
-        evicting another terrain) as needed.  Mutable terrains serve
-        through their overlay instead — see :meth:`_index`."""
+    def oracle(self, terrain_id: str) -> StoreHandle:
+        """The terrain's open store (a ``StoredOracle``, ``PagedOracle``
+        or ``TiledOracle``), opening it (and possibly evicting another
+        terrain) as needed.  Mutable terrains serve through their
+        overlay instead — see :meth:`_index`."""
         registration = self._registration(terrain_id)
         if registration.mutable:
             raise ValueError(
                 f"terrain {terrain_id!r} is mutable; it serves through "
                 "its overlay, not a bare StoredOracle"
             )
+        if registration.track_generation:
+            current = self._resident.peek(terrain_id)
+            if current is not None and current.is_stale():
+                # A writer published a new store generation (atomic
+                # rename): close the old one and fall through to a
+                # fresh open.  No query is in flight on it — every
+                # query holds the service lock.
+                self._resident.drop(terrain_id)
+                registration.meta = read_store_meta(registration.path)
+                registration.counters.refreshes += 1
         stored = self._resident.get(terrain_id)
-        if (stored is not None and registration.track_generation
-                and stored.is_stale()):
-            # A writer published a new store generation (atomic
-            # rename): drop the old maps and fall through to a fresh
-            # open.  In-flight queries on the old maps stay valid —
-            # the mapped inode outlives the rename.
-            del self._resident[terrain_id]
-            registration.meta = read_store_meta(registration.path)
-            registration.counters.refreshes += 1
-            stored = None
-        if stored is not None:
-            self._resident.move_to_end(terrain_id)
-            registration.counters.hits += 1
-            return stored
-        stored = open_oracle(
-            registration.path,
-            max_resident_tiles=registration.max_resident_tiles,
-            max_resident_bytes=registration.max_resident_bytes)
-        registration.counters.loads += 1
-        registration.counters.load_seconds += stored.load_seconds
-        while len(self._resident) >= self.max_resident:
-            # Oldest unpinned resident goes first; when everything
-            # resident is pinned the bound is allowed to overshoot
-            # (pins are an operator promise, not a suggestion).
-            victim = next(
-                (resident_id for resident_id in self._resident
-                 if not self._registry[resident_id].pin), None)
-            if victim is None:
-                break
-            del self._resident[victim]
-            self._registry[victim].counters.evictions += 1
-        self._resident[terrain_id] = stored
+        if stored is None:
+            stored = open_oracle(
+                registration.path,
+                max_resident_tiles=registration.max_resident_tiles,
+                max_resident_bytes=registration.max_resident_bytes)
+            registration.counters.load_seconds += stored.load_seconds
+            self._resident.admit(terrain_id, stored)
         return stored
 
     @_locked
@@ -521,11 +498,11 @@ class OracleService:
 
         Mutable terrains are pinned outside the LRU and not listed.
         """
-        return list(self._resident)
+        return self._resident.keys()
 
     @_locked
     def evict(self, terrain_id: str) -> bool:
-        """Drop a terrain's resident tables; True if it was resident.
+        """Drop and close a terrain's open store; True if it was open.
 
         Mutable terrains cannot be evicted (their overlay would lose
         unflushed updates) and pinned terrains refuse too; evicting
@@ -533,10 +510,7 @@ class OracleService:
         """
         if self._registration(terrain_id).pin:
             return False
-        if self._resident.pop(terrain_id, None) is None:
-            return False
-        self._registry[terrain_id].counters.evictions += 1
-        return True
+        return self._resident.drop(terrain_id)
 
     # ------------------------------------------------------------------
     # protocol routing
@@ -632,7 +606,8 @@ class OracleService:
         if not registration.mutable:
             raise ValueError(
                 f"terrain {terrain_id!r} is not mutable; register it "
-                "with register_mutable to accept updates"
+                "with TerrainSpec(path, mutable=True, engine=...) to "
+                "accept updates"
             )
         return registration
 
@@ -715,9 +690,9 @@ class OracleService:
             if os.path.exists(temp_path):
                 os.unlink(temp_path)
             raise
-        stored = open_oracle(registration.path,
-                             engine=overlay.engine, strict=True)
-        overlay.adopt_store(stored)
+        with open_oracle(registration.path, engine=overlay.engine,
+                         strict=True) as stored:
+            overlay.adopt_store(stored)
         registration.meta = read_store_meta(registration.path)
         registration.counters.flushes += 1
         registration.dirty = False
@@ -808,17 +783,10 @@ class OracleService:
                 entry["overlay_size"] = registration.overlay.overlay_size
                 entry["dirty"] = registration.dirty
             else:
-                entry["resident"] = terrain_id in self._resident
-                stored = self._resident.get(terrain_id)
+                stored = self._resident.peek(terrain_id)
+                entry["resident"] = stored is not None
                 if stored is not None:
                     entry["num_pois"] = stored.num_pois
-                    if hasattr(stored, "tile_counters"):
-                        # Tiled terrain: the tile-granular ledger the
-                        # oracle's internal LRU keeps.
-                        entry["tiles"] = stored.tile_counters()
-                    if hasattr(stored, "page_counters"):
-                        # Paged terrain: the page-pool ledger
-                        # (loads/evictions/hits, resident/peak bytes).
-                        entry["paging"] = stored.page_counters()
+                    entry.update(self._paging_ledger(terrain_id))
             report[terrain_id] = entry
         return report

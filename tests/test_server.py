@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import SEOracle, pack_oracle
 from repro.geodesic import GeodesicEngine
-from repro.serving import OracleService, ThreadedServer
+from repro.serving import OracleService, TerrainSpec, ThreadedServer
 from repro.serving.loadgen import (
     OracleClient,
     ServerError,
@@ -49,7 +49,7 @@ def served(store_path):
     """A running server over a static 'alps' terrain, plus its
     service for direct-reference answers."""
     service = OracleService(max_resident=2)
-    service.register("alps", str(store_path))
+    service.register("alps", TerrainSpec(str(store_path)))
     with ThreadedServer(service, max_batch=32) as server:
         yield service, server
 
@@ -255,8 +255,9 @@ class TestMutableVerbs:
     def mutable_served(self, workload, store_path):
         mesh, pois, engine, _ = workload
         service = OracleService(max_resident=2)
-        service.register_mutable("dunes", str(store_path), engine,
-                                 rebuild_factor=10.0)
+        service.register("dunes", TerrainSpec(
+            str(store_path), mutable=True, engine=engine,
+            rebuild_factor=10.0))
         with ThreadedServer(service, max_batch=16) as server:
             with OracleClient(server.host, server.port) as c:
                 yield service, c

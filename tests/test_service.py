@@ -1,5 +1,8 @@
 """Tests for the multi-terrain serving layer (OracleService)."""
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from repro.queries import (
     range_query,
     reverse_nearest_neighbors,
 )
-from repro.serving import OracleService
+from repro.serving import OracleService, TerrainSpec
 from repro.terrain import make_terrain, sample_uniform
 
 
@@ -39,7 +42,7 @@ def terrains(tmp_path_factory):
 def service(terrains):
     service = OracleService(max_resident=2)
     for name, (path, _) in terrains.items():
-        service.register(name, str(path))
+        service.register(name, TerrainSpec(str(path)))
     return service
 
 
@@ -47,7 +50,7 @@ class TestRegistry:
     def test_register_returns_meta(self, terrains):
         service = OracleService()
         path, oracle = terrains["alps"]
-        meta = service.register("alps", str(path))
+        meta = service.register("alps", TerrainSpec(str(path)))
         assert meta["epsilon"] == oracle.epsilon
         assert service.terrains() == ["alps"]
 
@@ -74,12 +77,37 @@ class TestRegistry:
     def test_reregister_drops_residency(self, service, terrains):
         service.query("alps", 0, 1)
         assert "alps" in service.resident_terrains()
-        service.register("alps", str(terrains["alps"][0]))
+        service.register("alps", TerrainSpec(str(terrains["alps"][0])))
         assert "alps" not in service.resident_terrains()
         # counters survive re-registration; the dropped residency is
         # accounted as an eviction
         assert service.counters("alps").queries == 1
         assert service.counters("alps").evictions == 1
+
+    def test_refresh_reconciles_the_ledger(self, terrains, tmp_path):
+        """A generation refresh drops (and closes) the old store, which
+        counts as an eviction: loads - evictions stays the number of
+        open stores."""
+        path = tmp_path / "tracked.store"
+        shutil.copyfile(terrains["alps"][0], path)
+        service = OracleService()
+        service.register("alps", TerrainSpec(str(path),
+                                             track_generation=True))
+        service.query("alps", 0, 1)
+        staged = tmp_path / "next.store"
+        shutil.copyfile(terrains["andes"][0], staged)
+        os.replace(staged, path)
+        assert service.query("alps", 0, 1) \
+            == terrains["andes"][1].query(0, 1)
+        stats = service.stats()["alps"]
+        assert (stats["loads"], stats["evictions"],
+                stats["refreshes"]) == (2, 1, 1)
+        assert stats["resident"]
+        assert stats["loads"] - stats["evictions"] == 1
+
+    def test_path_form_is_gone(self, terrains):
+        with pytest.raises(TypeError, match="TerrainSpec"):
+            OracleService().register("alps", str(terrains["alps"][0]))
 
     def test_max_resident_validation(self):
         with pytest.raises(ValueError):
@@ -191,8 +219,9 @@ def mutable_setup(tmp_path):
     path = tmp_path / "mutable.store"
     pack_oracle(oracle, path)
     service = OracleService(max_resident=2)
-    service.register_mutable("dunes", str(path), engine,
-                             rebuild_factor=10.0)
+    service.register("dunes", TerrainSpec(str(path), mutable=True,
+                                          engine=engine,
+                                          rebuild_factor=10.0))
     return service, engine, oracle, path
 
 
@@ -204,7 +233,18 @@ class TestMutableRegistration:
                                sample_uniform(other_mesh, 12, seed=1),
                                points_per_edge=1)
         with pytest.raises(ValueError):
-            service.register_mutable("wrong", str(path), other)
+            service.register("wrong", TerrainSpec(
+                str(path), mutable=True, engine=other))
+
+    def test_static_to_mutable_drop_is_an_eviction(self, mutable_setup):
+        service, engine, _, path = mutable_setup
+        service.register("x", TerrainSpec(str(path)))
+        service.query("x", 0, 1)
+        service.register("x", TerrainSpec(str(path), mutable=True,
+                                          engine=engine))
+        counters = service.counters("x")
+        assert (counters.loads, counters.evictions) == (1, 1)
+        assert "x" not in service.resident_terrains()
 
     def test_pinned_outside_lru(self, mutable_setup):
         service, _, _, _ = mutable_setup
@@ -341,15 +381,16 @@ class TestMutableLifecycle:
 
     def test_reregister_over_dirty_overlay_refused(self, mutable_setup):
         """Unflushed updates must never be dropped silently: both
-        register and register_mutable refuse, flush unblocks."""
+        static and mutable re-registration refuse, flush unblocks."""
         service, engine, _, path = mutable_setup
         service.insert_poi("dunes", 30.0, 30.0)
         with pytest.raises(ValueError, match="unflushed"):
-            service.register("dunes", str(path))
+            service.register("dunes", TerrainSpec(str(path)))
         with pytest.raises(ValueError, match="unflushed"):
-            service.register_mutable("dunes", str(path), engine)
+            service.register("dunes", TerrainSpec(
+                str(path), mutable=True, engine=engine))
         service.flush("dunes")
-        service.register("dunes", str(path))
+        service.register("dunes", TerrainSpec(str(path)))
         assert service.describe("dunes")["mutable"] is False
         with pytest.raises(ValueError, match="not mutable"):
             service.insert_poi("dunes", 10.0, 10.0)

@@ -25,7 +25,7 @@ import pytest
 
 from repro.core import SEOracle, pack_oracle
 from repro.geodesic import GeodesicEngine
-from repro.serving import OracleService, ThreadedServer
+from repro.serving import OracleService, TerrainSpec, ThreadedServer
 from repro.serving.loadgen import OracleClient, sample_pairs
 from repro.terrain import make_terrain, sample_uniform
 
@@ -66,8 +66,8 @@ def mutable_service(pristine_mutable, tmp_path):
     path = tmp_path / "m.store"
     shutil.copyfile(pristine, path)
     service = OracleService(max_resident=2)
-    service.register_mutable("m", str(path), engine,
-                             rebuild_factor=10.0)
+    service.register("m", TerrainSpec(str(path), mutable=True,
+                                      engine=engine, rebuild_factor=10.0))
     return service
 
 
@@ -85,8 +85,8 @@ class TestEvictionChurn:
         only one resident: every answer must match serial replay and
         the load/eviction ledgers must reconcile."""
         service = OracleService(max_resident=1)
-        service.register("a", str(static_stores["a"]))
-        service.register("b", str(static_stores["b"]))
+        service.register("a", TerrainSpec(str(static_stores["a"])))
+        service.register("b", TerrainSpec(str(static_stores["b"])))
 
         pairs = sample_pairs(NUM_POIS, 60, seed=3)
         records = []
@@ -131,7 +131,7 @@ class TestEvictionChurn:
 
     def test_explicit_evict_races_with_queries(self, static_stores):
         service = OracleService(max_resident=2)
-        service.register("a", str(static_stores["a"]))
+        service.register("a", TerrainSpec(str(static_stores["a"])))
         pairs = sample_pairs(NUM_POIS, 80, seed=9)
         reference = [service.query("a", s, t) for s, t in pairs]
         failures = []
@@ -159,7 +159,6 @@ class TestPagedPoolChurn:
         evict the previous one.  Every recorded answer must match a
         serial replay bit for bit, and the page ledger must reconcile
         after the stampede."""
-        from repro.serving import TerrainSpec
         service = OracleService(max_resident=2)
         service.register("a", TerrainSpec(
             str(static_stores["a"]), max_resident_bytes=8))
@@ -198,6 +197,7 @@ class TestPagedPoolChurn:
         assert ledger["peak_resident_bytes"] <= ledger["budget_bytes"]
         assert service.describe("a")["paging"]["loads"] \
             >= ledger["loads"]
+        service.close()
 
 
 class TestMutableChurn:

@@ -13,9 +13,8 @@ Four concerns, one axis each:
    bit-identically to an all-resident oracle (with a reconciling
    load/eviction ledger).
 3. **The redesigned registration API** — one ``register(terrain_id,
-   TerrainSpec(...))`` entry point; the bare-path and
-   ``register_mutable`` forms still work but warn; spec validation and
-   pin semantics.
+   TerrainSpec(...))`` entry point that warns on nothing; spec
+   validation and pin semantics.
 4. **Uniform proximity routing** — knn/range/rnn take any
    :class:`~repro.core.index.DistanceIndex` with no per-family
    arguments; a tiled oracle and a mutable overlay answer through the
@@ -323,21 +322,6 @@ class TestServiceTiledTerrains:
 
 
 class TestRegistrationAPI:
-    def test_bare_path_form_warns_and_works(self, mono_store):
-        service = OracleService()
-        with pytest.deprecated_call():
-            meta = service.register("m", str(mono_store))
-        assert meta["epsilon"] == EPSILON
-        assert service.query("m", 0, 0) == 0.0
-
-    def test_register_mutable_shim_warns(self, mono_store):
-        mesh, pois = _workload()
-        engine = GeodesicEngine(mesh, pois, points_per_edge=1)
-        service = OracleService()
-        with pytest.deprecated_call():
-            service.register_mutable("m", str(mono_store), engine)
-        assert service.describe("m")["mutable"]
-
     def test_spec_form_does_not_warn(self, mono_store):
         service = OracleService()
         with warnings.catch_warnings():

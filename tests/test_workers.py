@@ -192,3 +192,8 @@ def test_flush_publishes_generation_to_readers(fleet, worker_clients):
     stats = reader.stats()["terrains"]["dunes"]
     assert stats["refreshes"] == 1
     assert stats["loads"] == 2  # the initial map + one re-mmap
+    # The refresh closed the old generation, counted as an eviction,
+    # so the ledger reconciles: loads - evictions == open stores.
+    assert stats["evictions"] == 1
+    assert stats["resident"]
+    assert stats["loads"] - stats["evictions"] == 1
