@@ -81,9 +81,11 @@ def kernel_setup():
     graph = GeodesicGraph(mesh, points_per_edge=1)
     n = graph.num_nodes
     sources = list(range(0, n, max(1, n // 12)))[:12]
-    full = dijkstra_reference(graph.adjacency, sources[0])
+    # The reference kernel reads lists; convert once, outside the timings.
+    lists = graph.csr.to_lists()
+    full = dijkstra_reference(lists, sources[0])
     radius = sorted(full.distances.values())[len(full.distances) // 3]
-    return graph, sources, radius
+    return graph, lists, sources, radius
 
 
 def _settle_sweep(kernel, graph_arg, sources, radius=None):
@@ -97,30 +99,29 @@ def _settle_sweep(kernel, graph_arg, sources, radius=None):
 
 
 def test_kernel_array_full(benchmark, kernel_setup):
-    graph, sources, _ = kernel_setup
+    graph, _, sources, _ = kernel_setup
     benchmark(lambda: _settle_sweep(dijkstra, graph.csr, sources))
 
 
 def test_kernel_reference_full(benchmark, kernel_setup):
-    graph, sources, _ = kernel_setup
-    benchmark(lambda: _settle_sweep(dijkstra_reference, graph.adjacency,
-                                    sources))
+    _, lists, sources, _ = kernel_setup
+    benchmark(lambda: _settle_sweep(dijkstra_reference, lists, sources))
 
 
 def test_kernel_array_radius(benchmark, kernel_setup):
-    graph, sources, radius = kernel_setup
+    graph, _, sources, radius = kernel_setup
     benchmark(lambda: _settle_sweep(dijkstra, graph.csr, sources, radius))
 
 
 def test_kernel_reference_radius(benchmark, kernel_setup):
-    graph, sources, radius = kernel_setup
-    benchmark(lambda: _settle_sweep(dijkstra_reference, graph.adjacency,
-                                    sources, radius))
+    _, lists, sources, radius = kernel_setup
+    benchmark(lambda: _settle_sweep(dijkstra_reference, lists, sources,
+                                    radius))
 
 
 def test_kernel_settled_rate(kernel_setup):
     """Print settled-nodes/second for both kernels; new must be >= 2x."""
-    graph, sources, radius = kernel_setup
+    graph, lists, sources, radius = kernel_setup
 
     def rate(kernel, graph_arg, bound=None):
         best = 0.0
@@ -131,9 +132,9 @@ def test_kernel_settled_rate(kernel_setup):
         return best
 
     new_full = rate(dijkstra, graph.csr)
-    old_full = rate(dijkstra_reference, graph.adjacency)
+    old_full = rate(dijkstra_reference, lists)
     new_radius = rate(dijkstra, graph.csr, radius)
-    old_radius = rate(dijkstra_reference, graph.adjacency, radius)
+    old_radius = rate(dijkstra_reference, lists, radius)
     print(f"\nkernel settled-nodes/second (grid_exponent=5, "
           f"{graph.num_nodes} nodes):")
     print(f"  full component: array {new_full:12,.0f}/s   "

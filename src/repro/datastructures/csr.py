@@ -4,10 +4,10 @@
 this repository runs on.  It has two sections:
 
 * a **frozen static section** — the mesh vertices and Steiner points
-  (and, after :meth:`~repro.geodesic.graph.GeodesicGraph.attach_pois`
-  refreezes, the POI sites too) stored as three parallel NumPy arrays:
-  ``indptr`` (``int64``), ``indices`` (``int32``) and ``weights``
-  (``float64``), the classic CSR layout;
+  (and, once :meth:`~repro.geodesic.graph.GeodesicGraph.attach_pois`
+  has merged them in with :meth:`frozen`, the POI sites too) stored as
+  three parallel NumPy arrays: ``indptr`` (``int64``), ``indices``
+  (``int32``) and ``weights`` (``float64``), the classic CSR layout;
 * a small **dynamic overlay** for sites attached after the freeze
   (transient A2A query points, dynamic-oracle inserts).  Overlay nodes
   keep per-node adjacency lists; edges *back* from static nodes into
@@ -81,10 +81,12 @@ class DijkstraScratch:
 class CSRGraph:
     """Undirected weighted graph: frozen CSR arrays + dynamic overlay.
 
-    Build one with :meth:`from_lists`; the list-of-lists adjacency is
-    frozen into the static section.  Later nodes enter through
-    :meth:`attach_node` (overlay) and leave LIFO via
-    :meth:`detach_last`.
+    The constructor takes the static section as ready-made arrays (the
+    geodesic graph builds them directly); :meth:`from_lists` freezes a
+    hand-written list-of-lists adjacency and :meth:`to_lists` gives one
+    back, for the reference kernel.  Later nodes enter through
+    :meth:`attach_node` (overlay), leave LIFO via :meth:`detach_last`,
+    or become static through :meth:`frozen`.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
@@ -133,6 +135,38 @@ class CSRGraph:
             flat_weights[cursor:cursor + step] = row_weights
             cursor += step
         return cls(indptr, indices, flat_weights)
+
+    @classmethod
+    def from_entries(cls, rows: np.ndarray, indices: np.ndarray,
+                     weights: np.ndarray, num_nodes: int) -> "CSRGraph":
+        """Freeze directed entries ``rows[i] -> indices[i]``.
+
+        A stable sort by row keeps each row's entries in given order.
+        """
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        return cls(indptr, indices[order], weights[order])
+
+    def frozen(self) -> "CSRGraph":
+        """A copy with the overlay merged into the static section.
+
+        Rows keep their order: a static node's overlay edges follow its
+        static entries, in attach order.
+        """
+        static_n = self.num_static
+        added = list(self._extra.items())
+        added.extend((static_n + i, row) for i, row in enumerate(self._ov_rows))
+        owners = [node for node, row in added for _ in row]
+        entries = [entry for _, row in added for entry in row]
+        rows = np.repeat(np.arange(static_n), np.diff(self.indptr))
+        return CSRGraph.from_entries(
+            np.concatenate([rows, np.array(owners, dtype=np.int64)]),
+            np.concatenate([self.indices, np.array(
+                [v for v, _ in entries], dtype=np.int32)]),
+            np.concatenate([self.weights, np.array(
+                [w for _, w in entries], dtype=np.float64)]),
+            self.num_nodes)
 
     # ------------------------------------------------------------------
     # shape
@@ -204,6 +238,15 @@ class CSRGraph:
         else:
             row = self._static_rows()[node] + self._extra.get(node, [])
         return [v for v, _ in row], [w for _, w in row]
+
+    def to_lists(self) -> Tuple[List[List[int]], List[List[float]]]:
+        """The whole graph as a ``(neighbors, weights)`` list-of-lists pair.
+
+        Fresh lists, rows as :meth:`neighbors` gives them: the input of
+        the reference search kernel.
+        """
+        rows = [self.neighbors(node) for node in range(self.num_nodes)]
+        return [ids for ids, _ in rows], [weights for _, weights in rows]
 
     def _static_rows(self) -> List[Row]:
         if self._rows is None:

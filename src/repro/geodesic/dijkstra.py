@@ -36,11 +36,11 @@ dispatches between two implementations:
   ``frontier_min`` the unpruned kernel would.
 
 ``source`` may be a sequence for multi-source searches (the frontier
-starts at distance 0 from every source).  Both kernels accept a
-:class:`~repro.datastructures.csr.CSRGraph`, any object exposing one
-as ``.csr`` (e.g. ``GeodesicGraph``), or the legacy ``(neighbors,
-weights)`` list-of-lists tuple; tuples are frozen into a temporary CSR
-per call, so hot loops should pass a ``CSRGraph``.
+starts at distance 0 from every source).  Both kernels take a
+:class:`~repro.datastructures.csr.CSRGraph` or any object exposing one
+as ``.csr`` (e.g. ``GeodesicGraph``).  Only :func:`dijkstra_reference`
+reads a ``(neighbors, weights)`` list-of-lists pair; get one from
+:meth:`CSRGraph.to_lists <repro.datastructures.csr.CSRGraph.to_lists>`.
 """
 
 from __future__ import annotations
@@ -65,25 +65,15 @@ __all__ = [
     "bidirectional_distance",
 ]
 
-Adjacency = Union[
-    CSRGraph,
-    Tuple[List[List[int]], List[List[float]]],
-]
-
-
 def _as_csr(graph) -> CSRGraph:
-    """Coerce any accepted adjacency form into a ``CSRGraph``."""
+    """The ``CSRGraph`` itself, or the one a graph exposes as ``.csr``."""
     if isinstance(graph, CSRGraph):
         return graph
     csr = getattr(graph, "csr", None)
     if isinstance(csr, CSRGraph):
         return csr
-    if isinstance(graph, tuple) and len(graph) == 2:
-        return CSRGraph.from_lists(graph[0], graph[1])
-    raise TypeError(
-        "expected a CSRGraph, an object with a .csr attribute, or a "
-        f"(neighbors, weights) tuple; got {type(graph).__name__}"
-    )
+    raise TypeError("expected a CSRGraph or an object with a .csr "
+                    f"attribute; got {type(graph).__name__}")
 
 
 class DijkstraResult:
@@ -156,7 +146,7 @@ class DijkstraResult:
         return path
 
 
-def dijkstra(graph: Adjacency,
+def dijkstra(graph: CSRGraph,
              source: Union[int, Sequence[int]],
              *,
              radius: Optional[float] = None,
@@ -168,8 +158,7 @@ def dijkstra(graph: Adjacency,
     Parameters
     ----------
     graph:
-        A ``CSRGraph`` (or object exposing ``.csr``, or a legacy
-        ``(neighbors, weights)`` tuple — converted per call).
+        A ``CSRGraph``, or an object exposing one as ``.csr``.
     source:
         Start node, or a sequence of start nodes for a multi-source
         search (every source starts at distance 0).
@@ -403,7 +392,7 @@ def dijkstra_reference(adjacency: Tuple[List[List[int]], List[List[float]]],
                           heap_pushes=pushes)
 
 
-def bidirectional_distance(graph: Adjacency, source: int,
+def bidirectional_distance(graph: CSRGraph, source: int,
                            target: int) -> float:
     """Point-to-point distance via bidirectional Dijkstra.
 

@@ -22,26 +22,19 @@ vertex are computed with their geodesic distances".
 
 Graph representation (CSR + overlay)
 ------------------------------------
-Adjacency is held twice, deliberately:
-
-* ``self.csr`` — a :class:`~repro.datastructures.csr.CSRGraph`: the
-  mesh + Steiner section frozen into flat NumPy ``indptr`` / ``indices``
-  / ``weights`` arrays, plus a small dynamic overlay for sites attached
-  afterwards.  This is what the Dijkstra kernel iterates, and what any
-  future vectorised or sharded consumer should read.  Callers that
-  attach a stable batch of sites (the engine attaching its POI set)
-  call :meth:`freeze_sites` to merge the overlay into the static
-  section, so build-time SSADs run entirely on frozen arrays.
-* ``self.adjacency`` — the original ``(neighbors, weights)``
-  list-of-lists pair, kept live as a compatibility view for
-  out-of-tree callers and as the rebuild source when the CSR needs
-  refreezing.  Mutations (:meth:`attach_site` /
-  :meth:`detach_last_sites`) update both representations.
+``self.csr`` — a :class:`~repro.datastructures.csr.CSRGraph` — holds
+every edge.  The mesh + Steiner section is built straight into its
+``indptr`` / ``indices`` / ``weights`` arrays: each face's sorted
+boundary ids give ``C(3+3k, 2)`` pairs, the first occurrence of each
+pair becomes an edge, lengths are priced in one NumPy call, and rows
+list neighbours in first-occurrence order.  Sites enter through the
+CSR's overlay; :meth:`freeze_sites` merges a stable batch (the engine's
+POI set) into the static arrays, so build-time SSADs run on flat arrays
+and only sites attached later can be detached.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,11 +59,10 @@ class GeodesicGraph:
 
     Notes
     -----
-    The adjacency is stored as a frozen CSR core plus a dynamic site
-    overlay (see the module docstring), with the legacy parallel-list
-    form kept as a live compatibility view.  The graph never removes
-    static nodes; callers that need a transient attachment (the A2A
-    query path) use :meth:`attach_site` + :meth:`detach_last_sites`.
+    The edges live in a frozen CSR core plus a dynamic site overlay (see
+    the module docstring).  The graph never removes static nodes;
+    callers that need a transient attachment (the A2A query path) use
+    :meth:`attach_site` + :meth:`detach_last_sites`.
     """
 
     def __init__(self, mesh: TriangleMesh, points_per_edge: int = 2,
@@ -80,67 +72,70 @@ class GeodesicGraph:
         self._placement = place_steiner_points(mesh, points_per_edge)
         self._num_vertices = mesh.num_vertices
         self._num_steiner = self._placement.count
-        base = self._num_vertices + self._num_steiner
-        self._positions: List[np.ndarray] = [
-            mesh.vertices[i] for i in range(self._num_vertices)
-        ]
-        self._positions.extend(self._placement.positions)
-        self._neighbors: List[List[int]] = [[] for _ in range(base)]
-        self._weights: List[List[float]] = [[] for _ in range(base)]
-        self._face_boundary: List[List[int]] = []
+        self._points = np.vstack([mesh.vertices, self._placement.positions])
+        self._site_points: List[np.ndarray] = []
+        self._site_faces: List[int] = []
         self._sites_by_face: Dict[int, List[int]] = {}
-        self._face_of_site: Dict[int, int] = {}
-        self._num_edges = 0
-        self._build()
-        self._csr = CSRGraph.from_lists(self._neighbors, self._weights)
+        self._face_boundary = self._boundaries()
+        self._csr = self._build()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
+    def _boundaries(self) -> np.ndarray:
+        """``(M, 3+3k)`` sorted boundary node ids of every face.
+
+        The corners come first (vertex ids are below every Steiner id),
+        then the Steiner points of the face's three edges in edge order:
+        edge ``i`` of ``mesh.edges`` holds Steiner ids ``i*k .. i*k+k-1``
+        (see :class:`~repro.geodesic.steiner.SteinerPlacement`).
+        """
         mesh = self._mesh
-        offset = self._num_vertices
-        edge_nodes: Dict[Tuple[int, int], List[int]] = {}
-        for edge in mesh.edges:
-            chain = [edge[0]]
-            chain.extend(offset + p for p in
-                         self._placement.edge_points.get(edge, []))
-            chain.append(edge[1])
-            edge_nodes[edge] = chain
+        n = self._num_vertices
+        k = self._placement.points_per_edge
+        corners = np.sort(mesh.faces.astype(np.int64), axis=1)
+        edges = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)
+        # mesh.edges is sorted, so its u * n + v keys are too.
+        sides = corners[:, [0, 0, 1]] * n + corners[:, [1, 2, 2]]
+        edge_ids = np.sort(np.searchsorted(edges[:, 0] * n + edges[:, 1],
+                                           sides), axis=1)
+        steiner = n + edge_ids[:, :, None] * k + np.arange(k)
+        return np.hstack([corners, steiner.reshape(len(corners), 3 * k)])
 
-        seen: set = set()
+    def _build(self) -> CSRGraph:
+        """Freeze the per-face boundary cliques into CSR arrays."""
+        boundary = self._face_boundary
+        base = len(self._points)
+        first, second = np.triu_indices(boundary.shape[1], 1)
+        us = boundary[:, first].ravel()
+        vs = boundary[:, second].ravel()
+        # Faces sharing an edge repeat its pairs; keep each pair's first
+        # occurrence, in face order.
+        _, seen = np.unique(us * base + vs, return_index=True)
+        seen.sort()
+        us, vs = us[seen], vs[seen]
+        weights = self._price(self._points[us], self._points[vs])
+        keep = ~np.isinf(weights)  # weight models may delete edges
+        us, vs, weights = us[keep], vs[keep], weights[keep]
+        # Both directions of edge e sit at 2e and 2e+1, so every row
+        # lists its neighbours in edge order.
+        return CSRGraph.from_entries(np.stack([us, vs], axis=1).ravel(),
+                                     np.stack([vs, us], axis=1).ravel(),
+                                     np.repeat(weights, 2), base)
 
-        def add_edge(u: int, v: int) -> None:
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                return
-            seen.add(key)
-            weight = self._distance(u, v)
-            if math.isinf(weight):
-                return  # weight models may delete impassable edges
-            self._neighbors[u].append(v)
-            self._weights[u].append(weight)
-            self._neighbors[v].append(u)
-            self._weights[v].append(weight)
-            self._num_edges += 1
+    def _price(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Weights of the edges ``a[i]``–``b[i]`` (rows of coordinates).
 
-        for face_id, (a, b, c) in enumerate(mesh.faces):
-            boundary: List[int] = []
-            for u, v in ((a, b), (b, c), (a, c)):
-                key = (int(u), int(v)) if u < v else (int(v), int(u))
-                boundary.extend(edge_nodes[key])
-            boundary = sorted(set(boundary))
-            self._face_boundary.append(boundary)
-            for i, u in enumerate(boundary):
-                for v in boundary[i + 1:]:
-                    add_edge(u, v)
-
-    def _distance(self, u: int, v: int) -> float:
-        if self._weight_fn is not None:
-            return float(self._weight_fn(self._positions[u],
-                                         self._positions[v]))
-        delta = self._positions[u] - self._positions[v]
-        return float(math.sqrt(float(delta @ delta)))
+        Lengths must come from NumPy's dot routine (BLAS ``ddot``
+        rounding, like the reference loop's ``delta @ delta``); ``einsum``
+        or a sum of squares changes the last bit.  ``weight_fn`` is
+        called once per edge, in order.
+        """
+        if self._weight_fn is None:
+            delta = a - b
+            return np.sqrt((delta[:, None, :] @ delta[:, :, None]).ravel())
+        return np.array([float(self._weight_fn(p, q)) for p, q in zip(a, b)],
+                        dtype=np.float64)
 
     # ------------------------------------------------------------------
     # accessors
@@ -151,11 +146,11 @@ class GeodesicGraph:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._positions)
+        return len(self._points) + len(self._site_points)
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        return self._csr.num_entries // 2
 
     @property
     def num_vertices(self) -> int:
@@ -171,25 +166,17 @@ class GeodesicGraph:
         return self._placement.points_per_edge
 
     def position(self, node: int) -> np.ndarray:
-        return self._positions[node]
+        if node < len(self._points):
+            return self._points[node]
+        return self._site_points[node - len(self._points)]
 
     def neighbors(self, node: int) -> Tuple[List[int], List[float]]:
-        return self._neighbors[node], self._weights[node]
+        return self._csr.neighbors(node)
 
     @property
     def csr(self) -> CSRGraph:
         """The CSR core the Dijkstra kernel runs on."""
         return self._csr
-
-    @property
-    def adjacency(self) -> Tuple[List[List[int]], List[List[float]]]:
-        """Legacy ``(neighbors, weights)`` compatibility view.
-
-        Kept in sync with :attr:`csr`; the search kernels accept either
-        form, but hot loops should pass :attr:`csr` (tuples are frozen
-        into a temporary CSR on every call).
-        """
-        return self._neighbors, self._weights
 
     def steiner_nodes(self) -> range:
         """Node ids of the Steiner points."""
@@ -197,7 +184,7 @@ class GeodesicGraph:
 
     def face_boundary_nodes(self, face_id: int) -> List[int]:
         """Corner + Steiner nodes on the boundary of ``face_id``."""
-        return self._face_boundary[face_id]
+        return self._face_boundary[face_id].tolist()
 
     def edge_steiner_nodes(self, u: int, v: int) -> List[int]:
         """Graph node ids of the Steiner points on mesh edge ``(u, v)``.
@@ -214,8 +201,8 @@ class GeodesicGraph:
 
     def size_bytes(self) -> int:
         """Byte-count model: 8 bytes per node coordinate triple member,
-        16 per directed adjacency entry (id + weight)."""
-        return 24 * self.num_nodes + 16 * 2 * self._num_edges
+        16 per directed CSR entry (id + weight)."""
+        return 24 * self.num_nodes + 16 * 2 * self.num_edges
 
     # ------------------------------------------------------------------
     # site attachment
@@ -231,25 +218,18 @@ class GeodesicGraph:
         """
         if vertex_id is not None:
             return int(vertex_id)
-        node = len(self._positions)
+        node = self.num_nodes
         position = np.asarray(position, dtype=float)
-        self._positions.append(position)
-        self._neighbors.append([])
-        self._weights.append([])
-        targets = list(self._face_boundary[face_id])
+        targets = self.face_boundary_nodes(face_id)
         targets.extend(self._sites_by_face.get(face_id, []))
-        for other in targets:
-            weight = self._distance(node, other)
-            if math.isinf(weight):
-                continue
-            self._neighbors[node].append(other)
-            self._weights[node].append(weight)
-            self._neighbors[other].append(node)
-            self._weights[other].append(weight)
-            self._num_edges += 1
-        self._csr.attach_node(self._neighbors[node], self._weights[node])
+        others = np.array([self.position(other) for other in targets])
+        weights = self._price(np.broadcast_to(position, others.shape),
+                              others)
+        keep = ~np.isinf(weights)
+        self._csr.attach_node(np.asarray(targets)[keep], weights[keep])
+        self._site_points.append(position)
+        self._site_faces.append(face_id)
         self._sites_by_face.setdefault(face_id, []).append(node)
-        self._face_of_site[node] = face_id
         return node
 
     def attach_pois(self, pois: POISet) -> List[int]:
@@ -271,40 +251,23 @@ class GeodesicGraph:
 
         Call after attaching a batch of long-lived sites; transient
         attach/detach cycles (A2A queries) still work afterwards and
-        land in a fresh overlay.
+        land in a fresh overlay.  Frozen sites can no longer be
+        detached.
         """
         if self._csr.num_overlay:
-            self._csr = CSRGraph.from_lists(self._neighbors, self._weights)
+            self._csr = self._csr.frozen()
 
     def detach_last_sites(self, count: int) -> None:
         """Remove the ``count`` most recently attached site nodes.
 
-        Sites are removed LIFO; attempting to detach mesh/Steiner nodes
-        raises.  Used by transient A2A attachments.
+        Sites are removed LIFO.  Only overlay sites (attached since the
+        last :meth:`freeze_sites`) can go: asking for more raises
+        ``ValueError`` and leaves the graph unchanged.  Used by
+        transient A2A attachments.
         """
-        base = self._num_vertices + self._num_steiner
-        needs_refreeze = False
+        if count > self._csr.num_overlay:
+            raise ValueError("cannot detach mesh, Steiner or frozen nodes")
         for _ in range(count):
-            node = len(self._positions) - 1
-            if node < base:
-                raise ValueError("cannot detach non-site nodes")
-            for other in self._neighbors[node]:
-                index = self._neighbors[other].index(node)
-                self._neighbors[other].pop(index)
-                self._weights[other].pop(index)
-                self._num_edges -= 1
-            self._positions.pop()
-            self._neighbors.pop()
-            self._weights.pop()
-            face_id = self._face_of_site.pop(node)
-            sites = self._sites_by_face[face_id]
-            sites.remove(node)
-            if not sites:
-                del self._sites_by_face[face_id]
-            if self._csr.num_overlay:
-                self._csr.detach_last()
-            else:
-                # Detaching a frozen site; refreeze once after the loop.
-                needs_refreeze = True
-        if needs_refreeze:
-            self._csr = CSRGraph.from_lists(self._neighbors, self._weights)
+            self._csr.detach_last()
+            self._site_points.pop()
+            self._sites_by_face[self._site_faces.pop()].pop()

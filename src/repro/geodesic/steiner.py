@@ -41,7 +41,10 @@ class SteinerPlacement:
         For every mesh edge ``(u, v)`` (``u < v``), the list of Steiner
         point indices placed on it, ordered from ``u`` to ``v``.
         Indices are *local* to ``positions`` (0-based); the geodesic
-        graph offsets them by the mesh vertex count.
+        graph offsets them by the mesh vertex count.  Numbering is
+        edge-major: edge ``i`` of ``mesh.edges`` holds indices
+        ``i*k .. i*k+k-1`` for ``k = points_per_edge``, which the
+        geodesic graph's array builder relies on.
     points_per_edge:
         The placement density used.
     """

@@ -10,6 +10,7 @@ randomized terrains, with and without an attached-site overlay.
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +22,14 @@ import importlib
 dijkstra_module = importlib.import_module("repro.geodesic.dijkstra")
 from repro.datastructures import CSRGraph
 from repro.geodesic import (
+    ElevationGainWeight,
     GeodesicEngine,
     GeodesicGraph,
+    SlopePenaltyWeight,
     bidirectional_distance,
     dijkstra,
     dijkstra_reference,
+    place_steiner_points,
 )
 from repro.terrain import make_terrain, sample_uniform
 
@@ -44,7 +48,7 @@ def _assert_same(array_result, reference_result):
 
 def _check_all_rules(graph, seed):
     """One randomized scenario: every stopping rule, exact equality."""
-    adjacency = graph.adjacency
+    adjacency = graph.csr.to_lists()
     csr = graph.csr
     n = graph.num_nodes
     source = seed % n
@@ -107,7 +111,7 @@ def test_kernel_matches_reference_with_overlay(seed):
     # Overlay node as the source.
     source = graph.num_nodes - 1
     _assert_same(dijkstra(graph.csr, source),
-                 dijkstra_reference(graph.adjacency, source))
+                 dijkstra_reference(graph.csr.to_lists(), source))
 
 
 @settings(max_examples=6, deadline=None)
@@ -140,11 +144,11 @@ def test_multi_source_is_min_over_sources():
 def test_radius_pruning_reports_fewer_pushes():
     """The pruned lazy-deletion heap must not grow past the reference."""
     graph = _random_graph(5, grid_exponent=4)
-    full = dijkstra_reference(graph.adjacency, 0)
+    full = dijkstra_reference(graph.csr.to_lists(), 0)
     radius = sorted(full.distances.values())[len(full.distances) // 4]
     with mock.patch.object(dijkstra_module, "_scipy_dijkstra", None):
         pruned = dijkstra(graph.csr, 0, radius=radius)
-    reference = dijkstra_reference(graph.adjacency, 0, radius=radius)
+    reference = dijkstra_reference(graph.csr.to_lists(), 0, radius=radius)
     assert pruned.heap_pushes > 0
     assert pruned.heap_pushes <= reference.heap_pushes
     assert pruned.distances == reference.distances
@@ -228,8 +232,20 @@ class TestCSRGraph:
         assert graph.csr.num_overlay == 0
         # Graph still searchable and consistent after the detach.
         full = dijkstra(graph.csr, 0)
-        ref = dijkstra_reference(graph.adjacency, 0)
+        ref = dijkstra_reference(graph.csr.to_lists(), 0)
         assert full.distances == ref.distances
+
+    def test_detach_frozen_site_raises(self):
+        mesh = make_terrain(grid_exponent=3, seed=2)
+        pois = sample_uniform(mesh, 4, seed=2)
+        engine = GeodesicEngine(mesh, pois, points_per_edge=0)
+        graph = engine.graph
+        assert graph.num_nodes > mesh.num_vertices  # frozen POI sites
+        nodes_before, edges_before = graph.num_nodes, graph.num_edges
+        with pytest.raises(ValueError):
+            engine.detach_points(1)
+        assert graph.num_nodes == nodes_before
+        assert graph.num_edges == edges_before
 
 
 class TestEngineBatchedAPIs:
@@ -316,3 +332,137 @@ class TestOracleBatchedAPIs:
         assert list(batched) == [oracle.query(a, b) for a, b in pairs]
         with pytest.raises(KeyError):
             oracle.query_batch([0], [999])
+
+
+# ----------------------------------------------------------------------
+# array builder vs. the per-face add_edge loop it replaced
+# ----------------------------------------------------------------------
+class _ReferenceBuilder:
+    """The per-face ``add_edge`` loop, kept as the builder's specification.
+
+    Grows a ``(neighbors, weights)`` list-of-lists adjacency one edge at
+    a time — faces in order, each face's sorted boundary pairs in
+    nested-loop order, first occurrence wins — and mirrors site
+    attachment the same way.  :meth:`frozen` freezes it with
+    ``CSRGraph.from_lists``.  It runs on the same machine as the array
+    builder, so both see the same BLAS dot rounding.
+    """
+
+    def __init__(self, mesh, points_per_edge, weight_fn=None):
+        self.weight_fn = weight_fn
+        placement = place_steiner_points(mesh, points_per_edge)
+        offset = mesh.num_vertices
+        self.positions = [mesh.vertices[i] for i in range(offset)]
+        self.positions.extend(placement.positions)
+        self.neighbors = [[] for _ in self.positions]
+        self.weights = [[] for _ in self.positions]
+        self.face_boundary = []
+        self.sites_by_face = {}
+        edge_nodes = {}
+        for edge in mesh.edges:
+            edge_nodes[edge] = [edge[0]]
+            edge_nodes[edge].extend(
+                offset + p for p in placement.edge_points.get(edge, []))
+            edge_nodes[edge].append(edge[1])
+        seen = set()
+        for a, b, c in mesh.faces:
+            boundary = []
+            for u, v in ((a, b), (b, c), (a, c)):
+                key = (int(u), int(v)) if u < v else (int(v), int(u))
+                boundary.extend(edge_nodes[key])
+            boundary = sorted(set(boundary))
+            self.face_boundary.append(boundary)
+            for i, u in enumerate(boundary):
+                for v in boundary[i + 1:]:
+                    if (u, v) not in seen:
+                        seen.add((u, v))
+                        self.add_edge(u, v)
+
+    def add_edge(self, u, v):
+        if self.weight_fn is not None:
+            weight = float(self.weight_fn(self.positions[u],
+                                          self.positions[v]))
+        else:
+            delta = self.positions[u] - self.positions[v]
+            weight = float(math.sqrt(float(delta @ delta)))
+        if math.isinf(weight):
+            return  # weight models may delete impassable edges
+        self.neighbors[u].append(v)
+        self.weights[u].append(weight)
+        self.neighbors[v].append(u)
+        self.weights[v].append(weight)
+
+    def attach_site(self, position, face_id, vertex_id=None):
+        if vertex_id is not None:
+            return
+        node = len(self.positions)
+        self.positions.append(np.asarray(position, dtype=float))
+        self.neighbors.append([])
+        self.weights.append([])
+        for other in (self.face_boundary[face_id]
+                      + self.sites_by_face.get(face_id, [])):
+            self.add_edge(node, other)
+        self.sites_by_face.setdefault(face_id, []).append(node)
+
+    def frozen(self):
+        return CSRGraph.from_lists(self.neighbors, self.weights)
+
+
+def _assert_same_arrays(csr, reference):
+    for name in ("indptr", "indices", "weights"):
+        got, want = getattr(csr, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("weight_fn", [
+    None, SlopePenaltyWeight(30), ElevationGainWeight(3),
+], ids=["euclidean", "slope", "gain"])
+@pytest.mark.parametrize("points_per_edge", [0, 1, 2, 3])
+@pytest.mark.parametrize("grid_exponent", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_array_builder_matches_reference_loop(seed, grid_exponent,
+                                              points_per_edge, weight_fn):
+    """Byte-identical CSR arrays: bare, with POIs, with two more sites."""
+    mesh = make_terrain(grid_exponent=grid_exponent, extent=(60.0, 60.0),
+                        relief=15.0, seed=seed)
+    graph = GeodesicGraph(mesh, points_per_edge, weight_fn=weight_fn)
+    reference = _ReferenceBuilder(mesh, points_per_edge, weight_fn)
+    _assert_same_arrays(graph.csr, reference.frozen())
+    assert graph.num_edges == sum(map(len, reference.neighbors)) // 2
+
+    pois = sample_uniform(mesh, 12, seed=seed)
+    graph.attach_pois(pois)
+    for poi in pois:
+        reference.attach_site(poi.position, poi.face_id, poi.vertex_id)
+    _assert_same_arrays(graph.csr, reference.frozen())
+
+    # Two overlay sites on one face; the second also links to the first.
+    face_id = (seed * 7) % mesh.num_faces
+    corners = mesh.vertices[mesh.faces[face_id]]
+    for weights in ((0.5, 0.3, 0.2), (0.2, 0.2, 0.6)):
+        point = np.asarray(weights) @ corners
+        graph.attach_site(point, face_id)
+        reference.attach_site(point, face_id)
+    assert graph.csr.num_overlay == 2
+    assert graph.csr.to_lists() == (reference.neighbors, reference.weights)
+    graph.freeze_sites()
+    assert graph.csr.num_overlay == 0
+    _assert_same_arrays(graph.csr, reference.frozen())
+
+
+def test_weight_fn_called_once_per_pair_in_first_occurrence_order():
+    mesh = make_terrain(grid_exponent=3, extent=(60.0, 60.0), relief=15.0,
+                        seed=4)
+    calls = {"array": [], "reference": []}
+
+    def recorder(log):
+        def weight(a, b):
+            log.append((tuple(a), tuple(b)))
+            return float(np.linalg.norm(a - b))
+        return weight
+
+    GeodesicGraph(mesh, 2, weight_fn=recorder(calls["array"]))
+    _ReferenceBuilder(mesh, 2, recorder(calls["reference"]))
+    assert calls["array"] == calls["reference"]
+    assert len(set(calls["array"])) == len(calls["array"])

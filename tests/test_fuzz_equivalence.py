@@ -63,7 +63,7 @@ def exact_distances(engine, source: int) -> dict:
     executable specification, not against code that shares the CSR
     fast path.
     """
-    adjacency = engine.graph.adjacency
+    adjacency = engine.graph.csr.to_lists()
     poi_nodes = [engine.poi_node(poi) for poi in range(engine.num_pois)]
     result = dijkstra_reference(adjacency, poi_nodes[source],
                                 targets=poi_nodes)
@@ -250,7 +250,7 @@ class TestDynamicUpdateFuzz:
             return 0.0
         node_a = oracle._node_of(poi_a)
         node_b = oracle._node_of(poi_b)
-        result = dijkstra_reference(oracle.engine.graph.adjacency,
+        result = dijkstra_reference(oracle.engine.graph.csr.to_lists(),
                                     node_a, targets=[node_b])
         return result.distances.get(node_b, float("inf"))
 

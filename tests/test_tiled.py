@@ -72,7 +72,7 @@ def _exact_distances(mesh, pois, source):
     """Ground truth from the reference kernel, POI id -> distance."""
     engine = GeodesicEngine(mesh, pois, points_per_edge=1)
     nodes = [engine.poi_node(poi) for poi in range(engine.num_pois)]
-    result = dijkstra_reference(engine.graph.adjacency, nodes[source],
+    result = dijkstra_reference(engine.graph.csr.to_lists(), nodes[source],
                                 targets=nodes)
     return {poi: result.distances[node]
             for poi, node in enumerate(nodes)
