@@ -118,6 +118,12 @@ class DynamicSEOracle:
         self._next_id = len(self._records)
         self._deleted: set = set()
         self._overlay: set = set()
+        # Site key -> external id of every live POI.  The rebuild's
+        # POISet merges co-located POIs, so an insert on top of a live
+        # POI is refused instead of colliding in the next flush.
+        self._sites: Dict[Tuple[float, ...], int] = {
+            poi.site_key: index for index, poi in self._records.items()
+        }
 
         self._engine: Optional[GeodesicEngine] = None
         self._oracle: Optional[SEOracle] = None
@@ -474,23 +480,32 @@ class DynamicSEOracle:
     # updates
     # ------------------------------------------------------------------
     def insert(self, x: float, y: float) -> int:
-        """Insert the surface POI above planar ``(x, y)``; returns its id."""
+        """Insert the surface POI above planar ``(x, y)``; returns its id.
+
+        Raises ``ValueError`` when ``(x, y)`` is outside the terrain or
+        is the site of a live POI.
+        """
         self._require_built()
         face_id = self._mesh.locate_face(x, y)
         if face_id < 0:
             raise ValueError(f"({x}, {y}) is outside the terrain")
         point = self._mesh.project_onto_surface(x, y)
         external = self._next_id
-        self._next_id += 1
-        self._records[external] = POI(
+        record = POI(
             index=external,
             position=tuple(float(c) for c in point),
             face_id=face_id,
         )
+        if record.site_key in self._sites:
+            raise ValueError(
+                f"({x}, {y}) is the site of live POI "
+                f"{self._sites[record.site_key]}"
+            )
+        self._next_id += 1
+        self._records[external] = record
+        self._sites[record.site_key] = external
         self._overlay.add(external)
-        node = self._engine.graph.attach_site(
-            tuple(float(c) for c in point), face_id
-        )
+        node = self._engine.graph.attach_site(record.position, face_id)
         self._overlay_nodes[external] = node
         self._grow_delta()
         self._alive[external] = True
@@ -522,6 +537,7 @@ class DynamicSEOracle:
         self._require_built()
         if poi_id not in self._records or poi_id in self._deleted:
             raise KeyError(f"unknown POI id: {poi_id}")
+        del self._sites[self._records[poi_id].site_key]
         self._deleted.add(poi_id)
         self._alive[poi_id] = False
         self._overlay.discard(poi_id)

@@ -235,8 +235,9 @@ def range_query(oracle, source: int, radius: float,
     index); unreachable POIs are never inside a finite radius.  One
     ``query_batch`` plus a mask on a batched oracle; ``candidates``
     names a sparse id universe as in :func:`k_nearest_neighbors`.
+    A negative or NaN ``radius`` raises ``ValueError``.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be non-negative")
     targets = _candidate_ids(oracle, source, num_pois, candidates)
     if targets.size == 0:
@@ -253,7 +254,7 @@ def range_query_scalar(oracle: DistanceOracleProtocol, source: int,
                        candidates: Optional[Sequence[int]] = None
                        ) -> List[Tuple[int, float]]:
     """Reference implementation of :func:`range_query` (pure Python)."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be non-negative")
     hits = [
         (distance, int(target))

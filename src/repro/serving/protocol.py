@@ -41,19 +41,28 @@ UTF-8, one ``\\n``-terminated line per message, no length prefix.
 :func:`encode` appends the newline; :func:`decode_line` tolerates a
 trailing ``\\r`` (telnet-friendly).  Blank lines are ignored by the
 server.
+
+Hot path
+--------
+:func:`validate_request` checks a well-formed point ``query`` directly
+and :func:`encode_distance` formats its reply without ``json``; both
+give exactly what the generic path gives, and defer to it otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Tuple
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "ID_LIMIT",
     "OPS",
     "ERROR_TYPES",
     "ProtocolError",
     "encode",
+    "encode_distance",
     "decode_line",
     "request",
     "ok_response",
@@ -79,12 +88,12 @@ ERROR_TYPES = (
 )
 
 # Per-op field specs: name -> (converter, required).  Converters both
-# validate and normalise (e.g. bool is not an int here, and POI ids
-# must be non-negative — negative ints would silently alias from the
-# end of the table).
+# validate and normalise (e.g. bool is not an int here, POI ids must be
+# non-negative — negative ints would silently alias from the end of the
+# table — and numbers must be finite).
 _INT = ("integer", int)
 _ID = ("non-negative integer", "id")
-_FLOAT = ("number", float)
+_FLOAT = ("finite number", float)
 _STR = ("string", str)
 _ID_LIST = ("list of non-negative integers", None)
 
@@ -126,6 +135,9 @@ _SPECS: Dict[str, Dict[str, Tuple[Tuple[str, Any], bool]]] = {
 #: the protocol's verbs
 OPS = tuple(_SPECS)
 
+#: POI ids are int64 in every index: larger ids cannot name a POI
+ID_LIMIT = 1 << 63
+
 
 class ProtocolError(Exception):
     """A typed protocol-level failure, mapping 1:1 to an error reply."""
@@ -146,6 +158,26 @@ def encode(message: Dict[str, Any]) -> bytes:
     return json.dumps(message, separators=(",", ":")).encode() + b"\n"
 
 
+def encode_distance(request_id: Any, distance: float) -> bytes:
+    """``encode(ok_response(request_id, {"distance": distance}))``,
+    byte for byte, without the dict or the ``json`` walk.
+
+    Formats directly for a finite float and an ``int`` or null id,
+    which is every reply the load generators ask for: ``float.__repr__``
+    is what ``json`` writes for a float, ``%d`` what it writes for an
+    int.  Anything else (string ids, ``Infinity``/``NaN``) goes through
+    :func:`encode`.
+    """
+    if isinstance(distance, float) and math.isfinite(distance):
+        if request_id is None:
+            return b'{"ok":true,"id":null,"result":{"distance":%s}}\n' % (
+                float.__repr__(distance).encode())
+        if type(request_id) is int:
+            return b'{"ok":true,"id":%d,"result":{"distance":%s}}\n' % (
+                request_id, float.__repr__(distance).encode())
+    return encode(ok_response(request_id, {"distance": distance}))
+
+
 def decode_line(line: bytes) -> Dict[str, Any]:
     """Parse one wire line into a message object.
 
@@ -155,7 +187,10 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     """
     try:
         message = json.loads(line.decode("utf-8", errors="replace"))
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
+        # JSONDecodeError is a ValueError, as is an integer literal past
+        # the interpreter's digit limit; nesting deeper than the
+        # recursion limit raises RecursionError.
         raise ProtocolError("bad-request", f"invalid JSON: {error}") from None
     if not isinstance(message, dict):
         raise ProtocolError(
@@ -217,11 +252,16 @@ def _convert(name: str, value: Any, kind: Tuple[str, Any]) -> Any:
             )
         return value
     if caster is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ProtocolError(
-                "bad-request", f"field {name!r} must be a {label}"
-            )
-        return float(value)
+        if not isinstance(value, bool) and isinstance(value, (int, float)):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer past the float range
+                number = math.inf
+            if math.isfinite(number):
+                return number
+        raise ProtocolError(
+            "bad-request", f"field {name!r} must be a {label}"
+        )
     if caster is str:
         if not isinstance(value, str):
             raise ProtocolError(
@@ -238,13 +278,39 @@ def _convert(name: str, value: Any, kind: Tuple[str, Any]) -> Any:
     return value
 
 
+def _first_out_of_range(value: Any) -> Any:
+    for item in value if isinstance(value, list) else (value,):
+        if item >= ID_LIMIT:
+            return item
+    return None
+
+
 def validate_request(message: Dict[str, Any]) -> Dict[str, Any]:
     """Check version, op and fields; returns the normalised request.
 
     Raises :class:`ProtocolError` with the precise typed failure —
     ``unsupported-version`` before ``unknown-op`` before
-    ``bad-request`` — so one malformed aspect yields one stable error.
+    ``bad-request`` before ``unknown-poi`` (an id past
+    :data:`ID_LIMIT`) — so one malformed aspect yields one stable
+    error.  A well-formed point ``query`` is checked directly; every
+    other message takes the spec-table walk, which gives the same
+    result.
     """
+    if (message.get("op") == "query"
+            and message.get("v", PROTOCOL_VERSION) == PROTOCOL_VERSION):
+        terrain = message.get("terrain")
+        source = message.get("source")
+        target = message.get("target")
+        if (type(terrain) is str and type(source) is int
+                and type(target) is int
+                and 0 <= source < ID_LIMIT and 0 <= target < ID_LIMIT):
+            return {"op": "query", "id": message.get("id"),
+                    "terrain": terrain, "source": source, "target": target}
+    return _validate_fields(message)
+
+
+def _validate_fields(message: Dict[str, Any]) -> Dict[str, Any]:
+    """The generic walk behind :func:`validate_request`."""
     version = message.get("v", PROTOCOL_VERSION)
     if version != PROTOCOL_VERSION:
         raise ProtocolError(
@@ -275,6 +341,15 @@ def validate_request(message: Dict[str, Any]) -> Dict[str, Any]:
         raise ProtocolError(
             "bad-request", "'sources' and 'targets' must be aligned"
         )
+    for name, (kind, _) in spec.items():
+        if kind in (_ID, _ID_LIST) and name in normalised:
+            item = _first_out_of_range(normalised[name])
+            if item is not None:
+                raise ProtocolError(
+                    "unknown-poi",
+                    f"POI id {item} in field {name!r} is out of range: "
+                    "ids are below 2**63",
+                )
     return normalised
 
 

@@ -280,6 +280,10 @@ class _FaceLocationGrid:
         self._x0, self._y0 = float(low[0]), float(low[1])
         width = max(high[0] - low[0], 1e-12)
         height = max(high[1] - low[1], 1e-12)
+        # A point farther than the mesh's own extent outside its box is
+        # in no face; barycentric tests on it could overflow.
+        self._reach = (self._x0 - width, float(high[0]) + width,
+                       self._y0 - height, float(high[1]) + height)
         cells = max(1, int(math.sqrt(max(mesh.num_faces, 1)
                                      / target_faces_per_cell)))
         self._nx = self._ny = cells
@@ -302,6 +306,9 @@ class _FaceLocationGrid:
                 min(max(cell_y, 0), self._ny - 1))
 
     def locate(self, x: float, y: float) -> int:
+        low_x, high_x, low_y, high_y = self._reach
+        if not (low_x <= x <= high_x and low_y <= y <= high_y):
+            return -1  # also NaN
         for face_id in self._buckets.get(self._cell(x, y), ()):
             if self._mesh.contains_point_2d(face_id, x, y):
                 return face_id

@@ -73,6 +73,11 @@ class POI:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.position)
 
+    @property
+    def site_key(self) -> Tuple[float, ...]:
+        """Position rounded to 1e-9: POIs with equal keys are merged."""
+        return tuple(round(coordinate, 9) for coordinate in self.position)
+
 
 class POISet:
     """An ordered collection of POIs with de-duplication.
@@ -86,7 +91,7 @@ class POISet:
         deduped: List[POI] = []
         seen = set()
         for poi in pois:
-            key = tuple(round(coordinate, 9) for coordinate in poi.position)
+            key = poi.site_key
             if key in seen:
                 continue
             seen.add(key)

@@ -64,6 +64,22 @@ class TestInsert:
         with pytest.raises(ValueError):
             oracle.insert(1e9, 1e9)
 
+    def test_insert_on_a_live_site_raises(self, dyn):
+        """A rebuild merges co-located POIs, so a second POI on a live
+        site is refused up front instead of breaking the next flush."""
+        _, pois, oracle = dyn
+        first = oracle.insert(40.0, 40.0)
+        with pytest.raises(ValueError, match="site of live POI"):
+            oracle.insert(40.0, 40.0)
+        with pytest.raises(ValueError, match="site of live POI 0"):
+            oracle.insert(pois[0].x, pois[0].y)
+        assert oracle.num_active == len(pois) + 1
+        oracle.flush()
+        oracle.delete(first)
+        again = oracle.insert(40.0, 40.0)  # the site is free again
+        oracle.flush()
+        assert oracle.query(again, 0) > 0
+
     def test_query_with_inserted_poi(self, dyn):
         _, _, oracle = dyn
         new_id = oracle.insert(40.0, 40.0)

@@ -1,6 +1,7 @@
 """Tests for the TriangleMesh substrate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,16 @@ class TestPointLocation:
     def test_locate_outside(self, unit_square):
         assert unit_square.locate_face(2.0, 2.0) == -1
         assert unit_square.locate_face(-0.5, 0.5) == -1
+
+    @pytest.mark.parametrize("x,y", [
+        (1e308, 0.5), (-1e308, 0.5), (0.5, 1e308), (math.inf, 0.5),
+        (0.5, -math.inf), (math.nan, 0.5), (0.5, math.nan)])
+    def test_locate_far_outside_or_nan(self, unit_square, x, y):
+        # No overflow warning and no exception: just "in no face".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert unit_square.locate_face(x, y) == -1
+            assert unit_square.project_onto_surface(x, y) is None
 
     def test_locate_on_shared_edge(self, unit_square):
         assert unit_square.locate_face(0.5, 0.5) in (0, 1)

@@ -200,6 +200,15 @@ class TestUnreachableSemantics:
             == [(1, 1.0), (2, 4.0)]
         assert range_query(split_world, 4, math.inf, 5) == [(3, 5.0)]
 
+    def test_range_rejects_nan_radius(self, split_world):
+        # NaN compares false both ways: `radius < 0` let it through
+        # and it matched no POI.
+        plain = ScalarOnlyOracle(split_world.matrix)
+        with pytest.raises(ValueError, match="non-negative"):
+            range_query(split_world, 0, math.nan, 5)
+        with pytest.raises(ValueError, match="non-negative"):
+            range_query_scalar(plain, 0, math.nan, 5)
+
     def test_rnn_excludes_unreachable_candidates(self, split_world):
         # 3 and 4 cannot reach 0: never in RNN(0).  1's NN is 0.
         assert reverse_nearest_neighbors(split_world, 0, 5) == [1]

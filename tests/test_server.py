@@ -1,19 +1,27 @@
 """End-to-end tests for the asyncio TCP server: wire parity with the
-direct service, typed errors, pipelining, batching/coalescing, and the
-load-generator round trip.
+direct service, typed errors, pipelining, batching/coalescing, the
+coalesced reply writer, a protocol fuzz wall, and the load-generator
+round trip.
 
 No asyncio plumbing in the tests themselves — the server runs on its
 own event-loop thread (:class:`ThreadedServer`) and the tests speak to
 it through the synchronous :class:`OracleClient`.
 """
 
+import asyncio
 import json
+import math
+import shutil
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SEOracle, pack_oracle
 from repro.geodesic import GeodesicEngine
 from repro.serving import OracleService, TerrainSpec, ThreadedServer
+from repro.serving import protocol
 from repro.serving.loadgen import (
     OracleClient,
     ServerError,
@@ -21,7 +29,16 @@ from repro.serving.loadgen import (
     open_loop,
     sample_pairs,
 )
-from repro.serving.protocol import PROTOCOL_VERSION
+from repro.serving.protocol import (
+    ERROR_TYPES,
+    ID_LIMIT,
+    PROTOCOL_VERSION,
+    ProtocolError,
+    encode,
+    error_response,
+    ok_response,
+    request,
+)
 from repro.terrain import make_terrain, sample_uniform
 
 NUM_POIS = 12
@@ -248,6 +265,266 @@ class TestPipeliningAndCoalescing:
             if reply["ok"]:
                 assert (reply["result"]["distance"]
                         == service.query("alps", s, 4))
+
+
+def _expected_error(line, request_id):
+    """The error reply the server gives a line the protocol rejects."""
+    try:
+        protocol.validate_request(protocol.decode_line(line))
+    except ProtocolError as error:
+        return error_response(request_id, error.error_type, error.message)
+    raise AssertionError(f"{line!r} is a valid request")
+
+
+class TestCoalescedSender:
+    def test_mixed_burst_is_byte_identical(self, served, client):
+        """One pipelined burst of every reply kind: the reply stream
+        equals ``encode`` of each expected message, line for line."""
+        service, _ = served
+        hello = client.hello()
+        with pytest.raises((KeyError, IndexError)) as unknown_poi:
+            service.query("alps", 9999, 4)
+        poi_type, poi_message = protocol.classify_exception(
+            unknown_poi.value)
+
+        def query(request_id, source, target):
+            line = json.dumps({"op": "query", "id": request_id,
+                               "terrain": "alps", "source": source,
+                               "target": target}).encode()
+            return line, ok_response(
+                request_id,
+                {"distance": service.query("alps", source, target)})
+
+        burst = [
+            query(1, 0, 5),
+            query(None, 1, 6),
+            (b'{"op":"query","terrain":"alps","source":2,"target":7}',
+             ok_response(None, {"distance": service.query("alps", 2, 7)})),
+            query("s-1", 3, 8),
+            query(2**70, 4, 9),
+            query(-3, 3, 3),
+            query(True, 5, 10),
+            (b'{"op":"query","id":7,"terrain":"alps","source":9999,'
+             b'"target":4}', error_response(7, poi_type, poi_message)),
+            (b'{"op":"hello","id":8}', ok_response(8, hello)),
+            (b'{"op":"frobnicate","id":9}',
+             _expected_error(b'{"op":"frobnicate","id":9}', 9)),
+            (b"this is not json",
+             _expected_error(b"this is not json", None)),
+            (b"   ", None),
+            query(12, 6, 11),
+        ]
+        stream = client.stream
+        stream.write(b"".join(line + b"\n" for line, _ in burst))
+        stream.flush()
+        for line, expected in burst:
+            if expected is not None:
+                assert stream.readline() == encode(expected), line
+
+    def test_burst_takes_fewer_writes_than_replies(self, served,
+                                                   monkeypatch):
+        _, server = served
+        writes = []
+        write = asyncio.StreamWriter.write
+
+        def counting_write(self, data):
+            writes.append(len(data))
+            return write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        with OracleClient(server.host, server.port) as c:
+            c.stream.write(b"".join(
+                encode(request("query", i, terrain="alps",
+                               source=i % NUM_POIS,
+                               target=(i * 7) % NUM_POIS))
+                for i in range(64)))
+            c.stream.flush()
+            replies = [json.loads(c.stream.readline()) for _ in range(64)]
+        assert [reply["id"] for reply in replies] == list(range(64))
+        assert all(reply["ok"] for reply in replies)
+        assert 0 < len(writes) < len(replies)
+
+    def test_reply_ahead_of_lingering_batch_is_not_held(self, store_path):
+        """A reply that is ready goes out before the sender waits on a
+        query still in its batch."""
+        service = OracleService(max_resident=1)
+        service.register("alps", TerrainSpec(str(store_path)))
+        with service, ThreadedServer(service, linger_us=300_000) as server, \
+                OracleClient(server.host, server.port) as c:
+            c.stream.write(encode(request("hello", 1)) + encode(
+                request("query", 2, terrain="alps", source=0, target=1)))
+            c.stream.flush()
+            started = time.perf_counter()
+            hello = json.loads(c.stream.readline())
+            hello_s = time.perf_counter() - started
+            query = json.loads(c.stream.readline())
+            query_s = time.perf_counter() - started
+        assert (hello["id"], hello["ok"]) == (1, True)
+        assert (query["id"], query["ok"]) == (2, True)
+        assert hello_s < 0.1
+        assert query_s > 0.2  # the batch did linger
+
+
+@pytest.fixture(scope="module")
+def two_terrains(workload, store_path, tmp_path_factory):
+    """A server over a static 'alps' and a mutable 'dunes' terrain,
+    each on its own copy of the store."""
+    mesh, pois, _, _ = workload
+    folder = tmp_path_factory.mktemp("two")
+    static_path, mutable_path = folder / "alps.store", folder / "dunes.store"
+    shutil.copy(store_path, static_path)
+    shutil.copy(store_path, mutable_path)
+    service = OracleService(max_resident=2)
+    service.register("alps", TerrainSpec(str(static_path)))
+    service.register("dunes", TerrainSpec(
+        str(mutable_path), mutable=True,
+        engine=GeodesicEngine(mesh, pois, points_per_edge=1),
+        rebuild_factor=10.0))
+    with service, ThreadedServer(service, max_batch=16) as server:
+        yield server
+
+
+class TestOutOfRangeNumbers:
+    """Ids past int64 and non-finite numbers answer typed errors on
+    every verb family, never ``internal``."""
+
+    @pytest.mark.parametrize("line,error_type", [
+        (b'{"op":"query","terrain":"alps","source":%d,"target":1}'
+         % ID_LIMIT, "unknown-poi"),
+        (b'{"op":"batch","terrain":"dunes","sources":[0,%d],'
+         b'"targets":[1,2]}' % ID_LIMIT, "unknown-poi"),
+        (b'{"op":"knn","terrain":"alps","source":%d,"k":2}' % ID_LIMIT,
+         "unknown-poi"),
+        (b'{"op":"range","terrain":"dunes","source":%d,"radius":5}'
+         % ID_LIMIT, "unknown-poi"),
+        (b'{"op":"rnn","terrain":"alps","source":%d}' % ID_LIMIT,
+         "unknown-poi"),
+        (b'{"op":"range","terrain":"alps","source":1,"radius":NaN}',
+         "bad-request"),
+        (b'{"op":"range","terrain":"alps","source":1,"radius":1e400}',
+         "bad-request"),
+        (b'{"op":"insert","terrain":"dunes","x":Infinity,"y":1}',
+         "bad-request"),
+        (b'{"op":"insert","terrain":"dunes","x":1,"y":NaN}',
+         "bad-request"),
+        (b'{"op":"delete","terrain":"dunes","poi":%d}' % ID_LIMIT,
+         "unknown-poi"),
+    ])
+    def test_typed_error(self, two_terrains, line, error_type):
+        with OracleClient(two_terrains.host, two_terrains.port) as c:
+            c.stream.write(line + b"\n")
+            c.stream.flush()
+            reply = json.loads(c.stream.readline())
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == error_type
+            assert c.query("alps", 0, 1) >= 0.0
+
+
+class TestCoLocatedInsert:
+    def test_second_poi_on_a_live_site_is_bad_value(self, two_terrains):
+        """A rebuild would merge the two POIs; the insert is refused
+        and the next flush still succeeds."""
+        with OracleClient(two_terrains.host, two_terrains.port) as c:
+            first = c.insert("dunes", 20.0, 70.0)
+            with pytest.raises(ServerError) as info:
+                c.insert("dunes", 20.0, 70.0)
+            assert info.value.error_type == "bad-value"
+            assert "fingerprint" in c.flush("dunes")
+            c.delete("dunes", first)
+
+
+# Request fields are drawn from edge values: ids at and past the ends of
+# the tables and of int64, non-finite and huge numbers, empty and
+# unknown terrains.  A field usually gets a value of its own kind, so
+# that many requests reach the service, and sometimes any edge value.
+# Each choice is a draw from a list whose first entry is the common
+# case, which is what Hypothesis draws most and shrinks towards.
+_IDS = [0, 1, 3, 5, NUM_POIS - 1, NUM_POIS, 9999, ID_LIMIT - 1,
+        ID_LIMIT, 2**70]
+_NUMBERS = [40.0, 0.5, 5, -1.0, 1e308, 10**400, math.inf, -math.inf,
+            math.nan]
+_EDGE_VALUES = _IDS + _NUMBERS + [
+    -1, True, False, None, "", "alps", "nope", [], [0, 1], [-1], {},
+    {"a": 1}, "x",
+]
+_FIELD_VALUES = {
+    "terrain": st.sampled_from(["alps", "dunes", "", "nope"]),
+    "source": st.sampled_from(_IDS),
+    "target": st.sampled_from(_IDS),
+    "poi": st.sampled_from(_IDS),
+    "sources": st.lists(st.sampled_from(_IDS), max_size=3),
+    "targets": st.lists(st.sampled_from(_IDS), max_size=3),
+    "k": st.sampled_from([1, 3, 0, -1, ID_LIMIT, 2**70]),
+    "radius": st.sampled_from(_NUMBERS),
+    "x": st.sampled_from(_NUMBERS),
+    "y": st.sampled_from(_NUMBERS),
+}
+
+
+def _odds(draw, hits, misses):
+    return draw(st.sampled_from([True] * hits + [False] * misses))
+
+
+@st.composite
+def request_line(draw):
+    """One request line: mostly JSON requests for every op, sometimes
+    arbitrary bytes."""
+    if not _odds(draw, 5, 1):
+        return draw(st.binary(max_size=40)).replace(b"\n", b"")
+    if _odds(draw, 9, 1):
+        op = draw(st.sampled_from(protocol.OPS))
+    else:
+        op = draw(st.sampled_from(["nope"] + _EDGE_VALUES))
+    names = list(protocol._SPECS.get(op, ())) if isinstance(op, str) \
+        else []
+    names += draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)),
+                           max_size=2))
+    message = {"op": op}
+    for name in names:
+        if name in message or not _odds(draw, 9, 1):
+            continue
+        if _odds(draw, 4, 1):
+            message[name] = draw(_FIELD_VALUES[name])
+        else:
+            message[name] = draw(st.sampled_from(_EDGE_VALUES))
+    if _odds(draw, 1, 1):
+        message["id"] = draw(st.sampled_from(_EDGE_VALUES))
+    if not _odds(draw, 9, 1):
+        message["v"] = draw(st.sampled_from(_EDGE_VALUES))
+    return json.dumps(message).encode()
+
+
+def _request_id(line):
+    try:
+        message = json.loads(line.decode("utf-8", errors="replace"))
+    except (ValueError, RecursionError):
+        return None
+    return message.get("id") if isinstance(message, dict) else None
+
+
+class TestProtocolFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(request_line(), min_size=1, max_size=12))
+    def test_one_typed_reply_per_line(self, two_terrains, lines):
+        """Every non-blank line gets exactly one reply, in order; every
+        error is typed and never ``internal``; the connection still
+        answers afterwards."""
+        with OracleClient(two_terrains.host, two_terrains.port,
+                          timeout=30) as c:
+            c.stream.write(b"".join(line + b"\n" for line in lines))
+            c.stream.flush()
+            for line in lines:
+                if not line.strip():
+                    continue
+                reply = json.loads(c.stream.readline())
+                assert json.dumps(reply["id"]) \
+                    == json.dumps(_request_id(line)), line
+                if not reply["ok"]:
+                    assert reply["error"]["type"] in ERROR_TYPES
+                    assert reply["error"]["type"] != "internal", (
+                        line, reply)
+            assert c.call("hello", request_id="after")["protocol"] \
+                == PROTOCOL_VERSION
 
 
 class TestMutableVerbs:
