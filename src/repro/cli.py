@@ -53,6 +53,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import Optional, Sequence
@@ -521,10 +522,9 @@ def _run_query_batch(args, oracle) -> int:
 
 
 def _cmd_pack(args) -> int:
-    import json
     import os
 
-    from .core import pack_document
+    from .core import open_oracle, pack_document
     tick = time.perf_counter()
     with open(args.oracle) as handle:
         document = json.load(handle)
@@ -532,14 +532,13 @@ def _cmd_pack(args) -> int:
     elapsed = time.perf_counter() - tick
     json_bytes = os.path.getsize(args.oracle)
     store_bytes = os.path.getsize(args.out)
-    from .core.store import open_oracle
-    stored = open_oracle(args.out)
     print(f"packed {args.oracle} (v{document.get('version')}, "
           f"{json_bytes / 1024:.1f}KB) -> {args.out} "
           f"(v4, {store_bytes / 1024:.1f}KB) in {elapsed:.2f}s")
-    print(f"open: {stored.load_seconds * 1e3:.2f} ms mmap, "
-          f"n={stored.num_pois} pairs={stored.num_pairs} "
-          f"h={stored.compiled.height}")
+    with open_oracle(args.out) as stored:
+        print(f"open: {stored.load_seconds * 1e3:.2f} ms mmap, "
+              f"n={stored.num_pois} pairs={stored.num_pairs} "
+              f"h={stored.compiled.height}")
     return 0
 
 
@@ -556,75 +555,61 @@ def _cmd_serve(args) -> int:
 
 
 def _serve_terrains(args, service) -> int:
-    """Register ``serve``'s terrains on ``service`` and serve them."""
+    """Register ``serve``'s terrains on ``service`` as worker 0 of
+    ``run_workers`` does (``register_terrain``), and serve them."""
     import zipfile
 
-    from .serving import TerrainSpec
-    mutable_meshes = {}
+    from .serving.server import (MutableSpec, ServerConfig,
+                                 register_terrain, run_workers)
+    mutable = {}
     for token in args.mutable:
         name, _, mesh_path = token.partition("=")
         if not name or not mesh_path:
             print(f"error: malformed mutable registration {token!r}; "
                   "expected NAME=MESH", file=sys.stderr)
             return 2
-        mutable_meshes[name] = mesh_path
+        mutable[name] = MutableSpec(mesh_path=mesh_path, pois=args.pois,
+                                    poi_seed=args.poi_seed,
+                                    density=args.density,
+                                    rebuild_factor=args.rebuild_factor)
     registrations = []
-    mutable_paths = {}
     for token in args.terrains:
         name, _, path = token.partition("=")
         if not name or not path:
             print(f"error: malformed registration {token!r}; "
                   "expected NAME=STORE", file=sys.stderr)
             return 2
+        registrations.append((name, path))
+    unknown = sorted(set(mutable) - {name for name, _ in registrations})
+    if unknown:
+        print(f"error: --mutable names without a NAME=STORE "
+              f"registration: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    config = ServerConfig(
+        registrations=tuple(registrations), mutable=mutable,
+        host=args.host, port=args.port or 0, workers=args.workers,
+        max_batch=args.max_batch, linger_us=args.linger_us,
+        max_resident=args.max_resident,
+        max_resident_tiles=args.max_resident_tiles,
+        max_resident_bytes=args.max_resident_bytes)
+    for name, path in config.registrations:
         try:
-            if name in mutable_meshes:
-                mutable_paths[name] = mutable_meshes.pop(name)
-                engine = _workload(mutable_paths[name], args.pois,
-                                   args.poi_seed, args.density)
-                meta = service.register(name, TerrainSpec(
-                    path, mutable=True, engine=engine,
-                    rebuild_factor=args.rebuild_factor))
-            else:
-                meta = service.register(name, TerrainSpec(
-                    path,
-                    max_resident_tiles=args.max_resident_tiles,
-                    max_resident_bytes=args.max_resident_bytes))
+            meta = register_terrain(service, config, name, path)
         except (OSError, ValueError, zipfile.BadZipFile) as error:
             print(f"error: cannot register {name}: {error}",
                   file=sys.stderr)
             return 2
-        registrations.append((name, path))
         kind = "mutable" if service.describe(name)["mutable"] else "static"
         print(f"registered {name}: {path} "
               f"({kind}, epsilon={meta['epsilon']} "
               f"h={meta['tree']['height']} "
               f"pairs={meta['stats']['pairs_stored']})")
-    if mutable_meshes:
-        unknown = ", ".join(sorted(mutable_meshes))
-        print(f"error: --mutable names without a NAME=STORE "
-              f"registration: {unknown}", file=sys.stderr)
-        return 2
     if args.repl:
         return _serve_repl(service)
     if args.port is not None:
-        from .serving import MutableSpec, ServerConfig
-        from .serving.server import run_workers
         if args.workers < 1:
             print("error: --workers must be at least 1", file=sys.stderr)
             return 2
-        config = ServerConfig(
-            registrations=tuple(registrations),
-            mutable={name: MutableSpec(mesh_path=mesh_path,
-                                       pois=args.pois,
-                                       poi_seed=args.poi_seed,
-                                       density=args.density,
-                                       rebuild_factor=args.rebuild_factor)
-                     for name, mesh_path in mutable_paths.items()},
-            host=args.host, port=args.port, workers=args.workers,
-            max_batch=args.max_batch, linger_us=args.linger_us,
-            max_resident=args.max_resident,
-            max_resident_tiles=args.max_resident_tiles,
-            max_resident_bytes=args.max_resident_bytes)
         # Single-worker mode reuses the service registered above
         # instead of rebuilding mutable workloads a second time.
         return run_workers(
@@ -643,9 +628,11 @@ def _serve_repl(service) -> int:
     ``knn T S K``, ``range T S RADIUS``, ``rnn T S``,
     ``insert T X Y``, ``delete T ID``, ``flush T``, ``terrains``,
     ``stats``, ``quit``.  The update verbs require the terrain to be
-    registered mutable (``--mutable``).
+    registered mutable (``--mutable``).  Each line is the request
+    :func:`_repl_request` spells, checked and answered as the server
+    does it: ``protocol.validate_request``, then ``protocol.answer``.
 
-    One bad line must never kill the loop: besides parse errors, a
+    One bad line must never kill the loop: besides malformed lines, a
     lazily (re-)loaded store can fail at query time (file replaced or
     deleted after registration or an LRU eviction) and a defective
     store can raise from the query kernel itself — all of it is
@@ -663,78 +650,78 @@ def _serve_repl(service) -> int:
     return 0
 
 
-def _repl_loop(service) -> None:
-    import json
-    import zipfile
+def _repl_pairs(pairs) -> str:
+    return " ".join(f"{poi}:{distance:.3f}"
+                    for poi, distance in pairs) or "-"
 
-    from .serving.protocol import ProtocolError, describe_error
+
+#: each REPL verb's stdout text, from (result, request, seconds, service)
+_REPL_TEXT = {
+    "terrains": lambda result, request, seconds, service: "\n".join(
+        f"{name}  resident={name in service.resident_terrains()}"
+        for name in result["terrains"]),
+    "stats": lambda result, *_: json.dumps(result["terrains"], indent=1,
+                                           sort_keys=True),
+    "query": lambda result, *_: f"{result['distance']:.3f}",
+    "batch": lambda result, *_: " ".join(
+        f"{distance:.3f}" for distance in result["distances"]),
+    "knn": lambda result, *_: _repl_pairs(result["neighbors"]),
+    "range": lambda result, *_: _repl_pairs(result["hits"]),
+    "rnn": lambda result, *_: " ".join(map(str, result["pois"])) or "-",
+    "insert": lambda result, *_: f"inserted {result['poi']}",
+    "delete": lambda result, *_: f"deleted {result['poi']}",
+    "flush": lambda result, request, seconds, _: (
+        f"flushed {request['terrain']} in {seconds:.2f}s "
+        f"(pairs={result['meta']['stats']['pairs_stored']})"),
+}
+
+
+def _repl_value(word: str):
+    """A REPL word as the int or float it spells, else as itself."""
+    for kind in (int, float):
+        try:
+            return kind(word)
+        except ValueError:
+            pass
+    return word
+
+
+def _repl_request(verb: str, values):
+    """The protocol request a REPL line spells: values fill the verb's
+    fields in the protocol's order (surplus ones are ignored, like
+    unknown fields on the wire), and ``batch T S:T ...`` gathers its
+    pairs into ``sources`` and ``targets``.  Terrains stay text."""
+    from .serving.protocol import ProtocolError, fields, request
+    if verb not in _REPL_TEXT:
+        raise ProtocolError("unknown-op", f"unknown command {verb!r}")
+    named = {name: value if name == "terrain" else _repl_value(value)
+             for name, value in zip(fields(verb), values)}
+    if verb == "batch":
+        pairs = [value.partition(":") for value in values[1:]]
+        named["sources"] = [_repl_value(source) for source, _, _ in pairs]
+        named["targets"] = [_repl_value(target) for _, _, target in pairs]
+    return request(verb, **named)
+
+
+def _repl_loop(service) -> None:
+    from .serving import protocol
 
     for line in sys.stdin:
         tokens = line.split()
         if not tokens:
             continue
         verb = tokens[0].lower()
+        if verb in ("quit", "exit"):
+            break
         try:
-            if verb in ("quit", "exit"):
-                break
-            elif verb == "terrains":
-                for name in service.terrains():
-                    resident = name in service.resident_terrains()
-                    print(f"{name}  resident={resident}")
-            elif verb == "stats":
-                print(json.dumps(service.stats(), indent=1,
-                                 sort_keys=True))
-            elif verb == "query":
-                terrain, source, target = tokens[1], int(tokens[2]), \
-                    int(tokens[3])
-                print(f"{service.query(terrain, source, target):.3f}")
-            elif verb == "batch":
-                terrain = tokens[1]
-                pairs = [tuple(int(v) for v in t.split(":", 1))
-                         for t in tokens[2:]]
-                distances = service.query_batch(
-                    terrain, [s for s, _ in pairs],
-                    [t for _, t in pairs])
-                print(" ".join(f"{d:.3f}" for d in distances))
-            elif verb == "knn":
-                terrain, source, k = tokens[1], int(tokens[2]), \
-                    int(tokens[3])
-                hits = service.k_nearest(terrain, source, k)
-                print(" ".join(f"{poi}:{dist:.3f}"
-                               for poi, dist in hits) or "-")
-            elif verb == "range":
-                terrain, source, radius = tokens[1], int(tokens[2]), \
-                    float(tokens[3])
-                hits = service.range_query(terrain, source, radius)
-                print(" ".join(f"{poi}:{dist:.3f}"
-                               for poi, dist in hits) or "-")
-            elif verb == "rnn":
-                terrain, source = tokens[1], int(tokens[2])
-                hits = service.reverse_nearest(terrain, source)
-                print(" ".join(str(poi) for poi in hits) or "-")
-            elif verb == "insert":
-                terrain, x, y = tokens[1], float(tokens[2]), \
-                    float(tokens[3])
-                new_id = service.insert_poi(terrain, x, y)
-                print(f"inserted {new_id}")
-            elif verb == "delete":
-                terrain, poi_id = tokens[1], int(tokens[2])
-                service.delete_poi(terrain, poi_id)
-                print(f"deleted {poi_id}")
-            elif verb == "flush":
-                terrain = tokens[1]
-                started = time.perf_counter()
-                meta = service.flush(terrain)
-                elapsed = time.perf_counter() - started
-                print(f"flushed {terrain} in {elapsed:.2f}s "
-                      f"(pairs={meta['stats']['pairs_stored']})")
-            else:
-                raise ProtocolError(
-                    "unknown-op", f"unknown command {verb!r}")
-        except (KeyError, IndexError, ValueError, OSError,
-                RuntimeError, zipfile.BadZipFile,
-                ProtocolError) as error:
-            print(describe_error(error), file=sys.stderr)
+            request = protocol.validate_request(
+                _repl_request(verb, tokens[1:]))
+            started = time.perf_counter()
+            result = protocol.answer(service, request)
+            seconds = time.perf_counter() - started
+            print(_REPL_TEXT[verb](result, request, seconds, service))
+        except Exception as error:
+            print(protocol.describe_error(error), file=sys.stderr)
 
 
 def _cmd_ingest(args) -> int:
@@ -848,15 +835,15 @@ def _cmd_workload_gen(args) -> int:
     radius = args.radius
     if args.store:
         from .core import open_oracle
-        stored = open_oracle(args.store)
-        num_pois = stored.num_pois
-        if radius is None and args.scenario == "range-alerts":
-            import numpy as np
-            matrix = stored.query_matrix()
-            off_diagonal = matrix[~np.eye(num_pois, dtype=bool)]
-            radius = round(float(np.median(off_diagonal)), 3)
-            print(f"derived radius {radius} m from {args.store} "
-                  "(median pairwise distance)")
+        with open_oracle(args.store) as stored:
+            num_pois = stored.num_pois
+            if radius is None and args.scenario == "range-alerts":
+                import numpy as np
+                matrix = stored.query_matrix()
+                off_diagonal = matrix[~np.eye(num_pois, dtype=bool)]
+                radius = round(float(np.median(off_diagonal)), 3)
+                print(f"derived radius {radius} m from {args.store} "
+                      "(median pairwise distance)")
     elif args.num_pois is not None:
         num_pois = args.num_pois
     else:

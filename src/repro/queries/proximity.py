@@ -303,6 +303,9 @@ def reverse_nearest_neighbors(oracle, source: int,
         source_pos = int(source_pos[0])
     else:
         ids = np.arange(_dense_count(oracle, num_pois), dtype=np.intp)
+        # A negative source would index from the end of the matrix.
+        if not 0 <= source < ids.shape[0]:
+            raise IndexError(f"POI ids out of range [0, {ids.shape[0]})")
         source_pos = source
     count = ids.shape[0]
     candidate_pos = np.array([pos for pos in range(count)

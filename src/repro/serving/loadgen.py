@@ -270,6 +270,21 @@ class ReplayReport:
         }
 
 
+def _event_request(
+    index: int, terrain: str, event: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The request a workload event stands for: its fields, addressed
+    to ``terrain`` and tagged with the event's index."""
+    fields = {
+        key: value
+        for key, value in event.items()
+        if key not in ("op", "arrival_s")
+    }
+    return protocol.request(
+        event["op"], request_id=index, terrain=terrain, **fields
+    )
+
+
 def replay_workload(
     host: str,
     port: int,
@@ -301,16 +316,7 @@ def replay_workload(
         stream = client.stream
         began = time.perf_counter()
         for index, event in enumerate(events):
-            fields = {
-                key: value
-                for key, value in event.items()
-                if key not in ("op", "arrival_s")
-            }
-            line = protocol.encode(
-                protocol.request(
-                    event["op"], request_id=index, terrain=terrain, **fields
-                )
-            )
+            line = protocol.encode(_event_request(index, terrain, event))
             if pace and event.get("arrival_s") is not None:
                 wait = began + event["arrival_s"] - time.perf_counter()
                 if wait > 0:
@@ -352,46 +358,20 @@ def replay_direct(
 ) -> List[Optional[Dict[str, Any]]]:
     """Answer workload events directly on an ``OracleService``.
 
-    Returns result payloads shaped exactly like the server's wire
-    results (same keys, same int/float coercions), so a networked
+    Each event becomes the request :func:`replay_workload` sends and is
+    answered through ``protocol.validate_request`` and
+    ``protocol.answer``, the path the server takes, so a networked
     replay can be equivalence-gated with ``==`` against this reference.
-    Events the service rejects yield ``None``, mirroring the error
-    slots of :func:`replay_workload`.
+    Events the protocol or the service rejects yield ``None``,
+    mirroring the error slots of :func:`replay_workload`.
     """
     reference: List[Optional[Dict[str, Any]]] = []
-    for event in events:
-        op = event["op"]
+    for index, event in enumerate(events):
         try:
-            if op == "query":
-                distance = service.query(
-                    terrain, event["source"], event["target"]
-                )
-                reference.append({"distance": float(distance)})
-            elif op == "batch":
-                distances = service.query_batch(
-                    terrain, event["sources"], event["targets"]
-                )
-                reference.append(
-                    {"distances": [float(value) for value in distances]}
-                )
-            elif op == "knn":
-                hits = service.k_nearest(terrain, event["source"], event["k"])
-                reference.append(
-                    {"neighbors": [[int(poi), float(d)] for poi, d in hits]}
-                )
-            elif op == "range":
-                hits = service.range_query(
-                    terrain, event["source"], event["radius"]
-                )
-                reference.append(
-                    {"hits": [[int(poi), float(d)] for poi, d in hits]}
-                )
-            elif op == "rnn":
-                pois = service.reverse_nearest(terrain, event["source"])
-                reference.append({"pois": [int(poi) for poi in pois]})
-            else:
-                reference.append(None)
-        except (KeyError, IndexError, ValueError):
+            request = protocol.validate_request(
+                _event_request(index, terrain, event))
+            reference.append(protocol.answer(service, request))
+        except (KeyError, IndexError, ValueError, protocol.ProtocolError):
             reference.append(None)
     return reference
 

@@ -42,6 +42,12 @@ UTF-8, one ``\\n``-terminated line per message, no length prefix.
 trailing ``\\r`` (telnet-friendly).  Blank lines are ignored by the
 server.
 
+Answers
+-------
+:func:`answer` maps each service verb to its ``OracleService`` call and
+wire ``result``.  The server, the CLI REPL and ``replay_direct`` all
+run :func:`validate_request` and then :func:`answer`.
+
 Hot path
 --------
 :func:`validate_request` checks a well-formed point ``query`` directly
@@ -53,7 +59,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -68,6 +74,8 @@ __all__ = [
     "ok_response",
     "error_response",
     "validate_request",
+    "fields",
+    "answer",
     "classify_exception",
     "describe_error",
 ]
@@ -134,6 +142,41 @@ _SPECS: Dict[str, Dict[str, Tuple[Tuple[str, Any], bool]]] = {
 
 #: the protocol's verbs
 OPS = tuple(_SPECS)
+
+
+def _hits(hits: Any) -> List[List[Any]]:
+    return [[int(poi), float(distance)] for poi, distance in hits]
+
+
+def _deleted(service: Any, request: Dict[str, Any]) -> Dict[str, Any]:
+    service.delete_poi(request["terrain"], request["poi"])
+    return {"poi": request["poi"]}
+
+
+# Per-op answers: the ``OracleService`` call behind each verb and the
+# wire ``result`` made of its return value.  ``hello`` describes the
+# server process, not the service, so the server answers it itself.
+_ANSWERS: Dict[str, Callable[[Any, Dict[str, Any]], Dict[str, Any]]] = {
+    "terrains": lambda service, r: {"terrains": service.terrains()},
+    "stats": lambda service, r: {"terrains": service.stats()},
+    "describe": lambda service, r: {"meta": service.describe(r["terrain"])},
+    "query": lambda service, r: {"distance": service.query(
+        r["terrain"], r["source"], r["target"])},
+    "batch": lambda service, r: {"distances": [
+        float(value) for value in service.query_batch(
+            r["terrain"], r["sources"], r["targets"])]},
+    "knn": lambda service, r: {"neighbors": _hits(service.k_nearest(
+        r["terrain"], r["source"], r["k"]))},
+    "range": lambda service, r: {"hits": _hits(service.range_query(
+        r["terrain"], r["source"], r["radius"]))},
+    "rnn": lambda service, r: {"pois": [
+        int(poi) for poi in service.reverse_nearest(
+            r["terrain"], r["source"])]},
+    "insert": lambda service, r: {"poi": int(service.insert_poi(
+        r["terrain"], r["x"], r["y"]))},
+    "delete": _deleted,
+    "flush": lambda service, r: {"meta": service.flush(r["terrain"])},
+}
 
 #: POI ids are int64 in every index: larger ids cannot name a POI
 ID_LIMIT = 1 << 63
@@ -351,6 +394,23 @@ def _validate_fields(message: Dict[str, Any]) -> Dict[str, Any]:
                     "ids are below 2**63",
                 )
     return normalised
+
+
+def fields(op: str) -> Tuple[str, ...]:
+    """``op``'s request fields, in the order the protocol lists them."""
+    return tuple(_SPECS[op])
+
+
+# ----------------------------------------------------------------------
+# answering
+# ----------------------------------------------------------------------
+def answer(service: Any, request: Dict[str, Any]) -> Dict[str, Any]:
+    """The wire ``result`` of a validated request other than
+    ``hello``, computed on ``service`` (an ``OracleService``).
+
+    Service exceptions propagate, for :func:`classify_exception`.
+    """
+    return _ANSWERS[request["op"]](service, request)
 
 
 # ----------------------------------------------------------------------

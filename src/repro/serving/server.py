@@ -6,6 +6,12 @@ newline-delimited-JSON front door (:mod:`~repro.serving.protocol`)
 whose hot path is built around the one thing the compiled tables are
 best at — *batched* probes.
 
+Every line goes ``protocol.validate_request`` -> ``protocol.answer``,
+the verb table the CLI REPL and ``loadgen.replay_direct`` share.  The
+server adds only its own: ``hello``, the batcher behind ``query``
+(below), the writer pin of update verbs (see Workers) and the worker
+id that leads ``stats``.
+
 Batching / coalescing
 ---------------------
 Concurrent in-flight ``query`` requests against the same terrain are
@@ -83,8 +89,12 @@ __all__ = [
     "MutableSpec",
     "WorkerFleet",
     "build_service",
+    "register_terrain",
     "run_workers",
 ]
+
+#: verbs that change a mutable terrain, pinned to the writer worker
+_UPDATE_OPS = ("insert", "delete", "flush")
 
 
 # ----------------------------------------------------------------------
@@ -126,34 +136,44 @@ def _mutable_engine(spec: MutableSpec):
     return GeodesicEngine(mesh, pois, points_per_edge=spec.density)
 
 
-def build_service(config: ServerConfig, worker_id: int = 0) -> OracleService:
-    """One worker's service: same stores, role-dependent registration.
+def register_terrain(
+    service: OracleService,
+    config: ServerConfig,
+    name: str,
+    path: str,
+    worker_id: int = 0,
+) -> Dict[str, Any]:
+    """Register one of ``config``'s terrains as worker ``worker_id``
+    serves it; returns the store meta.
 
-    The writer (worker 0) registers mutable terrains with their engine
+    The writer (worker 0) registers a mutable terrain with its engine
     and owns the overlay; every other worker registers the same store
     read-only with generation tracking, so a flush on the writer is
     observed on the next access as a re-mmap.
     """
+    spec = config.mutable.get(name)
+    if spec is None:
+        return service.register(name, TerrainSpec(
+            path,
+            max_resident_tiles=config.max_resident_tiles,
+            max_resident_bytes=config.max_resident_bytes,
+        ))
+    if worker_id == 0:
+        return service.register(name, TerrainSpec(
+            path,
+            mutable=True,
+            engine=_mutable_engine(spec),
+            rebuild_factor=spec.rebuild_factor,
+        ))
+    return service.register(name, TerrainSpec(path, track_generation=True))
+
+
+def build_service(config: ServerConfig, worker_id: int = 0) -> OracleService:
+    """One worker's service: every registration of ``config``, made by
+    :func:`register_terrain` in that worker's role."""
     service = OracleService(max_resident=config.max_resident)
     for name, path in config.registrations:
-        spec = config.mutable.get(name)
-        if spec is None:
-            service.register(name, TerrainSpec(
-                path,
-                max_resident_tiles=config.max_resident_tiles,
-                max_resident_bytes=config.max_resident_bytes,
-            ))
-        elif worker_id == 0:
-            service.register(name, TerrainSpec(
-                path,
-                mutable=True,
-                engine=_mutable_engine(spec),
-                rebuild_factor=spec.rebuild_factor,
-            ))
-        else:
-            service.register(
-                name, TerrainSpec(path, track_generation=True)
-            )
+        register_terrain(service, config, name, path, worker_id)
     return service
 
 
@@ -287,20 +307,6 @@ class OracleServer:
         self._servers: List[asyncio.base_events.Server] = []
         self._batchers: Dict[str, _TerrainBatcher] = {}
         self._connections: set = set()
-        self._handlers = {
-            "hello": self._op_hello,
-            "terrains": self._op_terrains,
-            "stats": self._op_stats,
-            "describe": self._op_describe,
-            "query": self._op_query,
-            "batch": self._op_batch,
-            "knn": self._op_knn,
-            "range": self._op_range,
-            "rnn": self._op_rnn,
-            "insert": self._op_insert,
-            "delete": self._op_delete,
-            "flush": self._op_flush,
-        }
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> Tuple[str, int]:
@@ -448,9 +454,17 @@ class OracleServer:
             message = protocol.decode_line(line)
             request_id = message.get("id")
             request = protocol.validate_request(message)
-            result = self._handlers[request["op"]](request)
-            if isinstance(result, asyncio.Future):
-                return (request_id, result)
+            op = request["op"]
+            if op == "query":
+                return (request_id, self._batcher(request["terrain"]).submit(
+                    request["source"], request["target"]))
+            if op == "hello":
+                return protocol.ok_response(request_id, self._hello())
+            if op in _UPDATE_OPS:
+                self._require_writer(op)
+            result = protocol.answer(self.service, request)
+            if op == "stats":
+                result = {"worker": self.worker_id, **result}
             return protocol.ok_response(request_id, result)
         except ProtocolError as error:
             return protocol.error_response(
@@ -463,7 +477,6 @@ class OracleServer:
             error_type, message = protocol.classify_exception(error)
             return protocol.error_response(request_id, error_type, message)
 
-    # -- op handlers ---------------------------------------------------
     def _batcher(self, terrain_id: str) -> _TerrainBatcher:
         batcher = self._batchers.get(terrain_id)
         if batcher is None:
@@ -476,7 +489,7 @@ class OracleServer:
             self._batchers[terrain_id] = batcher
         return batcher
 
-    def _op_hello(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _hello(self) -> Dict[str, Any]:
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "worker": self.worker_id,
@@ -488,44 +501,6 @@ class OracleServer:
             "linger_us": self.linger_us,
             "terrains": self.service.terrains(),
         }
-
-    def _op_terrains(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"terrains": self.service.terrains()}
-
-    def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"worker": self.worker_id, "terrains": self.service.stats()}
-
-    def _op_describe(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"meta": self.service.describe(request["terrain"])}
-
-    def _op_query(self, request: Dict[str, Any]) -> "asyncio.Future[float]":
-        return self._batcher(request["terrain"]).submit(
-            request["source"], request["target"]
-        )
-
-    def _op_batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        distances = self.service.query_batch(
-            request["terrain"], request["sources"], request["targets"]
-        )
-        return {"distances": [float(value) for value in distances]}
-
-    def _op_knn(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        hits = self.service.k_nearest(
-            request["terrain"], request["source"], request["k"]
-        )
-        return {"neighbors": [[int(poi), float(d)] for poi, d in hits]}
-
-    def _op_range(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        hits = self.service.range_query(
-            request["terrain"], request["source"], request["radius"]
-        )
-        return {"hits": [[int(poi), float(d)] for poi, d in hits]}
-
-    def _op_rnn(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        pois = self.service.reverse_nearest(
-            request["terrain"], request["source"]
-        )
-        return {"pois": [int(poi) for poi in pois]}
 
     def _require_writer(self, op: str) -> None:
         if not self.is_writer:
@@ -539,23 +514,6 @@ class OracleServer:
                 "writer_port": self.writer_port,
             }
             raise error
-
-    def _op_insert(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_writer("insert")
-        poi = self.service.insert_poi(
-            request["terrain"], request["x"], request["y"]
-        )
-        return {"poi": int(poi)}
-
-    def _op_delete(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_writer("delete")
-        self.service.delete_poi(request["terrain"], request["poi"])
-        return {"poi": request["poi"]}
-
-    def _op_flush(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_writer("flush")
-        meta = self.service.flush(request["terrain"])
-        return {"meta": meta}
 
 
 # ----------------------------------------------------------------------

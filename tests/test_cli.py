@@ -269,6 +269,11 @@ class TestServe:
             "stats",
             "bogus command",
             "query nowhere 0 1",
+            # malformed lines: the wire's validation and error types
+            "query north 0",
+            "query north 0 x",
+            "rnn south -1",
+            "range north 0 nan",
             "quit",
         ]) + "\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(script))
@@ -283,6 +288,14 @@ class TestServe:
         assert '"evictions"' in captured.out  # stats JSON block
         assert "unknown command" in captured.err
         assert "unknown terrain id" in captured.err
+        assert captured.err.splitlines()[-4:] == [
+            "error[bad-request]: op 'query' requires field 'target'",
+            "error[bad-request]: field 'target' must be a non-negative "
+            "integer",
+            "error[bad-request]: field 'source' must be a non-negative "
+            "integer",
+            "error[bad-request]: field 'radius' must be a finite number",
+        ]
 
     def test_repl_survives_vanished_store(self, stores, capsys,
                                           monkeypatch):

@@ -7,7 +7,8 @@ re-registration, ``unregister`` and ``OracleService.close()``.  Each of
 those paths also counts one eviction, so the terrain ledger reconciles
 (``loads - evictions`` is 1 while the terrain is open, else 0).
 Outside the service, ``with open_oracle(...)`` closes monolithic,
-paged and tiled stores alike, and closing twice is harmless.
+paged and tiled stores alike, and closing twice is harmless; the CLI
+verbs that open a store close it before they return.
 """
 
 import gc
@@ -18,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import (
     PagedOracle,
     SEOracle,
@@ -27,6 +29,7 @@ from repro.core import (
     open_oracle,
     pack_oracle,
     pack_tiled,
+    save_oracle,
 )
 from repro.geodesic import GeodesicEngine
 from repro.serving import OracleService, TerrainSpec
@@ -171,3 +174,34 @@ class TestOpenOracleClose:
                 open_oracle(paths["b"], engine=engine, max_resident_bytes=BUDGET)
             gc.collect()
         assert not [w for w in caught if w.category is ResourceWarning]
+
+
+def _pack_argv(paths, engine, tmp_path):
+    document = tmp_path / "a.json"
+    save_oracle(SEOracle(engine, 0.3, seed=61).build(), document)
+    return ["pack", str(document), "--out", str(tmp_path / "packed.store")]
+
+
+def _workload_gen_argv(paths, engine, tmp_path):
+    store, out = str(paths["a"]), str(tmp_path / "alerts.jsonl")
+    return ["workload", "gen", "range-alerts", "--store", store, "--out", out]
+
+
+class TestCliClosesWhatItOpens:
+    @pytest.mark.parametrize(
+        "argv_of", [_pack_argv, _workload_gen_argv], ids=["pack", "workload-gen"]
+    )
+    def test_verb_closes_its_store(self, stores, tmp_path, monkeypatch, argv_of):
+        paths, engine = stores
+        argv = argv_of(paths, engine, tmp_path)
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open_oracle(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr("repro.core.open_oracle", recording_open)
+        monkeypatch.setattr("repro.core.store.open_oracle", recording_open)
+        assert main(argv) == 0
+        assert len(opened) == 1
+        assert opened[0].closed

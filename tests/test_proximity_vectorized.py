@@ -256,6 +256,23 @@ class TestRNNEdgeCases:
         assert reverse_nearest_neighbors(oracle, 0, 3) == [1, 2]
         assert reverse_nearest_neighbors_scalar(oracle, 0, 3) == [1, 2]
 
+    @pytest.mark.parametrize("source_of", [lambda n: -1, lambda n: -n,
+                                           lambda n: n],
+                             ids=["-1", "-n", "n"])
+    def test_source_outside_table_raises_like_scalar(self, setup,
+                                                     source_of):
+        """A source outside [0, n) is an error on the dense path too,
+        not a row counted from the end of the table."""
+        n, _, oracle = setup
+        compiled = oracle.compiled()
+        source = source_of(n)
+        with pytest.raises(IndexError) as scalar:
+            reverse_nearest_neighbors_scalar(compiled, source)
+        with pytest.raises(IndexError) as vectorised:
+            reverse_nearest_neighbors(compiled, source)
+        assert str(vectorised.value) == str(scalar.value) \
+            == f"POI ids out of range [0, {n})"
+
 
 class TestScalarOracleFallbackGolden:
     """Golden coverage for the kernel-backed oracle families.

@@ -268,3 +268,12 @@ class TestReplay:
         assert wire.errors == 1
         assert wire.results[1] is None and direct[1] is None
         assert wire.results == direct
+        # Shapes the wire refuses with bad-request: the direct reference
+        # validates the same requests, so it refuses them too.
+        malformed = [{"op": "rnn", "source": -1},
+                     {"op": "knn", "source": 0, "k": True},
+                     {"op": "query", "source": 0, "target": 1.0},
+                     {"op": "range", "source": 0, "radius": "5"}]
+        wire = replay_workload(server.host, server.port, "alps", malformed)
+        assert wire.errors == len(malformed)
+        assert wire.results == replay_direct(service, "alps", malformed)
