@@ -6,14 +6,17 @@ both as v4 stores, and measures what tiling costs and buys:
 
 * build seconds, monolithic vs tiled serial vs tiled ``--jobs 2``
   (per-tile builds fan out across processes);
-* query throughput through the packed tiled store at a *bounded*
-  tile residency (``--max-resident-tiles``), split into intra-tile
-  batches (one compiled table) and cross-tile batches (portal
-  stitching through the boundary matrix + LRU paging churn);
+* query throughput through the packed tiled store, split into
+  intra-tile batches (one compiled table plus escape-pruned
+  stitching) and cross-tile batches (stitching from the POI×portal
+  blocks through the boundary matrix), timed twice: all tiles
+  resident, and at a *bounded* tile residency
+  (``--max-resident-tiles``, LRU paging churn on the direct legs);
 * the deterministic paging footprint: peak resident tile bytes under
-  the bound vs the whole monolithic store.
+  the bound plus the always-resident POI×portal blocks, vs the whole
+  monolithic store.
 
-It *gates* (non-zero exit) on four invariants, which is what lets CI
+It *gates* (non-zero exit) on five invariants, which is what lets CI
 run it as a sharding regression smoke test:
 
 1. paged answers are **bit-identical** to the all-resident tiled
@@ -21,9 +24,12 @@ run it as a sharding regression smoke test:
 2. tiled and monolithic answers agree within the shared ``(1 + eps)``
    envelope (both sides hold the SE guarantee against the same exact
    metric, so their ratio is bounded by ``(1+eps)/(1-eps)``);
-3. cross-tile QPS stays within ``--max-cross-ratio`` (default 5x) of
-   intra-tile QPS at the bounded residency;
-4. the paged peak footprint stays below the monolithic store's bytes.
+3. cross-tile QPS stays within ``--max-cross-ratio`` of intra-tile
+   QPS at the bounded residency (largest scale; only when the flag is
+   given);
+4. the paged peak footprint stays below the monolithic store's bytes;
+5. all-resident intra-tile QPS stays within ``MAX_INTRA_MONO_RATIO``
+   (3x) of the monolithic store's QPS at the largest scale.
 
 Usage::
 
@@ -60,6 +66,9 @@ from repro.terrain import make_terrain, sample_uniform  # noqa: E402
 
 # Workload shapes shared with the other smoke benchmarks.
 from bench_query_throughput import SCALES, pair_workload  # noqa: E402
+
+#: Gate 5: monolithic QPS over all-resident intra-tile QPS.
+MAX_INTRA_MONO_RATIO = 3.0
 
 
 def make_workload(scale: str, density: int, seed: int):
@@ -127,6 +136,9 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
     targets = np.asarray(targets, dtype=np.intp)
     (intra_s, intra_t), (cross_s, cross_t) = split_pairs(
         np.asarray(build.owner), sources, targets)
+    # Always resident, outside the tile bound: counted in the footprint.
+    block_bytes = sum(int(tile["poi_portal"].nbytes)
+                      for tile in build.sections)
 
     with tempfile.TemporaryDirectory() as tmp:
         mono_path = os.path.join(tmp, "mono.store")
@@ -136,36 +148,41 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
         mono_bytes = os.path.getsize(mono_path)
         tiled_bytes = os.path.getsize(tiled_path)
 
-        full = open_oracle(tiled_path)
-        paged = open_oracle(tiled_path,
-                            max_resident_tiles=max_resident_tiles)
+        with (open_oracle(tiled_path) as full,
+              open_oracle(tiled_path,
+                          max_resident_tiles=max_resident_tiles) as paged,
+              open_oracle(mono_path) as mono_stored):
+            # Gate 1: paging is invisible to answers.
+            expected = full.query_batch(sources, targets)
+            answered = paged.query_batch(sources, targets)
+            mismatches = int(np.sum(answered != expected))
 
-        # Gate 1: paging is invisible to answers.
-        expected = full.query_batch(sources, targets)
-        answered = paged.query_batch(sources, targets)
-        mismatches = int(np.sum(answered != expected))
+            # Gate 2: tiled and monolithic agree within the shared
+            # (1 + eps) envelope around the same exact metric.
+            mono_answers = mono.query_batch(sources, targets)
+            finite = np.isfinite(mono_answers) & (mono_answers > 0)
+            envelope = (1.0 + epsilon) / (1.0 - epsilon)
+            ratio = np.ones_like(mono_answers)
+            ratio[finite] = answered[finite] / mono_answers[finite]
+            worst_ratio = float(np.max(np.maximum(ratio, 1.0 / ratio)))
 
-        # Gate 2: tiled and monolithic agree within the shared
-        # (1 + eps) envelope around the same exact metric.
-        mono_answers = mono.query_batch(sources, targets)
-        finite = np.isfinite(mono_answers) & (mono_answers > 0)
-        envelope = (1.0 + epsilon) / (1.0 - epsilon)
-        ratio = np.ones_like(mono_answers)
-        ratio[finite] = answered[finite] / mono_answers[finite]
-        worst_ratio = float(np.max(np.maximum(ratio, 1.0 / ratio)))
+            # Best-of timing per leg: all resident, then at the bound.
+            unpaged_intra_qps = timed_qps(full, intra_s, intra_t, repeats)
+            unpaged_cross_qps = timed_qps(full, cross_s, cross_t, repeats)
+            intra_qps = timed_qps(paged, intra_s, intra_t, repeats)
+            cross_qps = timed_qps(paged, cross_s, cross_t, repeats)
+            mono_qps = timed_qps(mono_stored, sources, targets, repeats)
 
-        # Warm one pass, then best-of timing per leg at the bound.
-        intra_qps = timed_qps(paged, intra_s, intra_t, repeats)
-        cross_qps = timed_qps(paged, cross_s, cross_t, repeats)
-        mono_stored = open_oracle(mono_path)
-        mono_qps = timed_qps(mono_stored, sources, targets, repeats)
-
-        ledger = paged.tile_counters()
-        peak_paged_bytes = paged.peak_resident_bytes
+            ledger = paged.tile_counters()
+            peak_paged_bytes = paged.peak_resident_bytes + block_bytes
 
     cross_ratio = (intra_qps / cross_qps
                    if cross_qps and np.isfinite(cross_qps) else
                    float("inf"))
+    intra_mono_ratio = (mono_qps / unpaged_intra_qps
+                        if unpaged_intra_qps
+                        and np.isfinite(unpaged_intra_qps) else
+                        float("inf"))
     return {
         "scale": scale,
         "num_pois": len(pois),
@@ -181,8 +198,12 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
         "tiled_build_jobs2_seconds": tiled_build_jobs2,
         "mono_store_bytes": mono_bytes,
         "tiled_store_bytes": tiled_bytes,
+        "poi_portal_bytes": block_bytes,
         "peak_paged_bytes": int(peak_paged_bytes),
         "mono_qps": mono_qps,
+        "unpaged_intra_qps": unpaged_intra_qps,
+        "unpaged_cross_qps": unpaged_cross_qps,
+        "intra_mono_ratio": intra_mono_ratio,
         "intra_qps": intra_qps,
         "cross_qps": cross_qps,
         "cross_ratio": cross_ratio,
@@ -239,7 +260,11 @@ def main(argv=None) -> int:
               f"build mono {run['mono_build_seconds']:6.2f}s "
               f"tiled {run['tiled_build_seconds']:6.2f}s "
               f"(x2 {run['tiled_build_jobs2_seconds']:6.2f}s)  "
-              f"qps intra {run['intra_qps']:>10,.0f} "
+              f"qps mono {run['mono_qps']:>10,.0f}  "
+              f"unpaged intra {run['unpaged_intra_qps']:>10,.0f} "
+              f"cross {run['unpaged_cross_qps']:>10,.0f} "
+              f"(mono x{run['intra_mono_ratio']:4.1f})  "
+              f"paged intra {run['intra_qps']:>10,.0f} "
               f"cross {run['cross_qps']:>10,.0f} "
               f"(ratio x{run['cross_ratio']:4.1f})  "
               f"peak {run['peak_paged_bytes'] / 1024:7.1f}KB / "
@@ -248,6 +273,7 @@ def main(argv=None) -> int:
     healthy = all(run["equivalent"] and run["within_envelope"]
                   and run["paged_under_mono"] for run in runs)
     final_ratio = runs[-1]["cross_ratio"]
+    final_mono_ratio = runs[-1]["intra_mono_ratio"]
     report = {
         "benchmark": "bench_tiled",
         "tiles": args.tiles,
@@ -263,6 +289,8 @@ def main(argv=None) -> int:
         "healthy": healthy,
         "max_cross_ratio_required": args.max_cross_ratio,
         "final_cross_ratio": final_ratio,
+        "max_intra_mono_ratio_required": MAX_INTRA_MONO_RATIO,
+        "final_intra_mono_ratio": final_mono_ratio,
         "runs": runs,
     }
     if args.out:
@@ -277,6 +305,11 @@ def main(argv=None) -> int:
             final_ratio > args.max_cross_ratio:
         print(f"FAILED: cross-tile QPS x{final_ratio:.1f} slower than "
               f"intra-tile; required within x{args.max_cross_ratio:.1f}")
+        return 1
+    if final_mono_ratio > MAX_INTRA_MONO_RATIO:
+        print(f"FAILED: unpaged intra-tile QPS x{final_mono_ratio:.1f} "
+              "slower than monolithic; required within "
+              f"x{MAX_INTRA_MONO_RATIO:.1f}")
         return 1
     return 0
 

@@ -13,12 +13,16 @@ instead of the distance work:
    tile (``jobs=N`` fans whole tile builds across processes via
    :func:`~repro.core.parallel.map_jobs`, sidestepping the sequential
    partition tree entirely) and precomputes one dense **boundary
-   matrix**: graph-exact distances between every pair of *portals*.
+   matrix** (graph-exact distances between every pair of *portals*)
+   plus, per tile, a dense **POI×portal block**: every owned POI's
+   oracle distance to every portal of its tile — the access legs of
+   Transit Node Routing (Bast et al., 2007).
 3. :class:`TiledOracle` serves the ``DistanceIndex`` protocol over the
    shards: intra-tile queries route to the owning tile's
    :class:`~repro.core.compiled.CompiledOracle`; cross-tile queries
    stitch ``d̂(s, b₁) + B[b₁, b₂] + d̂(b₂, t)`` minimised over the two
-   tiles' portal sets with a chunked vectorised min-plus product.
+   tiles' portal sets: a gather of block rows and a min-plus product
+   whose inner minimum is computed once per distinct source.
 
 Portals — why the stitch is within (1 ± ε)
 ------------------------------------------
@@ -37,10 +41,11 @@ last-entry portals and bounding each leg gives
 
 Because the true geodesic between two same-tile POIs may still leave
 and re-enter the tile, intra-tile answers are
-``min(direct, same-tile stitch)`` — pruned by each POI's precomputed
-*escape distance* (its oracle distance to the nearest portal): when
-``direct ≤ escape[s] + escape[t]`` no stitch can be shorter, and the
-prune is exact (bit-identical to the unpruned minimum).
+``min(direct, same-tile stitch)`` — pruned by each POI's *escape
+distance* (its oracle distance to the nearest portal, the row minimum
+of its block): when ``direct ≤ escape[s] + escape[t]`` no stitch can
+be shorter, and the prune is exact (bit-identical to the unpruned
+minimum).
 
 Determinism and paging
 ----------------------
@@ -48,12 +53,15 @@ Tile extraction is order-preserving (faces ascending, vertices via
 ``np.unique``), so Steiner placement inside a tile reproduces the
 full-mesh positions bitwise, a single-tile build is **bit-identical**
 to the monolithic oracle, and parallel tile builds are bit-identical
-to serial ones.  At query time only the per-tile query tables (chains
-+ frozen hash) page, through a :class:`~repro.core.residency.
-Residency` LRU (``max_resident_tiles``); the stitch consumes tile A's
-probe matrix *before* touching tile B, so a one-tile budget serves
-cross-tile batches correctly — and, the arithmetic being independent
-of residency, bit-identically to an all-resident run.
+to serial ones.  Every block cell is the tile oracle's own answer, so
+stitching from the blocks is bit-identical to probing the tile tables
+per query.  Cross-tile stitching therefore touches no tile table: only
+the intra-tile direct legs read the per-tile query tables (chains +
+frozen hash), which page through a :class:`~repro.core.residency.
+Residency` LRU (``max_resident_tiles``) — bit-identically at any
+bound, down to one resident tile.  Stores packed before the blocks
+existed carry no ``poi_portal`` section; opening one derives the
+blocks once from the tile tables.
 """
 
 from __future__ import annotations
@@ -104,11 +112,11 @@ __all__ = [
     "TiledOracle",
 ]
 
-#: The sections a tile needs resident to answer queries (everything
-#: else — trees, portal maps, escapes — is small and always loaded).
+#: The sections a tile needs resident for its direct legs (the portal
+#: maps and the POI×portal block are small and always loaded).
 _TILE_QUERY_SECTIONS = ("chains",) + tuple(_HASH_SECTIONS)
 
-#: Row chunk of the min-plus stitch: bounds the (chunk, Pa, Pb)
+#: Source-row chunk of the min-plus stitch: bounds the (chunk, Pa, Pb)
 #: broadcast intermediate without changing any result bit.
 _STITCH_CHUNK = 128
 
@@ -234,6 +242,18 @@ def _boundary_matrix(engine: GeodesicEngine,
 # ----------------------------------------------------------------------
 # per-tile build (worker side)
 # ----------------------------------------------------------------------
+def _poi_portal(compiled: CompiledOracle, owned: int,
+                portal_local: np.ndarray) -> np.ndarray:
+    """The tile's POI×portal block: row ``i`` holds owned POI ``i``'s
+    distances to every tile portal, off one batched probe — so each
+    cell is bit-identical to the scalar query it stands for."""
+    width = portal_local.shape[0]
+    return compiled.query_batch(
+        np.repeat(np.arange(owned), width),
+        np.tile(portal_local, owned),
+    ).reshape(owned, width)
+
+
 def _build_tile(workload: Dict[str, Any]
                 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     """Build one tile's oracle from a self-contained picklable
@@ -257,20 +277,11 @@ def _build_tile(workload: Dict[str, Any]
                       seed=workload["seed"]).build()
     sections = oracle_sections(oracle)
     portal_local = workload["portal_local"]
-    count = len(pois)
-    if portal_local.size:
-        compiled = oracle.compiled()
-        probes = compiled.query_batch(
-            np.repeat(np.arange(count), portal_local.size),
-            np.tile(portal_local, count),
-        ).reshape(count, portal_local.size)
-        escape = np.ascontiguousarray(probes.min(axis=1))
-    else:
-        escape = np.full(count, np.inf)
-    sections["escape"] = escape
+    sections["poi_portal"] = _poi_portal(
+        oracle.compiled(), workload["owned"], portal_local)
     stats = {
         "pois": int(workload["owned"]),
-        "sites": count,
+        "sites": len(pois),
         "portals": int(portal_local.size),
         "pairs": oracle.stats.pairs_stored,
         "height": oracle.stats.height,
@@ -361,8 +372,10 @@ def _tile_workloads(mesh: TriangleMesh, pois: POISet,
 @dataclass
 class TiledBuild:
     """An in-memory tiled build: meta + routing arrays + per-tile
-    sections (escape included).  :meth:`oracle` serves it directly;
-    :func:`pack_tiled` writes it as one v4 store."""
+    sections (``poi_portal`` included).  :meth:`oracle` serves it
+    directly; :func:`pack_tiled` writes it as one v4 store.
+    ``portal_local`` (each tile's portal site ids, the block columns)
+    is not packed: the blocks already hold every leg it indexes."""
 
     meta: Dict[str, Any]
     owner: np.ndarray
@@ -382,9 +395,8 @@ class TiledBuild:
 
         return TiledOracle(
             meta=self.meta, owner=self.owner, local=self.local,
-            boundary=self.boundary, portal_local=self.portal_local,
-            portal_global=self.portal_global,
-            escape=[tile["escape"] for tile in sections],
+            boundary=self.boundary, portal_global=self.portal_global,
+            poi_portal=[tile["poi_portal"] for tile in sections],
             loader=loader, max_resident_tiles=max_resident_tiles)
 
 
@@ -472,7 +484,6 @@ def pack_tiled(build: TiledBuild, path) -> None:
         prefix = _tile_prefix(tile)
         for name, array in tile_sections.items():
             sections[prefix + name] = array
-        sections[prefix + "portal_local"] = build.portal_local[tile]
         sections[prefix + "portal_global"] = build.portal_global[tile]
     _write_store(path, build.meta, sections)
 
@@ -482,11 +493,14 @@ def open_tiled_oracle(path, mmap: bool = True,
                       ) -> "TiledOracle":
     """Open a tiled store with *lazily paged* tile tables.
 
-    Only the small routing arrays (owner/local maps, portal maps,
-    escapes — plus the mmap'd boundary matrix) are touched up front;
-    each tile's query tables are mapped on first use and page through
-    the oracle's internal LRU.  Prefer :func:`~repro.core.store.
-    open_oracle`, which dispatches here on the meta tile directory.
+    Only the small routing arrays (owner/local maps, global portal
+    ids, POI×portal blocks — plus the mmap'd boundary matrix) are
+    touched up front; each tile's query tables are mapped on first use
+    and page through the oracle's internal LRU.  A store packed before
+    the blocks existed has no ``poi_portal`` section: its blocks are
+    derived here, once, from each tile's tables, outside the tile
+    ledger.  Prefer :func:`~repro.core.store.open_oracle`, which
+    dispatches here on the meta tile directory.
     """
     started = time.perf_counter()
     signature = file_signature(path)
@@ -511,17 +525,21 @@ def open_tiled_oracle(path, mmap: bool = True,
             owner = read("tiles/owner")
             local = read("tiles/local")
             boundary = read("tiles/boundary")
-            portal_local = []
             portal_global = []
-            escape = []
+            poi_portal: List[Optional[np.ndarray]] = []
+            legacy: Dict[int, np.ndarray] = {}
             tile_infos = []
             for tile in range(count):
                 prefix = _tile_prefix(tile)
-                portal_local.append(
-                    read(prefix + "portal_local", copy=True))
                 portal_global.append(
                     read(prefix + "portal_global", copy=True))
-                escape.append(read(prefix + "escape", copy=True))
+                if prefix + "poi_portal.npy" in infos:
+                    poi_portal.append(
+                        read(prefix + "poi_portal", copy=True))
+                else:  # packed before the blocks existed
+                    poi_portal.append(None)
+                    legacy[tile] = read(prefix + "portal_local",
+                                        copy=True)
                 tile_infos.append({
                     name: infos[prefix + name + ".npy"]
                     for name in _TILE_QUERY_SECTIONS})
@@ -540,10 +558,15 @@ def open_tiled_oracle(path, mmap: bool = True,
                             member, allow_pickle=False)
         return sections
 
+    for tile, portals in legacy.items():
+        compiled = compile_sections(loader(tile), seed=int(meta["seed"]),
+                                    epsilon=float(meta["epsilon"]))
+        poi_portal[tile] = _poi_portal(
+            compiled, int(np.count_nonzero(owner == tile)), portals)
     oracle = TiledOracle(
         meta=meta, owner=owner, local=local, boundary=boundary,
-        portal_local=portal_local, portal_global=portal_global,
-        escape=escape, loader=loader, path=os.fspath(path),
+        portal_global=portal_global, poi_portal=poi_portal,
+        loader=loader, path=os.fspath(path),
         max_resident_tiles=max_resident_tiles,
         stat_signature=signature)
     oracle.load_seconds = time.perf_counter() - started
@@ -553,41 +576,45 @@ def open_tiled_oracle(path, mmap: bool = True,
 # ----------------------------------------------------------------------
 # the tiled index
 # ----------------------------------------------------------------------
-def _min_plus(left: np.ndarray, middle: np.ndarray,
+def _min_plus(legs: np.ndarray, sources: np.ndarray, middle: np.ndarray,
               right: np.ndarray) -> np.ndarray:
-    """Row-wise stitch minimum ``min_{j,k}(left[i,j] + middle[j,k] +
-    right[i,k])``, chunked over rows so the broadcast intermediate
-    stays bounded.  Chunking never changes a bit of the result."""
-    rows = left.shape[0]
-    out = np.empty(rows, dtype=np.float64)
-    for start in range(0, rows, _STITCH_CHUNK):
-        stop = min(start + _STITCH_CHUNK, rows)
-        through = (left[start:stop, :, None]
-                   + middle[None, :, :]).min(axis=1)
-        out[start:stop] = (through + right[start:stop]).min(axis=1)
-    return out
+    """Row-wise stitch minimum ``min_{j,k}((legs[sources[i], j] +
+    middle[j, k]) + right[i, k])``.
+
+    The inner ``min_j`` depends on the source row alone, so it runs
+    once per distinct source, chunked so the (chunk, Pa, Pb) broadcast
+    stays bounded; the rows then gather it.  Neither step changes a
+    bit of the result."""
+    distinct, inverse = np.unique(sources, return_inverse=True)
+    through = np.empty((distinct.shape[0], middle.shape[1]))
+    for start in range(0, distinct.shape[0], _STITCH_CHUNK):
+        stop = start + _STITCH_CHUNK
+        through[start:stop] = (legs[distinct[start:stop], :, None]
+                               + middle).min(axis=1)
+    return (through[inverse] + right).min(axis=1)
 
 
 class TiledOracle(StoreHandle, DistanceIndexMixin):
     """``DistanceIndex`` over tile shards with LRU tile paging.
 
     Global POI ids are the build POI set's indices; the routing arrays
-    map each id to its owning tile and tile-local site id.  Per-tile
-    query tables (chains + frozen hash) load lazily through
-    ``loader`` and at most ``max_resident_tiles`` stay resident
-    (``None``: unbounded) in a :class:`~repro.core.residency.
-    Residency`; loads, evictions and hits are counted per tile for the
-    serving layer's ``stats``.
+    map each id to its owning tile and tile-local site id.  Stitching
+    reads only the always-resident POI×portal blocks and boundary
+    matrix.  The per-tile query tables (chains + frozen hash) serve
+    the intra-tile direct legs: they load lazily through ``loader``
+    and at most ``max_resident_tiles`` stay resident (``None``:
+    unbounded) in a :class:`~repro.core.residency.Residency`; loads,
+    evictions and hits are counted per tile for the serving layer's
+    ``stats``.
 
     Thread-safe: one re-entrant lock serialises paging and queries, so
     an eviction can never tear an in-flight batch.  Results are
-    independent of the residency bound (and of eviction timing) — the
-    stitch arithmetic only ever touches one tile's tables at a time.
+    independent of the residency bound (and of eviction timing): a
+    direct leg reads one tile's tables, and a stitch reads none.
     """
 
     def __init__(self, *, meta: Dict[str, Any], owner, local, boundary,
-                 portal_local: Sequence, portal_global: Sequence,
-                 escape: Sequence,
+                 portal_global: Sequence, poi_portal: Sequence,
                  loader: Callable[[int], Dict[str, np.ndarray]],
                  path: Optional[str] = None,
                  max_resident_tiles: Optional[int] = None,
@@ -605,12 +632,14 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
         self.stat_signature = stat_signature
         self._owner = np.asarray(owner)
         self._local = np.asarray(local)
-        self._boundary = boundary
-        self._portal_local = [np.asarray(p) for p in portal_local]
+        # A plain view: slicing an np.memmap costs a Python call.
+        self._boundary = np.asarray(boundary)
         self._portal_global = [np.asarray(p) for p in portal_global]
-        self._escape = [np.asarray(e) for e in escape]
+        self._poi_portal = [np.asarray(b) for b in poi_portal]
+        self._escape = [block.min(axis=1, initial=np.inf)
+                        for block in self._poi_portal]
         self._loader = loader
-        self._num_tiles = len(self._portal_local)
+        self._num_tiles = len(self._poi_portal)
         if max_resident_tiles is not None:
             max_resident_tiles = int(max_resident_tiles)
             if max_resident_tiles < 1:
@@ -652,9 +681,9 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
         table bytes (in-memory build)."""
         if self.path is not None:
             return super().size_bytes()
-        routing = (int(np.asarray(self._boundary).nbytes)
+        routing = (int(self._boundary.nbytes)
                    + int(self._owner.nbytes) + int(self._local.nbytes)
-                   + sum(int(e.nbytes) for e in self._escape))
+                   + sum(int(b.nbytes) for b in self._poi_portal))
         return routing + self.resident_bytes()
 
     def _release(self) -> None:
@@ -668,8 +697,6 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
         with self._lock:
             compiled = self._resident.get(tile)
             if compiled is None:
-                if self.closed:
-                    raise ValueError(f"{self.path}: store is closed")
                 sections = self._loader(tile)
                 compiled = compile_sections(sections, seed=self.seed,
                                             epsilon=self.epsilon)
@@ -725,6 +752,8 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
             if int(ids.min()) < 0 or int(ids.max()) >= count:
                 raise IndexError("POI id out of range")
         with self._lock:
+            if self.closed:
+                raise ValueError(f"{self.path}: store is closed")
             tile_s = self._owner[sources]
             tile_t = self._owner[targets]
             local_s = self._local[sources]
@@ -746,22 +775,10 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
                         local_s[rows], local_t[rows])
         return out
 
-    def _portal_probe(self, compiled: CompiledOracle, locals_,
-                      portal_local: np.ndarray) -> np.ndarray:
-        """Distances from every query site to every tile portal, as a
-        (rows, portals) matrix off one batched probe."""
-        rows = locals_.shape[0]
-        width = portal_local.shape[0]
-        return compiled.query_batch(
-            np.repeat(locals_, width),
-            np.tile(portal_local, rows),
-        ).reshape(rows, width)
-
     def _intra(self, tile: int, local_s, local_t) -> np.ndarray:
-        compiled = self._tile(tile)
-        direct = compiled.query_batch(local_s, local_t)
-        portal_local = self._portal_local[tile]
-        if not portal_local.shape[0]:
+        direct = self._tile(tile).query_batch(local_s, local_t)
+        legs = self._poi_portal[tile]
+        if not legs.shape[1]:
             return direct
         # Escape prune: any stitch is >= escape[s] + escape[t], so
         # rows at or under that bound keep the direct answer — the
@@ -772,32 +789,19 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
             return direct
         rows = np.flatnonzero(need)
         portals = self._portal_global[tile]
-        block = np.asarray(
-            self._boundary[np.ix_(portals, portals)])
-        source_probe = self._portal_probe(
-            compiled, local_s[rows], portal_local)
-        target_probe = self._portal_probe(
-            compiled, local_t[rows], portal_local)
-        stitched = _min_plus(source_probe, block, target_probe)
+        block = self._boundary[portals[:, None], portals]
+        stitched = _min_plus(legs, local_s[rows], block,
+                             legs[local_t[rows]])
         direct[rows] = np.minimum(direct[rows], stitched)
         return direct
 
     def _cross(self, source_tile: int, target_tile: int,
                local_s, local_t) -> np.ndarray:
-        portals_s = self._portal_local[source_tile]
-        portals_t = self._portal_local[target_tile]
-        if not portals_s.shape[0] or not portals_t.shape[0]:
+        legs_s = self._poi_portal[source_tile]
+        legs_t = self._poi_portal[target_tile]
+        if not legs_s.shape[1] or not legs_t.shape[1]:
             # Disconnected tile pair: no portal joins them.
             return np.full(local_s.shape[0], np.inf)
-        block = np.asarray(self._boundary[np.ix_(
-            self._portal_global[source_tile],
-            self._portal_global[target_tile])])
-        # The source tile is fully consumed before the target tile is
-        # touched, so a one-tile residency budget pages exactly two
-        # loads per (A, B) group — and the answers cannot depend on
-        # what was resident.
-        source_probe = self._portal_probe(
-            self._tile(source_tile), local_s, portals_s)
-        target_probe = self._portal_probe(
-            self._tile(target_tile), local_t, portals_t)
-        return _min_plus(source_probe, block, target_probe)
+        block = self._boundary[self._portal_global[source_tile][:, None],
+                               self._portal_global[target_tile]]
+        return _min_plus(legs_s, local_s, block, legs_t[local_t])

@@ -208,6 +208,79 @@ class TestPagedEquivalenceProperty:
             paged.close()
 
 
+class TestTiledEquivalenceProperty:
+    """Tiled stitching equivalence over random draws.
+
+    Every seeded workload is tiled 2 and 4 ways.  The reference keeps
+    the stitch as it read before tiles carried POI×portal blocks: per
+    query, probe the tile's own tables for every portal, then take
+    ``min(direct, stitch)`` for an intra-tile pair and the stitch for a
+    cross-tile pair.  It applies no escape prune, so bit-identity here
+    also checks that the prune is exact.
+    """
+
+    @staticmethod
+    def _reference(build, sources, targets):
+        from repro.core.store import compile_sections
+        tiles = [compile_sections(sections, seed=build.meta["seed"],
+                                  epsilon=build.meta["epsilon"])
+                 for sections in build.sections]
+
+        def legs(tile, site):
+            portals = build.portal_local[tile]
+            return tiles[tile].query_batch(
+                np.full(portals.shape[0], site), portals)
+
+        out = np.empty(sources.shape[0])
+        for row, (source, target) in enumerate(zip(sources, targets)):
+            tile_s, tile_t = build.owner[source], build.owner[target]
+            site_s, site_t = build.local[source], build.local[target]
+            legs_s, legs_t = legs(tile_s, site_s), legs(tile_t, site_t)
+            block = build.boundary[np.ix_(build.portal_global[tile_s],
+                                          build.portal_global[tile_t])]
+            stitch = (((legs_s[:, None] + block) + legs_t).min()
+                      if legs_s.size and legs_t.size else np.inf)
+            if tile_s == tile_t:
+                direct = tiles[tile_s].query_batch([site_s], [site_t])[0]
+                stitch = min(direct, stitch)
+            out[row] = stitch
+        return out
+
+    @pytest.mark.parametrize("tiles", [2, 4])
+    def test_tiled_bit_identical_to_probe_stitch(self, drawn, tiles,
+                                                 tmp_path):
+        from repro.core import build_tiled_oracle, pack_tiled
+        engine, oracle = drawn
+        build = build_tiled_oracle(engine.mesh, engine.pois,
+                                   oracle.epsilon, tiles=tiles,
+                                   strategy=oracle.strategy,
+                                   seed=oracle.seed)
+        n = engine.num_pois
+        grid = np.arange(n, dtype=np.intp)
+        sources = np.repeat(grid, n)
+        targets = np.tile(grid, n)
+        expected = self._reference(build, sources, targets)
+        tiled = build.oracle()
+        assert (tiled.query_batch(sources, targets) == expected).all()
+        assert (tiled.query_matrix() == expected.reshape(n, n)).all()
+        path = tmp_path / "tiled.store"
+        pack_tiled(build, path)
+        with open_oracle(path, max_resident_tiles=1) as paged:
+            assert (paged.query_batch(sources, targets) == expected).all()
+        eps = oracle.epsilon
+        for source in range(n):
+            exact = exact_distances(engine, source)
+            for target in range(n):
+                approx = expected[source * n + target]
+                if target == source:
+                    assert approx == 0.0
+                    continue
+                true = exact[target]
+                assert abs(approx - true) <= eps * true * (1 + 1e-6), (
+                    f"({source},{target}): {approx} vs exact {true} "
+                    f"(eps={eps}, tiles={tiles})")
+
+
 class TestDynamicUpdateFuzz:
     """Interleaved insert/delete/batch-query fuzzing (PR-5 tentpole).
 

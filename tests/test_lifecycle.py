@@ -163,6 +163,12 @@ class TestOpenOracleClose:
             assert stored._pool._handle.closed
         with pytest.raises(ValueError, match="closed"):
             stored.query_batch(sources, targets)
+        # One pair on two different tiles (any pair elsewhere): a
+        # cross-tile stitch loads no tile table, yet must refuse too.
+        owner = getattr(stored, "_owner", np.arange(NUM_POIS))
+        target = int(np.flatnonzero(owner != owner[0])[0])
+        with pytest.raises(ValueError, match="closed"):
+            stored.query_batch([0], [target])
         stored.close()
         assert stored.closed
 

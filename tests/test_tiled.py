@@ -9,9 +9,10 @@ Four concerns, one axis each:
    are disconnected (empty portal set => ``inf``).
 2. **Determinism of the shard layout** — a single-tile build is
    bit-identical to the untiled oracle, packing round-trips
-   bit-identically, and paging with ``max_resident_tiles=1`` answers
+   bit-identically, paging with ``max_resident_tiles=1`` answers
    bit-identically to an all-resident oracle (with a reconciling
-   load/eviction ledger).
+   load/eviction ledger), and a checked-in store packed before tiles
+   carried POI×portal blocks answers bit-identically to a fresh one.
 3. **The redesigned registration API** — one ``register(terrain_id,
    TerrainSpec(...))`` entry point that warns on nothing; spec
    validation and pin semantics.
@@ -21,8 +22,10 @@ Four concerns, one axis each:
    same signature.
 """
 
+import pathlib
 import threading
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -260,6 +263,47 @@ class TestTilePaging:
     def test_bound_must_be_positive(self, tiled_store):
         with pytest.raises(ValueError):
             open_oracle(tiled_store, max_resident_tiles=0)
+
+
+class TestStoreWithoutBlocks:
+    """``tests/data/tiled_v4.store`` was packed from the workload below
+    before tiles carried a ``poi_portal`` block (they hold ``escape``
+    radii instead).  Opening it derives each block from the tile's own
+    tables, outside the tile ledger, and every answer must match a
+    fresh build of the same workload packed by the current code."""
+
+    FIXTURE = pathlib.Path(__file__).parent / "data" / "tiled_v4.store"
+
+    @pytest.fixture(scope="class")
+    def fresh(self, tmp_path_factory):
+        mesh = make_terrain(grid_exponent=2, extent=(100.0, 100.0),
+                            relief=15.0, seed=5)
+        pois = sample_uniform(mesh, 6, seed=6)
+        build = build_tiled_oracle(mesh, pois, EPSILON, tiles=2, seed=0)
+        path = tmp_path_factory.mktemp("fresh") / "t.store"
+        pack_tiled(build, path)
+        with open_oracle(path) as oracle:
+            sources, targets = _all_pairs(oracle.num_pois)
+            return (sources, targets, oracle.query_batch(sources, targets),
+                    oracle.query_matrix())
+
+    def test_fixture_predates_the_blocks(self):
+        with zipfile.ZipFile(self.FIXTURE) as archive:
+            names = archive.namelist()
+        assert "tiles/0000/escape.npy" in names
+        assert not [name for name in names if "poi_portal" in name]
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("max_resident_tiles", [1, None])
+    def test_answers_match_a_fresh_build(self, fresh, mmap,
+                                         max_resident_tiles):
+        sources, targets, batch, matrix = fresh
+        with open_oracle(self.FIXTURE, mmap=mmap,
+                         max_resident_tiles=max_resident_tiles) as stored:
+            assert stored.num_tiles == 2
+            assert stored.tile_counters()["loads"] == 0
+            assert (stored.query_batch(sources, targets) == batch).all()
+            assert (stored.query_matrix() == matrix).all()
 
 
 class TestServiceTiledTerrains:
