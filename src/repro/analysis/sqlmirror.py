@@ -42,11 +42,11 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.store import PathLike, section_layouts
+from ..core.store import PathLike, StoreFile
 
 __all__ = ["mirror_store", "mirror_service_stats", "run_view",
            "run_sql", "CANNED_VIEWS"]
@@ -117,17 +117,6 @@ def _flat_meta(meta: Dict[str, Any], prefix: str = ""
             yield name, json.dumps(value)
 
 
-def _read_rows(handle, layout, start: int, count: int) -> np.ndarray:
-    """``count`` rows of a section starting at row ``start``."""
-    offset, dtype, shape = layout
-    row_items = int(np.prod(shape[1:], dtype=np.int64)) if len(
-        shape) > 1 else 1
-    handle.seek(offset + start * row_items * dtype.itemsize)
-    raw = handle.read(count * row_items * dtype.itemsize)
-    return np.frombuffer(raw, dtype=dtype).reshape(
-        (count,) + tuple(shape[1:]))
-
-
 def mirror_store(store_path: PathLike,
                  db_path: PathLike,
                  chunk_rows: int = 8192,
@@ -142,42 +131,39 @@ def mirror_store(store_path: PathLike,
     :meth:`~repro.serving.service.OracleService.stats` report into
     ``terrain_counters``.  Returns a report of per-table row counts.
     """
-    meta, layouts = section_layouts(store_path)
-    if "tiles" in meta:
-        raise ValueError(
-            f"{store_path}: tiled stores are not mirrorable yet; "
-            "mirror the per-tile stores instead")
-    if chunk_rows < 1:
-        raise ValueError("chunk_rows must be positive")
-    db_path = os.fspath(db_path)
-    if os.path.exists(db_path):
-        os.unlink(db_path)
-    connection = sqlite3.connect(db_path)
-    try:
-        connection.executescript(_SCHEMA)
-        for statement in _VIEWS.values():
-            connection.execute(statement)
-        connection.executemany(
-            "INSERT INTO meta VALUES (?, ?)", list(_flat_meta(meta)))
+    with StoreFile(store_path) as store:
+        if "tiles" in store.meta:
+            raise ValueError(
+                f"{store_path}: tiled stores are not mirrorable yet; "
+                "mirror the per-tile stores instead"
+            )
+        if chunk_rows < 1:
+            raise ValueError("chunk_rows must be positive")
+        db_path = os.fspath(db_path)
+        if os.path.exists(db_path):
+            os.unlink(db_path)
+        connection = sqlite3.connect(db_path)
+        try:
+            connection.executescript(_SCHEMA)
+            for statement in _VIEWS.values():
+                connection.execute(statement)
+            connection.executemany(
+                "INSERT INTO meta VALUES (?, ?)", list(_flat_meta(store.meta))
+            )
 
-        with open(store_path, "rb") as handle:
-            table = _read_rows(handle, layouts["tree_table"], 0,
-                               layouts["tree_table"][2][0])
-            radii = _read_rows(handle, layouts["tree_radii"], 0,
-                               layouts["tree_radii"][2][0])
+            table = store.array("tree_table", mmap=False)
+            radii = store.array("tree_radii", mmap=False)
             connection.executemany(
                 "INSERT INTO tree_nodes VALUES (?, ?, ?, ?, ?, ?)",
                 ((node_id, *map(int, row), float(radius))
                  for node_id, (row, radius)
                  in enumerate(zip(table.tolist(), radii.tolist()))))
 
-            num_pairs = layouts["pair_keys"][2][0]
+            num_pairs = store.layout("pair_keys")[2][0]
             for start in range(0, num_pairs, chunk_rows):
                 count = min(chunk_rows, num_pairs - start)
-                keys = _read_rows(handle, layouts["pair_keys"],
-                                  start, count)
-                distances = _read_rows(
-                    handle, layouts["pair_distances"], start, count)
+                keys = store.rows("pair_keys", start, count)
+                distances = store.rows("pair_distances", start, count)
                 sources = (keys >> _PAIR_SHIFT).astype(np.int64)
                 targets = (keys & _PAIR_MASK).astype(np.int64)
                 connection.executemany(
@@ -185,30 +171,26 @@ def mirror_store(store_path: PathLike,
                     zip(range(start, start + count), sources.tolist(),
                         targets.tolist(), distances.tolist()))
 
-            num_pois = layouts["chains"][2][0]
+            num_pois = store.layout("chains")[2][0]
             for start in range(0, num_pois, chunk_rows):
                 count = min(chunk_rows, num_pois - start)
-                chunk = _read_rows(handle, layouts["chains"],
-                                   start, count)
+                chunk = store.rows("chains", start, count)
                 pois, list_layers = np.nonzero(chunk != -1)
                 connection.executemany(
                     "INSERT INTO chains VALUES (?, ?, ?)",
                     zip((pois + start).tolist(), list_layers.tolist(),
                         chunk[pois, list_layers].tolist()))
 
-        if service_stats:
-            mirror_service_stats(connection, service_stats)
-        connection.commit()
-        report = {"db_path": db_path, "views": list(CANNED_VIEWS),
-                  "tables": {}}
-        for table_name in ("meta", "tree_nodes", "pairs", "chains",
-                           "terrain_counters"):
-            (count,), = connection.execute(
-                f"SELECT COUNT(*) FROM {table_name}")  # noqa: S608
-            report["tables"][table_name] = count
-        return report
-    finally:
-        connection.close()
+            if service_stats:
+                mirror_service_stats(connection, service_stats)
+            connection.commit()
+            report = {"db_path": db_path, "views": list(CANNED_VIEWS), "tables": {}}
+            for name in ("meta", "tree_nodes", "pairs", "chains", "terrain_counters"):
+                ((count,),) = connection.execute(f"SELECT COUNT(*) FROM {name}")  # noqa: S608
+                report["tables"][name] = count
+            return report
+        finally:
+            connection.close()
 
 
 def mirror_service_stats(connection: sqlite3.Connection,

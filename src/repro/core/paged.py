@@ -31,15 +31,17 @@ against the same v4 store through a **fixed-size page pool**:
 The ledger is the shared residency ledger: page ``loads`` /
 ``evictions`` / ``hits`` reconcile as ``loads - evictions ==
 resident_pages``, and ``resident_bytes`` / ``peak_resident_bytes``
-never exceed the configured pool budget.  The pool holds the store's
-one file handle; :meth:`PagedOracle.close` (or leaving a ``with``
-block) closes it.  ``benchmarks/bench_paged.py`` gates both the
-equivalence and the memory ceiling in CI.
+never exceed the configured pool budget.  The pool reads through the
+store's one :class:`~repro.core.store.StoreFile` descriptor, one
+positional read per page into a private buffer, so a store truncated
+in place answers a typed store error (``OSError``), never garbage;
+:meth:`PagedOracle.close` (or leaving a ``with`` block) releases the
+descriptor.  ``benchmarks/bench_paged.py`` gates both the equivalence
+and the memory ceiling in CI.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
@@ -47,8 +49,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from .residency import Residency
-from .store import (CompiledStore, PathLike, _ClosedTables, compile_sections,
-                    file_signature, section_layouts)
+from .store import CompiledStore, PathLike, StoreFile, _ClosedTables, compile_sections
 
 __all__ = ["PagedOracle", "DEFAULT_PAGE_BYTES", "PAGED_SECTIONS"]
 
@@ -67,8 +68,6 @@ PAGED_SECTIONS = ("pair_keys", "pair_distances", "hash_level2_a",
 _RESIDENT_SECTIONS = ("tree_table", "tree_radii", "chains",
                       "hash_level1")
 
-Layout = Tuple[int, np.dtype, Tuple[int, ...]]
-
 
 class _PagePool:
     """LRU pool of fixed-size pages over a store file's flat sections.
@@ -77,11 +76,11 @@ class _PagePool:
     ``(section, page_number)``.  ``gather`` is the only read path:
     element indices are sorted by page id so each distinct page is
     located (and, on a miss, loaded) exactly once per call, whatever
-    order the probe produced the indices in.
+    order the probe produced the indices in.  Pages are positional
+    reads through ``store``, the pool's one descriptor (``_handle``).
     """
 
-    def __init__(self, path: PathLike, layouts: Dict[str, Layout],
-                 page_bytes: int, max_pages: int):
+    def __init__(self, store: StoreFile, page_bytes: int, max_pages: int):
         if page_bytes < 8 or page_bytes % 8:
             raise ValueError("page_bytes must be a positive multiple "
                              "of 8 (all paged sections are 8-byte "
@@ -92,13 +91,13 @@ class _PagePool:
         self.max_pages = int(max_pages)
         self._geometry: Dict[str, Tuple[int, np.dtype, int, int]] = {}
         for name in PAGED_SECTIONS:
-            offset, dtype, shape = layouts[name]
+            offset, dtype, shape = store.layout(name)
             total = int(np.prod(shape, dtype=np.int64)) if shape else 1
             per_page = max(1, self.page_bytes // dtype.itemsize)
             self._geometry[name] = (offset, dtype, total, per_page)
         self.pages = Residency(self.max_pages)
         self._lock = threading.RLock()
-        self._handle = open(path, "rb")
+        self._handle = store
 
     def close(self) -> None:
         with self._lock:
@@ -133,20 +132,13 @@ class _PagePool:
         key = (section, page_no)
         page = self.pages.get(key)
         if page is None:
-            page = self._read(section, page_no)
+            offset, dtype, total, per_page = self._geometry[section]
+            start = page_no * per_page
+            size = min(per_page, total - start) * dtype.itemsize
+            raw = self._handle.read(offset + start * dtype.itemsize, size)
+            page = np.frombuffer(raw, dtype=dtype)
             self.pages.admit(key, page, page.nbytes)
         return page
-
-    def _read(self, section: str, page_no: int) -> np.ndarray:
-        offset, dtype, total, per_page = self._geometry[section]
-        start = page_no * per_page
-        count = min(per_page, total - start)
-        self._handle.seek(offset + start * dtype.itemsize)
-        raw = self._handle.read(count * dtype.itemsize)
-        if len(raw) != count * dtype.itemsize:  # pragma: no cover
-            raise ValueError(
-                f"short read paging {section} page {page_no}")
-        return np.frombuffer(raw, dtype=dtype)
 
 
 class _PagedColumn:
@@ -172,6 +164,8 @@ class PagedOracle(CompiledStore):
     ``page_bytes`` × ``max_pages`` pool shape).  Bit-identical to the
     mmap'd :class:`~repro.core.compiled.CompiledOracle` at any bound.
 
+    ``path`` is a store file or an open
+    :class:`~repro.core.store.StoreFile`, which the oracle takes over.
     Thread-safe: the pool serialises gathers behind an ``RLock``, so
     concurrent service workers share one pool the same way they share
     one tiled-store LRU.
@@ -181,70 +175,58 @@ class PagedOracle(CompiledStore):
                  max_resident_bytes: Optional[int] = None,
                  page_bytes: Optional[int] = None,
                  max_pages: Optional[int] = None):
-        started = time.perf_counter()
-        if page_bytes is None:
-            if max_resident_bytes is not None:
-                if max_resident_bytes < 8:
-                    raise ValueError(
-                        "max_resident_bytes must be at least 8 "
-                        "(one 8-byte element)")
-                # Split the budget into at least 8 pages: one probe
-                # round gathers from all six paged sections, so a pool
-                # with fewer pages than sections evicts *within* every
-                # round and can never hit.
-                page_bytes = max(8, min(DEFAULT_PAGE_BYTES,
-                                        max_resident_bytes // 8 // 8 * 8))
-            else:
-                page_bytes = DEFAULT_PAGE_BYTES
-        if max_pages is None:
-            if max_resident_bytes is not None:
-                max_pages = max(1, max_resident_bytes // page_bytes)
-            else:
-                max_pages = 1 << 30  # effectively unbounded
-        self.path = os.fspath(path)
-        self.stat_signature = file_signature(path)
-        meta, layouts = section_layouts(path)
-        if "tiles" in meta:
-            raise ValueError(
-                f"{path}: tiled stores page at tile granularity; "
-                "open with max_resident_tiles instead")
-        missing = [name for name in (*_RESIDENT_SECTIONS,
-                                     *PAGED_SECTIONS)
-                   if name not in layouts]
-        if missing:
-            raise ValueError(
-                f"{path}: store is missing sections {missing}")
-        self.epsilon = meta["epsilon"]
-        self.strategy = meta["strategy"]
-        self.method = meta["method"]
-        self.seed = meta["seed"]
-        self.fingerprint = meta["fingerprint"]
-        self.build: Dict[str, Any] = meta.get("build", {})
-        self.stats: Dict[str, Any] = dict(meta.get("stats", {}))
-        self.tree_meta: Dict[str, Any] = meta["tree"]
-
-        sections: Dict[str, Any] = {}
-        for name in _RESIDENT_SECTIONS:
-            offset, dtype, shape = layouts[name]
-            sections[name] = np.fromfile(
-                path, dtype=dtype, count=int(np.prod(shape)),
-                offset=offset).reshape(shape)
-        # Fixed resident state: every resident section plus the four
-        # key planes derived from the chains (4 × n·(h+1) × 8 bytes).
-        # Reported in the ledger so "bounded" is an auditable claim,
-        # not a slogan.
-        resident = sum(array.nbytes for array in sections.values())
-        self.fixed_bytes = resident + 4 * sections["chains"].nbytes
-        self._pool = _PagePool(path, layouts, page_bytes, max_pages)
-        for name in PAGED_SECTIONS:
-            sections[name] = _PagedColumn(self._pool, name)
+        store = StoreFile.of(path)
         try:
-            self.compiled = compile_sections(sections, seed=self.seed,
-                                             epsilon=self.epsilon)
+            if page_bytes is None:
+                if max_resident_bytes is not None:
+                    if max_resident_bytes < 8:
+                        raise ValueError(
+                            "max_resident_bytes must be at least 8 "
+                            "(one 8-byte element)"
+                        )
+                    # Split the budget into at least 8 pages: one probe
+                    # round gathers from all six paged sections, so a pool
+                    # with fewer pages than sections evicts *within* every
+                    # round and can never hit.
+                    page_bytes = max(
+                        8, min(DEFAULT_PAGE_BYTES, max_resident_bytes // 8 // 8 * 8)
+                    )
+                else:
+                    page_bytes = DEFAULT_PAGE_BYTES
+            if max_pages is None:
+                if max_resident_bytes is not None:
+                    max_pages = max(1, max_resident_bytes // page_bytes)
+                else:
+                    max_pages = 1 << 30  # effectively unbounded
+            if "tiles" in store.meta:
+                raise ValueError(
+                    f"{store.path}: tiled stores page at tile granularity; "
+                    "open with max_resident_tiles instead"
+                )
+            required = (*_RESIDENT_SECTIONS, *PAGED_SECTIONS)
+            missing = [name for name in required if name not in store.names]
+            if missing:
+                raise ValueError(f"{store.path}: store is missing sections {missing}")
+            self._identify(store.meta, store)
+            sections: Dict[str, Any] = {
+                name: store.array(name, mmap=False) for name in _RESIDENT_SECTIONS
+            }
+            # Fixed resident state: every resident section plus the four
+            # key planes derived from the chains (4 × n·(h+1) × 8 bytes).
+            # Reported in the ledger so "bounded" is an auditable claim,
+            # not a slogan.
+            resident = sum(array.nbytes for array in sections.values())
+            self.fixed_bytes = resident + 4 * sections["chains"].nbytes
+            self._pool = _PagePool(store, page_bytes, max_pages)
+            for name in PAGED_SECTIONS:
+                sections[name] = _PagedColumn(self._pool, name)
+            self.compiled = compile_sections(
+                sections, seed=self.seed, epsilon=self.epsilon
+            )
         except BaseException:
-            self._pool.close()  # no caller will get to close it
+            store.close()  # no caller will get to close it
             raise
-        self.load_seconds = time.perf_counter() - started
+        self.load_seconds = time.perf_counter() - store.opened
 
     def _release(self) -> None:
         self.compiled = _ClosedTables(self.path)

@@ -13,11 +13,15 @@ persistence story:
   compiled ancestor-chain matrix — plus one ``meta.json`` member
   carrying the workload fingerprint and build metadata.  The file is
   readable by plain ``numpy.load`` (it *is* an npz).
-* :func:`open_oracle` maps every section straight off disk
+* :class:`StoreFile` is the one reader, with one descriptor per open
+  store: every read (maps, copies, rows, pages, raw members) goes
+  through it, and ``close()`` (or collection) releases it.
+  :func:`open_oracle` opens one and hands it to the backend.  The
+  default backend maps every section straight off disk
   (``numpy.memmap``, read-only) and assembles a
   :class:`~repro.core.compiled.CompiledOracle` around the mapped
   tables — no JSON parse, no per-pair Python objects, no hash
-  construction.  Load cost is a few zip directory reads plus the
+  construction.  Load cost is one zip directory read plus the
   O(n·h) key-plane derivation; the O(#pairs) tables are never copied.
 * :func:`pack_document` converts a v1–v3 JSON document to v4 without
   needing the terrain (the document is self-contained), so existing
@@ -58,13 +62,15 @@ copy across every serving process on the host.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
+import threading
 import time
 import warnings
+import weakref
 import zipfile
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -78,7 +84,7 @@ from .oracle import SEOracle
 
 __all__ = ["pack_oracle", "pack_document", "open_oracle", "StoredOracle",
            "StoreHandle", "CompiledStore", "STORE_VERSION", "compile_sections",
-           "file_signature", "oracle_sections", "section_layouts"]
+           "file_signature", "oracle_sections", "section_layouts", "StoreFile"]
 
 PathLike = Union[str, os.PathLike]
 
@@ -209,15 +215,13 @@ def _reusable_members(previous: PathLike,
     """
     reusable: Dict[str, bytes] = {}
     try:
-        _, old_sections = read_store(previous, mmap=True)
-        with zipfile.ZipFile(previous) as archive:
+        with StoreFile(previous) as store:
             for name, array in sections.items():
-                old = old_sections.get(name)
-                if (old is None or old.dtype != array.dtype
-                        or old.shape != array.shape
+                old = store.array(name)
+                if (old.dtype != array.dtype or old.shape != array.shape
                         or not np.array_equal(old, array)):
                     continue
-                reusable[name] = archive.read(name + ".npy")
+                reusable[name] = store.member(name)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         return {}  # unreadable / incompatible previous: full write
     return reusable
@@ -301,71 +305,6 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
 # ----------------------------------------------------------------------
 # reading
 # ----------------------------------------------------------------------
-def _member_layout(handle, info: zipfile.ZipInfo
-                   ) -> Tuple[int, np.dtype, Tuple[int, ...], bool]:
-    """Payload layout ``(offset, dtype, shape, fortran)`` of one
-    ZIP_STORED npy member.
-
-    A ZIP_STORED member's bytes sit verbatim at a fixed offset: skip
-    the local file header (30 bytes + name + extra, read from the
-    header itself — the central directory copy can differ), parse the
-    npy header, and report where the raw array bytes start.
-    """
-    handle.seek(info.header_offset)
-    local = handle.read(30)
-    name_length = int.from_bytes(local[26:28], "little")
-    extra_length = int.from_bytes(local[28:30], "little")
-    handle.seek(info.header_offset + 30 + name_length + extra_length)
-    version = np.lib.format.read_magic(handle)
-    if version == (1, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-    elif version == (2, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-    else:  # pragma: no cover - we only ever write 1.0/2.0 headers
-        raise ValueError(f"unsupported npy header version {version}")
-    return handle.tell(), dtype, shape, fortran
-
-
-def _mmap_member(path: PathLike, handle,
-                 info: zipfile.ZipInfo) -> np.ndarray:
-    """Memory-map one ZIP_STORED npy member in place."""
-    offset, dtype, shape, fortran = _member_layout(handle, info)
-    return np.memmap(path, dtype=dtype, mode="r", offset=offset,
-                     shape=shape, order="F" if fortran else "C")
-
-
-def section_layouts(path: PathLike
-                    ) -> Tuple[Dict[str, Any],
-                               Dict[str, Tuple[int, np.dtype,
-                                               Tuple[int, ...]]]]:
-    """``(meta, layouts)`` where ``layouts`` maps each section name to
-    the absolute file ``(offset, dtype, shape)`` of its raw array
-    bytes — what the paged backend reads pages from, in place of a
-    whole-section mmap.  Only ZIP_STORED members have an in-place
-    layout; a compressed member raises (the paged backend cannot seek
-    into a deflate stream).
-    """
-    layouts: Dict[str, Tuple[int, np.dtype, Tuple[int, ...]]] = {}
-    with open(path, "rb") as handle:
-        with zipfile.ZipFile(handle) as archive:
-            meta = _read_meta_member(archive, path)
-            for info in archive.infolist():
-                if not info.filename.endswith(".npy"):
-                    continue
-                name = info.filename[:-4]
-                if info.compress_type != zipfile.ZIP_STORED:
-                    raise ValueError(
-                        f"{path}: section {name} is compressed; "
-                        "paged access needs ZIP_STORED members")
-                offset, dtype, shape, fortran = _member_layout(
-                    handle, info)
-                if fortran:  # pragma: no cover - we only write C order
-                    raise ValueError(
-                        f"{path}: section {name} is Fortran-ordered")
-                layouts[name] = (offset, dtype, shape)
-    return meta, layouts
-
-
 def _read_meta_member(archive: zipfile.ZipFile,
                       path: PathLike) -> Dict[str, Any]:
     """Read + validate the meta member (format name and version)."""
@@ -383,9 +322,176 @@ def _read_meta_member(archive: zipfile.ZipFile,
     return meta
 
 
-def read_store(path: PathLike, mmap: bool = True
+def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+class StoreFile:
+    """One open v4 store file: the reader behind every backend.
+
+    Opening reads the zip directory and the validated meta document
+    once; each section's npy header is parsed once, on first use.
+    Every read goes through the one descriptor opened here — section
+    maps and copies (:meth:`array`), positional row and page reads
+    (:meth:`rows`, :meth:`read`), raw members (:meth:`member`) — so a
+    reader keeps reading the generation it opened after an
+    ``os.replace``.  :meth:`close` (or leaving a ``with`` block)
+    releases the descriptor, as does collecting an unclosed reader (a
+    raw descriptor: no ``ResourceWarning``).  Maps already handed out
+    hold their own reference to the file and stay valid.
+    """
+
+    def __init__(self, path: PathLike):
+        self.opened = time.perf_counter()
+        self.path = os.fspath(path)
+        self._fd = fd = os.open(self.path, os.O_RDONLY)
+        self._finalizer = weakref.finalize(self, os.close, fd)
+        self._lock = threading.Lock()
+        self._layouts: Dict[str, Tuple[int, np.dtype, Tuple[int, ...]]] = {}
+        self._warned = False
+        try:
+            #: the file generation opened (see :func:`file_signature`)
+            self.signature = _signature(os.fstat(fd))
+            # The seeking side (zip reader, np.memmap, header parses)
+            # shares the descriptor but never owns it.
+            self._file = open(fd, "rb", closefd=False)
+            self._archive = zipfile.ZipFile(self._file)
+            self._members = {info.filename[:-4]: info
+                             for info in self._archive.infolist()
+                             if info.filename.endswith(".npy")}
+            self.meta = _read_meta_member(self._archive, self.path)
+        except BaseException:
+            self._finalizer()
+            raise
+        #: section names, in file order
+        self.names = tuple(self._members)
+
+    @classmethod
+    def of(cls, source: Union["StoreFile", PathLike]) -> "StoreFile":
+        """``source`` itself if it is an open reader, else a new one."""
+        return source if isinstance(source, cls) else cls(source)
+
+    @property
+    def closed(self) -> bool:
+        return not self._finalizer.alive
+
+    def close(self) -> None:
+        """Release the descriptor; closing twice is a no-op."""
+        with self._lock:
+            self._archive.close()
+            self._file.close()
+            self._fd = -1
+            self._finalizer()
+
+    def __enter__(self) -> "StoreFile":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def layout(self, name: str) -> Tuple[int, np.dtype, Tuple[int, ...]]:
+        """``(offset, dtype, shape)``: where a section's raw array bytes
+        start in the file.  Only a ZIP_STORED member has one; a
+        compressed member raises."""
+        layout = self._layouts.get(name)
+        if layout is not None:
+            return layout
+        info = self._members[name]
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(
+                f"{self.path}: section {name} is compressed; in-place "
+                "reads need ZIP_STORED members")
+        with self._lock:
+            handle = self._file
+            handle.seek(info.header_offset)
+            local = handle.read(30)
+            # Skip the local header by its own name/extra lengths —
+            # the central directory's copy can differ.
+            handle.seek(info.header_offset + 30
+                        + int.from_bytes(local[26:28], "little")
+                        + int.from_bytes(local[28:30], "little"))
+            if np.lib.format.read_magic(handle) == (1, 0):
+                header = np.lib.format.read_array_header_1_0(handle)
+            else:  # 2.0: a header too long for 1.0's 2-byte length
+                header = np.lib.format.read_array_header_2_0(handle)
+            shape, fortran, dtype = header
+            offset = handle.tell()
+        if fortran:  # pragma: no cover - we only write C order
+            raise ValueError(f"{self.path}: section {name} is Fortran-ordered")
+        layout = self._layouts[name] = (offset, dtype, shape)
+        return layout
+
+    def array(self, name: str, mmap: bool = True) -> np.ndarray:
+        """One whole section: a read-only ``np.memmap`` with ``mmap``,
+        else a private copy.  A compressed member cannot be mapped in
+        place and loads as a copy; the first time that happens with
+        ``mmap``, one ``RuntimeWarning`` names every compressed section
+        of the file."""
+        if self._members[name].compress_type != zipfile.ZIP_STORED:
+            if mmap and not self._warned:
+                self._warned = True
+                compressed = sorted(
+                    section for section, info in self._members.items()
+                    if info.compress_type != zipfile.ZIP_STORED)
+                warnings.warn(
+                    f"{self.path}: sections {compressed} are compressed and "
+                    "load eagerly (no zero-copy mmap); repack with "
+                    "pack_oracle for in-place serving",
+                    RuntimeWarning, stacklevel=2)
+            with self._lock, self._archive.open(name + ".npy") as member:
+                return np.lib.format.read_array(member, allow_pickle=False)
+        offset, dtype, shape = self.layout(name)
+        if not mmap:
+            return self.rows(name, 0, shape[0])
+        with self._lock:
+            return np.memmap(self._file, dtype=dtype, mode="r",
+                             offset=offset, shape=shape)
+
+    def rows(self, name: str, start: int, count: int) -> np.ndarray:
+        """Rows ``start .. start + count`` of a section, in one
+        positional read."""
+        offset, dtype, shape = self.layout(name)
+        row_bytes = dtype.itemsize * int(np.prod(shape[1:], dtype=np.int64))
+        raw = self.read(offset + start * row_bytes, count * row_bytes)
+        return np.frombuffer(raw, dtype=dtype).reshape((count, *shape[1:]))
+
+    def read(self, offset: int, size: int) -> bytes:
+        """``size`` bytes at file ``offset``, in one positional read
+        (no shared file position).  A short read means the file was
+        truncated under the reader: a store I/O error."""
+        raw = os.pread(self._fd, size, offset)
+        if len(raw) != size:
+            raise OSError(
+                errno.EIO, f"{self.path}: short read at byte {offset} "
+                f"({len(raw)} of {size} bytes); was the store truncated?")
+        return raw
+
+    def member(self, name: str) -> bytes:
+        """A section's whole ``.npy`` member bytes, header included."""
+        with self._lock:
+            return self._archive.read(name + ".npy")
+
+
+def section_layouts(path: PathLike
+                    ) -> Tuple[Dict[str, Any],
+                               Dict[str, Tuple[int, np.dtype,
+                                               Tuple[int, ...]]]]:
+    """``(meta, layouts)`` where ``layouts`` maps each section name to
+    the absolute file ``(offset, dtype, shape)`` of its raw array
+    bytes (:meth:`StoreFile.layout`).  Only ZIP_STORED members have an
+    in-place layout; a compressed member raises (nothing can seek into
+    a deflate stream).
+    """
+    with StoreFile(path) as store:
+        return store.meta, {name: store.layout(name)
+                            for name in store.names}
+
+
+def read_store(path: Union[StoreFile, PathLike], mmap: bool = True
                ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    """Raw access: the meta document plus every section array.
+    """Raw access: the meta document plus every section array, read
+    from ``path`` (a store file, or an open :class:`StoreFile`, which
+    is closed once the sections are read; maps stay valid).
 
     The returned meta gains a ``sections`` entry recording, per
     section, whether it was handed out as a zero-copy mmap
@@ -394,39 +500,18 @@ def read_store(path: PathLike, mmap: bool = True
     found the eager fallback is no longer silent — one
     ``RuntimeWarning`` names the affected sections.
     """
-    sections: Dict[str, np.ndarray] = {}
-    section_meta: Dict[str, Dict[str, bool]] = {}
-    with open(path, "rb") as handle:
-        with zipfile.ZipFile(handle) as archive:
-            meta = _read_meta_member(archive, path)
-            for info in archive.infolist():
-                if not info.filename.endswith(".npy"):
-                    continue
-                name = info.filename[:-4]
-                if mmap and info.compress_type == zipfile.ZIP_STORED:
-                    sections[name] = _mmap_member(path, handle, info)
-                    section_meta[name] = {"zero_copy": True}
-                else:
-                    with archive.open(info.filename) as member:
-                        sections[name] = np.lib.format.read_array(
-                            member, allow_pickle=False)
-                    section_meta[name] = {"zero_copy": False}
-    meta["sections"] = section_meta
-    if mmap:
-        eager = sorted(name for name, info in section_meta.items()
-                       if not info["zero_copy"])
-        if eager:
-            warnings.warn(
-                f"{path}: sections {eager} are compressed and were "
-                "loaded eagerly (no zero-copy mmap); repack with "
-                "pack_oracle for in-place serving",
-                RuntimeWarning, stacklevel=2)
+    with StoreFile.of(path) as store:
+        sections = {name: store.array(name, mmap) for name in store.names}
+    meta = dict(store.meta)
+    meta["sections"] = {
+        name: {"zero_copy": isinstance(array, np.memmap)}
+        for name, array in sections.items()}
     if "tiles" not in meta:  # tiled stores keep sections per tile
         missing = [name for name in _REQUIRED_SECTIONS
                    if name not in sections]
         if missing:
             raise ValueError(
-                f"{path}: store is missing sections {missing}")
+                f"{store.path}: store is missing sections {missing}")
     return meta, sections
 
 
@@ -440,10 +525,9 @@ def file_signature(path: PathLike) -> Optional[Tuple[int, int, int]]:
     ``None`` when the file is (transiently) absent.
     """
     try:
-        stat = os.stat(path)
+        return _signature(os.stat(path))
     except OSError:
         return None
-    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
 def read_store_meta(path: PathLike) -> Dict[str, Any]:
@@ -452,8 +536,8 @@ def read_store_meta(path: PathLike) -> Dict[str, Any]:
     Validates format name *and* version, so a registration that
     succeeds is a store :func:`open_oracle` can actually serve.
     """
-    with zipfile.ZipFile(path) as archive:
-        return _read_meta_member(archive, path)
+    with StoreFile(path) as store:
+        return store.meta
 
 
 def compile_sections(sections, *, seed: int,
@@ -482,11 +566,30 @@ class _ClosedTables:
 class StoreHandle:
     """What every opened store shares: the file it serves
     (``path``), the file generation it opened (``stat_signature``),
-    the workload it was packed for (``fingerprint``), and an
+    its build identity read from the meta document (:meth:`_identify`:
+    ``fingerprint`` names the workload it was packed for), and an
     idempotent :meth:`close`, also run on leaving a ``with`` block.
     Subclasses release their resources in :meth:`_release`."""
 
     closed = False
+
+    def _identify(self, meta: Dict[str, Any],
+                  store: Optional[StoreFile] = None) -> None:
+        """Set the build identity from ``meta`` (epsilon, strategy,
+        method, seed, fingerprint, build, stats, tree_meta), and the
+        file and generation ``store`` opened (``None``: an in-memory
+        build)."""
+        self.meta = meta
+        self.epsilon = meta["epsilon"]
+        self.strategy = meta["strategy"]
+        self.method = meta["method"]
+        self.seed = meta["seed"]
+        self.fingerprint = meta["fingerprint"]
+        self.build: Dict[str, Any] = meta.get("build", {})
+        self.stats: Dict[str, Any] = dict(meta.get("stats", {}))
+        self.tree_meta: Dict[str, Any] = meta["tree"]
+        self.path = None if store is None else store.path
+        self.stat_signature = None if store is None else store.signature
 
     @property
     def supports_updates(self) -> bool:
@@ -598,11 +701,14 @@ class _MappedPairSet(NodePairSet):
         return int(self._keys.shape[0])
 
 
-@dataclass
 class StoredOracle(CompiledStore):
     """An opened v4 store: compiled query tables + build metadata.
 
-    The compiled tables are live immediately (queries need no engine);
+    ``path`` is a store file or an open :class:`StoreFile`, which the
+    oracle takes over.  Every section is mapped read-only (``mmap``)
+    or copied at open, and a map keeps its own reference to the file,
+    so the reader closes as soon as the tables exist.  The compiled
+    tables are live immediately (queries need no engine);
     :meth:`to_oracle` rehydrates a full :class:`~repro.core.oracle.
     SEOracle` against a terrain engine when the scalar/tree API is
     needed — e.g. for a binary -> JSON conversion.  :meth:`close`
@@ -610,20 +716,19 @@ class StoredOracle(CompiledStore):
     rehydrated oracle) keep their own references.
     """
 
-    path: str
-    epsilon: float
-    strategy: str
-    method: str
-    seed: int
-    fingerprint: str
-    build: Dict[str, Any]
-    stats: Dict[str, Any]
-    tree_meta: Dict[str, Any]
-    compiled: CompiledOracle
-    load_seconds: float
-    _sections: Dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-    #: file generation the maps were opened from (None: unknown)
-    stat_signature: Optional[Tuple[int, int, int]] = None
+    def __init__(self, path: Union[StoreFile, PathLike], mmap: bool = True):
+        store = StoreFile.of(path)
+        meta, self._sections = read_store(store, mmap)
+        self._identify(store.meta, store)
+        # Surface the zero-copy ledger: sections that could not be mapped
+        # in place (compressed members) are a serving-performance smell.
+        self.stats["non_zero_copy_sections"] = sorted(
+            name for name, entry in meta["sections"].items()
+            if not entry["zero_copy"])
+        self.compiled = compile_sections(self._sections, seed=self.seed,
+                                         epsilon=self.epsilon)
+        # The open itself, not the cost of hashing the terrain.
+        self.load_seconds = time.perf_counter() - store.opened
 
     def _release(self) -> None:
         self._sections = self.compiled = _ClosedTables(self.path)
@@ -694,7 +799,8 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
     lazily; or, with ``max_resident_bytes``, a
     :class:`~repro.core.paged.PagedOracle` that pages the pair/hash
     columns through a bounded pool.  All serve the ``DistanceIndex``
-    protocol.
+    protocol.  The file is opened once, as one :class:`StoreFile`
+    that the returned backend reads through and owns.
 
     Parameters
     ----------
@@ -710,8 +816,10 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
         With ``engine``: raise on a workload fingerprint mismatch.
     mmap:
         Map sections read-only straight off disk (default).  ``False``
-        reads copies instead — only useful when the file will be
-        replaced while open.
+        reads copies instead.  Every backend reads the descriptor it
+        opened, so an ``os.replace`` of the file is safe either way;
+        copies matter only when the file may be truncated or rewritten
+        in place, where touching a mapped page raises SIGBUS.
     max_resident_tiles:
         Tiled stores only: bound on concurrently resident tile tables
         (``None``: unbounded).  Ignored for monolithic stores.
@@ -722,20 +830,16 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
         Queries are bit-identical at any bound.  Tiled stores page at
         tile granularity — combining both is an error.
     """
-    started = time.perf_counter()
-    if "tiles" in read_store_meta(path):
-        if max_resident_bytes is not None:
-            raise ValueError(
-                f"{path}: tiled stores page at tile granularity; use "
-                "max_resident_tiles instead of max_resident_bytes")
+    store = StoreFile(path)
+    if max_resident_bytes is not None:
+        from .paged import PagedOracle
+        stored = PagedOracle(store, max_resident_bytes=max_resident_bytes)
+    elif "tiles" in store.meta:
         from .tiled import open_tiled_oracle
         stored = open_tiled_oracle(
-            path, mmap=mmap, max_resident_tiles=max_resident_tiles)
-    elif max_resident_bytes is not None:
-        from .paged import PagedOracle
-        stored = PagedOracle(path, max_resident_bytes=max_resident_bytes)
+            store, mmap=mmap, max_resident_tiles=max_resident_tiles)
     else:
-        stored = _open_mapped(path, mmap, started)
+        stored = StoredOracle(store, mmap=mmap)
     if engine is not None and strict:
         try:
             stored.check_fingerprint(engine)
@@ -743,35 +847,3 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
             stored.close()
             raise
     return stored
-
-
-def _open_mapped(path: PathLike, mmap: bool,
-                 started: float) -> StoredOracle:
-    """The whole-section :class:`StoredOracle` half of
-    :func:`open_oracle` (``started``: when the open began)."""
-    signature = file_signature(path)
-    meta, sections = read_store(path, mmap=mmap)
-    compiled = compile_sections(sections, seed=meta["seed"],
-                                epsilon=meta["epsilon"])
-    # Surface the zero-copy ledger: sections that could not be mapped
-    # in place (compressed members) are a serving-performance smell.
-    stats = dict(meta.get("stats", {}))
-    stats["non_zero_copy_sections"] = sorted(
-        name for name, info in meta.get("sections", {}).items()
-        if not info.get("zero_copy", True))
-    return StoredOracle(
-        path=os.fspath(path),
-        epsilon=meta["epsilon"],
-        strategy=meta["strategy"],
-        method=meta["method"],
-        seed=meta["seed"],
-        fingerprint=meta["fingerprint"],
-        build=meta.get("build", {}),
-        stats=stats,
-        tree_meta=meta["tree"],
-        compiled=compiled,
-        # The open itself, not the cost of hashing the terrain.
-        load_seconds=time.perf_counter() - started,
-        _sections=sections,
-        stat_signature=signature,
-    )

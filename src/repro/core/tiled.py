@@ -66,10 +66,8 @@ blocks once from the tile tables.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-import zipfile
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -94,13 +92,11 @@ from .residency import Counts, Residency
 from .store import (
     _FORMAT_NAME,
     _HASH_SECTIONS,
-    _mmap_member,
-    _read_meta_member,
     _write_store,
     STORE_VERSION,
+    StoreFile,
     StoreHandle,
     compile_sections,
-    file_signature,
 )
 
 __all__ = [
@@ -493,83 +489,55 @@ def open_tiled_oracle(path, mmap: bool = True,
                       ) -> "TiledOracle":
     """Open a tiled store with *lazily paged* tile tables.
 
-    Only the small routing arrays (owner/local maps, global portal
-    ids, POI×portal blocks — plus the mmap'd boundary matrix) are
-    touched up front; each tile's query tables are mapped on first use
-    and page through the oracle's internal LRU.  A store packed before
-    the blocks existed has no ``poi_portal`` section: its blocks are
-    derived here, once, from each tile's tables, outside the tile
-    ledger.  Prefer :func:`~repro.core.store.open_oracle`, which
-    dispatches here on the meta tile directory.
+    ``path`` is a store file or an open :class:`~repro.core.store.
+    StoreFile`, which the oracle takes over: every read, tile loads
+    included, goes through its one descriptor.  Only the small routing
+    arrays (owner/local maps, global portal ids, POI×portal blocks —
+    plus the mmap'd boundary matrix) are touched up front; each tile's
+    query tables are mapped on first use and page through the oracle's
+    internal LRU.  A store packed before the blocks existed has no
+    ``poi_portal`` section: its blocks are derived here, once, from
+    each tile's tables, outside the tile ledger.  Prefer
+    :func:`~repro.core.store.open_oracle`, which dispatches here on the
+    meta tile directory.
     """
-    started = time.perf_counter()
-    signature = file_signature(path)
-    with open(path, "rb") as handle:
-        with zipfile.ZipFile(handle) as archive:
-            meta = _read_meta_member(archive, path)
-            if "tiles" not in meta:
-                raise ValueError(f"{path}: not a tiled oracle store")
-            count = int(meta["tiles"]["count"])
-            infos = {info.filename: info
-                     for info in archive.infolist()
-                     if info.filename.endswith(".npy")}
+    store = StoreFile.of(path)
+    try:
+        meta = store.meta
+        if "tiles" not in meta:
+            raise ValueError(f"{store.path}: not a tiled oracle store")
 
-            def read(name: str, copy: bool = False) -> np.ndarray:
-                info = infos[name + ".npy"]
-                if mmap and not copy:
-                    return _mmap_member(path, handle, info)
-                with archive.open(info.filename) as member:
-                    return np.lib.format.read_array(
-                        member, allow_pickle=False)
+        def loader(tile: int) -> Dict[str, np.ndarray]:
+            prefix = _tile_prefix(tile)
+            return {name: store.array(prefix + name, mmap)
+                    for name in _TILE_QUERY_SECTIONS}
 
-            owner = read("tiles/owner")
-            local = read("tiles/local")
-            boundary = read("tiles/boundary")
-            portal_global = []
-            poi_portal: List[Optional[np.ndarray]] = []
-            legacy: Dict[int, np.ndarray] = {}
-            tile_infos = []
-            for tile in range(count):
-                prefix = _tile_prefix(tile)
-                portal_global.append(
-                    read(prefix + "portal_global", copy=True))
-                if prefix + "poi_portal.npy" in infos:
-                    poi_portal.append(
-                        read(prefix + "poi_portal", copy=True))
-                else:  # packed before the blocks existed
-                    poi_portal.append(None)
-                    legacy[tile] = read(prefix + "portal_local",
-                                        copy=True)
-                tile_infos.append({
-                    name: infos[prefix + name + ".npy"]
-                    for name in _TILE_QUERY_SECTIONS})
-
-    def loader(tile: int) -> Dict[str, np.ndarray]:
-        sections: Dict[str, np.ndarray] = {}
-        if mmap:
-            with open(path, "rb") as handle:
-                for name, info in tile_infos[tile].items():
-                    sections[name] = _mmap_member(path, handle, info)
-        else:
-            with zipfile.ZipFile(path) as archive:
-                for name, info in tile_infos[tile].items():
-                    with archive.open(info.filename) as member:
-                        sections[name] = np.lib.format.read_array(
-                            member, allow_pickle=False)
-        return sections
-
-    for tile, portals in legacy.items():
-        compiled = compile_sections(loader(tile), seed=int(meta["seed"]),
-                                    epsilon=float(meta["epsilon"]))
-        poi_portal[tile] = _poi_portal(
-            compiled, int(np.count_nonzero(owner == tile)), portals)
-    oracle = TiledOracle(
-        meta=meta, owner=owner, local=local, boundary=boundary,
-        portal_global=portal_global, poi_portal=poi_portal,
-        loader=loader, path=os.fspath(path),
-        max_resident_tiles=max_resident_tiles,
-        stat_signature=signature)
-    oracle.load_seconds = time.perf_counter() - started
+        portal_global = []
+        poi_portal: List[np.ndarray] = []
+        owner = store.array("tiles/owner", mmap)
+        for tile in range(int(meta["tiles"]["count"])):
+            prefix = _tile_prefix(tile)
+            portal_global.append(
+                store.array(prefix + "portal_global", mmap=False))
+            if prefix + "poi_portal" in store.names:
+                poi_portal.append(
+                    store.array(prefix + "poi_portal", mmap=False))
+            else:  # packed before the blocks existed
+                compiled = compile_sections(loader(tile), seed=meta["seed"],
+                                            epsilon=meta["epsilon"])
+                poi_portal.append(_poi_portal(
+                    compiled, int(np.count_nonzero(owner == tile)),
+                    store.array(prefix + "portal_local", mmap=False)))
+        oracle = TiledOracle(
+            meta=meta, owner=owner, local=store.array("tiles/local", mmap),
+            boundary=store.array("tiles/boundary", mmap),
+            portal_global=portal_global, poi_portal=poi_portal,
+            loader=loader, store=store,
+            max_resident_tiles=max_resident_tiles)
+    except BaseException:
+        store.close()  # no caller will get to close it
+        raise
+    oracle.load_seconds = time.perf_counter() - store.opened
     return oracle
 
 
@@ -602,10 +570,10 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
     reads only the always-resident POI×portal blocks and boundary
     matrix.  The per-tile query tables (chains + frozen hash) serve
     the intra-tile direct legs: they load lazily through ``loader``
-    and at most ``max_resident_tiles`` stay resident (``None``:
-    unbounded) in a :class:`~repro.core.residency.Residency`; loads,
-    evictions and hits are counted per tile for the serving layer's
-    ``stats``.
+    (from ``store``, which the oracle closes with itself) and at most
+    ``max_resident_tiles`` stay resident (``None``: unbounded) in a
+    :class:`~repro.core.residency.Residency`; loads, evictions and hits
+    are counted per tile for the serving layer's ``stats``.
 
     Thread-safe: one re-entrant lock serialises paging and queries, so
     an eviction can never tear an in-flight batch.  Results are
@@ -616,20 +584,11 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
     def __init__(self, *, meta: Dict[str, Any], owner, local, boundary,
                  portal_global: Sequence, poi_portal: Sequence,
                  loader: Callable[[int], Dict[str, np.ndarray]],
-                 path: Optional[str] = None,
-                 max_resident_tiles: Optional[int] = None,
-                 stat_signature=None):
-        self.meta = meta
-        self.path = path
-        self.epsilon = float(meta["epsilon"])
-        self.strategy = meta.get("strategy", "random")
-        self.method = meta.get("method", "efficient")
-        self.seed = int(meta["seed"])
-        self.fingerprint = meta.get("fingerprint", "")
-        self.build = meta.get("build", {})
-        self.stats = meta.get("stats", {})
+                 store: Optional[StoreFile] = None,
+                 max_resident_tiles: Optional[int] = None):
+        self._identify(meta, store)
+        self._store = store
         self.load_seconds = 0.0
-        self.stat_signature = stat_signature
         self._owner = np.asarray(owner)
         self._local = np.asarray(local)
         # A plain view: slicing an np.memmap costs a Python call.
@@ -689,6 +648,8 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
     def _release(self) -> None:
         with self._lock:
             self._resident.clear()
+            if self._store is not None:
+                self._store.close()
 
     # ------------------------------------------------------------------
     # paging

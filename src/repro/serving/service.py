@@ -25,7 +25,7 @@ Design
   :meth:`evict`, a generation refresh, re-registration,
   :meth:`unregister`, :meth:`close` — counts one eviction and closes
   it, so ``loads - evictions`` is the number of resident stores and a
-  paged store's file handle never outlives its residency.
+  store's file descriptor never outlives its residency.
 * **Tiled and paged terrains page inside the store.**  A store packed
   by ``build --tiles`` opens as a :class:`~repro.core.tiled.
   TiledOracle` whose own residency pages tile tables under
@@ -480,7 +480,6 @@ class OracleService:
                 # fresh open.  No query is in flight on it — every
                 # query holds the service lock.
                 self._resident.drop(terrain_id)
-                registration.meta = read_store_meta(registration.path)
                 registration.counters.refreshes += 1
         stored = self._resident.get(terrain_id)
         if stored is None:
@@ -488,6 +487,7 @@ class OracleService:
                 registration.path,
                 max_resident_tiles=registration.max_resident_tiles,
                 max_resident_bytes=registration.max_resident_bytes)
+            registration.meta = stored.meta
             registration.counters.load_seconds += stored.load_seconds
             self._resident.admit(terrain_id, stored)
         return stored
@@ -693,7 +693,7 @@ class OracleService:
         with open_oracle(registration.path, engine=overlay.engine,
                          strict=True) as stored:
             overlay.adopt_store(stored)
-        registration.meta = read_store_meta(registration.path)
+        registration.meta = stored.meta
         registration.counters.flushes += 1
         registration.dirty = False
         return registration.meta

@@ -13,7 +13,8 @@ resident page count and the peak must respect the configured budget.
 Satellite coverage: the zero-copy fallback tests pin
 :func:`~repro.core.store.read_store`'s per-section ``zero_copy`` meta,
 the one-shot ``RuntimeWarning`` on compressed stores, and the
-``non_zero_copy_sections`` surfacing in ``StoredOracle`` stats.
+``non_zero_copy_sections`` surfacing in ``StoredOracle`` stats; a
+store truncated under a paged terrain answers a store error.
 """
 
 import os
@@ -28,6 +29,8 @@ from repro.core import SEOracle, open_oracle, pack_oracle
 from repro.core.paged import PAGED_SECTIONS, PagedOracle
 from repro.core.store import read_store, section_layouts
 from repro.geodesic import GeodesicEngine
+from repro.serving import OracleService, TerrainSpec
+from repro.serving.protocol import classify_exception
 from repro.terrain import make_terrain, sample_uniform
 
 NUM_POIS = 24
@@ -258,3 +261,20 @@ class TestZeroCopyFallback:
         _recompress(path, squeezed, {"pair_keys.npy"})
         with pytest.raises(ValueError, match="compress"):
             section_layouts(squeezed)
+
+
+class TestTruncatedStore:
+    def test_short_read_is_a_store_error(self, packed, tmp_path):
+        """A paged terrain reads pages by positional reads, so a store
+        truncated in place under it answers a typed store error (the
+        wire's ``internal``), not the client-input ``bad-value``."""
+        path, _ = packed
+        copy = tmp_path / "truncated.store"
+        shutil.copyfile(path, copy)
+        with OracleService() as service:
+            service.register("p", TerrainSpec(copy, max_resident_bytes=64))
+            service.k_nearest("p", 0, 3)
+            os.truncate(copy, os.path.getsize(copy) // 2)
+            with pytest.raises(OSError) as caught:
+                service.k_nearest("p", 1, 3)
+        assert classify_exception(caught.value)[0] == "internal"

@@ -1,6 +1,6 @@
 """Tiled terrain sharding: per-tile oracles, stitching, paging, API.
 
-Four concerns, one axis each:
+Five concerns, one axis each:
 
 1. **Correctness of stitching** — a ``--tiles N`` oracle must stay
    within the monolithic oracle's ``(1 + eps)`` guarantee against
@@ -20,8 +20,12 @@ Four concerns, one axis each:
    :class:`~repro.core.index.DistanceIndex` with no per-family
    arguments; a tiled oracle and a mutable overlay answer through the
    same signature.
+5. **One store reader** — every read of an open tiled store goes
+   through the descriptor it opened, so an ``os.replace`` mid-serve
+   cannot tear it, and DEFLATED members load as copies.
 """
 
+import os
 import pathlib
 import threading
 import warnings
@@ -304,6 +308,51 @@ class TestStoreWithoutBlocks:
             assert stored.tile_counters()["loads"] == 0
             assert (stored.query_batch(sources, targets) == batch).all()
             assert (stored.query_matrix() == matrix).all()
+
+
+class TestStoreReader:
+    """Every read of an open tiled store — tile loads included — goes
+    through the one descriptor it opened."""
+
+    def test_replace_mid_serve_keeps_the_opened_generation(self,
+                                                           tmp_path):
+        mesh, pois = _workload()
+        path = tmp_path / "t.store"
+        pack_tiled(build_tiled_oracle(mesh, pois, EPSILON, tiles=2,
+                                      seed=0), path)
+        sources, targets = _all_pairs(NUM_POIS)
+        with open_oracle(path) as reference:
+            expected = reference.query_batch(sources, targets)
+        staged = tmp_path / "next.store"
+        pack_tiled(build_tiled_oracle(mesh, pois, 0.5, tiles=3, seed=1),
+                   staged)
+        with open_oracle(path, max_resident_tiles=1) as stored:
+            os.replace(staged, path)
+            assert stored.is_stale()
+            assert (stored.query_batch(sources, targets) == expected).all()
+        with open_oracle(path) as replaced:
+            assert (replaced.query_batch(sources, targets) != expected).any()
+
+    def test_compressed_members_load_as_copies(self, tiled_store,
+                                               tmp_path):
+        """As in a monolithic store, a DEFLATED member cannot be mapped
+        and loads as a copy, with the zero-copy warning."""
+        squeezed = tmp_path / "squeezed.store"
+        deflated = {"tiles/boundary.npy", "tiles/0000/pair_keys.npy"}
+        with zipfile.ZipFile(tiled_store) as source, \
+                zipfile.ZipFile(squeezed, "w") as target:
+            for info in source.infolist():
+                target.writestr(
+                    info.filename, source.read(info.filename),
+                    compress_type=(zipfile.ZIP_DEFLATED
+                                   if info.filename in deflated
+                                   else zipfile.ZIP_STORED))
+        with open_oracle(tiled_store) as pristine:
+            expected = pristine.query_matrix()
+        with pytest.warns(RuntimeWarning, match="zero-copy"):
+            stored = open_oracle(squeezed, max_resident_tiles=1)
+        with stored:
+            assert (stored.query_matrix() == expected).all()
 
 
 class TestServiceTiledTerrains:
