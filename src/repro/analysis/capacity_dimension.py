@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..geodesic.engine import GeodesicEngine
+from ..geodesic.engine import GeodesicEngine, PoiRow
 
 __all__ = ["CapacityDimensionEstimate", "greedy_packing_number",
            "estimate_capacity_dimension"]
@@ -82,9 +82,9 @@ def estimate_capacity_dimension(engine: GeodesicEngine,
     centers = rng.sample(range(n), min(num_centers, n))
 
     # Full rows for every POI we will ever compare (centres + members).
-    rows: Dict[int, Dict[int, float]] = {}
+    rows: Dict[int, PoiRow] = {}
 
-    def row(poi: int) -> Dict[int, float]:
+    def row(poi: int) -> PoiRow:
         if poi not in rows:
             rows[poi] = engine.distances_from_poi(poi)
         return rows[poi]
@@ -93,13 +93,12 @@ def estimate_capacity_dimension(engine: GeodesicEngine,
     probes = 0
     for center in centers:
         from_center = row(center)
-        reach = max(from_center.values())
+        reach = float(from_center.dists.max())
         if reach <= 0:
             continue
         for step in range(1, radius_steps + 1):
             radius = reach * step / radius_steps
-            members = [poi for poi, dist in from_center.items()
-                       if dist <= radius]
+            members = from_center.ids[from_center.dists <= radius].tolist()
             if len(members) < 3:
                 continue
             probes += 1

@@ -42,7 +42,7 @@ class FullAPSPBaseline:
         matrix = np.full((n, n), np.inf)
         rows = engine.distances_many(range(n))
         for source, row in enumerate(rows):
-            matrix[source, list(row)] = list(row.values())
+            matrix[source, row.ids] = row.dists
         self._matrix = matrix
         self.stats.total_seconds = time.perf_counter() - started
         self.stats.ssad_calls = engine.ssad_calls - calls_before

@@ -15,8 +15,9 @@ fast compiled tables.
 * **insert**: the new POI joins a small overlay set.  Its *delta row*
   — exact engine-metric distances to every base POI, plus cache
   entries against the other overlay POIs — is computed by **one**
-  multi-target SSAD on first touch and memoised, so an insert itself
-  is O(1) graph surgery and queries never trigger a full recompile;
+  whole-row SSAD on first touch (on SciPy, over the graph with its
+  overlay) and memoised, so an insert itself is O(1) graph surgery
+  and queries never trigger a full recompile;
 * **delete**: the POI is tombstoned in an alive mask; querying it
   raises ``KeyError``;
 * once the overlay + tombstones exceed ``rebuild_factor`` times the
@@ -204,21 +205,19 @@ class DynamicSEOracle:
         """Per base POI: distance of its nearest *inserted* (overlay)
         POI — the memo's row-invalidation data.
 
-        Read straight off the overlay delta rows (one multi-target
-        SSAD per inserted POI, usually already memoised by queries):
-        a cached SSAD row of source ``c`` with bound ``r`` is only
-        replayable when every inserted POI is farther than ``r`` from
-        ``c``, since the fresh row would otherwise contain it.
+        Read straight off the overlay delta rows (one SSAD per
+        inserted POI, usually already memoised by queries): a cached
+        SSAD row of source ``c`` with bound ``r`` is only replayable
+        when every inserted POI is farther than ``r`` from ``c``,
+        since the fresh row would otherwise contain it.
         """
-        blocked: Dict[int, float] = {}
-        for inserted in sorted(self._overlay):
-            row = self._ensure_delta_row(inserted)
-            for external, slot in self._base_index.items():
-                distance = float(row[slot])
-                nearest = blocked.get(external)
-                if nearest is None or distance < nearest:
-                    blocked[external] = distance
-        return blocked
+        nearest = np.minimum.reduce([
+            self._ensure_delta_row(inserted)
+            for inserted in sorted(self._overlay)
+        ])
+        externals = list(self._base_index)
+        slots = list(self._base_index.values())
+        return dict(zip(externals, nearest[slots].tolist()))
 
     def _build_fresh(self, reuse: bool, gate: Optional[SliceGate] = None
                      ) -> Tuple[List[int], GeodesicEngine, SEOracle, Any]:
@@ -559,29 +558,18 @@ class DynamicSEOracle:
     def _ensure_delta_row(self, poi_id: int) -> np.ndarray:
         """The overlay POI's exact distance row over base slots.
 
-        Computed by one multi-target SSAD from the overlay node
-        covering every base POI node, then memoised.  Both the scalar
-        and the batched query path read this same row, which is what
-        makes them bit-identical — and since the search always runs
-        *from* the overlay node, the value of a pair never depends on
-        query history or argument order.
+        Computed by one whole-row SSAD from the overlay node, gathered
+        at every base POI node, then memoised.  Both the scalar and the
+        batched query path read this same row, which is what makes
+        them bit-identical — and since the search always runs *from*
+        the overlay node, the value of a pair never depends on query
+        history or argument order.
         """
         row = self._delta_rows.get(poi_id)
-        if row is not None:
-            return row
-        base_nodes = [
-            self._engine.poi_node(slot)
-            for slot in range(len(self._base_index))
-        ]
-        result = self._engine.distances_from_node(
-            self._overlay_nodes[poi_id], targets=base_nodes
-        )
-        distances = result.distances
-        row = np.array(
-            [distances.get(node, math.inf) for node in base_nodes],
-            dtype=np.float64,
-        )
-        self._delta_rows[poi_id] = row
+        if row is None:
+            row = self._engine.poi_distances_from_node(
+                self._overlay_nodes[poi_id])
+            self._delta_rows[poi_id] = row
         return row
 
     def _overlay_pair_distance(self, poi_a: int, poi_b: int) -> float:

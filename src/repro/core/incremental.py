@@ -32,11 +32,13 @@ from each inserted POI to every previous base POI, already computed
 for queries) with a small conservative relative slack; rows computed
 in cover-all mode (no radius bound) are invalidated by *any* insert.
 
-Rows are keyed in **external-id** space — the stable identity that
-survives rebuild renumbering — and re-slotted into the new build's
-dense POI ids on reuse; entries whose target was deleted simply drop
-out during the remap.  Every rebuild (memoised or not) recaptures the
-memo wholesale, so the memo always describes exactly one generation.
+Rows are :class:`~repro.geodesic.engine.PoiRow` arrays keyed in
+**external-id** space — the stable identity that survives rebuild
+renumbering.  Capture maps a row's dense POI ids to external ids with
+one gather; reuse maps them back to the new build's dense ids with
+another, and entries whose target was deleted drop out there.  Every
+rebuild (memoised or not) recaptures the memo wholesale, so the memo
+always describes exactly one generation.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ import math
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..geodesic.engine import PoiRow
 from .parallel import BuildExecutor
 
 __all__ = ["FlushMemo", "MemoExecutor", "SliceGate", "FlushAborted"]
@@ -133,8 +138,8 @@ class FlushMemo:
     """
 
     def __init__(self):
-        #: (source ext, bound) -> {target ext: distance}
-        self.rows: Dict[_RowKey, Dict[int, float]] = {}
+        #: (source ext, bound) -> row over target external ids
+        self.rows: Dict[_RowKey, PoiRow] = {}
         #: sorted (ext, ext) -> early-exit pair distance (naive method)
         self.pairs: Dict[Tuple[int, int], float] = {}
         #: external ids that were base POIs when ``rows`` was captured
@@ -179,16 +184,19 @@ class MemoExecutor(BuildExecutor):
                  gate: Optional[SliceGate]):
         self._memo = memo
         self.active_ids = active_ids
-        self._ext_of = active_ids                    # new slot -> ext
-        self._slot_of = {ext: slot
-                         for slot, ext in enumerate(active_ids)}
+        self._ext_of = active_ids  # new slot -> ext
+        self._ext_array = np.asarray(active_ids, dtype=np.int64)
+        # ext -> new slot, -1 for ids outside the active set.
+        span = max(max(active_ids, default=-1), max(memo.members, default=-1))
+        self._slot_of = np.full(span + 1, -1, dtype=np.int64)
+        self._slot_of[self._ext_array] = np.arange(len(active_ids))
         self._blocked = blocked_radius
         self._inserted = [ext for ext in active_ids
                           if ext not in memo.members]
         self._allow_reuse = allow_reuse
         self._gate = gate
         self._inner: Optional[BuildExecutor] = None
-        self.captured_rows: Dict[_RowKey, Dict[int, float]] = {}
+        self.captured_rows: Dict[_RowKey, PoiRow] = {}
         self.captured_pairs: Dict[Tuple[int, int], float] = {}
         self.reused_rows = 0
         self.computed_rows = 0
@@ -222,13 +230,12 @@ class MemoExecutor(BuildExecutor):
     # ------------------------------------------------------------------
     # the memoised maps
     # ------------------------------------------------------------------
-    def ssad(self, center: int, radius: Optional[float] = None
-             ) -> Dict[int, float]:
+    def ssad(self, center: int, radius: Optional[float] = None) -> PoiRow:
         """Point-wise memoised SSAD (the partition-tree build hook)."""
         return self.map_ssad([(center, radius)])[0]
 
-    def map_ssad(self, tasks) -> List[Dict[int, float]]:
-        results: List[Optional[Dict[int, float]]] = [None] * len(tasks)
+    def map_ssad(self, tasks) -> List[PoiRow]:
+        results: List[Optional[PoiRow]] = [None] * len(tasks)
         misses: List[int] = []
         for position, (slot, radius) in enumerate(tasks):
             row = self._cached_row(int(slot), radius)
@@ -300,8 +307,7 @@ class MemoExecutor(BuildExecutor):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _cached_row(self, slot: int,
-                    radius: Optional[float]) -> Optional[Dict[int, float]]:
+    def _cached_row(self, slot: int, radius: Optional[float]) -> Optional[PoiRow]:
         """A valid memoised row, re-slotted — or ``None`` to compute.
 
         Validity: cover-all rows (``radius=None``) die with any
@@ -323,17 +329,11 @@ class MemoExecutor(BuildExecutor):
             nearest = self._blocked.get(ext, math.inf)
             if nearest <= float(radius) * (1.0 + _SLACK):
                 return None
-        slot_of = self._slot_of
-        kept = {target: distance for target, distance in cached.items()
-                if target in slot_of}
-        self.captured_rows[key] = kept
-        return {slot_of[target]: distance
-                for target, distance in kept.items()}
+        slots = self._slot_of[cached.ids]
+        kept = slots >= 0
+        self.captured_rows[key] = PoiRow(cached.ids[kept], cached.dists[kept])
+        return PoiRow(slots[kept], cached.dists[kept])
 
-    def _capture_row(self, slot: int, radius: Optional[float],
-                     row: Dict[int, float]) -> None:
-        ext_of = self._ext_of
-        key = (ext_of[slot], None if radius is None else float(radius))
-        self.captured_rows[key] = {
-            ext_of[target]: distance for target, distance in row.items()
-        }
+    def _capture_row(self, slot: int, radius: Optional[float], row: PoiRow) -> None:
+        key = (self._ext_of[slot], None if radius is None else float(radius))
+        self.captured_rows[key] = PoiRow(self._ext_array[row.ids], row.dists)

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..datastructures.perfect_hash import PerfectHashMap
 from ..geodesic.engine import GeodesicEngine
 from .compressed_tree import CompressedPartitionTree
@@ -137,31 +139,42 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
         executor = SerialExecutor()
         executor.bind(engine)
     factor = enhanced_edge_factor(epsilon)
-    entries: Dict[int, float] = {}
     n = engine.num_pois
+    edge_keys: List[np.ndarray] = []
+    edge_dists: List[np.ndarray] = []
     for layer_number, layer in enumerate(tree.layers):
         nodes = [tree.node(node_id) for node_id in layer]
-        centers_in_layer = {node.center for node in nodes}
+        in_layer = np.zeros(n, dtype=bool)
+        in_layer[[node.center for node in nodes]] = True
         bounds = [factor * node.radius * (1.0 + _EPS) for node in nodes]
         radii = [None] * len(nodes) if layer_number == 0 else bounds
         reached_per_node = executor.map_ssad(
             list(zip((node.center for node in nodes), radii)))
         if len(reached_per_node) != len(nodes):
             raise ValueError("executor returned a misaligned batch")
+        keys: List[np.ndarray] = []
+        dists: List[np.ndarray] = []
         for node, bound, reached in zip(nodes, bounds, reached_per_node):
-            for other_center, distance in reached.items():
-                if other_center == node.center:
-                    continue
-                if other_center not in centers_in_layer:
-                    continue
-                if distance > bound:
-                    continue
-                a, b = sorted((node.center, other_center))
-                key = (layer_number * n + a) * n + b
-                entries.setdefault(key, distance)
+            keep = (in_layer[reached.ids] & (reached.ids != node.center)
+                    & (reached.dists <= bound))
+            others = reached.ids[keep]
+            low = np.minimum(others, node.center)
+            high = np.maximum(others, node.center)
+            keys.append((layer_number * n + low) * n + high)
+            dists.append(reached.dists[keep])
+        # An edge found from both ends keeps the distance found from
+        # the end first in layer order (the two can differ in the last
+        # bit); edges stay in first-found order.
+        layer_keys = np.concatenate(keys)
+        _, first = np.unique(layer_keys, return_index=True)
+        first.sort()
+        edge_keys.append(layer_keys[first])
+        edge_dists.append(np.concatenate(dists)[first])
 
-    table = PerfectHashMap(list(entries.items()), seed=seed)
-    return EnhancedEdgeIndex(table, tree, n, edge_count=len(entries))
+    keys_all = np.concatenate(edge_keys).tolist()
+    table = PerfectHashMap(
+        list(zip(keys_all, np.concatenate(edge_dists).tolist())), seed=seed)
+    return EnhancedEdgeIndex(table, tree, n, edge_count=len(keys_all))
 
 
 @dataclass

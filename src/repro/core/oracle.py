@@ -49,7 +49,15 @@ Strategy = Literal["random", "greedy"]
 
 @dataclass
 class BuildStats:
-    """Construction-time breakdown and structure counts."""
+    """Construction-time breakdown and structure counts.
+
+    The effort counters come from the engine: ``ssad_calls`` counts one
+    per SSAD row, also when one SciPy call computes many rows, and
+    ``settled_nodes`` sums the nodes each row settled.  On SciPy a
+    cover-all row settles its source's whole component (without SciPy
+    it stops once every POI is settled), and rows push no heap entries:
+    ``heap_pushes`` counts the pure-Python kernel's pushes only.
+    """
 
     tree_seconds: float = 0.0
     enhanced_seconds: float = 0.0

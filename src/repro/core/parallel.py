@@ -38,9 +38,9 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..geodesic.engine import GeodesicEngine
+from ..geodesic.engine import GeodesicEngine, PoiRow
 
 __all__ = [
     "BuildExecutor",
@@ -78,8 +78,12 @@ class BuildExecutor:
         """Attach to the engine whose workload the batches reference."""
         raise NotImplementedError
 
-    def map_ssad(self, tasks: Sequence[SSADTask]) -> List[Dict[int, float]]:
-        """Run one SSAD per task; results aligned with ``tasks`` order."""
+    def map_ssad(self, tasks: Sequence[SSADTask]) -> List[PoiRow]:
+        """Run one SSAD per task; rows aligned with ``tasks`` order.
+
+        Each row is a :class:`~repro.geodesic.engine.PoiRow` of
+        ``(poi ids, distances)`` arrays.
+        """
         raise NotImplementedError
 
     def map_pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
@@ -112,7 +116,7 @@ class SerialExecutor(BuildExecutor):
     def bind(self, engine: GeodesicEngine) -> None:
         self._engine = engine
 
-    def map_ssad(self, tasks: Sequence[SSADTask]) -> List[Dict[int, float]]:
+    def map_ssad(self, tasks: Sequence[SSADTask]) -> List[PoiRow]:
         if self._engine is None:
             raise RuntimeError("executor is not bound to an engine")
         return self._engine.distances_many(
@@ -141,7 +145,7 @@ def _init_worker(snapshot) -> None:
 
 def _run_ssad_chunk(
     tasks: Sequence[SSADTask],
-) -> Tuple[List[Dict[int, float]], CounterDelta]:
+) -> Tuple[List[PoiRow], CounterDelta]:
     engine = _WORKER_ENGINE
     engine.reset_counters()
     results = engine.distances_many(
@@ -257,7 +261,7 @@ class MultiprocessExecutor(BuildExecutor):
             self._engine.account_external(calls, settled, pushes)
         return out
 
-    def map_ssad(self, tasks: Sequence[SSADTask]) -> List[Dict[int, float]]:
+    def map_ssad(self, tasks: Sequence[SSADTask]) -> List[PoiRow]:
         return self._map_chunked(_run_ssad_chunk, list(tasks))
 
     def map_pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:

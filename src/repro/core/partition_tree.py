@@ -19,24 +19,25 @@ two SSAD stopping rules of Implementation Detail 2 (provided by
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Literal, Optional
 
+import numpy as np
+
 from ..datastructures.grid_index import GridDensityIndex
-from ..geodesic.engine import GeodesicEngine
+from ..geodesic.engine import GeodesicEngine, PoiRow
 
 __all__ = ["PartitionTreeNode", "PartitionTree", "build_partition_tree"]
 
 SelectionStrategy = Literal["random", "greedy"]
 
-#: SSAD hook: ``(center, radius) -> {poi: distance}``.  Defaults to the
+#: SSAD hook: ``(center, radius) -> PoiRow``.  Defaults to the
 #: engine's own :meth:`~repro.geodesic.engine.GeodesicEngine.
 #: distances_from_poi`; the incremental flush substitutes a memoised
 #: wrapper so unchanged rows are replayed instead of recomputed.
-SSADHook = Callable[[int, Optional[float]], Dict[int, float]]
+SSADHook = Callable[[int, Optional[float]], PoiRow]
 
 # Radius-boundary comparisons happen between two floating-point geodesic
 # distances computed along different paths; a tiny relative slack keeps
@@ -221,7 +222,7 @@ def build_partition_tree(engine: GeodesicEngine,
     distances = ssad(root_center, None)  # SSAD version 1
     if len(distances) < n:
         raise ValueError("POI set is not geodesically connected")
-    r0 = max(distances.values())
+    r0 = float(distances.dists.max())
     if r0 <= 0.0:
         raise ValueError("all POIs are co-located; deduplicate first")
 
@@ -238,8 +239,10 @@ def build_partition_tree(engine: GeodesicEngine,
     for layer_number in range(1, max_layers + 1):
         radius = r0 / (1 << layer_number)
         previous_layer = layers[-1]
-        # Node id of the previous-layer node per centre (for parenting).
-        previous_by_center = {nodes[i].center: i for i in previous_layer}
+        # Position in the previous layer per centre POI (for parenting).
+        previous_slot = np.full(n, -1, dtype=np.int64)
+        previous_slot[[nodes[i].center for i in previous_layer]] = \
+            np.arange(len(previous_layer))
 
         uncovered = set(range(n))
         grid: Optional[GridDensityIndex] = None
@@ -262,13 +265,17 @@ def build_partition_tree(engine: GeodesicEngine,
             # cover D(center, radius) and to reach the nearest previous-
             # layer centre (within r_{i-1} = 2 * radius by Covering).
             reached = ssad(center, 2.0 * radius * (1.0 + _EPS))
-            covered = [poi for poi in uncovered
-                       if reached.get(poi, math.inf) <= radius * (1.0 + _EPS)]
+            inside = reached.ids[reached.dists <= radius * (1.0 + _EPS)]
+            # Ascending POI order: the greedy grid's heap breaks density
+            # ties by update order, so the removal order is part of
+            # the tree's identity.
+            covered = sorted(uncovered.intersection(inside.tolist()))
             uncovered.difference_update(covered)
             if grid is not None:
                 grid.remove_all(covered)
 
-            parent_id = _nearest_parent(previous_by_center, reached)
+            parent_id = previous_layer[_nearest_parent(previous_slot,
+                                                       reached)]
             node_id = len(nodes)
             node = PartitionTreeNode(node_id=node_id, center=center,
                                      layer=layer_number, radius=radius,
@@ -304,19 +311,19 @@ def _select_point(center_queue: List[int], uncovered: set,
     return min(uncovered, key=lambda poi: (priorities[poi], poi))
 
 
-def _nearest_parent(previous_by_center: Dict[int, int],
-                    reached: Dict[int, float]) -> int:
-    """Step 2(b)(iii): previous-layer node with minimum centre distance."""
-    best_id = -1
-    best_distance = math.inf
-    for center, node_id in previous_by_center.items():
-        distance = reached.get(center)
-        if distance is not None and distance < best_distance:
-            best_distance = distance
-            best_id = node_id
-    if best_id < 0:
+def _nearest_parent(previous_slot: np.ndarray, reached: PoiRow) -> int:
+    """Step 2(b)(iii): previous-layer node with minimum centre distance.
+
+    Returns the node's position in the previous layer; ties go to the
+    earliest position.
+    """
+    slots = previous_slot[reached.ids]
+    hit = slots >= 0
+    if not hit.any():
         raise RuntimeError(
             "no previous-layer centre within the search radius; the "
             "Covering property is violated (inconsistent geodesic metric?)"
         )
-    return best_id
+    slots = slots[hit]
+    dists = reached.dists[hit]
+    return int(slots[dists == dists.min()].min())

@@ -219,10 +219,18 @@ def _boundary_matrix(engine: GeodesicEngine,
     Computed on the *complete* engine, so cut-straddling legs are
     graph-exact; POI sites cannot shorten these paths (a site's edges
     stay inside one face's clique, where the direct edge is never
-    longer by the triangle inequality).  Symmetric by construction —
-    only the upper triangle is searched.
+    longer by the triangle inequality).  Symmetric by construction:
+    each upper-triangle entry comes from the lower-index portal's
+    search and is mirrored (the reverse search can differ in the last
+    bit).  On SciPy every portal's whole row comes from one batched
+    call; without it, each portal runs one search covering the later
+    portals.
     """
     count = len(portal_nodes)
+    block = engine.node_rows(portal_nodes, portal_nodes)
+    if block is not None:
+        upper = np.triu(block, 1)
+        return upper + upper.T
     matrix = np.zeros((count, count), dtype=np.float64)
     for row in range(count - 1):
         later = list(portal_nodes[row + 1:])

@@ -16,9 +16,10 @@ this repository runs on.  It has two sections:
 
 The NumPy arrays are the canonical storage: the SciPy-backed fast path
 of the Dijkstra kernel hands them to ``scipy.sparse.csgraph`` wholesale
-(see :meth:`scipy_matrix`), and the exact ``frontier_min``
-reconstruction gathers over them vectorised.  The *pure-Python* kernel
-(targets / single-target / parents modes, or overlay present) instead
+(see :meth:`scipy_matrix`; with an overlay present, the matrix of
+:meth:`frozen`), and the exact ``frontier_min`` reconstruction gathers
+over the matrix's own arrays vectorised.  The *pure-Python* kernel
+(targets / single-target / parents modes, or SciPy missing) instead
 iterates prebuilt per-node ``(neighbor, weight)`` tuple rows — CPython
 pays ~5x for boxed elementwise NumPy access, so the hot loop reads
 :meth:`kernel_view`'s list form.  Both views are frozen from the same
@@ -200,6 +201,7 @@ class CSRGraph:
         node = self.num_nodes
         row: Row = [(int(v), float(w)) for v, w in zip(neighbors, weights)]
         static_n = self.num_static
+        self._scipy_matrix = None
         self._ov_rows.append(row)
         for other, weight in row:
             if other < static_n:
@@ -214,6 +216,7 @@ class CSRGraph:
             raise ValueError("no overlay nodes to detach")
         node = self.num_nodes - 1
         static_n = self.num_static
+        self._scipy_matrix = None
         row = self._ov_rows.pop()
         for other, _ in row:
             if other < static_n:
@@ -271,24 +274,25 @@ class CSRGraph:
                 self._extra)
 
     def scipy_matrix(self):
-        """The static section as a cached ``scipy.sparse.csr_matrix``.
+        """The whole graph as a cached ``scipy.sparse.csr_matrix``.
 
-        Returns ``None`` when SciPy is unavailable or the overlay is
-        non-empty (the matrix would miss its nodes).  Explicit
+        With an overlay present this is the matrix of :meth:`frozen`,
+        so searches from or through overlay nodes see every edge;
+        :meth:`attach_node` and :meth:`detach_last` drop the cache.
+        Returns ``None`` when SciPy is unavailable.  Explicit
         zero-weight entries survive the ``(data, indices, indptr)``
         construction and ``csgraph.dijkstra`` honours them as
         zero-length edges (pinned by an equivalence test).
         """
-        if self._ov_rows:
-            return None
         if self._scipy_matrix is None:
             try:
                 from scipy.sparse import csr_matrix
             except ImportError:  # pragma: no cover - scipy is optional
                 return None
-            n = self.num_static
+            graph = self.frozen() if self._ov_rows else self
+            n = graph.num_static
             self._scipy_matrix = csr_matrix(
-                (self.weights, self.indices, self.indptr), shape=(n, n))
+                (graph.weights, graph.indices, graph.indptr), shape=(n, n))
         return self._scipy_matrix
 
     # ------------------------------------------------------------------

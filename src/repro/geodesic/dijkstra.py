@@ -17,15 +17,19 @@ This kernel is the hot path of the whole repository.  Since the CSR
 refactor it runs over :class:`~repro.datastructures.csr.CSRGraph` and
 dispatches between two implementations:
 
-* a **SciPy fast path** for full-component and radius-bounded searches
-  on the frozen static section — ``scipy.sparse.csgraph.dijkstra``
-  over the graph's cached CSR matrix, with the exact ``frontier_min``
-  of the radius rule reconstructed by one vectorised gather over the
-  settled rows.  Distances are bit-identical to the reference kernel:
+* a **SciPy fast path** for every *whole-row* search — full-component
+  or radius-bounded, with no target stop and no parent tree — on the
+  graph's cached CSR matrix (with an overlay present, the matrix of
+  its frozen copy): ``scipy.sparse.csgraph.dijkstra``.  Settled ids
+  and distances stay NumPy arrays, and the exact ``frontier_min`` of
+  the radius rule is reconstructed on first access by one vectorised
+  gather over the matrix's own arrays.  :func:`row_block` runs many
+  such rows per SciPy call and hands back only the columns a caller
+  asks for.  Distances are bit-identical to the reference kernel:
   both compute the same ``min`` over the same float64 path sums.
 * a **pure-Python array kernel** for the cover-targets / single-target
-  rules, parent tracking, overlay-touching graphs, or when SciPy is
-  missing.  Tentative distances, parents and visit labels live in
+  rules, parent tracking, or when SciPy is missing.  Tentative
+  distances, parents and visit labels live in
   preallocated flat arrays borrowed from the graph's scratch pool and
   reset in O(1) by generation stamping, instead of the per-call dicts
   of the original kernel (kept below as :func:`dijkstra_reference` for
@@ -46,8 +50,9 @@ reads a ``(neighbors, weights)`` list-of-lists pair; get one from
 from __future__ import annotations
 
 import math
+from functools import partial
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +68,12 @@ __all__ = [
     "dijkstra",
     "dijkstra_reference",
     "bidirectional_distance",
+    "row_block",
 ]
+
+#: Distance cells (rows x graph nodes) one multi-source SciPy call of
+#: :func:`row_block` may return: 2**22 float64 values, 32 MiB.
+_ROW_CELLS = 1 << 22
 
 def _as_csr(graph) -> CSRGraph:
     """The ``CSRGraph`` itself, or the one a graph exposes as ``.csr``."""
@@ -90,29 +100,29 @@ class DijkstraResult:
         Number of settled nodes (search effort measure).
     frontier_min:
         Tentative distance at which the search stopped (``inf`` if the
-        frontier drained).
+        frontier drained).  The SciPy path computes it on first access.
     heap_pushes:
         Heap insertions performed by the pure-Python kernel — the
         bookkeeping-effort measure that makes the lazy-deletion pruning
         win visible to benchmarks.  0 for the SciPy fast path, which
         keeps its frontier in C.
     settled_ids / settled_dists:
-        Parallel lists of settled nodes — the raw form array consumers
-        (e.g. the SP-Oracle APSP fill) read directly.  Ordering is
-        unspecified (settle order for the Python kernel, node order for
-        the SciPy path).
+        Parallel sequences of settled nodes — the raw form array
+        consumers (e.g. the SP-Oracle APSP fill) read directly: lists
+        in settle order from the Python kernel, NumPy arrays in node
+        order from the SciPy path.
     """
 
-    __slots__ = ("_distances", "parents", "settled_count", "frontier_min",
+    __slots__ = ("_distances", "parents", "settled_count", "_frontier_min",
                  "heap_pushes", "settled_ids", "settled_dists")
 
     def __init__(self, distances: Optional[Dict[int, float]] = None,
                  parents: Optional[Dict[int, int]] = None,
                  settled_count: Optional[int] = None,
-                 frontier_min: float = math.inf,
+                 frontier_min: Union[float, Callable[[], float]] = math.inf,
                  heap_pushes: int = 0,
-                 settled_ids: Optional[List[int]] = None,
-                 settled_dists: Optional[List[float]] = None):
+                 settled_ids: Optional[Sequence[int]] = None,
+                 settled_dists: Optional[Sequence[float]] = None):
         if distances is None and settled_ids is None:
             raise ValueError("need distances or settled_ids/settled_dists")
         self._distances = distances
@@ -124,13 +134,22 @@ class DijkstraResult:
         self.settled_dists = settled_dists
         self.settled_count = (len(settled_ids) if settled_count is None
                               else settled_count)
-        self.frontier_min = frontier_min
+        self._frontier_min = frontier_min
         self.heap_pushes = heap_pushes
+
+    @property
+    def frontier_min(self) -> float:
+        if callable(self._frontier_min):
+            self._frontier_min = self._frontier_min()
+        return self._frontier_min
 
     @property
     def distances(self) -> Dict[int, float]:
         if self._distances is None:
-            self._distances = dict(zip(self.settled_ids, self.settled_dists))
+            ids, dists = self.settled_ids, self.settled_dists
+            if isinstance(ids, np.ndarray):
+                ids, dists = ids.tolist(), dists.tolist()
+            self._distances = dict(zip(ids, dists))
         return self._distances
 
     def path_to(self, node: int) -> List[int]:
@@ -186,12 +205,12 @@ def dijkstra(graph: CSRGraph,
             and (radius is None or radius >= 0.0)):
         matrix = csr.scipy_matrix()
         if matrix is not None:
-            return _dijkstra_scipy(csr, matrix, sources, radius)
+            return _dijkstra_scipy(matrix, sources, radius)
     return _dijkstra_python(csr, sources, radius, targets, single_target,
                             return_parents)
 
 
-def _dijkstra_scipy(csr: CSRGraph, matrix, sources: Tuple[int, ...],
+def _dijkstra_scipy(matrix, sources: Tuple[int, ...],
                     radius: Optional[float]) -> DijkstraResult:
     """Full-component / radius-bounded search via scipy.sparse.csgraph."""
     limit = math.inf if radius is None else radius
@@ -202,27 +221,70 @@ def _dijkstra_scipy(csr: CSRGraph, matrix, sources: Tuple[int, ...],
                                min_only=True)
     finite = np.isfinite(dist)
     ids = np.flatnonzero(finite)
-    frontier_min = math.inf
+    frontier_min: Union[float, Callable[[], float]] = math.inf
     if radius is not None:
-        # Reconstruct the exact frontier_min of the unbounded kernel:
-        # the smallest candidate distance leaving the settled region.
-        indptr = csr.indptr
-        starts = indptr[ids]
-        counts = indptr[ids + 1] - starts
-        total = int(counts.sum())
-        if total:
-            base = np.repeat(starts, counts)
-            step = np.arange(total, dtype=np.int64) \
-                - np.repeat(np.cumsum(counts) - counts, counts)
-            positions = base + step
-            neighbors = csr.indices[positions]
-            candidates = np.repeat(dist[ids], counts) + csr.weights[positions]
-            outside = ~finite[neighbors]
-            if outside.any():
-                frontier_min = float(candidates[outside].min())
-    return DijkstraResult(settled_ids=ids.tolist(),
-                          settled_dists=dist[ids].tolist(),
+        frontier_min = partial(_frontier_min, matrix, dist, finite, ids)
+    return DijkstraResult(settled_ids=ids, settled_dists=dist[ids],
                           frontier_min=frontier_min)
+
+
+def _frontier_min(matrix, dist: np.ndarray, finite: np.ndarray,
+                  ids: np.ndarray) -> float:
+    """The exact frontier_min of the unbounded kernel: the smallest
+    candidate distance leaving the settled region, gathered over the
+    matrix's own arrays (which cover the overlay too)."""
+    indptr = matrix.indptr
+    starts = indptr[ids]
+    counts = indptr[ids + 1] - starts
+    total = int(counts.sum())
+    if not total:
+        return math.inf
+    base = np.repeat(starts, counts)
+    step = np.arange(total, dtype=np.int64) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    positions = base + step
+    neighbors = matrix.indices[positions]
+    candidates = np.repeat(dist[ids], counts) + matrix.data[positions]
+    outside = ~finite[neighbors]
+    if not outside.any():
+        return math.inf
+    return float(candidates[outside].min())
+
+
+def row_block(graph: CSRGraph, sources: Sequence[int],
+              columns: Sequence[int], *,
+              radius: Optional[float] = None
+              ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Whole-row searches from ``sources``, gathered at ``columns``.
+
+    Each source runs its own search with no target stop and no parent
+    tree — the whole component, or out to ``radius`` — many sources to
+    one SciPy call (at most :data:`_ROW_CELLS` distances per call).
+    Returns ``(block, settled)``: ``block[i, j]`` is the distance from
+    ``sources[i]`` to ``columns[j]`` (``inf`` past the radius or the
+    component), ``settled[i]`` the node count the ``i``-th search
+    settled.  Returns ``None`` when SciPy is missing (or the radius is
+    negative); callers then run :func:`dijkstra` per source.
+    """
+    if _scipy_dijkstra is None or (radius is not None and radius < 0.0):
+        return None
+    csr = _as_csr(graph)
+    matrix = csr.scipy_matrix()
+    if matrix is None:
+        return None
+    sources = np.asarray(sources, dtype=np.int64)
+    columns = np.asarray(columns, dtype=np.int64)
+    limit = math.inf if radius is None else radius
+    per_call = max(1, _ROW_CELLS // max(csr.num_nodes, 1))
+    block = np.empty((len(sources), len(columns)), dtype=np.float64)
+    settled = np.empty(len(sources), dtype=np.int64)
+    for start in range(0, len(sources), per_call):
+        stop = start + per_call
+        dist = _scipy_dijkstra(matrix, indices=sources[start:stop],
+                               limit=limit)
+        block[start:stop] = dist[:, columns]
+        settled[start:stop] = np.count_nonzero(np.isfinite(dist), axis=1)
+    return block, settled
 
 
 def _dijkstra_python(csr: CSRGraph, sources: Tuple[int, ...],

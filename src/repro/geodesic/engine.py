@@ -5,11 +5,15 @@ set into one object exposing exactly the operations the paper's
 algorithms need:
 
 * :meth:`distances_from_poi` — the two SSAD variants (cover-all /
-  radius-bounded) returning geodesic distances *to POIs*;
+  radius-bounded) returning geodesic distances *to POIs* as a
+  :class:`PoiRow` of ``(poi ids, distances)`` arrays;
 * :meth:`distances_many` / :meth:`query_many` — batched forms of the
-  above: many sources per call (build-time SSAD sweeps), or many
-  point-to-point queries grouped so each distinct source runs one
-  multi-target search instead of one search per pair;
+  above: many sources per call (build-time SSAD sweeps, many rows per
+  SciPy call), or many point-to-point queries grouped so each distinct
+  source runs one multi-target search instead of one search per pair;
+* :meth:`node_rows` / :meth:`poi_distances_from_node` — whole-row
+  searches from arbitrary graph nodes, gathered at given nodes or at
+  every POI (tile portal matrices, overlay delta rows);
 * :meth:`multi_source_distances` — a single search seeded from several
   nodes at once (nearest-site style workloads);
 * :meth:`distance` — a single P2P geodesic distance (ground truth for
@@ -22,15 +26,22 @@ algorithms need:
   service to worker processes exactly once.
 
 All searches run on the graph's frozen CSR core (the POI set is frozen
-into it at construction); see :mod:`repro.geodesic.graph`.  The engine
-also counts SSAD invocations, settled nodes and heap pushes, which the
+into it at construction); see :mod:`repro.geodesic.graph`.  Whole-row
+searches (no target stop, no parent tree) run on SciPy when it is
+installed, cover-all rows included, and settle the whole component;
+without SciPy they keep the pure-Python kernel, where a cover-all row
+stops once every POI is settled.  The engine also counts SSAD
+invocations (one per row), settled nodes and heap pushes, which the
 benchmark harness reports as construction-effort metrics.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,10 +49,42 @@ import numpy as np
 from ..datastructures.csr import CSRGraph
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POISet
-from .dijkstra import DijkstraResult, dijkstra
+from .dijkstra import DijkstraResult, dijkstra, row_block
 from .graph import GeodesicGraph
 
-__all__ = ["GeodesicEngine", "EngineSnapshot"]
+__all__ = ["GeodesicEngine", "EngineSnapshot", "PoiRow"]
+
+
+class PoiRow(Mapping):
+    """One SSAD row over POIs: parallel ``ids`` / ``dists`` arrays.
+
+    ``ids`` (int64) are the POIs the search reached, in the graph-node
+    order of their hosts, and ``dists`` (float64) their distances from
+    the row's source.  Build code reads the arrays; the read-only
+    ``{poi: distance}`` mapping view serves callers that look entries
+    up one at a time.
+    """
+
+    __slots__ = ("ids", "dists", "_lookup")
+
+    def __init__(self, ids: np.ndarray, dists: np.ndarray):
+        self.ids = ids
+        self.dists = dists
+        self._lookup: Optional[Dict[int, float]] = None
+
+    def __reduce__(self):
+        return PoiRow, (self.ids, self.dists)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __getitem__(self, poi: int) -> float:
+        if self._lookup is None:
+            self._lookup = dict(zip(self.ids.tolist(), self.dists.tolist()))
+        return self._lookup[poi]
 
 
 @dataclass(frozen=True)
@@ -81,6 +124,15 @@ class _FrozenGraphView:
         self.points_per_edge = points_per_edge
 
 
+def _gather(result: DijkstraResult, num_nodes: int,
+            columns: Sequence[int]) -> np.ndarray:
+    """A search's distances at ``columns`` (``inf`` where unsettled)."""
+    dense = np.full(num_nodes, math.inf)
+    dense[np.asarray(result.settled_ids, dtype=np.int64)] = \
+        result.settled_dists
+    return dense[columns]
+
+
 def _single_target_distance(result: DijkstraResult, target: int) -> float:
     """Read a single-target search's answer without building the dict.
 
@@ -113,14 +165,19 @@ class GeodesicEngine:
         self._pois = pois
         self._graph = GeodesicGraph(mesh, points_per_edge,
                                     weight_fn=weight_fn)
-        self._poi_nodes: List[int] = self._graph.attach_pois(pois)
-        self._node_to_poi: Dict[int, int] = {}
-        for poi_index, node in enumerate(self._poi_nodes):
-            # A vertex node can host at most one POI after dedup.
-            self._node_to_poi[node] = poi_index
+        self._index_pois(self._graph.attach_pois(pois))
         self.ssad_calls = 0
         self.settled_nodes = 0
         self.heap_pushes = 0
+
+    def _index_pois(self, poi_nodes: List[int]) -> None:
+        """The POI -> host-node map, plus the node-ordered gather arrays
+        every SSAD row reads (a vertex node hosts at most one POI after
+        dedup, so host nodes are distinct)."""
+        self._poi_nodes = poi_nodes
+        nodes = np.asarray(poi_nodes, dtype=np.int64)
+        self._row_pois = np.argsort(nodes, kind="stable")
+        self._row_nodes = nodes[self._row_pois]
 
     # ------------------------------------------------------------------
     # accessors
@@ -204,10 +261,7 @@ class GeodesicEngine:
             CSRGraph(snapshot.indptr, snapshot.indices, snapshot.weights),
             snapshot.points_per_edge,
         )
-        engine._poi_nodes = list(snapshot.poi_nodes)
-        engine._node_to_poi = {
-            node: poi for poi, node in enumerate(engine._poi_nodes)
-        }
+        engine._index_pois(list(snapshot.poi_nodes))
         engine.ssad_calls = 0
         engine.settled_nodes = 0
         engine.heap_pushes = 0
@@ -217,43 +271,29 @@ class GeodesicEngine:
     # SSAD variants (Implementation Detail 2)
     # ------------------------------------------------------------------
     def distances_from_poi(self, poi_index: int,
-                           radius: Optional[float] = None
-                           ) -> Dict[int, float]:
+                           radius: Optional[float] = None) -> PoiRow:
         """Geodesic distances from a POI to other POIs.
 
         With ``radius`` set this is the paper's SSAD *version 2*: the
         search stops once the frontier passes ``radius`` and only POIs
         within the radius appear in the result.  Without it this is
-        *version 1*: the search runs until every POI is settled.
+        *version 1*: every POI of the source's component appears.
         """
-        source = self._poi_nodes[poi_index]
-        csr = self._graph.csr
-        if radius is None:
-            result = dijkstra(csr, source, targets=self._poi_nodes)
-        else:
-            result = dijkstra(csr, source, radius=radius)
-        self._account(result)
-        distances: Dict[int, float] = {}
-        node_to_poi = self._node_to_poi
-        for node, dist in zip(result.settled_ids, result.settled_dists):
-            poi = node_to_poi.get(node)
-            if poi is not None:
-                distances[poi] = dist
-        return distances
+        return self.distances_many([poi_index], radius=radius)[0]
 
     def distances_many(self, poi_indices: Sequence[int],
                        radius: Union[None, float,
                                      Sequence[Optional[float]]] = None
-                       ) -> List[Dict[int, float]]:
+                       ) -> List[PoiRow]:
         """Batched :meth:`distances_from_poi` over many sources.
 
         ``radius`` may be a single value shared by every source or a
         per-source sequence (entries may be ``None`` for cover-all
         mode) — the form the enhanced-edge builder uses to sweep one
-        partition-tree layer per call.  Currently a convenience loop
-        (per-search scratch pooling already amortises the buffers);
-        the batch boundary is where a vectorised or sharded bulk
-        primitive slots in without touching call sites.
+        partition-tree layer per call.  Each run of sources sharing a
+        radius is one :meth:`node_rows` batch (a few SciPy calls for a
+        whole layer); without SciPy every source runs the pure-Python
+        kernel.
         """
         poi_indices = list(poi_indices)
         if radius is None or isinstance(radius, (int, float)):
@@ -262,8 +302,65 @@ class GeodesicEngine:
             radii = list(radius)
             if len(radii) != len(poi_indices):
                 raise ValueError("radius sequence must match poi_indices")
-        return [self.distances_from_poi(poi, radius=r)
-                for poi, r in zip(poi_indices, radii)]
+        rows: List[PoiRow] = []
+        for bound, run in groupby(zip(poi_indices, radii), key=itemgetter(1)):
+            rows.extend(self._poi_rows([poi for poi, _ in run], bound))
+        return rows
+
+    def _poi_rows(self, poi_indices: List[int],
+                  radius: Optional[float]) -> List[PoiRow]:
+        sources = [self._poi_nodes[poi] for poi in poi_indices]
+        block = self.node_rows(sources, self._row_nodes, radius=radius)
+        if block is None:
+            block = [self._python_row(source, radius) for source in sources]
+        rows = []
+        for dists in block:
+            reached = np.isfinite(dists)
+            rows.append(PoiRow(self._row_pois[reached], dists[reached]))
+        return rows
+
+    def _python_row(self, source: int,
+                    radius: Optional[float]) -> np.ndarray:
+        """One row on the pure-Python kernel (SciPy missing), gathered
+        at the POI hosts in node order; a cover-all row stops once
+        every POI is settled."""
+        csr = self._graph.csr
+        if radius is None:
+            result = dijkstra(csr, source, targets=self._poi_nodes)
+        else:
+            result = dijkstra(csr, source, radius=radius)
+        self._account(result)
+        return _gather(result, csr.num_nodes, self._row_nodes)
+
+    def node_rows(self, sources: Sequence[int], columns: Sequence[int],
+                  radius: Optional[float] = None) -> Optional[np.ndarray]:
+        """Whole-row searches from graph nodes, gathered at graph nodes.
+
+        ``result[i, j]`` is the distance from ``sources[i]`` to
+        ``columns[j]`` (``inf`` past ``radius`` or the component), one
+        search per source, many per SciPy call.  Returns ``None`` when
+        SciPy is missing; callers then run their own searches.
+        """
+        found = row_block(self._graph.csr, sources, columns, radius=radius)
+        if found is None:
+            return None
+        block, settled = found
+        self.ssad_calls += len(sources)
+        self.settled_nodes += int(settled.sum())
+        return block
+
+    def poi_distances_from_node(self, node: int) -> np.ndarray:
+        """Distances from graph node ``node`` to every POI, by POI index.
+
+        One whole-row search gathered at the POI hosts (``inf`` where
+        unreached) — the dynamic oracle's delta row.  Without SciPy,
+        one multi-target search covering every POI.
+        """
+        block = self.node_rows([node], self._poi_nodes)
+        if block is not None:
+            return block[0]
+        result = self.distances_from_node(node, targets=self._poi_nodes)
+        return _gather(result, self._graph.csr.num_nodes, self._poi_nodes)
 
     def query_many(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
         """Batched P2P distances for many ``(source, target)`` POI pairs.

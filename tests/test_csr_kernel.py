@@ -114,6 +114,41 @@ def test_kernel_matches_reference_with_overlay(seed):
                  dijkstra_reference(graph.csr.to_lists(), source))
 
 
+def test_matrix_follows_each_overlay_change():
+    """Attach and detach one site at a time, searching in between.
+
+    The search matrix is cached and must be dropped by every attach
+    and every detach: each result, whole-component and radius-bounded,
+    must equal the reference kernel on the graph as it stands.
+    """
+    graph = _random_graph(4)
+    csr = graph.csr
+    static = 0
+
+    def check(source):
+        adjacency = csr.to_lists()
+        full = dijkstra_reference(adjacency, source)
+        _assert_same(dijkstra(csr, source), full)
+        ordered = sorted(full.distances.values())
+        radius = ordered[len(ordered) // 3]
+        _assert_same(dijkstra(csr, source, radius=radius),
+                     dijkstra_reference(adjacency, source, radius=radius))
+
+    check(static)
+    site_a = graph.attach_site((20.0, 20.0, 0.0), face_id=3)
+    check(site_a)
+    site_b = graph.attach_site((40.0, 45.0, 0.0),
+                               face_id=graph.mesh.num_faces - 2)
+    check(site_b)
+    check(static)
+    graph.detach_last_sites(1)
+    check(site_a)
+    check(static)
+    graph.detach_last_sites(1)
+    assert csr.num_overlay == 0
+    check(static)
+
+
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 1000))
 def test_bidirectional_matches_unidirectional(seed):

@@ -321,3 +321,60 @@ class TestStoreBackedBase:
         dyn.insert(45.0, 45.0)
         with pytest.raises(RuntimeError):
             dyn.adopt_store(stored)
+
+
+class TestOverlayRowsAcrossKernels:
+    """Delta rows run whole-row searches over the graph with its
+    overlay; they must match the pure-Python kernel bit for bit."""
+
+    @staticmethod
+    def _churn():
+        """Inserts (two on one face, so the overlay holds an
+        overlay-overlay edge), a delete and a flush; returns every
+        delta row and every live-pair answer before and after the
+        flush, keyed by stage."""
+        import numpy as np
+        mesh = make_terrain(grid_exponent=3, extent=(100.0, 100.0),
+                            relief=15.0, seed=41)
+        pois = sample_uniform(mesh, 12, seed=42)
+        oracle = DynamicSEOracle(mesh, pois, epsilon=0.25,
+                                 rebuild_factor=10.0, seed=1).build()
+        corners = mesh.vertices[mesh.faces[mesh.locate_face(20.0, 30.0)]]
+        center = corners[:, :2].mean(axis=0)
+        near = 0.7 * center + 0.3 * corners[0, :2]
+        points = [tuple(center.tolist()), tuple(near.tolist()),
+                  (71.0, 64.0), (48.0, 83.0)]
+        assert mesh.locate_face(*points[0]) == mesh.locate_face(*points[1])
+        inserted = [oracle.insert(x, y) for x, y in points]
+        first, second = (oracle._node_of(ext) for ext in inserted[:2])
+        assert second in oracle.engine.graph.neighbors(first)[0]
+        oracle.delete(5)
+        seen = {}
+
+        def record(stage):
+            for ext in sorted(oracle._overlay):
+                seen[(stage, ext)] = oracle._ensure_delta_row(ext)
+            ids = oracle.live_ids()
+            seen[(stage, "batch")] = oracle.query_batch(
+                np.repeat(ids, ids.size), np.tile(ids, ids.size))
+
+        record("before")
+        oracle.flush()
+        oracle.insert(35.0, 60.0)
+        record("after")
+        return seen
+
+    def test_delta_rows_and_batches_match_python_kernel(self):
+        import importlib
+        from unittest import mock
+
+        kernel = importlib.import_module("repro.geodesic.dijkstra")
+        fast = self._churn()
+        with mock.patch.object(kernel, "_scipy_dijkstra", None):
+            slow = self._churn()
+        assert fast.keys() == slow.keys()
+        # Four delta rows and one batch before the flush.
+        assert sum(stage == "before" for stage, _ in fast) == 5
+        for key, row in fast.items():
+            assert row.dtype == slow[key].dtype
+            assert row.tobytes() == slow[key].tobytes(), key

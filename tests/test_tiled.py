@@ -173,6 +173,30 @@ class TestDeterminism:
                     fanned.sections[tile][name])).all(), (tile, name)
 
 
+class TestBoundaryMatrix:
+    @pytest.mark.parametrize("tiles", [2, 4])
+    def test_matches_reference_rows(self, tiles):
+        """Each upper-triangle entry comes from the lower-index
+        portal's own search, mirrored below the diagonal."""
+        from repro.core.tiled import _boundary_matrix, _find_portals
+        mesh, pois = _workload()
+        engine = GeodesicEngine(mesh, pois, points_per_edge=1)
+        portals = [portal.node for portal in _find_portals(
+            mesh, engine.graph, plan_tiles(mesh, tiles))]
+        count = len(portals)
+        assert count > 1
+        adjacency = engine.graph.csr.to_lists()
+        expected = np.zeros((count, count), dtype=np.float64)
+        for row in range(count):
+            found = dijkstra_reference(adjacency, portals[row]).distances
+            for col in range(row + 1, count):
+                distance = found.get(portals[col], np.inf)
+                expected[row, col] = expected[col, row] = distance
+        matrix = _boundary_matrix(engine, portals)
+        assert matrix.dtype == expected.dtype
+        assert matrix.tobytes() == expected.tobytes()
+
+
 class TestBoundaryVertexPOI:
     def test_poi_exactly_on_cut_vertex(self):
         """A POI placed on a tile-boundary vertex coincides with a
