@@ -8,7 +8,7 @@ the paper's figures show dwarfing both oracles' query times.
 
 Our implementation: attach the POIs to a Steiner graph whose density is
 the ε-derived rate (shared with SP-Oracle), and answer each query with
-an early-exit (optionally bidirectional) Dijkstra.  ``size_bytes`` is 0
+an early-exit Dijkstra.  ``size_bytes`` is 0
 — K-Algo maintains no index; the graph is the input representation.
 """
 
@@ -20,7 +20,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.index import DistanceIndexMixin, aligned_id_arrays
-from ..geodesic.dijkstra import bidirectional_distance
 from ..geodesic.engine import GeodesicEngine
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POISet
@@ -42,20 +41,16 @@ class KAlgo(DistanceIndexMixin):
         Error parameter; controls the Steiner density.
     points_per_edge:
         Explicit density override.
-    bidirectional:
-        Use bidirectional search (halves settled nodes; same answer).
     """
 
     def __init__(self, mesh: TriangleMesh, pois: POISet, epsilon: float,
-                 points_per_edge: Optional[int] = None,
-                 bidirectional: bool = False):
+                 points_per_edge: Optional[int] = None):
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         self.epsilon = epsilon
         density = (points_per_edge if points_per_edge is not None
                    else steiner_density_for_epsilon(epsilon))
         self._engine = GeodesicEngine(mesh, pois, points_per_edge=density)
-        self._bidirectional = bidirectional
 
     @property
     def engine(self) -> GeodesicEngine:
@@ -79,14 +74,6 @@ class KAlgo(DistanceIndexMixin):
 
     def query(self, source: int, target: int) -> float:
         """ε-approximate geodesic distance between two POIs."""
-        if source == target:
-            return 0.0
-        if self._bidirectional:
-            return bidirectional_distance(
-                self._engine.graph.csr,
-                self._engine.poi_node(source),
-                self._engine.poi_node(target),
-            )
         return self._engine.distance(source, target)
 
     def query_many(self, pairs) -> list:
@@ -105,11 +92,6 @@ class KAlgo(DistanceIndexMixin):
         so answers are bit-identical to a scalar :meth:`query` loop.
         """
         source_ids, target_ids = aligned_id_arrays(sources, targets)
-        if self._bidirectional:
-            # The bidirectional meeting rule is inherently per-pair.
-            return np.array([self.query(int(a), int(b))
-                             for a, b in zip(source_ids, target_ids)],
-                            dtype=np.float64)
         engine = self._engine
         by_source = {}
         for a, b in zip(source_ids.tolist(), target_ids.tolist()):

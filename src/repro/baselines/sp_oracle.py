@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..geodesic.dijkstra import dijkstra
+from ..geodesic.dijkstra import row_block
 from ..geodesic.graph import GeodesicGraph
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POISet
@@ -101,13 +101,13 @@ class SPOracle:
 
         sites = self._graph.num_nodes
         tick = time.perf_counter()
-        matrix = np.full((sites, sites), np.inf, dtype=np.float32)
-        csr = self._graph.csr
+        matrix = np.empty((sites, sites), dtype=np.float32)
+        everything = np.arange(sites)
         for source in range(sites):
-            result = dijkstra(csr, source)
-            # Settled ids/dists are parallel arrays: one fancy-indexed
-            # row assignment replaces the per-node dict walk.
-            matrix[source, result.settled_ids] = result.settled_dists
+            # One search per call: the build stays [12]'s repeated
+            # single-source Dijkstra, the cost the figures time.
+            block, _ = row_block(self._graph.csr, [source], everything)
+            matrix[source] = block[0]
         self._matrix = matrix
         self.stats.apsp_seconds = time.perf_counter() - tick
         self.stats.total_seconds = time.perf_counter() - started

@@ -15,9 +15,9 @@ fast compiled tables.
 * **insert**: the new POI joins a small overlay set.  Its *delta row*
   — exact engine-metric distances to every base POI, plus cache
   entries against the other overlay POIs — is computed by **one**
-  whole-row SSAD on first touch (on SciPy, over the graph with its
-  overlay) and memoised, so an insert itself is O(1) graph surgery
-  and queries never trigger a full recompile;
+  whole-row SSAD on first touch (over the graph with its overlay) and
+  memoised, so an insert itself is O(1) graph surgery and queries
+  never trigger a full recompile;
 * **delete**: the POI is tombstoned in an alive mask; querying it
   raises ``KeyError``;
 * once the overlay + tombstones exceed ``rebuild_factor`` times the

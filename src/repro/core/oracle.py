@@ -53,10 +53,10 @@ class BuildStats:
 
     The effort counters come from the engine: ``ssad_calls`` counts one
     per SSAD row, also when one SciPy call computes many rows, and
-    ``settled_nodes`` sums the nodes each row settled.  On SciPy a
-    cover-all row settles its source's whole component (without SciPy
-    it stops once every POI is settled), and rows push no heap entries:
-    ``heap_pushes`` counts the pure-Python kernel's pushes only.
+    ``settled_nodes`` sums the nodes each row settled (a cover-all row
+    settles its source's whole component).  Rows push no heap entries:
+    ``heap_pushes`` counts the targeted searches' pushes only.  None of
+    the three depends on whether SciPy is installed.
     """
 
     tree_seconds: float = 0.0

@@ -222,25 +222,11 @@ def _boundary_matrix(engine: GeodesicEngine,
     longer by the triangle inequality).  Symmetric by construction:
     each upper-triangle entry comes from the lower-index portal's
     search and is mirrored (the reverse search can differ in the last
-    bit).  On SciPy every portal's whole row comes from one batched
-    call; without it, each portal runs one search covering the later
-    portals.
+    bit).  Every portal's whole row comes from one batch of
+    :meth:`~repro.geodesic.engine.GeodesicEngine.node_rows`.
     """
-    count = len(portal_nodes)
-    block = engine.node_rows(portal_nodes, portal_nodes)
-    if block is not None:
-        upper = np.triu(block, 1)
-        return upper + upper.T
-    matrix = np.zeros((count, count), dtype=np.float64)
-    for row in range(count - 1):
-        later = list(portal_nodes[row + 1:])
-        found = engine.distances_from_node(
-            portal_nodes[row], targets=later).distances
-        for offset, target in enumerate(later):
-            distance = found.get(target, np.inf)
-            matrix[row, row + 1 + offset] = distance
-            matrix[row + 1 + offset, row] = distance
-    return matrix
+    upper = np.triu(engine.node_rows(portal_nodes, portal_nodes), 1)
+    return upper + upper.T
 
 
 # ----------------------------------------------------------------------

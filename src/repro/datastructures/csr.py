@@ -14,14 +14,13 @@ this repository runs on.  It has two sections:
   the overlay live in a side table consulted only when the overlay is
   non-empty.
 
-The NumPy arrays are the canonical storage: the SciPy-backed fast path
-of the Dijkstra kernel hands them to ``scipy.sparse.csgraph`` wholesale
-(see :meth:`scipy_matrix`; with an overlay present, the matrix of
-:meth:`frozen`), and the exact ``frontier_min`` reconstruction gathers
-over the matrix's own arrays vectorised.  The *pure-Python* kernel
-(targets / single-target / parents modes, or SciPy missing) instead
-iterates prebuilt per-node ``(neighbor, weight)`` tuple rows — CPython
-pays ~5x for boxed elementwise NumPy access, so the hot loop reads
+The NumPy arrays are the canonical storage: the kernel's whole-row
+searches (:func:`~repro.geodesic.dijkstra.row_block`) hand them to
+``scipy.sparse.csgraph`` wholesale when SciPy is installed (see
+:meth:`scipy_matrix`; with an overlay present, the matrix of
+:meth:`frozen`).  The *pure-Python* kernel instead iterates prebuilt
+per-node ``(neighbor, weight)`` tuple rows — CPython pays ~5x for
+boxed elementwise NumPy access, so the hot loop reads
 :meth:`kernel_view`'s list form.  Both views are frozen from the same
 data.
 
@@ -43,26 +42,32 @@ __all__ = ["CSRGraph", "DijkstraScratch"]
 Row = List[Tuple[int, float]]
 
 
+def _entry_arrays(rows: Iterable[Row]) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``(neighbor, weight)`` rows as CSR ``indices`` /
+    ``weights`` arrays."""
+    entries = [entry for row in rows for entry in row]
+    return (np.array([v for v, _ in entries], dtype=np.int32),
+            np.array([w for _, w in entries], dtype=np.float64))
+
+
 class DijkstraScratch:
     """Reusable per-search buffers, generation-stamped for O(1) reset.
 
     ``dist[v]`` / ``parent[v]`` are meaningful only when
-    ``label[v] == gen``; the bidirectional kernel additionally marks
-    settledness in ``settled``.  A new search calls
+    ``label[v] == gen``.  A new search calls
     :meth:`next_generation` instead of clearing.  The buffers are plain
     Python lists: the kernel reads and writes them elementwise millions
     of times, where list access beats both dict hashing and boxed NumPy
     scalar access.
     """
 
-    __slots__ = ("dist", "parent", "label", "settled", "gen", "capacity")
+    __slots__ = ("dist", "parent", "label", "gen", "capacity")
 
     def __init__(self, capacity: int):
         self.capacity = max(capacity, 1)
         self.dist: List[float] = [0.0] * self.capacity
         self.parent: List[int] = [-1] * self.capacity
         self.label: List[int] = [0] * self.capacity
-        self.settled: List[int] = [0] * self.capacity
         self.gen = 0
 
     def ensure(self, capacity: int) -> None:
@@ -71,7 +76,6 @@ class DijkstraScratch:
             self.dist.extend([0.0] * grow)
             self.parent.extend([-1] * grow)
             self.label.extend([0] * grow)
-            self.settled.extend([0] * grow)
             self.capacity = capacity
 
     def next_generation(self) -> int:
@@ -102,8 +106,8 @@ class CSRGraph:
         if int(self.indptr[-1]) != len(self.indices):
             raise ValueError("indptr[-1] must equal the entry count")
         # Per-node (neighbor, weight) rows for the pure-Python kernel,
-        # materialised lazily: graphs that only ever take the SciPy
-        # fast path never pay the O(E) tuple build.
+        # materialised lazily: graphs that only ever run SciPy rows
+        # never pay the O(E) tuple build.
         self._rows: Optional[List[Row]] = None
         # Dynamic overlay (nodes with id >= num_static).
         self._ov_rows: List[Row] = []
@@ -153,21 +157,27 @@ class CSRGraph:
         """A copy with the overlay merged into the static section.
 
         Rows keep their order: a static node's overlay edges follow its
-        static entries, in attach order.
+        static entries, in attach order (inserted at the end of its
+        row; ``np.insert`` keeps equal positions in given order), and
+        the overlay rows follow the static ones.
         """
-        static_n = self.num_static
-        added = list(self._extra.items())
-        added.extend((static_n + i, row) for i, row in enumerate(self._ov_rows))
-        owners = [node for node, row in added for _ in row]
-        entries = [entry for _, row in added for entry in row]
-        rows = np.repeat(np.arange(static_n), np.diff(self.indptr))
-        return CSRGraph.from_entries(
-            np.concatenate([rows, np.array(owners, dtype=np.int64)]),
-            np.concatenate([self.indices, np.array(
-                [v for v, _ in entries], dtype=np.int32)]),
-            np.concatenate([self.weights, np.array(
-                [w for _, w in entries], dtype=np.float64)]),
-            self.num_nodes)
+        owners = np.array([node for node, row in self._extra.items()
+                           for _ in row], dtype=np.int64)
+        at = self.indptr[owners + 1]
+        back_ids, back_weights = _entry_arrays(self._extra.values())
+        tail_ids, tail_weights = _entry_arrays(self._ov_rows)
+        counts = np.concatenate([
+            np.diff(self.indptr)
+            + np.bincount(owners, minlength=self.num_static),
+            np.array([len(row) for row in self._ov_rows], dtype=np.int64)])
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return CSRGraph(
+            indptr,
+            np.concatenate([np.insert(self.indices, at, back_ids),
+                            tail_ids]),
+            np.concatenate([np.insert(self.weights, at, back_weights),
+                            tail_weights]))
 
     # ------------------------------------------------------------------
     # shape
@@ -279,16 +289,13 @@ class CSRGraph:
         With an overlay present this is the matrix of :meth:`frozen`,
         so searches from or through overlay nodes see every edge;
         :meth:`attach_node` and :meth:`detach_last` drop the cache.
-        Returns ``None`` when SciPy is unavailable.  Explicit
-        zero-weight entries survive the ``(data, indices, indptr)``
-        construction and ``csgraph.dijkstra`` honours them as
+        Needs SciPy; only the kernel's whole-row searches ask for it.
+        Explicit zero-weight entries survive the ``(data, indices,
+        indptr)`` construction and ``csgraph.dijkstra`` honours them as
         zero-length edges (pinned by an equivalence test).
         """
         if self._scipy_matrix is None:
-            try:
-                from scipy.sparse import csr_matrix
-            except ImportError:  # pragma: no cover - scipy is optional
-                return None
+            from scipy.sparse import csr_matrix
             graph = self.frozen() if self._ov_rows else self
             n = graph.num_static
             self._scipy_matrix = csr_matrix(

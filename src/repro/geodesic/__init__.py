@@ -2,7 +2,6 @@
 
 from .dijkstra import (
     DijkstraResult,
-    bidirectional_distance,
     dijkstra,
     dijkstra_reference,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "SlopePenaltyWeight",
     "ElevationGainWeight",
     "DijkstraResult",
-    "bidirectional_distance",
     "dijkstra",
     "dijkstra_reference",
     "EngineSnapshot",

@@ -13,52 +13,52 @@ distance — with different stopping criteria:
 
 Running with neither criterion settles the whole connected component.
 
-This kernel is the hot path of the whole repository.  Since the CSR
-refactor it runs over :class:`~repro.datastructures.csr.CSRGraph` and
-dispatches between two implementations:
+This kernel is the hot path of the whole repository.  It runs over
+:class:`~repro.datastructures.csr.CSRGraph` with one search per kind
+of stop rule:
 
-* a **SciPy fast path** for every *whole-row* search — full-component
-  or radius-bounded, with no target stop and no parent tree — on the
-  graph's cached CSR matrix (with an overlay present, the matrix of
-  its frozen copy): ``scipy.sparse.csgraph.dijkstra``.  Settled ids
-  and distances stay NumPy arrays, and the exact ``frontier_min`` of
-  the radius rule is reconstructed on first access by one vectorised
-  gather over the matrix's own arrays.  :func:`row_block` runs many
-  such rows per SciPy call and hands back only the columns a caller
-  asks for.  Distances are bit-identical to the reference kernel:
-  both compute the same ``min`` over the same float64 path sums.
-* a **pure-Python array kernel** for the cover-targets / single-target
-  rules, parent tracking, or when SciPy is missing.  Tentative
-  distances, parents and visit labels live in
-  preallocated flat arrays borrowed from the graph's scratch pool and
-  reset in O(1) by generation stamping, instead of the per-call dicts
-  of the original kernel (kept below as :func:`dijkstra_reference` for
-  equivalence tests and benchmarks).  Radius-bounded searches prune
-  beyond-radius pushes at relaxation time — the lazy-deletion heap no
-  longer fills with entries that could only ever be popped after the
-  stopping rule fires — while still reporting the exact
+* :func:`row_block` runs every **whole-row** search — full-component
+  or radius-bounded, with no target stop and no parent tree — for many
+  sources at once, and hands back only the columns a caller asks for.
+  With SciPy installed the rows come from
+  ``scipy.sparse.csgraph.dijkstra`` over the graph's cached CSR matrix
+  (with an overlay present, the matrix of its frozen copy), many rows
+  per call; without SciPy, from one :func:`dijkstra` search per source.
+  Both give the same distances bit for bit — the same ``min`` over the
+  same float64 path sums — and the same settled counts, so nothing
+  downstream depends on whether SciPy is installed.
+* :func:`dijkstra` is the **pure-Python array kernel** for the
+  cover-targets / single-target rules and parent tracking.  Tentative
+  distances, parents and visit labels live in preallocated flat arrays
+  borrowed from the graph's scratch pool and reset in O(1) by
+  generation stamping, instead of the per-call dicts of the original
+  kernel (kept below as :func:`dijkstra_reference`, the specification
+  for equivalence tests and benchmarks).  Radius-bounded searches
+  prune beyond-radius pushes at relaxation time — the lazy-deletion
+  heap no longer fills with entries that could only ever be popped
+  after the stopping rule fires — while still reporting the exact
   ``frontier_min`` the unpruned kernel would.
 
-``source`` may be a sequence for multi-source searches (the frontier
-starts at distance 0 from every source).  Both kernels take a
-:class:`~repro.datastructures.csr.CSRGraph` or any object exposing one
-as ``.csr`` (e.g. ``GeodesicGraph``).  Only :func:`dijkstra_reference`
-reads a ``(neighbors, weights)`` list-of-lists pair; get one from
+:func:`dijkstra`'s ``source`` may be a sequence for multi-source
+searches (the frontier starts at distance 0 from every source).  Both
+kernels take a :class:`~repro.datastructures.csr.CSRGraph` or any
+object exposing one as ``.csr`` (e.g. ``GeodesicGraph``).  Only
+:func:`dijkstra_reference` reads a ``(neighbors, weights)``
+list-of-lists pair; get one from
 :meth:`CSRGraph.to_lists <repro.datastructures.csr.CSRGraph.to_lists>`.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..datastructures.csr import CSRGraph
 
-try:  # SciPy is optional; the pure-Python kernel covers its absence.
+try:  # SciPy is optional; row_block searches in pure Python without it.
     from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 except ImportError:  # pragma: no cover - depends on environment
     _scipy_dijkstra = None
@@ -67,7 +67,6 @@ __all__ = [
     "DijkstraResult",
     "dijkstra",
     "dijkstra_reference",
-    "bidirectional_distance",
     "row_block",
 ]
 
@@ -93,36 +92,31 @@ class DijkstraResult:
     ----------
     distances:
         ``{node: distance}`` for every *settled* node (built lazily
-        from the settled arrays on first access).
+        from the settled lists on first access).
     parents:
         ``{node: predecessor}`` tree (only if requested).
     settled_count:
         Number of settled nodes (search effort measure).
     frontier_min:
         Tentative distance at which the search stopped (``inf`` if the
-        frontier drained).  The SciPy path computes it on first access.
+        frontier drained).
     heap_pushes:
-        Heap insertions performed by the pure-Python kernel — the
-        bookkeeping-effort measure that makes the lazy-deletion pruning
-        win visible to benchmarks.  0 for the SciPy fast path, which
-        keeps its frontier in C.
+        Heap insertions performed — the bookkeeping-effort measure that
+        makes the lazy-deletion pruning win visible to benchmarks.
     settled_ids / settled_dists:
-        Parallel sequences of settled nodes — the raw form array
-        consumers (e.g. the SP-Oracle APSP fill) read directly: lists
-        in settle order from the Python kernel, NumPy arrays in node
-        order from the SciPy path.
+        Parallel lists of the settled nodes and their distances, in
+        settle order.
     """
 
-    __slots__ = ("_distances", "parents", "settled_count", "_frontier_min",
+    __slots__ = ("_distances", "parents", "settled_count", "frontier_min",
                  "heap_pushes", "settled_ids", "settled_dists")
 
     def __init__(self, distances: Optional[Dict[int, float]] = None,
                  parents: Optional[Dict[int, int]] = None,
-                 settled_count: Optional[int] = None,
-                 frontier_min: Union[float, Callable[[], float]] = math.inf,
+                 frontier_min: float = math.inf,
                  heap_pushes: int = 0,
-                 settled_ids: Optional[Sequence[int]] = None,
-                 settled_dists: Optional[Sequence[float]] = None):
+                 settled_ids: Optional[List[int]] = None,
+                 settled_dists: Optional[List[float]] = None):
         if distances is None and settled_ids is None:
             raise ValueError("need distances or settled_ids/settled_dists")
         self._distances = distances
@@ -132,24 +126,14 @@ class DijkstraResult:
             settled_dists = list(distances.values())
         self.settled_ids = settled_ids
         self.settled_dists = settled_dists
-        self.settled_count = (len(settled_ids) if settled_count is None
-                              else settled_count)
-        self._frontier_min = frontier_min
+        self.settled_count = len(settled_ids)
+        self.frontier_min = frontier_min
         self.heap_pushes = heap_pushes
-
-    @property
-    def frontier_min(self) -> float:
-        if callable(self._frontier_min):
-            self._frontier_min = self._frontier_min()
-        return self._frontier_min
 
     @property
     def distances(self) -> Dict[int, float]:
         if self._distances is None:
-            ids, dists = self.settled_ids, self.settled_dists
-            if isinstance(ids, np.ndarray):
-                ids, dists = ids.tolist(), dists.tolist()
-            self._distances = dict(zip(ids, dists))
+            self._distances = dict(zip(self.settled_ids, self.settled_dists))
         return self._distances
 
     def path_to(self, node: int) -> List[int]:
@@ -165,6 +149,49 @@ class DijkstraResult:
         return path
 
 
+def row_block(graph: CSRGraph, sources: Sequence[int],
+              columns: Sequence[int], *,
+              radius: Optional[float] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Whole-row searches from ``sources``, gathered at ``columns``.
+
+    Each source runs its own search with no target stop and no parent
+    tree — the whole component, or out to ``radius``.  Returns
+    ``(block, settled)``: ``block[i, j]`` is the distance from
+    ``sources[i]`` to ``columns[j]`` (``inf`` past the radius or the
+    component), ``settled[i]`` the node count the ``i``-th search
+    settled.  On SciPy many sources share one call (at most
+    :data:`_ROW_CELLS` distances per call); without it (or for a
+    negative radius, which SciPy refuses) each source runs
+    :func:`dijkstra`.  Either way the block and the counts are the
+    same.
+    """
+    csr = _as_csr(graph)
+    sources = np.asarray(sources, dtype=np.int64)
+    columns = np.asarray(columns, dtype=np.int64)
+    block = np.empty((len(sources), len(columns)), dtype=np.float64)
+    settled = np.empty(len(sources), dtype=np.int64)
+    if _scipy_dijkstra is None or (radius is not None and radius < 0.0):
+        dense = np.empty(csr.num_nodes, dtype=np.float64)
+        for row, source in enumerate(sources.tolist()):
+            result = dijkstra(csr, source, radius=radius)
+            dense.fill(math.inf)
+            dense[result.settled_ids] = result.settled_dists
+            block[row] = dense[columns]
+            settled[row] = result.settled_count
+        return block, settled
+    matrix = csr.scipy_matrix()
+    limit = math.inf if radius is None else radius
+    per_call = max(1, _ROW_CELLS // max(csr.num_nodes, 1))
+    for start in range(0, len(sources), per_call):
+        stop = start + per_call
+        dist = _scipy_dijkstra(matrix, indices=sources[start:stop],
+                               limit=limit)
+        block[start:stop] = dist[:, columns]
+        settled[start:stop] = np.count_nonzero(np.isfinite(dist), axis=1)
+    return block, settled
+
+
 def dijkstra(graph: CSRGraph,
              source: Union[int, Sequence[int]],
              *,
@@ -173,6 +200,10 @@ def dijkstra(graph: CSRGraph,
              single_target: Optional[int] = None,
              return_parents: bool = False) -> DijkstraResult:
     """Best-first search from ``source`` with optional stopping rules.
+
+    The generation-stamped array kernel: every stopping rule, overlay
+    included.  Whole rows for many sources are cheaper through
+    :func:`row_block`.
 
     Parameters
     ----------
@@ -199,100 +230,6 @@ def dijkstra(graph: CSRGraph,
     else:
         sources = (int(source),)
 
-    if (_scipy_dijkstra is not None
-            and targets is None and single_target is None
-            and not return_parents
-            and (radius is None or radius >= 0.0)):
-        matrix = csr.scipy_matrix()
-        if matrix is not None:
-            return _dijkstra_scipy(matrix, sources, radius)
-    return _dijkstra_python(csr, sources, radius, targets, single_target,
-                            return_parents)
-
-
-def _dijkstra_scipy(matrix, sources: Tuple[int, ...],
-                    radius: Optional[float]) -> DijkstraResult:
-    """Full-component / radius-bounded search via scipy.sparse.csgraph."""
-    limit = math.inf if radius is None else radius
-    if len(sources) == 1:
-        dist = _scipy_dijkstra(matrix, indices=sources[0], limit=limit)
-    else:
-        dist = _scipy_dijkstra(matrix, indices=list(sources), limit=limit,
-                               min_only=True)
-    finite = np.isfinite(dist)
-    ids = np.flatnonzero(finite)
-    frontier_min: Union[float, Callable[[], float]] = math.inf
-    if radius is not None:
-        frontier_min = partial(_frontier_min, matrix, dist, finite, ids)
-    return DijkstraResult(settled_ids=ids, settled_dists=dist[ids],
-                          frontier_min=frontier_min)
-
-
-def _frontier_min(matrix, dist: np.ndarray, finite: np.ndarray,
-                  ids: np.ndarray) -> float:
-    """The exact frontier_min of the unbounded kernel: the smallest
-    candidate distance leaving the settled region, gathered over the
-    matrix's own arrays (which cover the overlay too)."""
-    indptr = matrix.indptr
-    starts = indptr[ids]
-    counts = indptr[ids + 1] - starts
-    total = int(counts.sum())
-    if not total:
-        return math.inf
-    base = np.repeat(starts, counts)
-    step = np.arange(total, dtype=np.int64) \
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    positions = base + step
-    neighbors = matrix.indices[positions]
-    candidates = np.repeat(dist[ids], counts) + matrix.data[positions]
-    outside = ~finite[neighbors]
-    if not outside.any():
-        return math.inf
-    return float(candidates[outside].min())
-
-
-def row_block(graph: CSRGraph, sources: Sequence[int],
-              columns: Sequence[int], *,
-              radius: Optional[float] = None
-              ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Whole-row searches from ``sources``, gathered at ``columns``.
-
-    Each source runs its own search with no target stop and no parent
-    tree — the whole component, or out to ``radius`` — many sources to
-    one SciPy call (at most :data:`_ROW_CELLS` distances per call).
-    Returns ``(block, settled)``: ``block[i, j]`` is the distance from
-    ``sources[i]`` to ``columns[j]`` (``inf`` past the radius or the
-    component), ``settled[i]`` the node count the ``i``-th search
-    settled.  Returns ``None`` when SciPy is missing (or the radius is
-    negative); callers then run :func:`dijkstra` per source.
-    """
-    if _scipy_dijkstra is None or (radius is not None and radius < 0.0):
-        return None
-    csr = _as_csr(graph)
-    matrix = csr.scipy_matrix()
-    if matrix is None:
-        return None
-    sources = np.asarray(sources, dtype=np.int64)
-    columns = np.asarray(columns, dtype=np.int64)
-    limit = math.inf if radius is None else radius
-    per_call = max(1, _ROW_CELLS // max(csr.num_nodes, 1))
-    block = np.empty((len(sources), len(columns)), dtype=np.float64)
-    settled = np.empty(len(sources), dtype=np.int64)
-    for start in range(0, len(sources), per_call):
-        stop = start + per_call
-        dist = _scipy_dijkstra(matrix, indices=sources[start:stop],
-                               limit=limit)
-        block[start:stop] = dist[:, columns]
-        settled[start:stop] = np.count_nonzero(np.isfinite(dist), axis=1)
-    return block, settled
-
-
-def _dijkstra_python(csr: CSRGraph, sources: Tuple[int, ...],
-                     radius: Optional[float],
-                     targets: Optional[Sequence[int]],
-                     single_target: Optional[int],
-                     return_parents: bool) -> DijkstraResult:
-    """Generation-stamped array kernel (all stopping rules, overlay)."""
     rows, static_n, ov_rows, extra = csr.kernel_view()
     scratch = csr.acquire_scratch()
     try:
@@ -382,7 +319,6 @@ def _dijkstra_python(csr: CSRGraph, sources: Tuple[int, ...],
         if return_parents:
             parents = {u: parent[u] for u in order}
         return DijkstraResult(parents=parents,
-                              settled_count=len(order),
                               frontier_min=frontier_min,
                               heap_pushes=pushes,
                               settled_ids=order,
@@ -449,77 +385,5 @@ def dijkstra_reference(adjacency: Tuple[List[List[int]], List[List[float]]],
     if parents is not None:
         parents = {node: parents[node] for node in distances}
     return DijkstraResult(distances=distances, parents=parents,
-                          settled_count=len(distances),
                           frontier_min=frontier_min,
                           heap_pushes=pushes)
-
-
-def bidirectional_distance(graph: CSRGraph, source: int,
-                           target: int) -> float:
-    """Point-to-point distance via bidirectional Dijkstra.
-
-    Roughly halves the settled-node count of a unidirectional search on
-    terrain graphs; used by the on-the-fly K-Algo baseline.  Returns
-    ``inf`` when the nodes are disconnected.  Runs on the same CSR +
-    scratch-pool machinery as :func:`dijkstra` (borrowing one scratch
-    buffer per direction).
-    """
-    if source == target:
-        return 0.0
-    csr = _as_csr(graph)
-    rows, static_n, ov_rows, extra = csr.kernel_view()
-    forward = csr.acquire_scratch()
-    backward = csr.acquire_scratch()
-    try:
-        scratches = (forward, backward)
-        gens = (forward.next_generation(), backward.next_generation())
-        heaps: Tuple[List[Tuple[float, int]], List[Tuple[float, int]]] = (
-            [(0.0, source)], [(0.0, target)]
-        )
-        for side, start in ((0, source), (1, target)):
-            scratches[side].dist[start] = 0.0
-            scratches[side].label[start] = gens[side]
-        best = math.inf
-        has_extra = bool(extra)
-
-        while heaps[0] and heaps[1]:
-            side = 0 if heaps[0][0][0] <= heaps[1][0][0] else 1
-            this = scratches[side]
-            other = scratches[1 - side]
-            this_gen = gens[side]
-            other_gen = gens[1 - side]
-            d, u = heappop(heaps[side])
-            if this.settled[u] == this_gen:
-                continue
-            this.settled[u] = this_gen
-            if other.settled[u] == other_gen:
-                return best
-            if d > best:
-                return best
-            if u < static_n:
-                row = rows[u]
-                if has_extra:
-                    pair = extra.get(u)
-                    if pair is not None:
-                        row = row + pair
-            else:
-                row = ov_rows[u - static_n]
-            heap = heaps[side]
-            this_dist = this.dist
-            this_label = this.label
-            other_dist = other.dist
-            other_label = other.label
-            for v, w in row:
-                c = d + w
-                if this_label[v] != this_gen or c < this_dist[v]:
-                    this_dist[v] = c
-                    this_label[v] = this_gen
-                    heappush(heap, (c, v))
-                    if other_label[v] == other_gen:
-                        through = c + other_dist[v]
-                        if through < best:
-                            best = through
-        return best
-    finally:
-        csr.release_scratch(backward)
-        csr.release_scratch(forward)

@@ -8,14 +8,15 @@ algorithms need:
   radius-bounded) returning geodesic distances *to POIs* as a
   :class:`PoiRow` of ``(poi ids, distances)`` arrays;
 * :meth:`distances_many` / :meth:`query_many` — batched forms of the
-  above: many sources per call (build-time SSAD sweeps, many rows per
-  SciPy call), or many point-to-point queries grouped so each distinct
-  source runs one multi-target search instead of one search per pair;
+  above: many sources per call (build-time SSAD sweeps, one
+  :func:`~repro.geodesic.dijkstra.row_block` per run of equal radii),
+  or many point-to-point queries grouped so each distinct source runs
+  one multi-target search instead of one search per pair;
 * :meth:`node_rows` / :meth:`poi_distances_from_node` — whole-row
   searches from arbitrary graph nodes, gathered at given nodes or at
   every POI (tile portal matrices, overlay delta rows);
-* :meth:`multi_source_distances` — a single search seeded from several
-  nodes at once (nearest-site style workloads);
+* :meth:`distances_from_node` — a cover-targets search from a raw
+  graph node (K-Algo batches, overlay-overlay pairs);
 * :meth:`distance` — a single P2P geodesic distance (ground truth for
   error measurement, and the naive construction's workhorse);
 * :meth:`shortest_path` — path reconstruction for examples;
@@ -27,12 +28,14 @@ algorithms need:
 
 All searches run on the graph's frozen CSR core (the POI set is frozen
 into it at construction); see :mod:`repro.geodesic.graph`.  Whole-row
-searches (no target stop, no parent tree) run on SciPy when it is
-installed, cover-all rows included, and settle the whole component;
-without SciPy they keep the pure-Python kernel, where a cover-all row
-stops once every POI is settled.  The engine also counts SSAD
-invocations (one per row), settled nodes and heap pushes, which the
-benchmark harness reports as construction-effort metrics.
+searches (no target stop, no parent tree; cover-all rows included,
+which settle the whole component) go through
+:func:`~repro.geodesic.dijkstra.row_block`, the rest through the
+pure-Python :func:`~repro.geodesic.dijkstra.dijkstra`.  The engine
+also counts SSAD invocations (one per row), settled nodes and heap
+pushes (targeted searches only), which the benchmark harness reports
+as construction-effort metrics; none of them depends on whether SciPy
+is installed.
 """
 
 from __future__ import annotations
@@ -122,15 +125,6 @@ class _FrozenGraphView:
     def __init__(self, csr: CSRGraph, points_per_edge: int):
         self.csr = csr
         self.points_per_edge = points_per_edge
-
-
-def _gather(result: DijkstraResult, num_nodes: int,
-            columns: Sequence[int]) -> np.ndarray:
-    """A search's distances at ``columns`` (``inf`` where unsettled)."""
-    dense = np.full(num_nodes, math.inf)
-    dense[np.asarray(result.settled_ids, dtype=np.int64)] = \
-        result.settled_dists
-    return dense[columns]
 
 
 def _single_target_distance(result: DijkstraResult, target: int) -> float:
@@ -291,9 +285,7 @@ class GeodesicEngine:
         per-source sequence (entries may be ``None`` for cover-all
         mode) — the form the enhanced-edge builder uses to sweep one
         partition-tree layer per call.  Each run of sources sharing a
-        radius is one :meth:`node_rows` batch (a few SciPy calls for a
-        whole layer); without SciPy every source runs the pure-Python
-        kernel.
+        radius is one :meth:`node_rows` batch.
         """
         poi_indices = list(poi_indices)
         if radius is None or isinstance(radius, (int, float)):
@@ -310,41 +302,22 @@ class GeodesicEngine:
     def _poi_rows(self, poi_indices: List[int],
                   radius: Optional[float]) -> List[PoiRow]:
         sources = [self._poi_nodes[poi] for poi in poi_indices]
-        block = self.node_rows(sources, self._row_nodes, radius=radius)
-        if block is None:
-            block = [self._python_row(source, radius) for source in sources]
         rows = []
-        for dists in block:
+        for dists in self.node_rows(sources, self._row_nodes, radius=radius):
             reached = np.isfinite(dists)
             rows.append(PoiRow(self._row_pois[reached], dists[reached]))
         return rows
 
-    def _python_row(self, source: int,
-                    radius: Optional[float]) -> np.ndarray:
-        """One row on the pure-Python kernel (SciPy missing), gathered
-        at the POI hosts in node order; a cover-all row stops once
-        every POI is settled."""
-        csr = self._graph.csr
-        if radius is None:
-            result = dijkstra(csr, source, targets=self._poi_nodes)
-        else:
-            result = dijkstra(csr, source, radius=radius)
-        self._account(result)
-        return _gather(result, csr.num_nodes, self._row_nodes)
-
     def node_rows(self, sources: Sequence[int], columns: Sequence[int],
-                  radius: Optional[float] = None) -> Optional[np.ndarray]:
+                  radius: Optional[float] = None) -> np.ndarray:
         """Whole-row searches from graph nodes, gathered at graph nodes.
 
         ``result[i, j]`` is the distance from ``sources[i]`` to
         ``columns[j]`` (``inf`` past ``radius`` or the component), one
-        search per source, many per SciPy call.  Returns ``None`` when
-        SciPy is missing; callers then run their own searches.
+        :func:`~repro.geodesic.dijkstra.row_block` search per source.
         """
-        found = row_block(self._graph.csr, sources, columns, radius=radius)
-        if found is None:
-            return None
-        block, settled = found
+        block, settled = row_block(self._graph.csr, sources, columns,
+                                   radius=radius)
         self.ssad_calls += len(sources)
         self.settled_nodes += int(settled.sum())
         return block
@@ -353,14 +326,9 @@ class GeodesicEngine:
         """Distances from graph node ``node`` to every POI, by POI index.
 
         One whole-row search gathered at the POI hosts (``inf`` where
-        unreached) — the dynamic oracle's delta row.  Without SciPy,
-        one multi-target search covering every POI.
+        unreached) — the dynamic oracle's delta row.
         """
-        block = self.node_rows([node], self._poi_nodes)
-        if block is not None:
-            return block[0]
-        result = self.distances_from_node(node, targets=self._poi_nodes)
-        return _gather(result, self._graph.csr.num_nodes, self._poi_nodes)
+        return self.node_rows([node], self._poi_nodes)[0]
 
     def query_many(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
         """Batched P2P distances for many ``(source, target)`` POI pairs.
@@ -391,25 +359,11 @@ class GeodesicEngine:
                 for a, b in pairs]
 
     def distances_from_node(self, node: int,
-                            radius: Optional[float] = None,
-                            targets: Optional[Sequence[int]] = None
-                            ) -> DijkstraResult:
-        """Raw node-level SSAD (used by the A2A oracle over Steiner sites)."""
-        result = dijkstra(self._graph.csr, node, radius=radius,
-                          targets=targets)
-        self._account(result)
-        return result
-
-    def multi_source_distances(self, nodes: Sequence[int],
-                               radius: Optional[float] = None
-                               ) -> DijkstraResult:
-        """One search seeded from several nodes at distance 0.
-
-        Settles each reachable node at its distance to the *nearest*
-        source — the bulk primitive for nearest-site assignment and
-        Voronoi-style partitions.
-        """
-        result = dijkstra(self._graph.csr, list(nodes), radius=radius)
+                            targets: Sequence[int]) -> DijkstraResult:
+        """A search from graph node ``node`` that stops once every node
+        of ``targets`` is settled (whole rows go through
+        :meth:`node_rows`)."""
+        result = dijkstra(self._graph.csr, node, targets=targets)
         self._account(result)
         return result
 

@@ -635,8 +635,7 @@ class OracleService:
         registration.dirty = True
 
     @_locked
-    def flush(self, terrain_id: str,
-              mode: str = "incremental") -> Dict[str, Any]:
+    def flush(self, terrain_id: str) -> Dict[str, Any]:
         """Persist a mutable terrain: rebuild + repack + re-adopt.
 
         Rebuilds the base oracle over the active POI set (compacting
@@ -647,26 +646,21 @@ class OracleService:
         matches the on-disk store already.  Returns the (possibly
         refreshed) store meta.
 
-        ``mode`` selects the rebuild path: ``"incremental"`` (default)
-        replays the overlay's cross-rebuild SSAD memo so only
-        churn-damaged rows recompute, ``"full"`` is the from-scratch
-        reference rebuild.  Both produce bit-identical stores; the
-        repack itself splices unchanged section bytes from the
-        previous generation either way.  For a flush that never stalls
-        readers, see :meth:`flush_background`.
+        The rebuild replays the overlay's cross-rebuild SSAD memo, so
+        only churn-damaged rows recompute; it is bit-identical to the
+        from-scratch reference,
+        :meth:`~repro.core.dynamic.DynamicSEOracle.force_rebuild`.  The
+        repack splices unchanged section bytes from the previous
+        generation.  For a flush that never stalls readers, see
+        :meth:`flush_background`.
         """
-        if mode not in ("incremental", "full"):
-            raise ValueError(
-                f"unknown flush mode {mode!r}; expected 'incremental' "
-                "or 'full' (background flushes go through "
-                "flush_background)")
         registration = self._mutable(terrain_id)
         self._refuse_mid_flush(terrain_id, registration, "flush")
         overlay = registration.overlay
         if not registration.dirty:
             return registration.meta
         if overlay.has_pending_updates:
-            overlay.flush(incremental=(mode == "incremental"))
+            overlay.flush()
         return self._publish_flush(registration)
 
     def _publish_flush(self, registration: MutableRegistration

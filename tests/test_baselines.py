@@ -111,13 +111,15 @@ class TestKAlgo:
             assert algo.query(source, target) \
                 == pytest.approx(reference.distance(source, target))
 
-    def test_bidirectional_matches_unidirectional(self, terrain, pois):
-        uni = KAlgo(terrain, pois, epsilon=0.25, points_per_edge=1)
-        bi = KAlgo(terrain, pois, epsilon=0.25, points_per_edge=1,
-                   bidirectional=True)
+    def test_query_matches_whole_row(self, terrain, pois):
+        # The early-exit search stops at the target with the distance
+        # a whole-row search settles it at.
+        algo = KAlgo(terrain, pois, epsilon=0.25, points_per_edge=1)
+        engine = algo.engine
         for source, target in [(0, 5), (7, 13)]:
-            assert bi.query(source, target) \
-                == pytest.approx(uni.query(source, target))
+            row = engine.node_rows([engine.poi_node(source)],
+                                   [engine.poi_node(target)])
+            assert algo.query(source, target) == row[0, 0]
 
     def test_same_poi(self, terrain, pois):
         algo = KAlgo(terrain, pois, epsilon=0.25)

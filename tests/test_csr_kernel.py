@@ -1,10 +1,12 @@
 """CSR graph core + array Dijkstra kernel: equivalence with the seed kernel.
 
-The array kernel (both its SciPy fast path and its pure-Python
-generation-stamped path) must reproduce the seed dict kernel
-*bit-for-bit*: identical distance maps, identical ``settled_count``,
-identical ``frontier_min`` — across all three stopping rules, on
-randomized terrains, with and without an attached-site overlay.
+The pure-Python generation-stamped kernel must reproduce the seed dict
+kernel *bit-for-bit*: identical distance maps, identical
+``settled_count``, identical ``frontier_min`` — across all three
+stopping rules, on randomized terrains, with and without an
+attached-site overlay.  ``row_block``'s whole rows (on SciPy, and with
+SciPy hidden) must match it too: the same distances at every node and
+the same settled counts.
 """
 
 import math
@@ -26,12 +28,13 @@ from repro.geodesic import (
     GeodesicEngine,
     GeodesicGraph,
     SlopePenaltyWeight,
-    bidirectional_distance,
     dijkstra,
     dijkstra_reference,
     place_steiner_points,
 )
 from repro.terrain import make_terrain, sample_uniform
+
+row_block = dijkstra_module.row_block
 
 
 def _random_graph(seed, points_per_edge=1, grid_exponent=3):
@@ -46,6 +49,25 @@ def _assert_same(array_result, reference_result):
     assert array_result.frontier_min == reference_result.frontier_min
 
 
+def _assert_row_same(csr, source, reference_result, radius=None):
+    """``row_block``'s row from ``source``, gathered at every node, is
+    the reference search bit for bit, with the same settled count."""
+    block, settled = row_block(csr, [source], np.arange(csr.num_nodes),
+                               radius=radius)
+    expected = np.full(csr.num_nodes, math.inf)
+    distances = reference_result.distances
+    expected[list(distances)] = list(distances.values())
+    assert block[0].tobytes() == expected.tobytes()
+    assert settled[0] == reference_result.settled_count
+
+
+def _assert_search_and_row(csr, source, adjacency, radius=None):
+    """``dijkstra`` and ``row_block`` against one reference search."""
+    reference = dijkstra_reference(adjacency, source, radius=radius)
+    _assert_same(dijkstra(csr, source, radius=radius), reference)
+    _assert_row_same(csr, source, reference, radius=radius)
+
+
 def _check_all_rules(graph, seed):
     """One randomized scenario: every stopping rule, exact equality."""
     adjacency = graph.csr.to_lists()
@@ -56,6 +78,7 @@ def _check_all_rules(graph, seed):
     # No stopping rule: whole component.
     full_ref = dijkstra_reference(adjacency, source)
     _assert_same(dijkstra(csr, source), full_ref)
+    _assert_row_same(csr, source, full_ref)
 
     ordered = sorted(full_ref.distances.values())
 
@@ -63,9 +86,7 @@ def _check_all_rules(graph, seed):
     # distance (boundary inclusion) and a radius beyond the component.
     for radius in (ordered[len(ordered) // 4], ordered[len(ordered) // 2],
                    ordered[-1] * 2.0):
-        _assert_same(
-            dijkstra(csr, source, radius=radius),
-            dijkstra_reference(adjacency, source, radius=radius))
+        _assert_search_and_row(csr, source, adjacency, radius=radius)
 
     # Cover-targets rule.
     targets = [(seed * 7 + k * 13) % n for k in range(5)]
@@ -90,7 +111,8 @@ def test_kernel_matches_reference(seed):
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 1000))
 def test_python_kernel_matches_reference(seed):
-    """Same property with the SciPy fast path disabled."""
+    """Same property with SciPy hidden: ``row_block`` searches in
+    pure Python."""
     graph = _random_graph(seed % 13)
     with mock.patch.object(dijkstra_module, "_scipy_dijkstra", None):
         _check_all_rules(graph, seed)
@@ -110,16 +132,17 @@ def test_kernel_matches_reference_with_overlay(seed):
     _check_all_rules(graph, seed)
     # Overlay node as the source.
     source = graph.num_nodes - 1
-    _assert_same(dijkstra(graph.csr, source),
-                 dijkstra_reference(graph.csr.to_lists(), source))
+    _assert_search_and_row(graph.csr, source, graph.csr.to_lists())
 
 
 def test_matrix_follows_each_overlay_change():
     """Attach and detach one site at a time, searching in between.
 
-    The search matrix is cached and must be dropped by every attach
-    and every detach: each result, whole-component and radius-bounded,
-    must equal the reference kernel on the graph as it stands.
+    The search matrix behind ``row_block`` is cached and must be
+    dropped by every attach and every detach: each result,
+    whole-component and radius-bounded, of ``dijkstra`` and of
+    ``row_block`` must equal the reference kernel on the graph as it
+    stands.
     """
     graph = _random_graph(4)
     csr = graph.csr
@@ -129,10 +152,10 @@ def test_matrix_follows_each_overlay_change():
         adjacency = csr.to_lists()
         full = dijkstra_reference(adjacency, source)
         _assert_same(dijkstra(csr, source), full)
+        _assert_row_same(csr, source, full)
         ordered = sorted(full.distances.values())
         radius = ordered[len(ordered) // 3]
-        _assert_same(dijkstra(csr, source, radius=radius),
-                     dijkstra_reference(adjacency, source, radius=radius))
+        _assert_search_and_row(csr, source, adjacency, radius=radius)
 
     check(static)
     site_a = graph.attach_site((20.0, 20.0, 0.0), face_id=3)
@@ -149,18 +172,46 @@ def test_matrix_follows_each_overlay_change():
     check(static)
 
 
-@settings(max_examples=6, deadline=None)
-@given(st.integers(0, 1000))
-def test_bidirectional_matches_unidirectional(seed):
-    graph = _random_graph(seed % 17)
-    n = graph.num_nodes
-    source = seed % n
-    full = dijkstra(graph.csr, source)
-    for k in range(4):
-        target = (seed * 5 + 29 * k) % n
-        expected = full.distances.get(target, math.inf)
-        assert bidirectional_distance(graph.csr, source, target) \
-            == pytest.approx(expected)
+@pytest.mark.parametrize("hide_scipy", [False, True],
+                         ids=["scipy", "python"])
+def test_row_block_gathers_columns_in_given_order(hide_scipy):
+    """Repeated sources, and columns out of order and repeated: row
+    ``i`` is the reference search from ``sources[i]`` read at each
+    column in turn."""
+    csr = _random_graph(6).csr
+    n = csr.num_nodes
+    sources = [0, n // 2, n - 1, 0]
+    columns = [n - 1, 3, 3, 0, n // 3]
+    if hide_scipy:
+        with mock.patch.object(dijkstra_module, "_scipy_dijkstra", None):
+            block, settled = row_block(csr, sources, columns)
+    else:
+        block, settled = row_block(csr, sources, columns)
+    assert block.shape == (len(sources), len(columns))
+    adjacency = csr.to_lists()
+    for i, source in enumerate(sources):
+        reference = dijkstra_reference(adjacency, source)
+        assert block[i].tolist() == [
+            reference.distances.get(c, math.inf) for c in columns]
+        assert settled[i] == reference.settled_count
+
+
+def test_row_block_chunking_does_not_change_rows():
+    """Capping the cells per SciPy call at two rows splits five
+    sources into calls of 2, 2 and 1; the block and the settled counts
+    stay those of one call."""
+    csr = _random_graph(7).csr
+    sources = list(range(0, csr.num_nodes, csr.num_nodes // 5))[:5]
+    columns = np.arange(csr.num_nodes)
+    radius = 20.0
+    whole, whole_settled = row_block(csr, sources, columns, radius=radius)
+    with mock.patch.object(dijkstra_module, "_ROW_CELLS",
+                           2 * csr.num_nodes):
+        split, split_settled = row_block(csr, sources, columns,
+                                         radius=radius)
+    assert split.tobytes() == whole.tobytes()
+    assert split_settled.tolist() == whole_settled.tolist()
+    assert not np.isfinite(whole).all()  # the radius cut some rows
 
 
 def test_multi_source_is_min_over_sources():
@@ -170,10 +221,6 @@ def test_multi_source_is_min_over_sources():
     singles = [dijkstra(graph.csr, s).distances for s in sources]
     for node, dist in merged.distances.items():
         assert dist == min(s.get(node, math.inf) for s in singles)
-    # Pure-Python multi-source agrees with the SciPy min_only path.
-    with mock.patch.object(dijkstra_module, "_scipy_dijkstra", None):
-        py = dijkstra(graph.csr, sources)
-    assert py.distances == merged.distances
 
 
 def test_radius_pruning_reports_fewer_pushes():
@@ -181,8 +228,7 @@ def test_radius_pruning_reports_fewer_pushes():
     graph = _random_graph(5, grid_exponent=4)
     full = dijkstra_reference(graph.csr.to_lists(), 0)
     radius = sorted(full.distances.values())[len(full.distances) // 4]
-    with mock.patch.object(dijkstra_module, "_scipy_dijkstra", None):
-        pruned = dijkstra(graph.csr, 0, radius=radius)
+    pruned = dijkstra(graph.csr, 0, radius=radius)
     reference = dijkstra_reference(graph.csr.to_lists(), 0, radius=radius)
     assert pruned.heap_pushes > 0
     assert pruned.heap_pushes <= reference.heap_pushes
@@ -240,8 +286,33 @@ class TestCSRGraph:
         expected = dijkstra_reference((neighbors, weights), 0).distances
         assert expected == {0: 0.0, 1: 0.0, 2: 2.0}
         assert dijkstra(csr, 0).distances == expected
+        block, _ = row_block(csr, [0], [0, 1, 2])
+        assert block[0].tolist() == [0.0, 0.0, 2.0]
         with mock.patch.object(dijkstra_module, "_scipy_dijkstra", None):
-            assert dijkstra(csr, 0).distances == expected
+            block, _ = row_block(csr, [0], [0, 1, 2])
+        assert block[0].tolist() == [0.0, 0.0, 2.0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_frozen_matches_rebuilt_rows(self, seed):
+        """Random attaches (to static and overlay nodes) and detaches:
+        ``frozen()`` is byte-identical to freezing the graph's own
+        adjacency lists, where each row lists its static entries, then
+        its overlay edges in attach order."""
+        csr = _random_graph(seed).csr
+        rng = np.random.default_rng(seed)
+        for step in range(30):
+            if step % 7 == 6:
+                csr.detach_last()
+                continue
+            degree = int(rng.integers(1, 6))
+            neighbors = rng.choice(csr.num_nodes, size=degree,
+                                   replace=False).tolist()
+            csr.attach_node(neighbors, rng.uniform(0.5, 5.0, degree).tolist())
+        assert csr.num_overlay > 0
+        frozen = csr.frozen()
+        assert frozen.num_overlay == 0
+        assert frozen.num_nodes == csr.num_nodes
+        _assert_same_arrays(frozen, CSRGraph.from_lists(*csr.to_lists()))
 
     def test_geodesic_graph_freezes_pois(self):
         mesh = make_terrain(grid_exponent=3, seed=2)
@@ -309,12 +380,24 @@ class TestEngineBatchedAPIs:
         assert batched[0] == engine.distances_from_poi(0, radius=radius)
         assert batched[1] == engine.distances_from_poi(1)
 
-    def test_multi_source_distances(self, engine):
-        nodes = [engine.poi_node(0), engine.poi_node(5)]
-        merged = engine.multi_source_distances(nodes)
-        singles = [engine.distances_from_node(n).distances for n in nodes]
-        for node, dist in merged.distances.items():
-            assert dist == min(s.get(node, math.inf) for s in singles)
+    def test_node_rows_do_not_depend_on_scipy(self, engine):
+        """Same block, SSAD calls and settled nodes with SciPy hidden,
+        whole-component and radius-bounded."""
+        sources = [engine.poi_node(i) for i in (0, 3, 7)]
+        columns = [engine.poi_node(i) for i in range(14)]
+        radius = sorted(engine.distances_from_poi(0).values())[4]
+        for bound in (None, radius):
+            engine.reset_counters()
+            fast = engine.node_rows(sources, columns, radius=bound)
+            fast_counts = (engine.ssad_calls, engine.settled_nodes)
+            engine.reset_counters()
+            with mock.patch.object(dijkstra_module, "_scipy_dijkstra",
+                                   None):
+                slow = engine.node_rows(sources, columns, radius=bound)
+            assert slow.tobytes() == fast.tobytes()
+            assert (engine.ssad_calls, engine.settled_nodes) == fast_counts
+        assert engine.poi_distances_from_node(sources[1]).tobytes() \
+            == engine.node_rows(sources[1:2], columns)[0].tobytes()
 
     def test_counters_include_heap_pushes(self, engine):
         engine.reset_counters()

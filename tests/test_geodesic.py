@@ -12,7 +12,6 @@ from repro.datastructures import CSRGraph
 from repro.geodesic import (
     GeodesicEngine,
     GeodesicGraph,
-    bidirectional_distance,
     dijkstra,
     place_steiner_points,
 )
@@ -223,6 +222,20 @@ class TestDijkstra:
         assert 3 not in result.distances
         assert math.isinf(result.frontier_min)
 
+    def test_single_target_disconnected(self):
+        neighbors = [[1], [0], [3], [2]]
+        weights = [[1.0], [1.0], [1.0], [1.0]]
+        result = dijkstra(CSRGraph.from_lists(neighbors, weights), 0,
+                          single_target=3)
+        assert result.distances == {0: 0.0, 1: 1.0}
+        assert math.isinf(result.frontier_min)
+
+    def test_single_target_same_node(self):
+        adjacency = self._line_graph([1.0, 2.0])
+        result = dijkstra(adjacency, 1, single_target=1)
+        assert result.distances == {1: 0.0}
+        assert result.settled_count == 1
+
     def test_path_reconstruction(self):
         adjacency = self._line_graph([1.0, 1.0, 1.0])
         result = dijkstra(adjacency, 0, return_parents=True)
@@ -233,23 +246,6 @@ class TestDijkstra:
         result = dijkstra(adjacency, 0)
         with pytest.raises(ValueError):
             result.path_to(1)
-
-    def test_bidirectional_matches_unidirectional(self):
-        adjacency = self._line_graph([2.0, 1.0, 4.0, 1.5])
-        for target in range(5):
-            expected = dijkstra(adjacency, 0).distances[target]
-            assert bidirectional_distance(adjacency, 0, target) \
-                == pytest.approx(expected)
-
-    def test_bidirectional_disconnected(self):
-        neighbors = [[1], [0], [], []]
-        weights = [[1.0], [1.0], [], []]
-        assert math.isinf(bidirectional_distance(
-            CSRGraph.from_lists(neighbors, weights), 0, 3))
-
-    def test_bidirectional_same_node(self):
-        adjacency = self._line_graph([1.0])
-        assert bidirectional_distance(adjacency, 1, 1) == 0.0
 
 
 class TestGeodesicAccuracy:

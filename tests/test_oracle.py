@@ -1,12 +1,15 @@
 """Tests for the SE oracle: node pairs, Theorem 1, queries, ε-guarantee."""
 
+import importlib
 import itertools
+from unittest import mock
 
 import pytest
 
 from repro.core import SEOracle, well_separated_threshold
+from repro.core.store import oracle_sections
 from repro.geodesic import GeodesicEngine
-from repro.terrain import sample_uniform
+from repro.terrain import make_terrain, sample_uniform
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +181,36 @@ class TestGreedyVariant:
                 approx = oracle.query(source, target)
                 true = exact[(source, target)]
                 assert abs(approx - true) <= eps * true * (1 + 1e-6)
+
+
+class TestEffortCountersAcrossKernels:
+    """SciPy only speeds up the whole-row searches: a build with SciPy
+    hidden reports the same effort counters and packs the same bytes."""
+
+    @pytest.mark.parametrize("strategy", ["random", "greedy"])
+    def test_counters_and_sections_do_not_depend_on_scipy(self, strategy):
+        mesh = make_terrain(grid_exponent=4, seed=5)  # 17 x 17 vertices
+        pois = sample_uniform(mesh, 30, seed=5)
+        kernel = importlib.import_module("repro.geodesic.dijkstra")
+
+        def build():
+            engine = GeodesicEngine(mesh, pois, points_per_edge=1)
+            return SEOracle(engine, epsilon=0.5, strategy=strategy,
+                            seed=2).build()
+
+        fast = build()
+        with mock.patch.object(kernel, "_scipy_dijkstra", None):
+            slow = build()
+        for counter in ("ssad_calls", "settled_nodes", "heap_pushes"):
+            assert getattr(fast.stats, counter) \
+                == getattr(slow.stats, counter), counter
+        fast_sections = oracle_sections(fast)
+        slow_sections = oracle_sections(slow)
+        assert fast_sections.keys() == slow_sections.keys()
+        for name, array in fast_sections.items():
+            other = slow_sections[name]
+            assert (array.dtype, array.shape) == (other.dtype, other.shape)
+            assert array.tobytes() == other.tobytes(), name
 
 
 class TestSmallCases:
