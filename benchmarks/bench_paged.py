@@ -19,7 +19,10 @@ run it as an out-of-core serving regression smoke test:
 
 1. paged answers (``query_batch`` over the workload *and* a full
    ``query_matrix``) are **bit-identical** to the unpaged oracle at
-   every pool bound;
+   every pool bound, and RNN for every source answers the same
+   through the store's nearest-neighbour column as through the matrix
+   path (``num_pois=n``), whose per-RNN milliseconds the report
+   records side by side;
 2. the ledger's peak resident bytes stay within the configured budget
    plus at most one page, at every bound;
 3. at the largest scale the full-pool QPS stays at or above
@@ -65,6 +68,7 @@ from repro.core.paged import (  # noqa: E402
 )
 from repro.core.store import section_layouts  # noqa: E402
 from repro.geodesic import GeodesicEngine  # noqa: E402
+from repro.queries import reverse_nearest_neighbors  # noqa: E402
 from repro.terrain import make_terrain, sample_uniform  # noqa: E402
 
 # Workload shapes shared with the other smoke benchmarks.
@@ -109,6 +113,25 @@ def timed_qps(oracle, sources, targets, repeats: int) -> float:
         oracle.query_batch(sources, targets)
         best = min(best, time.perf_counter() - tick)
     return sources.size / best if best > 0 else float("inf")
+
+
+def rnn_leg(store) -> dict:
+    """RNN for every source through the store's nearest-neighbour
+    column and through the matrix path (``num_pois=n``): the sources
+    whose answers differ, and each path's mean milliseconds per RNN."""
+    n = store.num_pois
+    answers, per_rnn_ms = [], []
+    for scope in ({}, {"num_pois": n}):
+        tick = time.perf_counter()
+        answers.append([reverse_nearest_neighbors(store, source, **scope)
+                        for source in range(n)])
+        per_rnn_ms.append((time.perf_counter() - tick) / max(n, 1) * 1e3)
+    return {
+        "rnn_mismatches": sum(column != matrix
+                              for column, matrix in zip(*answers)),
+        "rnn_column_ms": per_rnn_ms[0],
+        "rnn_matrix_ms": per_rnn_ms[1],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +208,8 @@ def measure_scale(scale: str, queries: int, density: int, seed: int,
                 + np.sum(got_matrix != expected_matrix))
             qps = timed_qps(paged, sources, targets, repeats)
             ledger = paged.page_counters()
+            rnn = rnn_leg(paged)
+            mismatches += rnn["rnn_mismatches"]
             paged.close()
             probe = probe_subprocess(store_path, budget, queries,
                                      seed + 2)
@@ -206,6 +231,7 @@ def measure_scale(scale: str, queries: int, density: int, seed: int,
                 "probe_maxrss_kb": probe["maxrss_kb"],
                 "probe_peak_resident_bytes":
                     probe["ledger"]["peak_resident_bytes"],
+                **rnn,
                 "equivalent": mismatches == 0,
                 "mismatches": mismatches,
                 "peak_within_budget": bool(peak_ok),
@@ -272,6 +298,8 @@ def main(argv=None) -> int:
                   f"evict {bound['evictions']:6d} "
                   f"hits {bound['hits']:6d}  "
                   f"rss {bound['probe_maxrss_kb'] / 1024:6.1f}MB  "
+                  f"rnn {bound['rnn_column_ms']:6.2f}ms "
+                  f"(matrix {bound['rnn_matrix_ms']:6.2f}ms)  "
                   f"{verdict}")
 
     healthy = all(

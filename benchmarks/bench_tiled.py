@@ -20,7 +20,11 @@ It *gates* (non-zero exit) on five invariants, which is what lets CI
 run it as a sharding regression smoke test:
 
 1. paged answers are **bit-identical** to the all-resident tiled
-   oracle on the full mixed workload;
+   oracle on the full mixed workload, and at the bounded residency
+   RNN for every source answers the same through the store's
+   nearest-neighbour column as through the matrix path
+   (``num_pois=n``), whose per-RNN milliseconds the report records
+   side by side;
 2. tiled and monolithic answers agree within the shared ``(1 + eps)``
    envelope (both sides hold the SE guarantee against the same exact
    metric, so their ratio is bounded by ``(1+eps)/(1-eps)``);
@@ -66,6 +70,7 @@ from repro.terrain import make_terrain, sample_uniform  # noqa: E402
 
 # Workload shapes shared with the other smoke benchmarks.
 from bench_query_throughput import SCALES, pair_workload  # noqa: E402
+from bench_paged import rnn_leg  # noqa: E402
 
 #: Gate 5: monolithic QPS over all-resident intra-tile QPS.
 MAX_INTRA_MONO_RATIO = 3.0
@@ -175,6 +180,8 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
 
             ledger = paged.tile_counters()
             peak_paged_bytes = paged.peak_resident_bytes + block_bytes
+            rnn = rnn_leg(paged)
+            mismatches += rnn["rnn_mismatches"]
 
     cross_ratio = (intra_qps / cross_qps
                    if cross_qps and np.isfinite(cross_qps) else
@@ -210,6 +217,7 @@ def measure_scale(scale: str, tiles: int, max_resident_tiles: int,
         "tile_loads": ledger["loads"],
         "tile_evictions": ledger["evictions"],
         "tile_hits": ledger["hits"],
+        **rnn,
         "worst_envelope_ratio": worst_ratio,
         "envelope_bound": envelope,
         "equivalent": mismatches == 0,
@@ -268,7 +276,9 @@ def main(argv=None) -> int:
               f"cross {run['cross_qps']:>10,.0f} "
               f"(ratio x{run['cross_ratio']:4.1f})  "
               f"peak {run['peak_paged_bytes'] / 1024:7.1f}KB / "
-              f"{run['mono_store_bytes'] / 1024:7.1f}KB  {verdict}")
+              f"{run['mono_store_bytes'] / 1024:7.1f}KB  "
+              f"rnn {run['rnn_column_ms']:6.2f}ms "
+              f"(matrix {run['rnn_matrix_ms']:6.2f}ms)  {verdict}")
 
     healthy = all(run["equivalent"] and run["within_envelope"]
                   and run["paged_under_mono"] for run in runs)

@@ -16,9 +16,10 @@ against the same v4 store through a **fixed-size page pool**:
   :class:`~repro.core.residency.Residency` LRU bounds how many stay
   resident;
 * the small routing state — the ancestor-chain matrix and its derived
-  key planes, the tree tables, the two level-1 hash scalars — loads
-  once at open (O(n·h) bytes, independent of the pair count) and is
-  accounted separately as ``fixed_bytes``;
+  key planes, the tree tables, the two level-1 hash scalars, the
+  nearest-neighbour column RNN reads — loads once at open (O(n·h)
+  bytes, independent of the pair count) and is accounted separately
+  as ``fixed_bytes``;
 * the probe is the compiled oracle's own: the lazy columns go into an
   ordinary :class:`~repro.datastructures.perfect_hash.PerfectHashMap`
   via :func:`~repro.core.store.compile_sections`, so
@@ -208,15 +209,12 @@ class PagedOracle(CompiledStore):
             if missing:
                 raise ValueError(f"{store.path}: store is missing sections {missing}")
             self._identify(store.meta, store)
+            self._read_nearest(store)
             sections: Dict[str, Any] = {
                 name: store.array(name, mmap=False) for name in _RESIDENT_SECTIONS
             }
-            # Fixed resident state: every resident section plus the four
-            # key planes derived from the chains (4 × n·(h+1) × 8 bytes).
-            # Reported in the ledger so "bounded" is an auditable claim,
-            # not a slogan.
             resident = sum(array.nbytes for array in sections.values())
-            self.fixed_bytes = resident + 4 * sections["chains"].nbytes
+            self._routing_bytes = resident + 4 * sections["chains"].nbytes
             self._pool = _PagePool(store, page_bytes, max_pages)
             for name in PAGED_SECTIONS:
                 sections[name] = _PagedColumn(self._pool, name)
@@ -252,6 +250,16 @@ class PagedOracle(CompiledStore):
             "peak_resident_bytes": pages.peak_resident_bytes,
             "fixed_bytes": self.fixed_bytes,
         }
+
+    @property
+    def fixed_bytes(self) -> int:
+        """Resident state outside the pool: every resident section,
+        the four key planes derived from the chains (4 × n·(h+1) × 8
+        bytes) and the nearest-neighbour column once read or derived.
+        Reported in the ledger so "bounded" is an auditable claim, not a
+        slogan."""
+        column = sum(array.nbytes for array in self._nearest or ())
+        return self._routing_bytes + column
 
     @property
     def peak_resident_bytes(self) -> int:

@@ -53,11 +53,22 @@ On-disk layout (format version 4)
 ``chains.npy``
     int64 ``(num_pois, height+1)`` compiled ancestor-chain matrix
     (:func:`~repro.core.compiled.chain_matrix`), ``-1``-padded.
+``nn_poi.npy`` / ``nn_distance.npy``
+    The nearest-neighbour column (:func:`nearest_pois`): int64
+    ``(num_pois,)`` each POI's nearest other POI (``-1`` when none is
+    reachable) and float64 ``(num_pois, 2)`` its nearest and
+    second-nearest distances.  RNN on an opened store reads it
+    (:meth:`StoreHandle.nearest_column`: mapped with the other tables
+    by :class:`StoredOracle`, read resident by the paged and tiled
+    backends); stores packed before it derive it on first use.
 
 Every member is ZIP_STORED, so each array's bytes sit contiguously at
 a fixed file offset and :func:`open_oracle` can hand ``numpy.memmap``
 views to the query tables; the OS page cache then shares one physical
-copy across every serving process on the host.
+copy across every serving process on the host.  Every writer publishes
+atomically (:func:`_write_store`: temp file, fsync, ``os.replace``), so
+a reader that has a store mapped keeps its generation when a new one
+is packed over the path.
 """
 
 from __future__ import annotations
@@ -84,7 +95,8 @@ from .oracle import SEOracle
 
 __all__ = ["pack_oracle", "pack_document", "open_oracle", "StoredOracle",
            "StoreHandle", "CompiledStore", "STORE_VERSION", "compile_sections",
-           "file_signature", "oracle_sections", "section_layouts", "StoreFile"]
+           "file_signature", "oracle_sections", "section_layouts", "StoreFile",
+           "nearest_pois"]
 
 PathLike = Union[str, os.PathLike]
 
@@ -104,6 +116,13 @@ _HASH_SECTIONS = {
 
 _REQUIRED_SECTIONS = ("tree_table", "tree_radii", "chains",
                       *_HASH_SECTIONS)
+
+#: The nearest-neighbour column; a tiled store prefixes it ``tiles/``.
+_NEAREST_SECTIONS = ("nn_poi", "nn_distance")
+
+#: Pairs per row chunk of :func:`nearest_pois`: bounds the probe's
+#: intermediates without changing any result bit.
+_NEAREST_CHUNK_PAIRS = 1 << 14
 
 
 # ----------------------------------------------------------------------
@@ -134,20 +153,47 @@ def _write_store(path: PathLike, meta: Dict[str, Any],
     the old file into the new one.  Because the member format is fully
     deterministic (pinned timestamps, ZIP_STORED, canonical npy
     headers), the output is byte-identical to re-serializing.
+
+    The store is published atomically: the members go to a temp file
+    in the target's directory, which is fsync'd and ``os.replace``'d
+    over ``path``; the directory is then fsync'd so the rename is
+    durable.  A reader with the old file mapped keeps its generation
+    (the replaced inode lives while it is mapped), where a rewrite in
+    place would kill it with SIGBUS on its next touch of a truncated
+    page.  A failed write unlinks the temp file and leaves ``path`` as
+    it was.
     """
     raw_members = raw_members or {}
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
-        archive.writestr(_member_info(_META_MEMBER),
-                         json.dumps(meta, sort_keys=True, indent=1))
-        for name, array in sections.items():
-            raw = raw_members.get(name)
-            if raw is None:
-                buffer = io.BytesIO()
-                np.lib.format.write_array(
-                    buffer, np.ascontiguousarray(array),
-                    allow_pickle=False)
-                raw = buffer.getvalue()
-            archive.writestr(_member_info(name + ".npy"), raw)
+    target = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(target))
+    temp = os.path.join(directory, f".{os.path.basename(target)}."
+                        f"{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED) as archive:
+                archive.writestr(_member_info(_META_MEMBER),
+                                 json.dumps(meta, sort_keys=True, indent=1))
+                for name, array in sections.items():
+                    raw = raw_members.get(name)
+                    if raw is None:
+                        buffer = io.BytesIO()
+                        np.lib.format.write_array(
+                            buffer, np.ascontiguousarray(array),
+                            allow_pickle=False)
+                        raw = buffer.getvalue()
+                    archive.writestr(_member_info(name + ".npy"), raw)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, target)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def _tree_sections(tree: CompressedPartitionTree
@@ -202,6 +248,44 @@ def oracle_sections(oracle: SEOracle) -> Dict[str, np.ndarray]:
     return sections
 
 
+def nearest_pois(index, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The nearest-neighbour column of POIs ``0 .. count-1``:
+    ``(nn_poi, nn_distance)``.
+
+    ``nn_poi[q]`` is ``q``'s nearest other POI (the lowest id on a tie,
+    ``-1`` when none is reachable) and ``nn_distance[q]`` its nearest
+    and second-nearest distances.  Rows are masked as the RNN matrix
+    path masks them — ``q`` itself excluded, non-finite distances as
+    ``inf`` — and probed in row chunks off ``index.query_batch``, so
+    every distance is the float that query returns.
+    """
+    ids = np.arange(count, dtype=np.intp)
+    nn_poi = np.full(count, -1, dtype=np.int64)
+    nn_distance = np.full((count, 2), np.inf)
+    step = max(1, _NEAREST_CHUNK_PAIRS // max(count, 1))
+    for start in range(0, count, step):
+        rows = ids[start:start + step]
+        block = np.array(index.query_batch(np.repeat(rows, count),
+                                           np.tile(ids, rows.size)),
+                         dtype=np.float64).reshape(rows.size, count)
+        block[~np.isfinite(block)] = np.inf
+        positions = np.arange(rows.size)
+        block[positions, rows] = np.inf
+        nearest = block.argmin(axis=1)
+        first = block[positions, nearest]
+        block[positions, nearest] = np.inf
+        nn_poi[rows] = np.where(np.isfinite(first), nearest, -1)
+        nn_distance[rows, 0] = first
+        nn_distance[rows, 1] = block.min(axis=1)
+    return nn_poi, nn_distance
+
+
+def _nearest_sections(index, count: int,
+                      prefix: str = "") -> Dict[str, np.ndarray]:
+    return dict(zip((prefix + name for name in _NEAREST_SECTIONS),
+                    nearest_pois(index, count)))
+
+
 def _reusable_members(previous: PathLike,
                       sections: Dict[str, np.ndarray]
                       ) -> Dict[str, bytes]:
@@ -247,6 +331,8 @@ def pack_oracle(oracle: SEOracle, path: PathLike,
     """
     from .serialize import workload_fingerprint
     sections = oracle_sections(oracle)
+    compiled = oracle.compiled()
+    sections.update(_nearest_sections(compiled, compiled.num_pois))
     meta = _meta_document(
         epsilon=oracle.epsilon, strategy=oracle.strategy,
         method=oracle.method, seed=oracle.seed,
@@ -272,8 +358,9 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
     The JSON document is self-contained (tree + pairs + metadata), so
     no terrain engine is needed: the chain matrix is re-derived from
     the tree and the hash tables from the pair list with the stored
-    seed — exactly what :func:`~repro.core.serialize.load_oracle`
-    followed by :func:`pack_oracle` would produce.
+    seed, and the nearest-neighbour column from those tables — exactly
+    what :func:`~repro.core.serialize.load_oracle` followed by
+    :func:`pack_oracle` would produce.
     """
     from .serialize import _document_tree, _json_version_guard
     _json_version_guard(document, source="pack_document")
@@ -288,6 +375,9 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
     frozen = pair_hash.frozen_arrays()
     for section, name in _HASH_SECTIONS.items():
         sections[section] = frozen[name]
+    sections.update(_nearest_sections(
+        compile_sections(sections, seed=document["seed"],
+                         epsilon=document["epsilon"]), num_pois))
     stats = document.get("stats", {})
     meta = _meta_document(
         epsilon=document["epsilon"], strategy=document["strategy"],
@@ -568,10 +658,13 @@ class StoreHandle:
     (``path``), the file generation it opened (``stat_signature``),
     its build identity read from the meta document (:meth:`_identify`:
     ``fingerprint`` names the workload it was packed for), and an
-    idempotent :meth:`close`, also run on leaving a ``with`` block.
-    Subclasses release their resources in :meth:`_release`."""
+    idempotent :meth:`close`, also run on leaving a ``with`` block,
+    and the nearest-neighbour column RNN reads
+    (:meth:`nearest_column`).  Subclasses release their resources in
+    :meth:`_release`."""
 
     closed = False
+    _nearest: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _identify(self, meta: Dict[str, Any],
                   store: Optional[StoreFile] = None) -> None:
@@ -590,6 +683,29 @@ class StoreHandle:
         self.tree_meta: Dict[str, Any] = meta["tree"]
         self.path = None if store is None else store.path
         self.stat_signature = None if store is None else store.signature
+
+    def _read_nearest(self, store: StoreFile, prefix: str = "") -> None:
+        """Read the packed nearest-neighbour column resident, if
+        ``store`` has one (stores packed before it do not)."""
+        names = [prefix + name for name in _NEAREST_SECTIONS]
+        if all(name in store.names for name in names):
+            self._nearest = tuple(store.array(name, mmap=False)
+                                  for name in names)
+
+    def nearest_column(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(nn_poi, nn_distance)``: each POI's nearest other POI and
+        its nearest and second-nearest distances (:func:`nearest_pois`).
+
+        Read at open, or — for a store packed before the column —
+        derived once here, on first use, off this store's own
+        ``query_batch``.  Whole-universe RNN answers from it
+        (:func:`~repro.queries.proximity.reverse_nearest_neighbors`).
+        """
+        if self._nearest is None:
+            # Unlocked: racing first calls derive the same arrays, and
+            # the tuple is published by one assignment.
+            self._nearest = nearest_pois(self, self.num_pois)
+        return self._nearest
 
     @property
     def supports_updates(self) -> bool:
@@ -720,6 +836,10 @@ class StoredOracle(CompiledStore):
         store = StoreFile.of(path)
         meta, self._sections = read_store(store, mmap)
         self._identify(store.meta, store)
+        if all(name in self._sections for name in _NEAREST_SECTIONS):
+            # Plain views of the maps (or copies): no second read.
+            self._nearest = tuple(np.asarray(self._sections[name])
+                                  for name in _NEAREST_SECTIONS)
         # Surface the zero-copy ledger: sections that could not be mapped
         # in place (compressed members) are a serving-performance smell.
         self.stats["non_zero_copy_sections"] = sorted(
@@ -732,6 +852,7 @@ class StoredOracle(CompiledStore):
 
     def _release(self) -> None:
         self._sections = self.compiled = _ClosedTables(self.path)
+        self._nearest = None
 
     def tree(self) -> CompressedPartitionTree:
         """Rebuild the compressed partition tree from the table section."""

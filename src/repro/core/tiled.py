@@ -92,6 +92,7 @@ from .residency import Counts, Residency
 from .store import (
     _FORMAT_NAME,
     _HASH_SECTIONS,
+    _nearest_sections,
     _write_store,
     STORE_VERSION,
     StoreFile,
@@ -462,13 +463,17 @@ def pack_tiled(build: TiledBuild, path) -> None:
 
     Same container as :func:`~repro.core.store.pack_oracle` — an
     uncompressed npz-style zip — with each tile its own section set
-    under ``tiles/NNNN/`` plus three global routing sections; the tile
-    directory lives under the ``"tiles"`` key of ``meta.json``.
+    under ``tiles/NNNN/`` plus three global routing sections and the
+    global nearest-neighbour column (``tiles/nn_poi``,
+    ``tiles/nn_distance``: :func:`~repro.core.store.nearest_pois` off
+    the build's own stitched answers); the tile directory lives under
+    the ``"tiles"`` key of ``meta.json``.
     """
     sections: Dict[str, np.ndarray] = {
         "tiles/owner": build.owner,
         "tiles/local": build.local,
         "tiles/boundary": build.boundary,
+        **_nearest_sections(build.oracle(), len(build.owner), "tiles/"),
     }
     for tile, tile_sections in enumerate(build.sections):
         prefix = _tile_prefix(tile)
@@ -486,10 +491,10 @@ def open_tiled_oracle(path, mmap: bool = True,
     ``path`` is a store file or an open :class:`~repro.core.store.
     StoreFile`, which the oracle takes over: every read, tile loads
     included, goes through its one descriptor.  Only the small routing
-    arrays (owner/local maps, global portal ids, POI×portal blocks —
-    plus the mmap'd boundary matrix) are touched up front; each tile's
-    query tables are mapped on first use and page through the oracle's
-    internal LRU.  A store packed before the blocks existed has no
+    arrays (owner/local maps, global portal ids, POI×portal blocks, the
+    nearest-neighbour column — plus the mmap'd boundary matrix) are
+    touched up front; each tile's query tables are mapped on first use
+    and page through the oracle's internal LRU.  A store packed before the blocks existed has no
     ``poi_portal`` section: its blocks are derived here, once, from
     each tile's tables, outside the tile ledger.  Prefer
     :func:`~repro.core.store.open_oracle`, which dispatches here on the
@@ -582,6 +587,8 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
                  max_resident_tiles: Optional[int] = None):
         self._identify(meta, store)
         self._store = store
+        if store is not None:
+            self._read_nearest(store, "tiles/")
         self.load_seconds = 0.0
         self._owner = np.asarray(owner)
         self._local = np.asarray(local)

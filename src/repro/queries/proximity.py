@@ -22,8 +22,12 @@ oracle supports:
   candidate row as a float64 array, so a kNN/range scan costs a few
   NumPy passes over ``n`` distances plus an ``argpartition`` — roughly
   O(n + k log k) selection work instead of a Python loop with a full
-  sort.  RNN consumes one ``query_batch`` per candidate row (O(n²)
-  distances, vectorised row-wise).
+  sort.  RNN on a static store costs the same n−1 distances: the
+  store packs each POI's nearest-neighbour column
+  (:meth:`~repro.core.store.StoreHandle.nearest_column`), so only the
+  candidates' distances to the query POI are probed.  Any other
+  batched RNN resolves the whole n×n matrix (O(n²) distances, one
+  ``query_matrix`` call).
 * **scalar** (:class:`DistanceOracleProtocol` — a
   :class:`~repro.core.dynamic.DynamicSEOracle`, a
   :class:`~repro.baselines.kalgo.KAlgo`, or any plain ``query``
@@ -288,11 +292,22 @@ def reverse_nearest_neighbors(oracle, source: int,
     the query to a dense prefix of a larger oracle, and POIs outside
     the scope must not act as disqualifying third POIs.
 
-    On a batched oracle the whole universe resolves in one
-    ``query_matrix`` call (row-wise ``query_batch`` otherwise); plain
-    scalar oracles fall back to the probe-per-pair scan.
+    A static store (anything with ``nearest_column``: the mmap'd,
+    paged and tiled backends) answers a whole-universe RNN from its
+    nearest-neighbour column, by nearest-neighbour circles (Korn &
+    Muthukrishnan, SIGMOD 2000): ``q`` qualifies iff ``d(q, source)``
+    is finite and no farther than ``q``'s nearest distance to a POI
+    other than ``source`` — its second-nearest distance when
+    ``source`` is its nearest, else its nearest.  That is one
+    ``query_batch`` of the n−1 pairs ``(q, source)``.  Every other
+    call — a mutable index, ``candidates=`` or ``num_pois=`` — takes
+    the matrix path, which stays the reference: one ``query_matrix``
+    call on a batched oracle (row-wise ``query_batch`` otherwise);
+    plain scalar oracles fall back to the probe-per-pair scan.  Both
+    paths read the same floats and mask them alike, so they agree.
     """
-    if candidates is None and num_pois is None:
+    whole = candidates is None and num_pois is None
+    if whole:
         candidates = _oracle_universe(oracle)
     if candidates is not None:
         ids = np.asarray(candidates, dtype=np.intp)
@@ -308,34 +323,43 @@ def reverse_nearest_neighbors(oracle, source: int,
             raise IndexError(f"POI ids out of range [0, {ids.shape[0]})")
         source_pos = source
     count = ids.shape[0]
-    candidate_pos = np.array([pos for pos in range(count)
-                              if pos != source_pos], dtype=np.intp)
+    candidate_pos = np.delete(np.arange(count, dtype=np.intp), source_pos)
     if candidate_pos.size == 0:
         return []
-    if hasattr(oracle, "query_matrix"):
-        matrix = np.asarray(oracle.query_matrix(ids), dtype=np.float64)
-        rows = matrix[candidate_pos]
-    elif hasattr(oracle, "query_batch"):
-        grid_t = np.tile(ids, candidate_pos.size)
-        grid_s = np.repeat(ids[candidate_pos], count)
-        rows = np.asarray(oracle.query_batch(grid_s, grid_t),
-                          dtype=np.float64).reshape(candidate_pos.size,
-                                                    count)
+    if whole and hasattr(oracle, "nearest_column"):
+        nn_poi, nn_distance = oracle.nearest_column()
+        to_source = np.asarray(oracle.query_batch(
+            candidate_pos, np.full(candidate_pos.shape, source,
+                                   dtype=np.intp)), dtype=np.float64)
+        # The nearest POI other than source: the second-nearest when
+        # source is the candidate's nearest, else the nearest.
+        closest_other = nn_distance[
+            candidate_pos, (nn_poi[candidate_pos] == source).astype(np.intp)]
     else:
-        return reverse_nearest_neighbors_scalar(oracle, source, num_pois,
-                                                candidates=candidates)
-
-    # Rows/columns are *positions* in the id universe, so the same
-    # arithmetic covers dense and sparse id sets.
-    to_source = rows[:, source_pos]
-    # Third-POI distances: mask out the candidate itself and the query
-    # POI, neutralise non-finite entries (they never win a strict
-    # comparison), then compare the row minimum against to_source.
-    others = rows.copy()
-    others[np.arange(candidate_pos.size), candidate_pos] = np.inf
-    others[:, source_pos] = np.inf
-    others[~np.isfinite(others)] = np.inf
-    closest_other = others.min(axis=1)
+        if hasattr(oracle, "query_matrix"):
+            matrix = np.asarray(oracle.query_matrix(ids), dtype=np.float64)
+            rows = matrix[candidate_pos]
+        elif hasattr(oracle, "query_batch"):
+            grid_t = np.tile(ids, candidate_pos.size)
+            grid_s = np.repeat(ids[candidate_pos], count)
+            rows = np.asarray(oracle.query_batch(grid_s, grid_t),
+                              dtype=np.float64).reshape(candidate_pos.size,
+                                                        count)
+        else:
+            return reverse_nearest_neighbors_scalar(
+                oracle, source, num_pois, candidates=candidates)
+        # Rows/columns are *positions* in the id universe, so the same
+        # arithmetic covers dense and sparse id sets.
+        to_source = rows[:, source_pos]
+        # Third-POI distances: mask out the candidate itself and the
+        # query POI, neutralise non-finite entries (they never win a
+        # strict comparison), then compare the row minimum against
+        # to_source.
+        others = rows.copy()
+        others[np.arange(candidate_pos.size), candidate_pos] = np.inf
+        others[:, source_pos] = np.inf
+        others[~np.isfinite(others)] = np.inf
+        closest_other = others.min(axis=1)
     qualified = np.isfinite(to_source) & (closest_other >= to_source)
     return [int(poi) for poi in ids[candidate_pos[qualified]]]
 

@@ -569,7 +569,7 @@ class OracleService:
         """kNN by geodesic distance on one terrain."""
         index = self._index(terrain_id)
         return self._timed_proximity(
-            terrain_id, index.num_pois,
+            terrain_id, index.num_pois - 1,
             lambda: k_nearest_neighbors(index, source, k))
 
     @_locked
@@ -578,18 +578,25 @@ class OracleService:
         """All POIs within a geodesic radius on one terrain."""
         index = self._index(terrain_id)
         return self._timed_proximity(
-            terrain_id, index.num_pois,
+            terrain_id, index.num_pois - 1,
             lambda: range_query(index, source, radius))
 
     @_locked
     def reverse_nearest(self, terrain_id: str, source: int) -> List[int]:
-        """Monochromatic RNN on one terrain."""
+        """Monochromatic RNN on one terrain: the n−1 pairs ``(q,
+        source)`` against a static store's nearest-neighbour column,
+        the n×n matrix on a mutable overlay."""
         index = self._index(terrain_id)
+        count = index.num_pois
+        probes = (count - 1 if hasattr(index, "nearest_column")
+                  else count * count)
         return self._timed_proximity(
-            terrain_id, index.num_pois * index.num_pois,
+            terrain_id, probes,
             lambda: reverse_nearest_neighbors(index, source))
 
     def _timed_proximity(self, terrain_id: str, probes: int, run):
+        """Run one proximity op, counting the ``probes`` distances it
+        requests from the index."""
         counters = self._registry[terrain_id].counters
         started = time.perf_counter()
         result = run()
@@ -672,18 +679,12 @@ class OracleService:
         incremental-repack half of the sublinear flush.
         """
         overlay = registration.overlay
-        temp_path = registration.path + ".flush.tmp"
-        try:
-            pack_oracle(overlay.oracle, temp_path, canonical=True,
-                        previous=registration.path)
-            os.replace(temp_path, registration.path)
-        except BaseException:
-            # A failed pack/replace must not leave a stale temp file
-            # next to the store; the registration stays dirty and the
-            # (already rebuilt) overlay keeps serving.
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        # The pack reads the outgoing generation's sections first and
+        # publishes atomically; a failed pack leaves the store as it
+        # was, the registration dirty and the (already rebuilt)
+        # overlay serving.
+        pack_oracle(overlay.oracle, registration.path, canonical=True,
+                    previous=registration.path)
         with open_oracle(registration.path, engine=overlay.engine,
                          strict=True) as stored:
             overlay.adopt_store(stored)

@@ -27,7 +27,13 @@ import pytest
 
 from repro.core import SEOracle, open_oracle, pack_oracle
 from repro.geodesic import GeodesicEngine, dijkstra_reference
-from repro.terrain import make_terrain, sample_uniform
+from repro.queries import reverse_nearest_neighbors
+from repro.terrain import (
+    TriangleMesh,
+    make_terrain,
+    pois_from_vertices,
+    sample_uniform,
+)
 
 SEEDS = range(8)
 
@@ -70,6 +76,24 @@ def exact_distances(engine, source: int) -> dict:
     return {poi: result.distances[node]
             for poi, node in enumerate(poi_nodes)
             if node in result.distances}
+
+
+def pool_shapes(path):
+    """Page-pool shapes over a store: a single page, ~25% of the paged
+    columns, everything resident."""
+    from repro.core.paged import PAGED_SECTIONS
+    from repro.core.store import section_layouts
+    _, layouts = section_layouts(path)
+    pageable = sum(
+        int(np.prod(shape, dtype=np.intp)) * dtype.itemsize
+        for name, (offset, dtype, shape) in layouts.items()
+        if name in PAGED_SECTIONS)
+    quarter = max(8, pageable // 4 // 8 * 8)
+    return (
+        {"page_bytes": 64, "max_pages": 1},
+        {"page_bytes": quarter, "max_pages": 4},
+        {"page_bytes": 4096, "max_pages": 1 << 20},
+    )
 
 
 @pytest.fixture(scope="module", params=SEEDS,
@@ -164,21 +188,6 @@ class TestPagedEquivalenceProperty:
     so there is no tolerance to hide behind.
     """
 
-    def _pool_shapes(self, path):
-        from repro.core.paged import PAGED_SECTIONS
-        from repro.core.store import section_layouts
-        _, layouts = section_layouts(path)
-        pageable = sum(
-            int(np.prod(shape, dtype=np.intp)) * dtype.itemsize
-            for name, (offset, dtype, shape) in layouts.items()
-            if name in PAGED_SECTIONS)
-        quarter = max(8, pageable // 4 // 8 * 8)
-        return (
-            {"page_bytes": 64, "max_pages": 1},
-            {"page_bytes": quarter, "max_pages": 4},
-            {"page_bytes": 4096, "max_pages": 1 << 20},
-        )
-
     def test_paged_bit_identical_at_every_pool_bound(self, drawn,
                                                      tmp_path):
         from repro.core.paged import PagedOracle
@@ -191,7 +200,7 @@ class TestPagedEquivalenceProperty:
         targets = np.tile(grid, n)
         expected_batch = oracle.query_batch(sources, targets)
         expected_matrix = oracle.query_matrix()
-        for shape in self._pool_shapes(path):
+        for shape in pool_shapes(path):
             paged = PagedOracle(str(path), **shape)
             assert (paged.query_batch(sources, targets)
                     == expected_batch).all(), shape
@@ -279,6 +288,154 @@ class TestTiledEquivalenceProperty:
                 assert abs(approx - true) <= eps * true * (1 + 1e-6), (
                     f"({source},{target}): {approx} vs exact {true} "
                     f"(eps={eps}, tiles={tiles})")
+
+
+def reference_column(matrix):
+    """Each row's nearest other POI and two smallest distances, by a
+    sort over the finite off-diagonal entries (ties by lower id)."""
+    nn_poi, nn_distance = [], []
+    for row, distances in enumerate(matrix.tolist()):
+        finite = sorted((distance, poi)
+                        for poi, distance in enumerate(distances)
+                        if poi != row and np.isfinite(distance))
+        finite += [(np.inf, -1)] * 2
+        nn_poi.append(finite[0][1])
+        nn_distance.append([finite[0][0], finite[1][0]])
+    return nn_poi, nn_distance
+
+
+def assert_column_rnn(store, label):
+    """The store's column equals :func:`reference_column` over its own
+    matrix, and RNN from the column equals the matrix path for every
+    source without calling ``query_matrix``."""
+    n = store.num_pois
+    matrix = store.query_matrix()
+    expected = [reverse_nearest_neighbors(store, source, num_pois=n)
+                for source in range(n)]
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError(f"{label}: column RNN called query_matrix")
+
+    store.query_matrix = no_matrix
+    assert [reverse_nearest_neighbors(store, source)
+            for source in range(n)] == expected, label
+    nn_poi, nn_distance = store.nearest_column()
+    reference_poi, reference_distance = reference_column(matrix)
+    assert nn_poi.tolist() == reference_poi, label
+    assert nn_distance.tolist() == reference_distance, label
+    return expected
+
+
+def static_backends(path):
+    """``(label, opened store)`` for every static way to serve
+    ``path``: a monolithic store mmap'd, copied and paged at every
+    pool shape, or a tiled store at ``max_resident_tiles`` 1 and
+    ``None``."""
+    from repro.core import PagedOracle
+    from repro.core.store import read_store_meta
+    if "tiles" in read_store_meta(path):
+        for bound in (1, None):
+            yield f"tiles<={bound}", open_oracle(path,
+                                                 max_resident_tiles=bound)
+        return
+    yield "mmap", open_oracle(path)
+    yield "copy", open_oracle(path, mmap=False)
+    for shape in pool_shapes(path):
+        yield f"paged {shape}", PagedOracle(str(path), **shape)
+
+
+def packed_column(path):
+    from repro.core.store import StoreFile
+    with StoreFile(path) as store:
+        return {name for name in store.names if "nn_" in name}
+
+
+class TestNearestColumnProperty:
+    """The packed nearest-neighbour column, and the RNN answered from
+    it, against the matrix path for every source: on monolithic stores
+    (mmap'd, copied, paged at one page, ~25% and everything), and on
+    stores of 1, 2 and 4 tiles at ``max_resident_tiles`` 1 and
+    ``None``.  Two fixed terrains add what random draws rarely hit:
+    unreachable POIs (two disconnected squares, one per tile) and
+    tied nearest distances (a flat lattice)."""
+
+    def test_monolithic_backends(self, drawn, tmp_path):
+        engine, oracle = drawn
+        path = tmp_path / "fuzz.store"
+        pack_oracle(oracle, path)
+        assert packed_column(path) == {"nn_poi", "nn_distance"}
+        answers = {}
+        for label, store in static_backends(path):
+            with store:
+                answers[label] = assert_column_rnn(store, label)
+        expected = [reverse_nearest_neighbors(oracle, source)
+                    for source in range(engine.num_pois)]
+        assert all(found == expected for found in answers.values())
+
+    @pytest.mark.parametrize("tiles", [1, 2, 4])
+    def test_tiled_backends(self, drawn, tiles, tmp_path):
+        from repro.core import build_tiled_oracle, pack_tiled
+        engine, oracle = drawn
+        build = build_tiled_oracle(engine.mesh, engine.pois,
+                                   oracle.epsilon, tiles=tiles,
+                                   strategy=oracle.strategy,
+                                   seed=oracle.seed)
+        path = tmp_path / "tiled.store"
+        pack_tiled(build, path)
+        assert packed_column(path) == {"tiles/nn_poi", "tiles/nn_distance"}
+        answers = [assert_column_rnn(build.oracle(), "in memory")]
+        for label, store in static_backends(path):
+            with store:
+                answers.append(assert_column_rnn(store, label))
+        assert answers.count(answers[0]) == len(answers)
+
+    def test_unreachable_pois(self, tmp_path):
+        from repro.core import build_tiled_oracle, pack_tiled
+        square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                           [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        mesh = TriangleMesh(np.vstack([square, square + [100.0, 0, 0]]),
+                            np.array([[0, 1, 2], [1, 3, 2],
+                                      [4, 5, 6], [5, 7, 6]]))
+        # POI 4 (vertex 1) is equally near POIs 0 and 1; POIs 2 and 3
+        # have one reachable POI each, so no second-nearest.
+        pois = pois_from_vertices(mesh, [0, 3, 4, 7, 1])
+        path = tmp_path / "split.store"
+        pack_tiled(build_tiled_oracle(mesh, pois, 0.3, tiles=2, seed=0),
+                   path)
+        for label, store in static_backends(path):
+            with store:
+                assert assert_column_rnn(store, label) == [
+                    [4], [4], [3], [2], [0, 1]], label
+                nn_distance = store.nearest_column()[1]
+                assert np.isinf(nn_distance[2:4, 1]).all(), label
+
+    def test_tied_nearest_distances(self, tmp_path):
+        from repro.core import build_tiled_oracle, pack_tiled
+        side = 5
+        x, y = np.meshgrid(np.arange(side, dtype=float),
+                           np.arange(side, dtype=float), indexing="ij")
+        vertices = np.column_stack([x.ravel(), y.ravel(),
+                                    np.zeros(side * side)])
+        faces = []
+        for i in range(side - 1):
+            for j in range(side - 1):
+                a, b = i * side + j, (i + 1) * side + j
+                faces += [[a, b, a + 1], [b, b + 1, a + 1]]
+        mesh = TriangleMesh(vertices, np.array(faces))
+        # A plus sign: the centre's four arms sit at the same distance.
+        pois = pois_from_vertices(mesh, [12, 7, 11, 13, 17, 0, 24])
+        engine = GeodesicEngine(mesh, pois, points_per_edge=1)
+        oracle = SEOracle(engine, 0.1, seed=0).build()
+        paths = [tmp_path / "flat.store", tmp_path / "flat-tiled.store"]
+        pack_oracle(oracle, paths[0])
+        pack_tiled(build_tiled_oracle(mesh, pois, 0.1, tiles=2, seed=0),
+                   paths[1])
+        for path in paths:
+            for label, store in static_backends(path):
+                with store:
+                    assert_column_rnn(store, label)
+                    nn_distance = store.nearest_column()[1]
+                    assert nn_distance[0, 0] == nn_distance[0, 1], label
 
 
 class TestDynamicUpdateFuzz:

@@ -29,6 +29,7 @@ from repro.core import SEOracle, open_oracle, pack_oracle
 from repro.core.paged import PAGED_SECTIONS, PagedOracle
 from repro.core.store import read_store, section_layouts
 from repro.geodesic import GeodesicEngine
+from repro.queries import reverse_nearest_neighbors
 from repro.serving import OracleService, TerrainSpec
 from repro.serving.protocol import classify_exception
 from repro.terrain import make_terrain, sample_uniform
@@ -123,6 +124,31 @@ class TestLedgerAccounting:
         second = paged.page_counters()
         assert second["hits"] > first["hits"]
         paged.close()
+
+    def test_fixed_bytes_count_the_nearest_column(self, packed):
+        """The column is resident state: read at open from a store
+        that packs it, counted once derived for one that does not."""
+        path, _ = packed
+        _, layouts = section_layouts(path)
+        nbytes = {
+            name: int(np.prod(shape)) * dtype.itemsize
+            for name, (_, dtype, shape) in layouts.items()
+        }
+        column = nbytes["nn_poi"] + nbytes["nn_distance"]
+        assert column == 24 * NUM_POIS
+        with PagedOracle(path, page_bytes=1024, max_pages=4) as paged:
+            routing = (
+                nbytes["tree_table"]
+                + nbytes["tree_radii"]
+                + nbytes["hash_level1"]
+                + 5 * nbytes["chains"]
+            )
+            assert paged.fixed_bytes == routing + column
+        fixture = os.path.join(os.path.dirname(__file__), "data", "oracle_v4.store")
+        with PagedOracle(fixture, page_bytes=1024, max_pages=4) as paged:
+            before = paged.fixed_bytes
+            reverse_nearest_neighbors(paged, 0)
+            assert paged.fixed_bytes == before + 24 * paged.num_pois
 
     def test_unbounded_pool_loads_each_page_once(self, packed):
         """With room for everything, the second pass is all hits and

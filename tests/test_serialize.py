@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import zipfile
 
 import pytest
 
@@ -338,12 +339,56 @@ class TestCrossVersionMatrix:
 
     def test_checked_in_v4_fixture_matches_fresh_pack_bytes(
             self, version_files):
-        """Packing is deterministic (pinned zip timestamps), so the
-        fixture's exact bytes reproduce from the v3 document — any
-        layout drift in the writer shows up as a byte diff here."""
-        fixture = self.V4.read_bytes()
-        fresh = pathlib.Path(version_files["4-fresh"]).read_bytes()
-        assert fixture == fresh
+        """Packing is deterministic (pinned zip timestamps), so every
+        member of the fixture reproduces byte for byte from the v3
+        document — any layout drift in the writer shows up as a byte
+        diff here.  The fixture predates the nearest-neighbour column,
+        so a fresh pack differs from it by exactly those two members,
+        written last."""
+        def members(path):
+            with zipfile.ZipFile(path) as archive:
+                return {name: archive.read(name)
+                        for name in archive.namelist()}
+
+        fixture = members(self.V4)
+        fresh = members(version_files["4-fresh"])
+        assert list(fresh) == list(fixture) + ["nn_poi.npy",
+                                               "nn_distance.npy"]
+        assert {name: fresh[name] for name in fixture} == fixture
+        # Headers included: the fixture's members, up to its central
+        # directory, open the fresh file byte for byte.
+        with zipfile.ZipFile(self.V4) as archive:
+            members_end = archive.start_dir
+        fixture_bytes = self.V4.read_bytes()
+        fresh_bytes = pathlib.Path(version_files["4-fresh"]).read_bytes()
+        assert fresh_bytes[:members_end] == fixture_bytes[:members_end]
+
+    def test_v4_fixture_predates_the_column(self, version_files):
+        with zipfile.ZipFile(self.V4) as archive:
+            assert not [name for name in archive.namelist()
+                        if "nn_" in name]
+
+    @pytest.mark.parametrize("options", [
+        {}, {"mmap": False}, {"max_resident_bytes": 64}],
+        ids=["mmap", "copy", "paged"])
+    def test_v4_fixture_rnn_matches_the_fresh_pack(self, version_files,
+                                                   options):
+        """The fixture derives its column on first RNN: it equals the
+        fresh pack's packed column, and RNN for every source equals
+        the fresh pack's and the matrix path's."""
+        from repro.core import open_oracle
+        from repro.queries import reverse_nearest_neighbors as rnn
+        with open_oracle(version_files["4-fresh"]) as fresh:
+            n = fresh.num_pois
+            expected = [rnn(fresh, source) for source in range(n)]
+            column = fresh.nearest_column()
+        with open_oracle(self.V4, **options) as stored:
+            assert [rnn(stored, source) for source in range(n)] == expected
+            assert [rnn(stored, source, num_pois=n)
+                    for source in range(n)] == expected
+            for derived, packed in zip(stored.nearest_column(), column):
+                assert derived.dtype == packed.dtype
+                assert derived.tobytes() == packed.tobytes()
 
     def test_checked_in_v4_fixture_mmaps_byte_for_byte(self, workload):
         """The committed store opens straight off its bytes: mapped

@@ -194,6 +194,30 @@ class TestCounters:
         assert counters.hits == 1  # second dispatch reused the tables
         assert counters.query_seconds > 0.0
 
+    def test_proximity_counts_the_distances_each_op_requests(
+            self, service, terrains):
+        """kNN, range and a static store's RNN (its nearest-neighbour
+        column) each request the n−1 distances from the source."""
+        n = terrains["alps"][1].engine.num_pois
+        service.k_nearest("alps", 0, 3)
+        assert service.counters("alps").queries == n - 1
+        service.range_query("alps", 0, 50.0)
+        assert service.counters("alps").queries == 2 * (n - 1)
+        service.reverse_nearest("alps", 0)
+        assert service.counters("alps").queries == 3 * (n - 1)
+        assert service.counters("alps").batches == 3
+
+    def test_mutable_rnn_counts_the_matrix(self, mutable_setup):
+        """A mutable overlay answers RNN from the n×n matrix over its
+        live ids, so it counts n²; its kNN counts n−1."""
+        service, engine, _, _ = mutable_setup
+        service.insert_poi("dunes", 30.0, 30.0)
+        n = engine.num_pois + 1
+        service.reverse_nearest("dunes", 0)
+        assert service.counters("dunes").queries == n * n
+        service.k_nearest("dunes", 0, 3)
+        assert service.counters("dunes").queries == n * n + n - 1
+
     def test_stats_report(self, service):
         service.query("andes", 0, 1)
         stats = service.stats()
@@ -398,20 +422,28 @@ class TestMutableLifecycle:
     def test_failed_flush_cleans_temp_and_stays_dirty(self,
                                                      mutable_setup,
                                                      monkeypatch):
-        import os
+        """A pack that fails mid-write (after its first member) leaves
+        the store's bytes and directory as they were: the store writer
+        unlinks its temp file."""
+        from repro.core import store
         service, _, _, path = mutable_setup
         service.insert_poi("dunes", 30.0, 30.0)
+        before = path.read_bytes()
+        written = []
+        member_info = store._member_info
 
-        def broken_pack(oracle, temp_path, **kwargs):
-            with open(temp_path, "wb") as handle:
-                handle.write(b"partial")
-            raise OSError("disk full")
+        def failing_member_info(name):
+            if written:
+                raise OSError("disk full")
+            written.append(name)
+            return member_info(name)
 
-        monkeypatch.setattr("repro.serving.service.pack_oracle",
-                            broken_pack)
+        monkeypatch.setattr(store, "_member_info", failing_member_info)
         with pytest.raises(OSError, match="disk full"):
             service.flush("dunes")
-        assert not os.path.exists(str(path) + ".flush.tmp")
+        assert written == ["meta.json"]
+        assert os.listdir(path.parent) == [path.name]
+        assert path.read_bytes() == before
         assert service.stats()["dunes"]["dirty"] is True
         # The overlay keeps serving, and a later (healthy) flush works.
         assert service.query("dunes", 0, 1) > 0

@@ -1,6 +1,10 @@
 """Tests for the v4 binary oracle store (pack / open / convert)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -261,3 +265,50 @@ class TestFrozenHashPersistence:
         assert restored._scalar_ready
         assert 1 not in restored
         assert len(restored) == len(built.pair_hash)
+
+
+#: A reader process: maps the store, answers, waits for a line on
+#: stdin, answers again from the same handle.
+_READER = """
+import sys
+from repro.core import open_oracle
+with open_oracle(sys.argv[1]) as stored:
+    before = stored.query_matrix()
+    print("ready", flush=True)
+    sys.stdin.readline()
+    after = stored.query_matrix()
+    print(int(stored.is_stale()), before.tobytes().hex(),
+          after.tobytes().hex())
+"""
+
+
+class TestAtomicWrites:
+    def test_mapped_reader_survives_a_pack_over_its_path(self, built,
+                                                         tmp_path):
+        """Packing a different (smaller) oracle over a mapped store's
+        path publishes a new inode: the reader keeps answering from
+        the generation it opened and sees it is stale.  A rewrite in
+        place would truncate the mapped file under it (SIGBUS)."""
+        path = tmp_path / "served.store"
+        pack_oracle(built, path)
+        mesh = make_terrain(grid_exponent=2, seed=85)
+        smaller = SEOracle(GeodesicEngine(mesh, sample_uniform(mesh, 4,
+                                                               seed=86)),
+                           epsilon=0.5, seed=1).build()
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+                [sys.executable, "-c", _READER, str(path)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                env=env) as reader:
+            assert reader.stdout.readline().strip() == "ready"
+            size = path.stat().st_size
+            pack_oracle(smaller, path)
+            assert path.stat().st_size < size
+            out, _ = reader.communicate("go\n", timeout=120)
+        assert reader.returncode == 0, f"reader died ({reader.returncode})"
+        stale, before, after = out.split()
+        assert stale == "1"
+        assert before == after == built.query_matrix().tobytes().hex()
+        assert os.listdir(tmp_path) == ["served.store"]

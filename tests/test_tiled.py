@@ -303,14 +303,18 @@ class TestStoreWithoutBlocks:
     FIXTURE = pathlib.Path(__file__).parent / "data" / "tiled_v4.store"
 
     @pytest.fixture(scope="class")
-    def fresh(self, tmp_path_factory):
+    def fresh_path(self, tmp_path_factory):
         mesh = make_terrain(grid_exponent=2, extent=(100.0, 100.0),
                             relief=15.0, seed=5)
         pois = sample_uniform(mesh, 6, seed=6)
         build = build_tiled_oracle(mesh, pois, EPSILON, tiles=2, seed=0)
         path = tmp_path_factory.mktemp("fresh") / "t.store"
         pack_tiled(build, path)
-        with open_oracle(path) as oracle:
+        return path
+
+    @pytest.fixture(scope="class")
+    def fresh(self, fresh_path):
+        with open_oracle(fresh_path) as oracle:
             sources, targets = _all_pairs(oracle.num_pois)
             return (sources, targets, oracle.query_batch(sources, targets),
                     oracle.query_matrix())
@@ -320,6 +324,27 @@ class TestStoreWithoutBlocks:
             names = archive.namelist()
         assert "tiles/0000/escape.npy" in names
         assert not [name for name in names if "poi_portal" in name]
+        assert not [name for name in names if "nn_" in name]
+
+    @pytest.mark.parametrize("max_resident_tiles", [1, None])
+    def test_rnn_matches_a_fresh_build(self, fresh_path,
+                                       max_resident_tiles):
+        """The fixture derives its nearest-neighbour column on first
+        RNN; it equals the fresh store's packed column, and RNN for
+        every source equals the fresh store's and the matrix path's."""
+        with open_oracle(fresh_path) as oracle:
+            n = oracle.num_pois
+            expected = [reverse_nearest_neighbors(oracle, source)
+                        for source in range(n)]
+            column = oracle.nearest_column()
+        with open_oracle(self.FIXTURE,
+                         max_resident_tiles=max_resident_tiles) as stored:
+            assert [reverse_nearest_neighbors(stored, source)
+                    for source in range(n)] == expected
+            assert [reverse_nearest_neighbors(stored, source, num_pois=n)
+                    for source in range(n)] == expected
+            for derived, packed in zip(stored.nearest_column(), column):
+                assert derived.tobytes() == packed.tobytes()
 
     @pytest.mark.parametrize("mmap", [True, False])
     @pytest.mark.parametrize("max_resident_tiles", [1, None])
