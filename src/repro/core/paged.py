@@ -1,11 +1,11 @@
 """Out-of-core paged query backend: bounded resident memory.
 
-:func:`~repro.core.store.open_oracle` hands whole-section
-``numpy.memmap`` views to :class:`~repro.core.compiled.CompiledOracle`
-— convenient, but a hot ``query_batch`` can touch the entire packed
-pair columns, so the resident set grows with store size rather than
-with the working set.  :class:`PagedOracle` answers the same queries
-against the same v4 store through a **fixed-size page pool**:
+:func:`~repro.core.store.open_oracle` hands views of one whole-store
+map to :class:`~repro.core.compiled.CompiledOracle` — convenient, but
+a hot ``query_batch`` can touch the entire packed pair columns, so the
+resident set grows with store size rather than with the working set.
+:class:`PagedOracle` answers the same queries against the same v4
+store through a **fixed-size page pool**:
 
 * the O(#pairs) columns — ``pair_keys``, ``pair_distances``,
   ``hash_level2_a/shift/offset``, ``hash_slots`` — are never mapped.
@@ -210,9 +210,7 @@ class PagedOracle(CompiledStore):
                 raise ValueError(f"{store.path}: store is missing sections {missing}")
             self._identify(store.meta, store)
             self._read_nearest(store)
-            sections: Dict[str, Any] = {
-                name: store.array(name, mmap=False) for name in _RESIDENT_SECTIONS
-            }
+            sections: Dict[str, Any] = store.arrays(_RESIDENT_SECTIONS, mmap=False)
             resident = sum(array.nbytes for array in sections.values())
             self._routing_bytes = resident + 4 * sections["chains"].nbytes
             self._pool = _PagePool(store, page_bytes, max_pages)

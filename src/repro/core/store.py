@@ -17,12 +17,14 @@ persistence story:
   store: every read (maps, copies, rows, pages, raw members) goes
   through it, and ``close()`` (or collection) releases it.
   :func:`open_oracle` opens one and hands it to the backend.  The
-  default backend maps every section straight off disk
-  (``numpy.memmap``, read-only) and assembles a
-  :class:`~repro.core.compiled.CompiledOracle` around the mapped
-  tables — no JSON parse, no per-pair Python objects, no hash
-  construction.  Load cost is one zip directory read plus the
-  O(n·h) key-plane derivation; the O(#pairs) tables are never copied.
+  default backend maps the whole store read-only straight off disk,
+  once (one ``mmap``, each section an array view of it), and
+  assembles a :class:`~repro.core.compiled.CompiledOracle` around the
+  mapped tables — no JSON parse, no per-pair Python objects, no hash
+  construction.  Load cost is one zip directory read, one positional
+  read per section header (each npy preamble is parsed once per
+  process, then memoised by its bytes), one map, and the O(n·h)
+  key-plane derivation; the O(#pairs) tables are never copied.
 * :func:`pack_document` converts a v1–v3 JSON document to v4 without
   needing the terrain (the document is self-contained), so existing
   oracle files upgrade losslessly: ``python -m repro pack``.
@@ -63,9 +65,9 @@ On-disk layout (format version 4)
     backends); stores packed before it derive it on first use.
 
 Every member is ZIP_STORED, so each array's bytes sit contiguously at
-a fixed file offset and :func:`open_oracle` can hand ``numpy.memmap``
-views to the query tables; the OS page cache then shares one physical
-copy across every serving process on the host.  Every writer publishes
+a fixed file offset and :func:`open_oracle` can hand views of one map
+to the query tables; the OS page cache then shares one physical copy
+across every serving process on the host.  Every writer publishes
 atomically (:func:`_write_store`: temp file, fsync, ``os.replace``), so
 a reader that has a store mapped keeps its generation when a new one
 is packed over the path.
@@ -74,15 +76,18 @@ is packed over the path.
 from __future__ import annotations
 
 import errno
+import functools
 import io
 import json
+import math
+import mmap as _mmap
 import os
 import threading
 import time
 import warnings
 import weakref
 import zipfile
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -123,6 +128,11 @@ _NEAREST_SECTIONS = ("nn_poi", "nn_distance")
 #: Pairs per row chunk of :func:`nearest_pois`: bounds the probe's
 #: intermediates without changing any result bit.
 _NEAREST_CHUNK_PAIRS = 1 << 14
+
+#: Bytes read at a member's local zip header: its fixed 30 bytes, name,
+#: extra field and npy preamble (128 bytes as written here) fit in one
+#: positional read; a longer preamble takes a second.
+_HEAD_READ = 512
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +310,9 @@ def _reusable_members(previous: PathLike,
     reusable: Dict[str, bytes] = {}
     try:
         with StoreFile(previous) as store:
+            old_sections = store.arrays(sections)
             for name, array in sections.items():
-                old = store.array(name)
+                old = old_sections[name]
                 if (old.dtype != array.dtype or old.shape != array.shape
                         or not np.array_equal(old, array)):
                     continue
@@ -416,19 +427,36 @@ def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
     return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
+@functools.lru_cache(maxsize=1024)
+def _npy_header(preamble: bytes) -> Tuple[Tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of one npy preamble (magic
+    through header), parsed by NumPy's own reader.  The memo is keyed
+    by the preamble bytes themselves, so a hit is never stale and
+    reopening a store parses nothing."""
+    handle = io.BytesIO(preamble)
+    if np.lib.format.read_magic(handle) == (1, 0):
+        return np.lib.format.read_array_header_1_0(handle)
+    # 2.0: a header too long for 1.0's 2-byte length
+    return np.lib.format.read_array_header_2_0(handle)
+
+
 class StoreFile:
     """One open v4 store file: the reader behind every backend.
 
     Opening reads the zip directory and the validated meta document
-    once; each section's npy header is parsed once, on first use.
-    Every read goes through the one descriptor opened here — section
-    maps and copies (:meth:`array`), positional row and page reads
+    once.  A section's layout costs one positional read of its local
+    header and npy preamble, parsed through a process-wide memo
+    (:func:`_npy_header`), so a reopen parses no header.  Every read
+    goes through the one descriptor opened here — maps and copies of
+    sections (:meth:`arrays`), positional row and page reads
     (:meth:`rows`, :meth:`read`), raw members (:meth:`member`) — so a
     reader keeps reading the generation it opened after an
-    ``os.replace``.  :meth:`close` (or leaving a ``with`` block)
+    ``os.replace``.  One :meth:`arrays` call takes one read-only map
+    over the byte span of the sections it names and hands each out as
+    an array view of it.  :meth:`close` (or leaving a ``with`` block)
     releases the descriptor, as does collecting an unclosed reader (a
-    raw descriptor: no ``ResourceWarning``).  Maps already handed out
-    hold their own reference to the file and stay valid.
+    raw descriptor: no ``ResourceWarning``).  A map already handed out
+    holds its own descriptor and stays valid until its last view goes.
     """
 
     def __init__(self, path: PathLike):
@@ -442,8 +470,8 @@ class StoreFile:
         try:
             #: the file generation opened (see :func:`file_signature`)
             self.signature = _signature(os.fstat(fd))
-            # The seeking side (zip reader, np.memmap, header parses)
-            # shares the descriptor but never owns it.
+            # The seeking side (the zip reader) shares the descriptor
+            # but never owns it.
             self._file = open(fd, "rb", closefd=False)
             self._archive = zipfile.ZipFile(self._file)
             self._members = {info.filename[:-4]: info
@@ -491,57 +519,96 @@ class StoreFile:
             raise ValueError(
                 f"{self.path}: section {name} is compressed; in-place "
                 "reads need ZIP_STORED members")
-        with self._lock:
-            handle = self._file
-            handle.seek(info.header_offset)
-            local = handle.read(30)
-            # Skip the local header by its own name/extra lengths —
-            # the central directory's copy can differ.
-            handle.seek(info.header_offset + 30
-                        + int.from_bytes(local[26:28], "little")
-                        + int.from_bytes(local[28:30], "little"))
-            if np.lib.format.read_magic(handle) == (1, 0):
-                header = np.lib.format.read_array_header_1_0(handle)
-            else:  # 2.0: a header too long for 1.0's 2-byte length
-                header = np.lib.format.read_array_header_2_0(handle)
-            shape, fortran, dtype = header
-            offset = handle.tell()
+        at = info.header_offset
+        head = os.pread(self._fd, _HEAD_READ, at)
+        # Skip the local header by its own name/extra lengths — the
+        # central directory's copy can differ.
+        start = (30 + int.from_bytes(head[26:28], "little")
+                 + int.from_bytes(head[28:30], "little"))
+        # The npy preamble: magic and version (8 bytes), the header
+        # length (2 bytes in 1.0, 4 in 2.0), then the header itself.
+        if len(head) < start + 12:
+            head = self.read(at, start + 12)
+        width = 2 if head[start + 6] == 1 else 4
+        end = (start + 8 + width
+               + int.from_bytes(head[start + 8:start + 8 + width], "little"))
+        # A garbled length must not send a huge read (NumPy refuses
+        # headers over 10,000 bytes anyway).
+        if head[start:start + 6] != b"\x93NUMPY" or end - start > 1 << 16:
+            raise ValueError(f"{self.path}: section {name} is not an npy array")
+        if len(head) < end:
+            head = self.read(at, end)
+        shape, fortran, dtype = _npy_header(head[start:end])
         if fortran:  # pragma: no cover - we only write C order
             raise ValueError(f"{self.path}: section {name} is Fortran-ordered")
-        layout = self._layouts[name] = (offset, dtype, shape)
+        layout = self._layouts[name] = (at + end, dtype, shape)
         return layout
 
+    def arrays(self, names: Iterable[str], mmap: bool = True
+               ) -> Dict[str, np.ndarray]:
+        """The named sections, each whole, by name.
+
+        With ``mmap``, one read-only map covers the byte span of the
+        named ZIP_STORED sections and each comes back as an array view
+        of it (read-only, owning no data, ``.base`` the map); the map
+        and its descriptor live until the last view goes.  Without,
+        each section is a private copy in one positional read.  A
+        compressed member cannot be mapped in place and loads as a
+        copy; the first time that happens with ``mmap``, one
+        ``RuntimeWarning`` names every compressed section of the file.
+        """
+        names = tuple(names)
+        out: Dict[str, np.ndarray] = {}
+        mapped = {}
+        for name in names:
+            if self._members[name].compress_type != zipfile.ZIP_STORED:
+                out[name] = self._inflate(name, warn=mmap)
+            elif mmap:
+                mapped[name] = self.layout(name)
+            else:
+                out[name] = self.rows(name, 0, self.layout(name)[2][0])
+        if mapped:
+            first = min(offset for offset, _, _ in mapped.values())
+            base = first - first % _mmap.ALLOCATIONGRANULARITY
+            end = max(offset + dtype.itemsize * math.prod(shape)
+                      for offset, dtype, shape in mapped.values())
+            with self._lock:
+                if self.closed:
+                    raise ValueError(f"{self.path}: store is closed")
+                # At least one byte: an empty map is an error, and the
+                # zip directory always follows the last section.
+                region = _mmap.mmap(self._fd, max(end - base, 1),
+                                    access=_mmap.ACCESS_READ, offset=base)
+            for name, (offset, dtype, shape) in mapped.items():
+                out[name] = np.ndarray(shape, dtype, buffer=region,
+                                       offset=offset - base)
+        return {name: out[name] for name in names}
+
     def array(self, name: str, mmap: bool = True) -> np.ndarray:
-        """One whole section: a read-only ``np.memmap`` with ``mmap``,
-        else a private copy.  A compressed member cannot be mapped in
-        place and loads as a copy; the first time that happens with
-        ``mmap``, one ``RuntimeWarning`` names every compressed section
-        of the file."""
-        if self._members[name].compress_type != zipfile.ZIP_STORED:
-            if mmap and not self._warned:
-                self._warned = True
-                compressed = sorted(
-                    section for section, info in self._members.items()
-                    if info.compress_type != zipfile.ZIP_STORED)
-                warnings.warn(
-                    f"{self.path}: sections {compressed} are compressed and "
-                    "load eagerly (no zero-copy mmap); repack with "
-                    "pack_oracle for in-place serving",
-                    RuntimeWarning, stacklevel=2)
-            with self._lock, self._archive.open(name + ".npy") as member:
-                return np.lib.format.read_array(member, allow_pickle=False)
-        offset, dtype, shape = self.layout(name)
-        if not mmap:
-            return self.rows(name, 0, shape[0])
-        with self._lock:
-            return np.memmap(self._file, dtype=dtype, mode="r",
-                             offset=offset, shape=shape)
+        """One whole section (:meth:`arrays`)."""
+        return self.arrays((name,), mmap)[name]
+
+    def _inflate(self, name: str, warn: bool) -> np.ndarray:
+        """A compressed section's copy, warning once per file when a
+        map was asked for."""
+        if warn and not self._warned:
+            self._warned = True
+            compressed = sorted(
+                section for section, info in self._members.items()
+                if info.compress_type != zipfile.ZIP_STORED)
+            warnings.warn(
+                f"{self.path}: sections {compressed} are compressed and "
+                "load eagerly (no zero-copy mmap); repack with "
+                "pack_oracle for in-place serving",
+                RuntimeWarning, stacklevel=3)
+        with self._lock, self._archive.open(name + ".npy") as member:
+            return np.lib.format.read_array(member, allow_pickle=False)
 
     def rows(self, name: str, start: int, count: int) -> np.ndarray:
         """Rows ``start .. start + count`` of a section, in one
         positional read."""
         offset, dtype, shape = self.layout(name)
-        row_bytes = dtype.itemsize * int(np.prod(shape[1:], dtype=np.int64))
+        row_bytes = dtype.itemsize * math.prod(shape[1:])
         raw = self.read(offset + start * row_bytes, count * row_bytes)
         return np.frombuffer(raw, dtype=dtype).reshape((count, *shape[1:]))
 
@@ -583,18 +650,19 @@ def read_store(path: Union[StoreFile, PathLike], mmap: bool = True
     from ``path`` (a store file, or an open :class:`StoreFile`, which
     is closed once the sections are read; maps stay valid).
 
-    The returned meta gains a ``sections`` entry recording, per
-    section, whether it was handed out as a zero-copy mmap
-    (``{"zero_copy": bool}``).  A compressed (non-ZIP_STORED) member
-    cannot be mapped in place; when ``mmap`` was requested and one is
-    found the eager fallback is no longer silent — one
-    ``RuntimeWarning`` names the affected sections.
+    With ``mmap`` every section is a view of one map of the store
+    (:meth:`StoreFile.arrays`).  The returned meta gains a ``sections``
+    entry recording, per section, whether it was handed out as such a
+    zero-copy view (``{"zero_copy": bool}``).  A compressed
+    (non-ZIP_STORED) member cannot be mapped in place; when ``mmap``
+    was requested and one is found the eager fallback is no longer
+    silent — one ``RuntimeWarning`` names the affected sections.
     """
     with StoreFile.of(path) as store:
-        sections = {name: store.array(name, mmap) for name in store.names}
+        sections = store.arrays(store.names, mmap)
     meta = dict(store.meta)
     meta["sections"] = {
-        name: {"zero_copy": isinstance(array, np.memmap)}
+        name: {"zero_copy": isinstance(array.base, _mmap.mmap)}
         for name, array in sections.items()}
     if "tiles" not in meta:  # tiled stores keep sections per tile
         missing = [name for name in _REQUIRED_SECTIONS
@@ -689,8 +757,7 @@ class StoreHandle:
         ``store`` has one (stores packed before it do not)."""
         names = [prefix + name for name in _NEAREST_SECTIONS]
         if all(name in store.names for name in names):
-            self._nearest = tuple(store.array(name, mmap=False)
-                                  for name in names)
+            self._nearest = tuple(store.arrays(names, mmap=False).values())
 
     def nearest_column(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(nn_poi, nn_distance)``: each POI's nearest other POI and
@@ -740,10 +807,12 @@ class StoreHandle:
             )
 
     def close(self) -> None:
-        """Release the tables and any file handle; later queries raise
+        """Release the tables, the nearest-neighbour column and any
+        file handle; later queries (and :meth:`nearest_column`) raise
         ``ValueError``.  Closing twice is a no-op."""
         if not self.closed:
             self.closed = True
+            self._nearest = None
             self._release()
 
     def __enter__(self):
@@ -821,15 +890,15 @@ class StoredOracle(CompiledStore):
     """An opened v4 store: compiled query tables + build metadata.
 
     ``path`` is a store file or an open :class:`StoreFile`, which the
-    oracle takes over.  Every section is mapped read-only (``mmap``)
-    or copied at open, and a map keeps its own reference to the file,
-    so the reader closes as soon as the tables exist.  The compiled
-    tables are live immediately (queries need no engine);
+    oracle takes over.  Every section is a view of one read-only map of
+    the store (``mmap``) or a copy read at open, and the map holds its
+    own descriptor, so the reader closes as soon as the tables exist.
+    The compiled tables are live immediately (queries need no engine);
     :meth:`to_oracle` rehydrates a full :class:`~repro.core.oracle.
     SEOracle` against a terrain engine when the scalar/tree API is
     needed — e.g. for a binary -> JSON conversion.  :meth:`close`
-    drops the maps; tables already handed out (an overlay's base, a
-    rehydrated oracle) keep their own references.
+    drops its views of the map; tables already handed out (an
+    overlay's base, a rehydrated oracle) keep their own references.
     """
 
     def __init__(self, path: Union[StoreFile, PathLike], mmap: bool = True):
@@ -837,8 +906,8 @@ class StoredOracle(CompiledStore):
         meta, self._sections = read_store(store, mmap)
         self._identify(store.meta, store)
         if all(name in self._sections for name in _NEAREST_SECTIONS):
-            # Plain views of the maps (or copies): no second read.
-            self._nearest = tuple(np.asarray(self._sections[name])
+            # Views of the store's map (or copies): no second read.
+            self._nearest = tuple(self._sections[name]
                                   for name in _NEAREST_SECTIONS)
         # Surface the zero-copy ledger: sections that could not be mapped
         # in place (compressed members) are a serving-performance smell.
@@ -852,7 +921,6 @@ class StoredOracle(CompiledStore):
 
     def _release(self) -> None:
         self._sections = self.compiled = _ClosedTables(self.path)
-        self._nearest = None
 
     def tree(self) -> CompressedPartitionTree:
         """Rebuild the compressed partition tree from the table section."""

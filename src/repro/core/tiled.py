@@ -97,6 +97,7 @@ from .store import (
     STORE_VERSION,
     StoreFile,
     StoreHandle,
+    _ClosedTables,
     compile_sections,
 )
 
@@ -491,12 +492,14 @@ def open_tiled_oracle(path, mmap: bool = True,
     ``path`` is a store file or an open :class:`~repro.core.store.
     StoreFile`, which the oracle takes over: every read, tile loads
     included, goes through its one descriptor.  Only the small routing
-    arrays (owner/local maps, global portal ids, POI×portal blocks, the
-    nearest-neighbour column — plus the mmap'd boundary matrix) are
-    touched up front; each tile's query tables are mapped on first use
-    and page through the oracle's internal LRU.  A store packed before the blocks existed has no
-    ``poi_portal`` section: its blocks are derived here, once, from
-    each tile's tables, outside the tile ledger.  Prefer
+    arrays are touched up front: the owner/local maps and the boundary
+    matrix (one map, with ``mmap``), and copies of the global portal
+    ids, the POI×portal blocks and the nearest-neighbour column.  Each
+    tile load maps that tile's query tables as one map, which pages
+    through the oracle's internal LRU: evicting the tile unmaps it.  A
+    store packed before the blocks existed has no ``poi_portal``
+    section: its blocks are derived here, once, from each tile's
+    tables, outside the tile ledger.  Prefer
     :func:`~repro.core.store.open_oracle`, which dispatches here on the
     meta tile directory.
     """
@@ -508,12 +511,16 @@ def open_tiled_oracle(path, mmap: bool = True,
 
         def loader(tile: int) -> Dict[str, np.ndarray]:
             prefix = _tile_prefix(tile)
-            return {name: store.array(prefix + name, mmap)
+            tables = store.arrays(
+                [prefix + name for name in _TILE_QUERY_SECTIONS], mmap)
+            return {name: tables[prefix + name]
                     for name in _TILE_QUERY_SECTIONS}
 
         portal_global = []
         poi_portal: List[np.ndarray] = []
-        owner = store.array("tiles/owner", mmap)
+        routing = store.arrays(
+            ("tiles/owner", "tiles/local", "tiles/boundary"), mmap)
+        owner = routing["tiles/owner"]
         for tile in range(int(meta["tiles"]["count"])):
             prefix = _tile_prefix(tile)
             portal_global.append(
@@ -528,8 +535,8 @@ def open_tiled_oracle(path, mmap: bool = True,
                     compiled, int(np.count_nonzero(owner == tile)),
                     store.array(prefix + "portal_local", mmap=False)))
         oracle = TiledOracle(
-            meta=meta, owner=owner, local=store.array("tiles/local", mmap),
-            boundary=store.array("tiles/boundary", mmap),
+            meta=meta, owner=owner, local=routing["tiles/local"],
+            boundary=routing["tiles/boundary"],
             portal_global=portal_global, poi_portal=poi_portal,
             loader=loader, store=store,
             max_resident_tiles=max_resident_tiles)
@@ -590,10 +597,9 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
         if store is not None:
             self._read_nearest(store, "tiles/")
         self.load_seconds = 0.0
-        self._owner = np.asarray(owner)
-        self._local = np.asarray(local)
-        # A plain view: slicing an np.memmap costs a Python call.
-        self._boundary = np.asarray(boundary)
+        self._owner = owner
+        self._local = local
+        self._boundary = boundary
         self._portal_global = [np.asarray(p) for p in portal_global]
         self._poi_portal = [np.asarray(b) for b in poi_portal]
         self._escape = [block.min(axis=1, initial=np.inf)
@@ -649,6 +655,8 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
     def _release(self) -> None:
         with self._lock:
             self._resident.clear()
+            self._owner = self._local = self._boundary = _ClosedTables(
+                self.path)
             if self._store is not None:
                 self._store.close()
 
@@ -709,13 +717,13 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
         out = np.empty(sources.shape[0], dtype=np.float64)
         if not sources.shape[0]:
             return out
-        count = self.num_pois
-        for ids in (sources, targets):
-            if int(ids.min()) < 0 or int(ids.max()) >= count:
-                raise IndexError("POI id out of range")
         with self._lock:
             if self.closed:
                 raise ValueError(f"{self.path}: store is closed")
+            count = self.num_pois
+            for ids in (sources, targets):
+                if int(ids.min()) < 0 or int(ids.max()) >= count:
+                    raise IndexError("POI id out of range")
             tile_s = self._owner[sources]
             tile_t = self._owner[targets]
             local_s = self._local[sources]

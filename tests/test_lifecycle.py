@@ -55,15 +55,17 @@ def _engine(seed):
 @pytest.fixture(scope="module")
 def stores(tmp_path_factory):
     """Two monolithic generations of one workload, a second workload,
-    and a tiled store."""
+    and a 2-tile and a 4-tile store."""
     root = tmp_path_factory.mktemp("lifecycle")
-    paths = {name: root / f"{name}.store" for name in ("a", "a2", "b", "t")}
+    names = ("a", "a2", "b", "t", "t4")
+    paths = {name: root / f"{name}.store" for name in names}
     engine = _engine(61)
     pack_oracle(SEOracle(engine, 0.3, seed=61).build(), paths["a"])
     pack_oracle(SEOracle(engine, 0.5, seed=61).build(), paths["a2"])
     pack_oracle(SEOracle(_engine(71), 0.3, seed=71).build(), paths["b"])
-    build = build_tiled_oracle(engine.mesh, engine.pois, 0.3, tiles=2, seed=61)
-    pack_tiled(build, paths["t"])
+    for name, tiles in (("t", 2), ("t4", 4)):
+        build = build_tiled_oracle(engine.mesh, engine.pois, 0.3, tiles=tiles, seed=61)
+        pack_tiled(build, paths[name])
     return paths, engine
 
 
@@ -159,6 +161,8 @@ class TestOpenOracleClose:
         with open_oracle(paths[name], **kwargs) as stored:
             assert isinstance(stored, kind)
             assert stored.query_batch(sources, targets).shape == sources.shape
+            # A tiled store drops its routing maps at close().
+            owner = np.array(getattr(stored, "_owner", np.arange(NUM_POIS)))
         assert stored.closed
         if kind is PagedOracle:
             assert stored._pool._handle.closed
@@ -166,7 +170,6 @@ class TestOpenOracleClose:
             stored.query_batch(sources, targets)
         # One pair on two different tiles (any pair elsewhere): a
         # cross-tile stitch loads no tile table, yet must refuse too.
-        owner = getattr(stored, "_owner", np.arange(NUM_POIS))
         target = int(np.flatnonzero(owner != owner[0])[0])
         with pytest.raises(ValueError, match="closed"):
             stored.query_batch([0], [target])
@@ -201,6 +204,53 @@ def test_descriptor_ledger_returns_to_baseline(stores):
     assert service.counters("t").loads == 30
     service.close()
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+def _descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestDescriptorsPerStore:
+    """A store is mapped once, not once per section: an open mmap'd
+    monolithic store holds one descriptor (its map's), and a tiled
+    store its reader's, one for the routing map and one per resident
+    tile."""
+
+    def test_monolithic_store_holds_one_descriptor(self, stores):
+        paths, _ = stores
+        before = _descriptors()
+        with open_oracle(paths["a"]) as stored:
+            sources, targets = _grid()
+            stored.query_batch(sources, targets)
+            assert _descriptors() == before + 1
+        assert _descriptors() == before
+
+    def test_tiled_store_holds_reader_routing_and_resident_tiles(self, stores):
+        paths, _ = stores
+        before = _descriptors()
+        with open_oracle(paths["t4"], max_resident_tiles=2) as stored:
+            sources, targets = _grid()
+            stored.query_batch(sources, targets)
+            counters = stored.tile_counters()
+            assert counters["evictions"] > 0  # more tiles loaded than fit
+            assert len(counters["resident"]) == 2
+            assert _descriptors() <= before + 1 + 1 + 2
+        assert _descriptors() == before
+
+    def test_closed_tiled_store_drops_its_maps(self, stores):
+        """close() releases every map even while the handle is still
+        referenced, and the nearest-neighbour column goes with them."""
+        paths, _ = stores
+        before = _descriptors()
+        stored = open_oracle(paths["t4"], max_resident_tiles=2)
+        sources, targets = _grid()
+        stored.query_batch(sources, targets)
+        assert stored.nearest_column()[0].shape == (NUM_POIS,)
+        stored.close()
+        assert _descriptors() == before
+        with pytest.raises(ValueError, match="closed"):
+            stored.nearest_column()
 
 
 def _pack_argv(paths, engine, tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the v4 binary oracle store (pack / open / convert)."""
 
+import io
 import json
+import mmap
 import os
 import pathlib
 import subprocess
@@ -12,13 +14,21 @@ import pytest
 
 from repro.core import (
     SEOracle,
+    build_tiled_oracle,
     load_oracle,
     open_oracle,
     pack_document,
     pack_oracle,
+    pack_tiled,
     save_oracle,
 )
-from repro.core.store import STORE_VERSION, read_store, read_store_meta
+from repro.core.store import (
+    STORE_VERSION,
+    StoreFile,
+    _npy_header,
+    read_store,
+    read_store_meta,
+)
 from repro.geodesic import GeodesicEngine
 from repro.terrain import make_terrain, sample_uniform
 
@@ -41,6 +51,9 @@ def store_path(built, tmp_path_factory):
     path = tmp_path_factory.mktemp("store") / "oracle.store"
     pack_oracle(built, path)
     return path
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 class TestPack:
@@ -77,17 +90,30 @@ class TestPack:
         assert loaded.query(0, 1) == built.query(0, 1)
 
 
+def map_of(array):
+    """The ``mmap.mmap`` that ends ``array``'s ``.base`` chain, else
+    ``None``."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base if isinstance(base, mmap.mmap) else None
+
+
 class TestOpen:
     def test_sections_are_memory_mapped(self, store_path):
         meta, sections = read_store(store_path)
+        maps = set()
         for name in ("chains", "pair_keys", "pair_distances",
                      "hash_slots"):
-            assert isinstance(sections[name], np.memmap), name
+            assert map_of(sections[name]) is not None, name
             assert not sections[name].flags.writeable
+            assert not sections[name].flags.owndata
+            maps.add(id(map_of(sections[name])))
+        assert len(maps) == 1  # one map per store
 
     def test_mmap_false_reads_copies(self, store_path):
         _, sections = read_store(store_path, mmap=False)
-        assert not isinstance(sections["chains"], np.memmap)
+        assert map_of(sections["chains"]) is None
 
     def test_open_query_bit_identical(self, store_path, built, workload):
         stored = open_oracle(store_path)
@@ -160,6 +186,115 @@ class TestOpen:
     def test_load_seconds_recorded(self, store_path):
         stored = open_oracle(store_path)
         assert stored.load_seconds > 0.0
+
+
+@pytest.fixture(scope="module")
+def layout_stores(built, workload, store_path, tmp_path_factory):
+    """Every kind of store a view must agree on: monolithic, 4-tile,
+    converted from a JSON document, and the two checked-in stores
+    packed by earlier versions."""
+    root = tmp_path_factory.mktemp("layouts")
+    paths = {"monolithic": store_path, "tiled": root / "tiled.store",
+             "document": root / "document.store",
+             "oracle_v4": DATA / "oracle_v4.store",
+             "tiled_v4": DATA / "tiled_v4.store"}
+    pack_tiled(build_tiled_oracle(workload.mesh, workload.pois, 0.25,
+                                  tiles=4, seed=6), paths["tiled"])
+    pack_document(json.loads((DATA / "oracle_v3.json").read_text()),
+                  paths["document"])
+    return paths
+
+
+def _rewrite(source, target, transform):
+    """Copy store ``source`` to ``target`` member by member; each
+    member's ``(bytes, compress_type)`` comes from ``transform(name,
+    bytes)``, ``None`` keeping it as it was."""
+    with zipfile.ZipFile(source) as zin, \
+            zipfile.ZipFile(target, "w", zipfile.ZIP_STORED) as zout:
+        for info in zin.infolist():
+            raw = zin.read(info.filename)
+            raw, compress = (transform(info.filename, raw)
+                             or (raw, zipfile.ZIP_STORED))
+            zout.writestr(info.filename, raw, compress_type=compress)
+
+
+class TestLayoutAgreement:
+    """The layout wall: every section view :meth:`StoreFile.arrays`
+    hands out — from one map per call — equals what ``numpy.load``
+    reads for that member, byte for byte, on every kind of store."""
+
+    @pytest.mark.parametrize("kind", ["monolithic", "tiled", "document",
+                                      "oracle_v4", "tiled_v4"])
+    def test_views_equal_numpy_load(self, layout_stores, kind):
+        path = layout_stores[kind]
+        with StoreFile(path) as store, np.load(path) as archive:
+            views = store.arrays(store.names)
+            copies = store.arrays(store.names, mmap=False)
+            assert set(views) == set(archive.files) - {"meta.json"}
+            for name, view in views.items():
+                expected = archive[name]
+                for array in (view, copies[name]):
+                    assert array.dtype == expected.dtype, name
+                    assert array.shape == expected.shape, name
+                    assert array.tobytes() == expected.tobytes(), name
+                assert not view.flags.writeable, name
+                assert not view.flags.owndata, name
+                assert map_of(copies[name]) is None, name
+            assert len({id(map_of(view)) for view in views.values()}) == 1
+
+    def test_reopen_parses_no_header(self, store_path):
+        with StoreFile(store_path) as store:
+            store.arrays(store.names)
+        misses = _npy_header.cache_info().misses
+        with StoreFile(store_path) as store:
+            store.arrays(store.names)
+        assert _npy_header.cache_info().misses == misses
+
+    def test_npy_2_0_member_parses(self, store_path, built, tmp_path):
+        """A header written as npy 2.0 (4-byte length) maps like 1.0."""
+        path = tmp_path / "v2.store"
+
+        def as_v2(name, raw):
+            if name != "chains.npy":
+                return None
+            buffer = io.BytesIO()
+            np.lib.format.write_array(
+                buffer, np.load(io.BytesIO(raw)), version=(2, 0))
+            return buffer.getvalue(), zipfile.ZIP_STORED
+
+        _rewrite(store_path, path, as_v2)
+        with zipfile.ZipFile(path) as archive:
+            assert archive.read("chains.npy")[6:8] == b"\x02\x00"
+        with StoreFile(path) as store, np.load(store_path) as archive:
+            chains = store.array("chains")
+            assert map_of(chains) is not None
+            assert chains.tobytes() == archive["chains"].tobytes()
+        with open_oracle(path) as stored:
+            assert (stored.query_matrix() == built.query_matrix()).all()
+
+    def test_deflated_member_loads_as_a_copy(self, store_path, tmp_path):
+        path = tmp_path / "deflated.store"
+        _rewrite(store_path, path, lambda name, raw: (
+            (raw, zipfile.ZIP_DEFLATED) if name == "pair_keys.npy"
+            else None))
+        with StoreFile(path) as store, np.load(store_path) as archive:
+            with pytest.warns(RuntimeWarning, match="zero-copy") as caught:
+                views = store.arrays(store.names)
+                store.array("pair_keys")  # warned once per file
+            assert len(caught) == 1
+            assert map_of(views["pair_keys"]) is None
+            assert map_of(views["chains"]) is not None
+            for name, view in views.items():
+                assert view.tobytes() == archive[name].tobytes(), name
+
+    def test_garbled_member_is_a_store_error(self, store_path, tmp_path):
+        path = tmp_path / "garbled.store"
+        _rewrite(store_path, path, lambda name, raw: (
+            (b"not an npy member" + raw, zipfile.ZIP_STORED)
+            if name == "chains.npy" else None))
+        with StoreFile(path) as store:
+            with pytest.raises(ValueError, match="not an npy array"):
+                store.layout("chains")
 
 
 class TestRehydration:
