@@ -10,6 +10,11 @@ bound it records:
 * batched QPS (best-of timing) and its ratio to the unpaged oracle;
 * the page ledger: loads / evictions / hits, resident and peak
   resident bytes, and the fixed (never-paged) routing bytes;
+* a kNN-row leg: ``n`` one-source batches (one POI against every POI,
+  the rows a kNN query probes) through a fresh pool, with its page
+  loads and hits and the microseconds per batch next to the unpaged
+  oracle's — the locality the key-ordered pair run buys shows here,
+  below the run's size;
 * the OS view: each bound is re-run in a **fresh subprocess** and its
   ``resource.getrusage`` max-RSS recorded, so pool configs cannot
   share interpreter warm-up or page-cache state.
@@ -17,9 +22,9 @@ bound it records:
 It *gates* (non-zero exit) on three invariants, which is what lets CI
 run it as an out-of-core serving regression smoke test:
 
-1. paged answers (``query_batch`` over the workload *and* a full
-   ``query_matrix``) are **bit-identical** to the unpaged oracle at
-   every pool bound, and RNN for every source answers the same
+1. paged answers (``query_batch`` over the workload, the kNN rows
+   *and* a full ``query_matrix``) are **bit-identical** to the unpaged
+   oracle at every pool bound, and RNN for every source answers the same
    through the store's nearest-neighbour column as through the matrix
    path (``num_pois=n``), whose per-RNN milliseconds the report
    records side by side;
@@ -115,6 +120,34 @@ def timed_qps(oracle, sources, targets, repeats: int) -> float:
     return sources.size / best if best > 0 else float("inf")
 
 
+def knn_leg(store_path: str, budget: int, unpaged) -> dict:
+    """``n`` one-source batches (POI ``s`` against every POI) through a
+    fresh pool of ``budget`` bytes: its page loads and hits, the mean
+    microseconds per batch next to the unpaged oracle's, and the
+    answers that differ."""
+    n = unpaged.num_pois
+    targets = np.arange(n, dtype=np.intp)
+    rows = [np.full(n, source, dtype=np.intp) for source in range(n)]
+    answers, per_batch_us = [], []
+    with PagedOracle(store_path, max_resident_bytes=budget) as paged:
+        for oracle in (paged, unpaged):
+            tick = time.perf_counter()
+            answers.append([oracle.query_batch(row, targets)
+                            for row in rows])
+            per_batch_us.append((time.perf_counter() - tick)
+                                / max(n, 1) * 1e6)
+        ledger = paged.page_counters()
+    return {
+        "knn_batches": n,
+        "knn_loads": ledger["loads"],
+        "knn_hits": ledger["hits"],
+        "knn_us_per_batch": per_batch_us[0],
+        "knn_unpaged_us_per_batch": per_batch_us[1],
+        "knn_mismatches": sum(int(np.sum(got != expected))
+                              for got, expected in zip(*answers)),
+    }
+
+
 def rnn_leg(store) -> dict:
     """RNN for every source through the store's nearest-neighbour
     column and through the matrix path (``num_pois=n``): the sources
@@ -200,12 +233,14 @@ def measure_scale(scale: str, queries: int, density: int, seed: int,
 
         bounds = {}
         for label, budget in pool_bounds(store_path).items():
+            knn = knn_leg(store_path, budget, unpaged)
             paged = PagedOracle(store_path, max_resident_bytes=budget)
             got_batch = paged.query_batch(sources, targets)
             got_matrix = paged.query_matrix()
             mismatches = int(
                 np.sum(got_batch != expected_batch)
-                + np.sum(got_matrix != expected_matrix))
+                + np.sum(got_matrix != expected_matrix)
+                + knn["knn_mismatches"])
             qps = timed_qps(paged, sources, targets, repeats)
             ledger = paged.page_counters()
             rnn = rnn_leg(paged)
@@ -231,6 +266,7 @@ def measure_scale(scale: str, queries: int, density: int, seed: int,
                 "probe_maxrss_kb": probe["maxrss_kb"],
                 "probe_peak_resident_bytes":
                     probe["ledger"]["peak_resident_bytes"],
+                **knn,
                 **rnn,
                 "equivalent": mismatches == 0,
                 "mismatches": mismatches,
@@ -298,6 +334,10 @@ def main(argv=None) -> int:
                   f"evict {bound['evictions']:6d} "
                   f"hits {bound['hits']:6d}  "
                   f"rss {bound['probe_maxrss_kb'] / 1024:6.1f}MB  "
+                  f"knn {bound['knn_us_per_batch']:7.1f}us "
+                  f"(unpaged {bound['knn_unpaged_us_per_batch']:6.1f}us, "
+                  f"loads {bound['knn_loads']:5d} "
+                  f"hits {bound['knn_hits']:6d})  "
                   f"rnn {bound['rnn_column_ms']:6.2f}ms "
                   f"(matrix {bound['rnn_matrix_ms']:6.2f}ms)  "
                   f"{verdict}")

@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--max-resident-bytes", type=int, default=None,
                        metavar="N",
                        help="with --store: serve through the paged "
-                            "backend with the pair/hash page pool "
+                            "backend with the pair run's page pool "
                             "capped at N bytes (bit-identical answers; "
                             "prints the paging ledger)")
 
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="monolithic stores: serve each static "
                             "terrain through the paged backend with "
-                            "its pair/hash page pool capped at N bytes "
+                            "its pair run's page pool capped at N bytes "
                             "(bit-identical; ledger in stats)")
     serve.add_argument("--mutable", action="append", default=[],
                        metavar="NAME=MESH",
@@ -416,6 +416,14 @@ def _cmd_query(args) -> int:
         print("error: --max-resident-bytes requires --store (paging "
               "works on v4 binary stores)", file=sys.stderr)
         return 2
+    if args.max_resident_bytes is not None:
+        from .core.paged import check_pageable
+        from .core.store import read_store_meta
+        try:
+            check_pageable(read_store_meta(args.oracle), args.oracle)
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     engine = _workload(args.mesh, args.pois, args.poi_seed, args.density)
     if not args.store:
         return _answer_query(args, engine, load_oracle(args.oracle, engine))

@@ -15,10 +15,12 @@ batches.  ``CompiledOracle`` freezes a built oracle into flat tables:
   ``parent(B).layer <= k < layer(B)``), each split into the high/low
   half of a packed pair key so a batch forms candidate keys with one
   broadcast OR;
-* the **frozen pair table**: the perfect hash flattened into parallel
-  multiply-shift tables with a float64 distance column, probed for a
-  whole batch at once (:meth:`~repro.datastructures.perfect_hash.
-  PerfectHashMap.get_batch`).
+* the **pair table**: any table with the ``get_batch(keys, default)``
+  contract, probed for a whole batch at once — the perfect hash
+  flattened into parallel multiply-shift tables with a float64
+  distance column (:meth:`~repro.datastructures.perfect_hash.
+  PerfectHashMap.get_batch`), or the paged backend's sorted pair run
+  (:mod:`~repro.core.paged`).
 
 The scalar query algorithm (Section 3.4) probes three candidate
 families along the two root chains: same-layer pairs (step 1), then
@@ -79,7 +81,9 @@ class CompiledOracle:
     chains:
         ``(n, height+1)`` int64 ancestor-chain matrix, ``-1``-padded.
     pair_hash:
-        The oracle's perfect-hashed node pair set (float distances).
+        The node pair table: ``get_batch(keys, default)`` answers each
+        packed pair key's float distance, ``default`` where absent —
+        the oracle's perfect-hashed pair set, or a paged pair run.
     epsilon:
         Error parameter the tables answer within (carried for reports).
     """
@@ -118,11 +122,6 @@ class CompiledOracle:
         self._span_high = spans << _SHIFT
         self._span_low = spans
 
-        # Freeze the hash's batch tables now: compilation is the
-        # declared one-time cost point, so the first query_batch must
-        # not silently pay it.
-        pair_hash._freeze()
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -132,6 +131,10 @@ class CompiledOracle:
         if not oracle.is_built:
             raise RuntimeError("oracle not built; call build() first")
         chains = chain_matrix(oracle.tree, oracle.engine.num_pois)
+        # Freeze the hash's batch tables now: compilation is the
+        # declared one-time cost point, so the first query_batch must
+        # not silently pay it.
+        oracle.pair_hash._freeze()
         return cls(chains, oracle.pair_hash, oracle.epsilon)
 
     # ------------------------------------------------------------------

@@ -7,27 +7,41 @@ resident set grows with store size rather than with the working set.
 :class:`PagedOracle` answers the same queries against the same v4
 store through a **fixed-size page pool**:
 
-* the O(#pairs) columns — ``pair_keys``, ``pair_distances``,
-  ``hash_level2_a/shift/offset``, ``hash_slots`` — are never mapped.
-  Each one is a lazy column whose ``column[indices]`` is a pool
-  *gather*: indices are grouped by page (``numpy.argsort`` over page
-  ids) so every page is touched exactly once per gather, pages load
-  with ``read(page_bytes)`` at the section's fixed file offset, and a
-  :class:`~repro.core.residency.Residency` LRU bounds how many stay
-  resident;
+* every writer packs the pair set as a **sorted run**: ``pair_keys``
+  strictly ascending, ``pair_distances`` aligned with it
+  (``meta.json``'s ``pair_order`` is ``"key"``).  Those two sections
+  are the only O(#pairs) bytes the probe reads, and they are never
+  mapped: they page through the pool, one positional read of
+  ``page_bytes`` per page at the section's fixed file offset, with a
+  :class:`~repro.core.residency.Residency` LRU bounding how many pages
+  stay resident.  The hash tables are not read at all;
+* the first key of every key page stays resident as a **fence
+  pointer** (one 8-byte positional read per key page at open, plus
+  the run's last key), as SSTables and B+-tree inner levels index a
+  sorted run.  A batch resolves with one ``searchsorted`` of the
+  fences into its sorted keys, touches each distinct page once, and
+  finishes with an in-page ``searchsorted``; a distance page loads
+  only when its key page holds a hit.  Sorted by key, one kNN row's keys share their
+  source chain node and land in a few adjacent pages, so a pool far
+  smaller than the run still hits;
 * the small routing state — the ancestor-chain matrix and its derived
-  key planes, the tree tables, the two level-1 hash scalars, the
-  nearest-neighbour column RNN reads — loads once at open (O(n·h)
-  bytes, independent of the pair count) and is accounted separately
-  as ``fixed_bytes``;
-* the probe is the compiled oracle's own: the lazy columns go into an
-  ordinary :class:`~repro.datastructures.perfect_hash.PerfectHashMap`
-  via :func:`~repro.core.store.compile_sections`, so
-  :meth:`~repro.datastructures.perfect_hash.PerfectHashMap.get_batch`
-  is the one multiply-shift probe for mmap'd, tiled and paged stores
-  alike.  Paging only changes *where* an element's bytes come from —
-  never which element is read — so results are bit-identical to the
-  mmap'd ``CompiledOracle`` at any pool bound, down to a single page.
+  key planes, the tree tables, the fences, the nearest-neighbour
+  column RNN reads — loads once at open (O(n·h) bytes plus 8 bytes per
+  key page, independent of what queries touch) and is accounted
+  separately as ``fixed_bytes``;
+* the query is the compiled oracle's own two-phase probe: the pool is
+  the :class:`~repro.core.compiled.CompiledOracle`'s pair table (the
+  ``get_batch(keys, default)`` contract).  Each key is found by its
+  value in the sorted run, where the mmap'd and tiled stores find it
+  by hashing, and both read the same stored float — so results are
+  bit-identical to the mmap'd ``CompiledOracle`` at any pool bound,
+  down to a single one-element page.
+
+A store whose fences or key pages do not strictly ascend is damaged:
+the pool raises a store error (``OSError``), never an answer.  A store
+packed before the key order (no ``pair_order`` entry) is refused at
+open with a ``ValueError`` naming the fix (:func:`check_pageable`;
+the service refuses it at registration).
 
 The ledger is the shared residency ledger: page ``loads`` /
 ``evictions`` / ``hits`` reconcile as ``loads - evictions ==
@@ -43,42 +57,64 @@ and the memory ceiling in CI.
 
 from __future__ import annotations
 
+import errno
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
+from .compiled import CompiledOracle
 from .residency import Residency
-from .store import CompiledStore, PathLike, StoreFile, _ClosedTables, compile_sections
+from .store import PAIR_ORDER, CompiledStore, PathLike, StoreFile, _ClosedTables
 
-__all__ = ["PagedOracle", "DEFAULT_PAGE_BYTES", "PAGED_SECTIONS"]
+__all__ = ["PagedOracle", "DEFAULT_PAGE_BYTES", "PAGED_SECTIONS",
+           "check_pageable"]
 
-#: Default page size: 64 KiB — large enough that sequential gathers
+#: Default page size: 64 KiB — large enough that sequential reads
 #: amortise the seek, small enough that tiny pool budgets still hold
 #: several pages.
 DEFAULT_PAGE_BYTES = 64 * 1024
 
-#: The store sections that page through the pool — exactly the
-#: O(#pairs) columns ``PerfectHashMap.get_batch`` probes.  Everything
-#: else is O(n·h) routing state and loads once at open.
-PAGED_SECTIONS = ("pair_keys", "pair_distances", "hash_level2_a",
-                  "hash_level2_shift", "hash_level2_offset",
-                  "hash_slots")
+#: The store sections that page through the pool: the sorted pair
+#: run.  Everything else the probe needs is O(n·h) routing state and
+#: loads once at open.
+PAGED_SECTIONS = ("pair_keys", "pair_distances")
 
-_RESIDENT_SECTIONS = ("tree_table", "tree_radii", "chains",
-                      "hash_level1")
+_RESIDENT_SECTIONS = ("tree_table", "tree_radii", "chains")
+
+
+def check_pageable(meta: Mapping[str, Any], path: str) -> None:
+    """Raise ``ValueError`` unless a store with this ``meta`` can be
+    paged: a monolithic store whose pairs are packed in key order."""
+    if "tiles" in meta:
+        raise ValueError(
+            f"{path}: tiled stores page at tile granularity; use "
+            "max_resident_tiles instead of max_resident_bytes")
+    if meta.get("pair_order") != PAIR_ORDER:
+        raise ValueError(
+            f"{path}: the store packs its pairs in build order, and "
+            "paging needs them in key order; serve it unpaged (no "
+            "max_resident_bytes) or re-pack it from its JSON document "
+            "(python -m repro pack) or its terrain (python -m repro "
+            "build)")
+
+
+def _damaged(store: StoreFile, what: str) -> OSError:
+    return OSError(errno.EIO, f"{store.path}: {what} is not in strictly "
+                   "ascending key order; the store is damaged")
 
 
 class _PagePool:
-    """LRU pool of fixed-size pages over a store file's flat sections.
+    """LRU pool of fixed-size pages over a store's sorted pair run,
+    and the pair table the paged :class:`CompiledOracle` probes.
 
-    One pool serves every paged section; the page key is
-    ``(section, page_number)``.  ``gather`` is the only read path:
-    element indices are sorted by page id so each distinct page is
-    located (and, on a miss, loaded) exactly once per call, whatever
-    order the probe produced the indices in.  Pages are positional
-    reads through ``store``, the pool's one descriptor (``_handle``).
+    Key page ``p`` and distance page ``p`` cover the same elements
+    (both sections hold 8-byte elements).  The resident ``fences``
+    hold the first key of every key page, ``last`` the run's last key.
+    Pages are keyed ``(section, page_no)`` in one
+    :class:`~repro.core.residency.Residency` and read positionally
+    through ``store``, the pool's one descriptor (``_handle``).
     """
 
     def __init__(self, store: StoreFile, page_bytes: int, max_pages: int):
@@ -90,84 +126,118 @@ class _PagePool:
             raise ValueError("page pool needs at least one page")
         self.page_bytes = int(page_bytes)
         self.max_pages = int(max_pages)
-        self._geometry: Dict[str, Tuple[int, np.dtype, int, int]] = {}
+        self.per_page = self.page_bytes // 8
+        self._offsets: Dict[str, int] = {}
+        self._dtypes: Dict[str, np.dtype] = {}
+        shapes = []
         for name in PAGED_SECTIONS:
             offset, dtype, shape = store.layout(name)
-            total = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            per_page = max(1, self.page_bytes // dtype.itemsize)
-            self._geometry[name] = (offset, dtype, total, per_page)
+            if dtype.itemsize != 8 or len(shape) != 1:
+                raise ValueError(f"{store.path}: section {name} is not a "
+                                 "flat column of 8-byte elements")
+            self._offsets[name], self._dtypes[name] = offset, dtype
+            shapes.append(shape)
+        if shapes[0] != shapes[1] or not shapes[0][0]:
+            raise ValueError(f"{store.path}: pair_keys and pair_distances "
+                             "must be non-empty and of one length")
+        self.total = shapes[0][0]
+        self._handle = store
         self.pages = Residency(self.max_pages)
         self._lock = threading.RLock()
-        self._handle = store
+        at = self._offsets["pair_keys"]
+        reads = [*range(at, at + 8 * self.total, self.page_bytes),
+                 at + 8 * (self.total - 1)]
+        run = np.frombuffer(b"".join(store.read(at, 8) for at in reads),
+                            dtype=self._dtypes["pair_keys"])
+        self.fences, self.last = run[:-1], run[-1]
+        if (np.any(self.fences[1:] <= self.fences[:-1])
+                or self.last < self.fences[-1]):
+            raise _damaged(store, "the pair run's fence keys")
+
+    @property
+    def fixed_bytes(self) -> int:
+        """The resident fences and last key."""
+        return self.fences.nbytes + 8
+
+    def __len__(self) -> int:
+        return self.total
 
     def close(self) -> None:
         with self._lock:
             self.pages.clear()
             self._handle.close()
 
-    def gather(self, section: str, indices: np.ndarray) -> np.ndarray:
-        """``section_array[indices]`` with page-grouped access.
+    def get_batch(self, keys, default: float = float("nan")) -> np.ndarray:
+        """Each packed pair key's stored distance, ``default`` where the
+        run holds no such key (``PerfectHashMap.get_batch``'s
+        contract).
 
-        ``indices`` must be in-range element indices (any integer
-        dtype).  The result dtype is the section's; the element order
-        matches ``indices`` — only the *access* order is grouped, so
-        the gather is value-equal to a fancy-index on the full array.
+        The keys are sorted once; one ``searchsorted`` of the fences
+        into them cuts them into per-page runs, so each distinct page
+        is located (and, on a miss, loaded) once per call, and an
+        in-page ``searchsorted`` finishes the lookup.  Keys below the
+        first fence or above the run's last key touch no page.
         """
-        flat = np.ascontiguousarray(indices, dtype=np.int64)
-        offset, dtype, total, per_page = self._geometry[section]
-        out = np.empty(flat.shape[0], dtype=dtype)
-        if flat.shape[0] == 0:
-            return out
-        page_ids = flat // per_page
-        order = np.argsort(page_ids, kind="stable")
-        sorted_ids = page_ids[order]
-        cuts = np.flatnonzero(np.diff(sorted_ids)) + 1
+        key_array = np.asarray(keys, dtype=np.uint64)
+        flat = key_array.reshape(-1)
+        result = np.full(flat.shape[0], default, dtype=np.float64)
+        order = np.argsort(flat)
+        ordered = flat[order]
+        # Key page p holds ordered[bounds[p]:bounds[p + 1]].
+        bounds = np.append(np.searchsorted(ordered, self.fences),
+                           np.searchsorted(ordered, self.last, side="right"))
+        touched = np.flatnonzero(bounds[1:] > bounds[:-1]).tolist()
+        bounds = bounds.tolist()
         with self._lock:
-            for group in np.split(order, cuts):
-                page_no = int(page_ids[group[0]])
-                page = self._page(section, page_no)
-                out[group] = page[flat[group] - page_no * per_page]
-        return out
+            for page_no in touched:
+                start, stop = bounds[page_no], bounds[page_no + 1]
+                wanted = ordered[start:stop]
+                page = self._page("pair_keys", page_no)
+                at = np.searchsorted(page, wanted)
+                found = page.take(at, mode="clip") == wanted
+                if found.any():
+                    distances = self._page("pair_distances", page_no)
+                    result[order[start:stop][found]] = distances[at[found]]
+        return result.reshape(key_array.shape)
 
     def _page(self, section: str, page_no: int) -> np.ndarray:
         key = (section, page_no)
         page = self.pages.get(key)
         if page is None:
-            offset, dtype, total, per_page = self._geometry[section]
-            start = page_no * per_page
-            size = min(per_page, total - start) * dtype.itemsize
-            raw = self._handle.read(offset + start * dtype.itemsize, size)
-            page = np.frombuffer(raw, dtype=dtype)
+            start = page_no * self.per_page
+            count = min(self.per_page, self.total - start)
+            raw = self._handle.read(self._offsets[section] + 8 * start,
+                                    8 * count)
+            page = np.frombuffer(raw, dtype=self._dtypes[section])
+            if section == "pair_keys":
+                self._check_keys(page, page_no)
             self.pages.admit(key, page, page.nbytes)
         return page
 
-
-class _PagedColumn:
-    """One paged section as a frozen-hash column: ``column[indices]``
-    gathers through the pool, so the section is never read whole."""
-
-    def __init__(self, pool: _PagePool, section: str):
-        self._pool = pool
-        self._section = section
-        _, self.dtype, total, _ = pool._geometry[section]
-        self.shape = (total,)
-
-    def __getitem__(self, indices) -> np.ndarray:
-        return self._pool.gather(self._section, indices)
+    def _check_keys(self, page: np.ndarray, page_no: int) -> None:
+        """A key page must ascend strictly between its own fence and
+        the next one (the run's last key for the last page)."""
+        bounded = (page[-1] < self.fences[page_no + 1]
+                   if page_no + 1 < self.fences.shape[0]
+                   else page[-1] == self.last)
+        if (page[0] != self.fences[page_no] or not bounded
+                or np.any(page[1:] <= page[:-1])):
+            raise _damaged(self._handle, f"pair_keys page {page_no}")
 
 
 class PagedOracle(CompiledStore):
     """A v4 store served through a bounded page pool.
 
     Implements ``DistanceIndex`` (``query`` / ``query_batch`` /
-    ``query_matrix``) with the resident footprint of the pair/hash
-    columns capped at ``max_resident_bytes`` (or an explicit
+    ``query_matrix``) with the resident footprint of the sorted pair
+    run capped at ``max_resident_bytes`` (or an explicit
     ``page_bytes`` × ``max_pages`` pool shape).  Bit-identical to the
     mmap'd :class:`~repro.core.compiled.CompiledOracle` at any bound.
 
     ``path`` is a store file or an open
     :class:`~repro.core.store.StoreFile`, which the oracle takes over.
-    Thread-safe: the pool serialises gathers behind an ``RLock``, so
+    The store must be pageable (:func:`check_pageable`).  Thread-safe:
+    the pool serialises page lookups behind an ``RLock``, so
     concurrent service workers share one pool the same way they share
     one tiled-store LRU.
     """
@@ -185,10 +255,11 @@ class PagedOracle(CompiledStore):
                             "max_resident_bytes must be at least 8 "
                             "(one 8-byte element)"
                         )
-                    # Split the budget into at least 8 pages: one probe
-                    # round gathers from all six paged sections, so a pool
-                    # with fewer pages than sections evicts *within* every
-                    # round and can never hit.
+                    # Split the budget into at least 8 pages: a batch
+                    # reads key pages and their distance pages, and
+                    # its rows' keys fall in several runs of adjacent
+                    # pages, so a pool of a few large pages would
+                    # evict within every batch.
                     page_bytes = max(
                         8, min(DEFAULT_PAGE_BYTES, max_resident_bytes // 8 // 8 * 8)
                     )
@@ -199,26 +270,19 @@ class PagedOracle(CompiledStore):
                     max_pages = max(1, max_resident_bytes // page_bytes)
                 else:
                     max_pages = 1 << 30  # effectively unbounded
-            if "tiles" in store.meta:
-                raise ValueError(
-                    f"{store.path}: tiled stores page at tile granularity; "
-                    "open with max_resident_tiles instead"
-                )
+            check_pageable(store.meta, store.path)
             required = (*_RESIDENT_SECTIONS, *PAGED_SECTIONS)
             missing = [name for name in required if name not in store.names]
             if missing:
                 raise ValueError(f"{store.path}: store is missing sections {missing}")
             self._identify(store.meta, store)
             self._read_nearest(store)
-            sections: Dict[str, Any] = store.arrays(_RESIDENT_SECTIONS, mmap=False)
+            sections = store.arrays(_RESIDENT_SECTIONS, mmap=False)
             resident = sum(array.nbytes for array in sections.values())
             self._routing_bytes = resident + 4 * sections["chains"].nbytes
             self._pool = _PagePool(store, page_bytes, max_pages)
-            for name in PAGED_SECTIONS:
-                sections[name] = _PagedColumn(self._pool, name)
-            self.compiled = compile_sections(
-                sections, seed=self.seed, epsilon=self.epsilon
-            )
+            self.compiled = CompiledOracle(sections["chains"], self._pool,
+                                           self.epsilon)
         except BaseException:
             store.close()  # no caller will get to close it
             raise
@@ -253,11 +317,11 @@ class PagedOracle(CompiledStore):
     def fixed_bytes(self) -> int:
         """Resident state outside the pool: every resident section,
         the four key planes derived from the chains (4 × n·(h+1) × 8
-        bytes) and the nearest-neighbour column once read or derived.
-        Reported in the ledger so "bounded" is an auditable claim, not a
-        slogan."""
+        bytes), the fences and the nearest-neighbour column once read
+        or derived.  Reported in the ledger so "bounded" is an
+        auditable claim, not a slogan."""
         column = sum(array.nbytes for array in self._nearest or ())
-        return self._routing_bytes + column
+        return self._routing_bytes + self._pool.fixed_bytes + column
 
     @property
     def peak_resident_bytes(self) -> int:

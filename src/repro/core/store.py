@@ -33,8 +33,11 @@ On-disk layout (format version 4)
 ---------------------------------
 ``meta.json``
     ``{format, version, epsilon, strategy, method, seed, fingerprint,
-    build {executor, jobs}, stats {height, pairs_stored,
+    pair_order, build {executor, jobs}, stats {height, pairs_stored,
     total_seconds}, tree {root_id, height, root_radius}}``.
+    ``pair_order`` is ``"key"`` (:data:`PAIR_ORDER`); stores packed
+    before it keep their pairs in hash insertion order and carry no
+    entry.
 ``tree_table.npy``
     int64 ``(num_nodes, 4)``: center, original layer, parent id
     (``-1`` for the root), origin id — row index is the node id.
@@ -43,15 +46,20 @@ On-disk layout (format version 4)
 ``pair_keys.npy`` / ``pair_distances.npy``
     uint64 / float64 ``(num_pairs,)``: the node pair set as packed
     ordered-pair keys (:func:`~repro.datastructures.perfect_hash.
-    pack_pair`) with their centre distances, in hash insertion order —
-    these double as the frozen hash's key/value columns.
+    pack_pair`) with their centre distances, keys strictly ascending —
+    a sorted run that doubles as the frozen hash's key/value columns
+    and that the paged backend searches by key
+    (:mod:`~repro.core.paged`).
 ``hash_level1.npy`` … ``hash_slots.npy``
     The perfect hash's frozen multiply-shift tables
     (:meth:`~repro.datastructures.perfect_hash.PerfectHashMap.
     frozen_arrays`): ``hash_level1`` is the ``(a, shift)`` pair,
     ``hash_level2_a`` / ``hash_level2_shift`` / ``hash_level2_offset``
     the per-bucket parameters, ``hash_slots`` the slot -> pair-index
-    table.
+    table, its indices remapped at pack to the key-ordered run
+    (:func:`_hash_sections`).  The draws depend only on the key set
+    and the seed, so every section depends only on the pair set, not
+    on the order the build generated pairs in.
 ``chains.npy``
     int64 ``(num_pois, height+1)`` compiled ancestor-chain matrix
     (:func:`~repro.core.compiled.chain_matrix`), ``-1``-padded.
@@ -101,13 +109,17 @@ from .oracle import SEOracle
 __all__ = ["pack_oracle", "pack_document", "open_oracle", "StoredOracle",
            "StoreHandle", "CompiledStore", "STORE_VERSION", "compile_sections",
            "file_signature", "oracle_sections", "section_layouts", "StoreFile",
-           "nearest_pois"]
+           "nearest_pois", "PAIR_ORDER"]
 
 PathLike = Union[str, os.PathLike]
 
 STORE_VERSION = 4
 _FORMAT_NAME = "repro-se-oracle"
 _META_MEMBER = "meta.json"
+
+#: ``meta.json``'s ``pair_order`` entry: every writer packs the pair
+#: run in key order (:func:`_hash_sections`).
+PAIR_ORDER = "key"
 
 _HASH_SECTIONS = {
     "hash_level1": "level1",
@@ -230,6 +242,7 @@ def _meta_document(*, epsilon: float, strategy: str, method: str,
         "method": method,
         "seed": seed,
         "fingerprint": fingerprint,
+        "pair_order": PAIR_ORDER,
         "build": dict(build),
         "stats": dict(stats),
         "tree": {
@@ -240,9 +253,33 @@ def _meta_document(*, epsilon: float, strategy: str, method: str,
     }
 
 
+def _hash_sections(pair_hash: PerfectHashMap) -> Dict[str, np.ndarray]:
+    """The frozen pair hash as store sections, its pairs in key order.
+
+    ``pair_keys`` ascends, ``pair_distances`` follows it, and every
+    filled ``hash_slots`` entry is remapped to its pair's new position,
+    so a hash probe reads the same pair it reads in memory.  The level
+    tables are the map's own.
+    """
+    frozen = pair_hash.frozen_arrays()
+    order = np.argsort(frozen["keys"])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    slots = frozen["slots"].copy()
+    filled = slots >= 0
+    slots[filled] = rank[slots[filled]]
+    sections = {section: frozen[name]
+                for section, name in _HASH_SECTIONS.items()}
+    sections.update(pair_keys=frozen["keys"][order],
+                    pair_distances=frozen["values"][order],
+                    hash_slots=slots)
+    return sections
+
+
 def oracle_sections(oracle: SEOracle) -> Dict[str, np.ndarray]:
     """A built oracle's complete v4 section set (compiling it if that
-    has not happened yet): tree tables, compiled chains, frozen hash.
+    has not happened yet): tree tables, compiled chains, frozen hash
+    with its pairs in key order.
 
     Shared by :func:`pack_oracle` (one section set per store) and the
     tiled builder (one section set per tile, prefixed).
@@ -252,9 +289,7 @@ def oracle_sections(oracle: SEOracle) -> Dict[str, np.ndarray]:
     compiled = oracle.compiled()
     sections = _tree_sections(oracle.tree)
     sections["chains"] = compiled.chains
-    frozen = oracle.pair_hash.frozen_arrays()
-    for section, name in _HASH_SECTIONS.items():
-        sections[section] = frozen[name]
+    sections.update(_hash_sections(oracle.pair_hash))
     return sections
 
 
@@ -383,9 +418,7 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
     pair_hash = PerfectHashMap(entries, seed=document["seed"])
     sections = _tree_sections(tree)
     sections["chains"] = chain_matrix(tree, num_pois)
-    frozen = pair_hash.frozen_arrays()
-    for section, name in _HASH_SECTIONS.items():
-        sections[section] = frozen[name]
+    sections.update(_hash_sections(pair_hash))
     sections.update(_nearest_sections(
         compile_sections(sections, seed=document["seed"],
                          epsilon=document["epsilon"]), num_pois))
@@ -700,9 +733,9 @@ def read_store_meta(path: PathLike) -> Dict[str, Any]:
 
 def compile_sections(sections, *, seed: int,
                      epsilon: float) -> CompiledOracle:
-    """The query tables over one v4 section set (arrays, mmap'd or not,
-    or lazy page-pool columns): the one construction behind
-    :func:`open_oracle`, the tile loader and the paged backend."""
+    """The query tables over one v4 section set (arrays, mmap'd or
+    not): the one construction behind :func:`open_oracle` and the tile
+    loader."""
     pair_hash = PerfectHashMap.from_frozen(
         **{name: sections[section]
            for section, name in _HASH_SECTIONS.items()}, seed=seed)

@@ -94,6 +94,7 @@ from .store import (
     _HASH_SECTIONS,
     _nearest_sections,
     _write_store,
+    PAIR_ORDER,
     STORE_VERSION,
     StoreFile,
     StoreHandle,
@@ -429,6 +430,7 @@ def build_tiled_oracle(mesh: TriangleMesh, pois: POISet,
         "method": method,
         "seed": int(seed),
         "fingerprint": workload_fingerprint(engine),
+        "pair_order": PAIR_ORDER,
         "build": {"executor": "tiled", "jobs": int(jobs or 1)},
         # Aggregates, so every meta consumer (CLI prints, describe)
         # keeps working: height is the max tile height, pairs the sum.

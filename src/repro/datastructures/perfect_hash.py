@@ -72,16 +72,6 @@ _FROZEN_FIELDS = ("keys", "values", "level2_a", "level2_shift",
                   "level2_offset", "slots")
 
 
-def _column(values, dtype):
-    """A frozen-table column: array data coerced to ``dtype``, or a lazy
-    column (not an ndarray, but with its own ``dtype``, e.g. a page-pool
-    section) passed through so it is never read whole — ``get_batch``
-    only ever reads columns through ``column[indices]`` gathers."""
-    if isinstance(values, np.ndarray) or not hasattr(values, "dtype"):
-        return np.asarray(values, dtype=dtype)
-    return values
-
-
 class _FrozenTables:
     """Flat NumPy tables for vectorized probes (see module comment)."""
 
@@ -159,16 +149,15 @@ class PerfectHashMap:
         """Rehydrate a map from persisted frozen tables (zero-copy).
 
         ``keys``/``values``/``level2_*``/``slots`` are the arrays of
-        :meth:`frozen_arrays` (possibly memory-mapped read-only, or lazy
-        columns, see :func:`_column`) and ``level1`` the ``(level1_a,
-        level1_shift)`` pair.  Batch lookups run straight off the
-        supplied tables; the scalar FKS structures are rebuilt lazily
-        on first scalar access — with the same ``seed`` and key order
-        they come out identical to the original construction's.
+        :meth:`frozen_arrays` (possibly memory-mapped read-only) and
+        ``level1`` the ``(level1_a, level1_shift)`` pair.  Batch lookups
+        run straight off the supplied tables; the scalar FKS structures
+        are rebuilt lazily on first scalar access, from ``seed`` and
+        the supplied key order.
         """
         self = cls.__new__(cls)
-        keys = _column(keys, np.uint64)
-        values = _column(values, np.float64)
+        keys = np.asarray(keys, dtype=np.uint64)
+        values = np.asarray(values, dtype=np.float64)
         if keys.shape != values.shape or len(keys.shape) != 1:
             raise ValueError("keys and values must be aligned 1-D arrays")
         self._keys = keys  # materialised to lists by _ensure_scalar
@@ -182,10 +171,10 @@ class PerfectHashMap:
         self._frozen = _FrozenTables(
             int(level1[0]), int(level1[1]),
             keys=keys, values=values,
-            level2_a=_column(level2_a, np.uint64),
-            level2_shift=_column(level2_shift, np.uint64),
-            level2_offset=_column(level2_offset, np.int64),
-            slots=_column(slots, np.int64),
+            level2_a=np.asarray(level2_a, dtype=np.uint64),
+            level2_shift=np.asarray(level2_shift, dtype=np.uint64),
+            level2_offset=np.asarray(level2_offset, dtype=np.int64),
+            slots=np.asarray(slots, dtype=np.int64),
         )
         self._scalar_ready = False
         self._frozen_first = True
@@ -395,9 +384,8 @@ class PerfectHashMap:
         Keys outside the stored set — including sentinel-padded pair
         keys beyond the packed-id domain — resolve to ``default``.
 
-        The one multiply-shift probe, shared by the mmap'd, tiled and
-        paged stores.  The page pool's ledger depends on its gather
-        order: a, shift, offset, slots, keys, values.
+        The one multiply-shift probe, shared by the mmap'd and tiled
+        stores.
         """
         key_array = np.asarray(keys, dtype=np.uint64)
         if self._n == 0:

@@ -70,7 +70,7 @@ import numpy as np
 
 from ..core.dynamic import DynamicSEOracle
 from ..core.index import DistanceIndex, ensure_index
-from ..core.paged import PagedOracle
+from ..core.paged import PagedOracle, check_pageable
 from ..core.residency import Residency
 from ..core.store import (
     StoreHandle,
@@ -122,12 +122,14 @@ class TerrainSpec:
         Tiled stores: bound on concurrently resident tile tables
         (``None``: all tiles may stay resident).
     max_resident_bytes:
-        Monolithic stores: serve through a
-        :class:`~repro.core.paged.PagedOracle` whose pair/hash-column
-        page pool is capped at this many bytes (``None``: unbounded
-        whole-section mmaps).  Queries are bit-identical at any
-        bound; the paging ledger surfaces in :meth:`OracleService.
-        stats` / :meth:`OracleService.describe`.
+        Monolithic stores packed in key order: serve through a
+        :class:`~repro.core.paged.PagedOracle` whose sorted pair run
+        pages through a pool capped at this many bytes (``None``:
+        unbounded whole-section mmaps).  Queries are bit-identical at
+        any bound; the paging ledger surfaces in :meth:`OracleService.
+        stats` / :meth:`OracleService.describe`.  :meth:`OracleService.
+        register` refuses a store that cannot be paged
+        (:func:`~repro.core.paged.check_pageable`).
     """
 
     path: str
@@ -338,10 +340,8 @@ class OracleService:
         if spec.mutable:
             return self._register_overlay(terrain_id, spec)
         meta = read_store_meta(spec.path)
-        if spec.max_resident_bytes is not None and "tiles" in meta:
-            raise ValueError(
-                f"{spec.path}: tiled stores page at tile granularity; "
-                "use max_resident_tiles instead of max_resident_bytes")
+        if spec.max_resident_bytes is not None:
+            check_pageable(meta, spec.path)
         self._install(terrain_id, _Registration(
             path=spec.path, meta=meta,
             track_generation=spec.track_generation, pin=spec.pin,

@@ -633,6 +633,19 @@ class TestAnalyzeVerb:
         assert "paging:" in output
         assert "B budget" in output
 
+    def test_build_order_store_refused_paged(self, terrain_file, capsys):
+        """`query`/`serve --max-resident-bytes` refuse a store packed
+        before the key-ordered pair run from its meta, before any
+        query: exit 2 and the fix on stderr."""
+        store = str(self.DATA / "oracle_v4.store")
+        code = main(["query", str(terrain_file), store, "--pois", "10",
+                     "--store", "--max-resident-bytes", "4096", "0", "1"])
+        assert code == 2
+        assert "re-pack" in capsys.readouterr().err
+        code = main(["serve", f"f={store}", "--max-resident-bytes", "4096"])
+        assert code == 2
+        assert "cannot register f" in capsys.readouterr().err
+
     def test_max_resident_bytes_requires_store(self, terrain_file,
                                                tmp_path, capsys):
         code = main(["query", str(terrain_file), "whatever.store",

@@ -14,7 +14,9 @@ Satellite coverage: the zero-copy fallback tests pin
 :func:`~repro.core.store.read_store`'s per-section ``zero_copy`` meta,
 the one-shot ``RuntimeWarning`` on compressed stores, and the
 ``non_zero_copy_sections`` surfacing in ``StoredOracle`` stats; a
-store truncated under a paged terrain answers a store error.
+store truncated under a paged terrain, or whose key run does not
+ascend, answers a store error, and a store packed before the key
+order is refused paged.
 """
 
 import os
@@ -29,7 +31,6 @@ from repro.core import SEOracle, open_oracle, pack_oracle
 from repro.core.paged import PAGED_SECTIONS, PagedOracle
 from repro.core.store import read_store, section_layouts
 from repro.geodesic import GeodesicEngine
-from repro.queries import reverse_nearest_neighbors
 from repro.serving import OracleService, TerrainSpec
 from repro.serving.protocol import classify_exception
 from repro.terrain import make_terrain, sample_uniform
@@ -126,8 +127,8 @@ class TestLedgerAccounting:
         paged.close()
 
     def test_fixed_bytes_count_the_nearest_column(self, packed):
-        """The column is resident state: read at open from a store
-        that packs it, counted once derived for one that does not."""
+        """The column is resident state, read at open; so are the
+        fences: the first key of every key page plus the run's last."""
         path, _ = packed
         _, layouts = section_layouts(path)
         nbytes = {
@@ -137,18 +138,14 @@ class TestLedgerAccounting:
         column = nbytes["nn_poi"] + nbytes["nn_distance"]
         assert column == 24 * NUM_POIS
         with PagedOracle(path, page_bytes=1024, max_pages=4) as paged:
+            key_pages = -(-nbytes["pair_keys"] // 1024)
             routing = (
                 nbytes["tree_table"]
                 + nbytes["tree_radii"]
-                + nbytes["hash_level1"]
                 + 5 * nbytes["chains"]
+                + 8 * (key_pages + 1)
             )
             assert paged.fixed_bytes == routing + column
-        fixture = os.path.join(os.path.dirname(__file__), "data", "oracle_v4.store")
-        with PagedOracle(fixture, page_bytes=1024, max_pages=4) as paged:
-            before = paged.fixed_bytes
-            reverse_nearest_neighbors(paged, 0)
-            assert paged.fixed_bytes == before + 24 * paged.num_pois
 
     def test_unbounded_pool_loads_each_page_once(self, packed):
         """With room for everything, the second pass is all hits and
@@ -204,6 +201,23 @@ class TestOpenDispatchAndErrors:
         with pytest.raises(IndexError):
             paged.query_batch([0], [NUM_POIS + 3])
         paged.close()
+
+    def test_build_order_store_refused_at_open_and_registration(self):
+        """A store packed before the key-ordered pair run (the
+        committed fixture) cannot be paged: opening and registering it
+        paged refuse from its meta, naming the fix; unpaged it still
+        serves."""
+        fixture = os.path.join(os.path.dirname(__file__), "data",
+                               "oracle_v4.store")
+        with pytest.raises(ValueError, match="key order"):
+            PagedOracle(fixture, max_resident_bytes=4096)
+        with OracleService() as service:
+            with pytest.raises(ValueError, match="re-pack"):
+                service.register("f", TerrainSpec(
+                    fixture, max_resident_bytes=4096))
+            assert service.terrains() == []
+            service.register("f", TerrainSpec(fixture))
+            assert service.query_batch("f", [0], [0]).tolist() == [0.0]
 
     def test_tiled_store_refuses_byte_budget(self, tmp_path):
         from repro.core import build_tiled_oracle, pack_tiled
@@ -293,14 +307,57 @@ class TestTruncatedStore:
     def test_short_read_is_a_store_error(self, packed, tmp_path):
         """A paged terrain reads pages by positional reads, so a store
         truncated in place under it answers a typed store error (the
-        wire's ``internal``), not the client-input ``bad-value``."""
+        wire's ``internal``), not the client-input ``bad-value``.  The
+        cut falls inside ``pair_distances``, the last paged byte."""
         path, _ = packed
         copy = tmp_path / "truncated.store"
         shutil.copyfile(path, copy)
+        offset, _, _ = section_layouts(copy)[1]["pair_distances"]
         with OracleService() as service:
             service.register("p", TerrainSpec(copy, max_resident_bytes=64))
             service.k_nearest("p", 0, 3)
-            os.truncate(copy, os.path.getsize(copy) // 2)
+            os.truncate(copy, offset + 8)
             with pytest.raises(OSError) as caught:
                 service.k_nearest("p", 1, 3)
         assert classify_exception(caught.value)[0] == "internal"
+
+
+class TestDamagedRun:
+    """A key run that does not strictly ascend is a damaged store: a
+    store error (``OSError``, the wire's ``internal``), never an
+    answer."""
+
+    @staticmethod
+    def _swap_keys(path, copy, first, second):
+        """Copy ``path`` with pair keys ``first`` and ``second`` swapped
+        in place."""
+        shutil.copyfile(path, copy)
+        offset = section_layouts(copy)[1]["pair_keys"][0]
+        with open(copy, "r+b") as handle:
+            handle.seek(offset + 8 * first)
+            one = handle.read(8)
+            handle.seek(offset + 8 * second)
+            two = handle.read(8)
+            handle.seek(offset + 8 * second)
+            handle.write(one)
+            handle.seek(offset + 8 * first)
+            handle.write(two)
+
+    def test_fences_out_of_order_refuse_to_open(self, packed, tmp_path):
+        path, _ = packed
+        copy = tmp_path / "fences.store"
+        self._swap_keys(path, copy, 0, 8)  # the first keys of pages 0, 1
+        with pytest.raises(OSError, match="damaged") as caught:
+            PagedOracle(str(copy), page_bytes=64, max_pages=4)
+        assert classify_exception(caught.value)[0] == "internal"
+
+    def test_key_page_out_of_order_is_a_store_error(self, packed, tmp_path):
+        path, _ = packed
+        copy = tmp_path / "page.store"
+        self._swap_keys(path, copy, 1, 2)  # inside key page 0
+        with PagedOracle(str(copy), page_bytes=64, max_pages=4) as paged:
+            first = paged.compiled.pair_hash.fences[:1]
+            with pytest.raises(OSError, match="damaged"):
+                paged.compiled.pair_hash.get_batch(first)
+            assert paged.page_counters()["resident_pages"] == 0
+

@@ -339,38 +339,68 @@ class TestCrossVersionMatrix:
 
     def test_checked_in_v4_fixture_matches_fresh_pack_bytes(
             self, version_files):
-        """Packing is deterministic (pinned zip timestamps), so every
-        member of the fixture reproduces byte for byte from the v3
-        document — any layout drift in the writer shows up as a byte
-        diff here.  The fixture predates the nearest-neighbour column,
-        so a fresh pack differs from it by exactly those two members,
-        written last."""
+        """Packing is deterministic (pinned zip timestamps), so the
+        fixture's members reproduce from the v3 document — any layout
+        drift in the writer shows up as a diff here.  The fixture
+        predates the nearest-neighbour column (two members, written
+        last) and the key-ordered pair run: a fresh pack's ``meta.json``
+        adds the ``pair_order`` entry, and its three pair columns are
+        the fixture's own arrays in key order, slots remapped.  Every
+        other member is byte-identical."""
+        import io
+
+        import numpy as np
+
         def members(path):
             with zipfile.ZipFile(path) as archive:
                 return {name: archive.read(name)
                         for name in archive.namelist()}
 
+        def array(raw):
+            return np.load(io.BytesIO(raw), allow_pickle=False)
+
         fixture = members(self.V4)
         fresh = members(version_files["4-fresh"])
         assert list(fresh) == list(fixture) + ["nn_poi.npy",
                                                "nn_distance.npy"]
-        assert {name: fresh[name] for name in fixture} == fixture
-        # Headers included: the fixture's members, up to its central
-        # directory, open the fresh file byte for byte.
-        with zipfile.ZipFile(self.V4) as archive:
-            members_end = archive.start_dir
-        fixture_bytes = self.V4.read_bytes()
-        fresh_bytes = pathlib.Path(version_files["4-fresh"]).read_bytes()
-        assert fresh_bytes[:members_end] == fixture_bytes[:members_end]
+        reordered = {"meta.json", "pair_keys.npy", "pair_distances.npy",
+                     "hash_slots.npy"}
+        assert {name: fresh[name] for name in fixture
+                if name not in reordered} \
+            == {name: raw for name, raw in fixture.items()
+                if name not in reordered}
+        meta = json.loads(fresh["meta.json"])
+        assert meta.pop("pair_order") == "key"
+        assert meta == json.loads(fixture["meta.json"])
+
+        keys, distances, slots = (
+            array(fixture[name]) for name in
+            ("pair_keys.npy", "pair_distances.npy", "hash_slots.npy"))
+        fresh_keys, fresh_distances, fresh_slots = (
+            array(fresh[name]) for name in
+            ("pair_keys.npy", "pair_distances.npy", "hash_slots.npy"))
+        order = np.argsort(keys)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        assert fresh_keys.dtype == keys.dtype
+        assert fresh_distances.dtype == distances.dtype
+        assert fresh_slots.dtype == slots.dtype
+        assert fresh_slots.shape == slots.shape
+        for position, source in enumerate(order):
+            assert fresh_keys[position] == keys[source]
+            assert (fresh_distances[position].tobytes()
+                    == distances[source].tobytes())
+        for slot, index in enumerate(slots):
+            expected = rank[index] if index >= 0 else index
+            assert fresh_slots[slot] == expected
 
     def test_v4_fixture_predates_the_column(self, version_files):
         with zipfile.ZipFile(self.V4) as archive:
             assert not [name for name in archive.namelist()
                         if "nn_" in name]
 
-    @pytest.mark.parametrize("options", [
-        {}, {"mmap": False}, {"max_resident_bytes": 64}],
-        ids=["mmap", "copy", "paged"])
+    @pytest.mark.parametrize("options", [{}, {"mmap": False}],
+                             ids=["mmap", "copy"])
     def test_v4_fixture_rnn_matches_the_fresh_pack(self, version_files,
                                                    options):
         """The fixture derives its column on first RNN: it equals the
@@ -389,6 +419,19 @@ class TestCrossVersionMatrix:
             for derived, packed in zip(stored.nearest_column(), column):
                 assert derived.dtype == packed.dtype
                 assert derived.tobytes() == packed.tobytes()
+
+    def test_v4_fixture_refuses_paging(self, version_files):
+        """The fixture packs its pairs in build order: paging it is a
+        typed refusal that names the fix, never an answer.  The fresh
+        pack of the same document pages."""
+        from repro.core import open_oracle
+        with pytest.raises(ValueError, match="re-pack"):
+            open_oracle(self.V4, max_resident_bytes=64)
+        with open_oracle(version_files["4-fresh"],
+                         max_resident_bytes=64) as paged, \
+                open_oracle(self.V4) as stored:
+            assert paged.num_pairs == stored.num_pairs
+            assert (paged.query_matrix() == stored.query_matrix()).all()
 
     def test_checked_in_v4_fixture_mmaps_byte_for_byte(self, workload):
         """The committed store opens straight off its bytes: mapped

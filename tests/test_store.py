@@ -377,6 +377,104 @@ class TestDocumentConversion:
                           tmp_path / "y.store")
 
 
+_HASH_SECTIONS = ("pair_keys", "pair_distances", "hash_level1",
+                  "hash_level2_a", "hash_level2_shift",
+                  "hash_level2_offset", "hash_slots")
+
+
+def _hash_sections(path, prefix=""):
+    with StoreFile(path) as store:
+        sections = store.arrays([prefix + name for name in _HASH_SECTIONS],
+                                mmap=False)
+    return {name[len(prefix):]: array for name, array in sections.items()}
+
+
+def assert_key_ordered(sections, frozen):
+    """``sections`` (a store's) are ``frozen`` (an in-memory map's
+    :meth:`frozen_arrays`) with the pairs in key order: the level
+    tables byte for byte, and every filled slot naming the same pair."""
+    keys, distances = sections["pair_keys"], sections["pair_distances"]
+    assert (keys[1:] > keys[:-1]).all()
+    assert sections["hash_level1"].tobytes() == frozen["level1"].tobytes()
+    for name in ("level2_a", "level2_shift", "level2_offset"):
+        assert sections["hash_" + name].tobytes() == frozen[name].tobytes()
+    slots, frozen_slots = sections["hash_slots"], frozen["slots"]
+    filled = frozen_slots >= 0
+    assert ((slots >= 0) == filled).all()
+    assert (keys[slots[filled]]
+            == frozen["keys"][frozen_slots[filled]]).all()
+    assert (distances[slots[filled]].tobytes()
+            == frozen["values"][frozen_slots[filled]].tobytes())
+
+
+class TestKeyOrderedPack:
+    """Every writer packs the pair run in key order: store bytes
+    depend on the pair set alone, never on pair generation order."""
+
+    @pytest.fixture(scope="class")
+    def document(self, built, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ordered") / "oracle.json"
+        save_oracle(built, path, binary=False)
+        return json.loads(path.read_text())
+
+    def test_pack_oracle(self, store_path, built):
+        assert read_store_meta(store_path)["pair_order"] == "key"
+        assert_key_ordered(_hash_sections(store_path),
+                           built.pair_hash.frozen_arrays())
+
+    def test_pack_document(self, document, tmp_path):
+        from repro.datastructures.perfect_hash import (PerfectHashMap,
+                                                       pack_pair)
+        path = tmp_path / "doc.store"
+        pack_document(document, path)
+        assert read_store_meta(path)["pair_order"] == "key"
+        pairs = PerfectHashMap([(pack_pair(a, b), d)
+                                for a, b, d in document["pairs"]],
+                               seed=document["seed"])
+        assert_key_ordered(_hash_sections(path), pairs.frozen_arrays())
+
+    def test_pack_tiled(self, tmp_path):
+        """Each tile's tables are the frozen tables of its own pair
+        set, whatever order the pairs are inserted in."""
+        from repro.datastructures.perfect_hash import PerfectHashMap
+        mesh = make_terrain(grid_exponent=3, extent=(100.0, 100.0),
+                            relief=15.0, seed=85)
+        pois = sample_uniform(mesh, 12, seed=86)
+        build = build_tiled_oracle(mesh, pois, 0.5, tiles=2, seed=87,
+                                   points_per_edge=1)
+        path = tmp_path / "tiled.store"
+        pack_tiled(build, path)
+        assert read_store_meta(path)["pair_order"] == "key"
+        for tile in range(build.meta["tiles"]["count"]):
+            sections = _hash_sections(path, f"tiles/{tile:04d}/")
+            items = list(zip(sections["pair_keys"].tolist(),
+                             sections["pair_distances"].tolist()))
+            for order in (items, items[::-1]):
+                pairs = PerfectHashMap(order, seed=build.meta["seed"])
+                assert_key_ordered(sections, pairs.frozen_arrays())
+
+    def test_pack_document_ignores_pair_order(self, document, tmp_path):
+        reordered = dict(document, pairs=document["pairs"][::-1])
+        pack_document(document, tmp_path / "forward.store")
+        pack_document(reordered, tmp_path / "reverse.store")
+        assert ((tmp_path / "forward.store").read_bytes()
+                == (tmp_path / "reverse.store").read_bytes())
+
+    def test_pack_oracle_ignores_pair_order(self, built, workload,
+                                            document, tmp_path):
+        """An oracle whose pair hash was filled in reverse packs to
+        the same bytes as the build."""
+        reordered = tmp_path / "reverse.json"
+        reordered.write_text(json.dumps(
+            dict(document, pairs=document["pairs"][::-1])))
+        reverse = load_oracle(reordered, workload)
+        assert list(reverse.pair_hash) != list(built.pair_hash)
+        pack_oracle(built, tmp_path / "forward.store", canonical=True)
+        pack_oracle(reverse, tmp_path / "reverse.store", canonical=True)
+        assert ((tmp_path / "forward.store").read_bytes()
+                == (tmp_path / "reverse.store").read_bytes())
+
+
 class TestFrozenHashPersistence:
     """The persisted frozen tables answer like the original map —
     batch immediately, scalar after the lazy FKS rebuild."""
