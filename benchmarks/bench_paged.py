@@ -3,9 +3,9 @@
 For each workload scale this script builds one SE oracle, packs it as
 a v4 store, and serves the same random pair workload through
 :class:`~repro.core.paged.PagedOracle` at three pool bounds — a
-minimal one-default-page budget (64 KiB), 25% of the paged columns,
-and 100% (everything fits) — next to the unpaged mmap baseline.  Per
-bound it records:
+sixteenth of the paged run (``minpool``), a quarter of it, and 100%
+(everything fits) — next to the unpaged mmap baseline.  Per bound it
+records:
 
 * batched QPS (best-of timing) and its ratio to the unpaged oracle;
 * the page ledger: loads / evictions / hits, resident and peak
@@ -91,12 +91,14 @@ def paged_section_bytes(store_path: str) -> int:
 
 
 def pool_bounds(store_path: str) -> dict:
-    """The swept budgets: one page, 25%, 100% of the paged columns.
+    """The swept budgets: 1/16, 1/4 and 100% of the paged run.
 
-    Budgets are whole-page multiples of the default page size, and the
-    100% bound counts *pages per section* (a section shorter than a
-    page still occupies one) so every page of every column can be
-    resident at once — the no-eviction steady state.
+    The two partial budgets are fractions of the run's own bytes, in
+    whole multiples of 64 bytes (the pool splits a budget into 8 pages
+    of 8-byte elements), so they page below the run at every scale.
+    The 100% bound counts whole default pages *per section* (a section
+    shorter than a page still occupies one) so every page of every
+    column can be resident at once — the no-eviction steady state.
     """
     _, layouts = section_layouts(store_path)
     pages_needed = 0
@@ -104,9 +106,10 @@ def pool_bounds(store_path: str) -> dict:
         _, dtype, shape = layouts[name]
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         pages_needed += -(-nbytes // DEFAULT_PAGE_BYTES)
+    run_bytes = paged_section_bytes(store_path)
     return {
-        "minpool": DEFAULT_PAGE_BYTES,
-        "25pct": DEFAULT_PAGE_BYTES * max(1, pages_needed // 4),
+        "minpool": max(64, run_bytes // 16 // 64 * 64),
+        "25pct": max(64, run_bytes // 4 // 64 * 64),
         "100pct": DEFAULT_PAGE_BYTES * pages_needed,
     }
 

@@ -9,7 +9,6 @@ from .node_pairs import (
     EnhancedEdgeIndex,
     NodePairSet,
     build_enhanced_edges,
-    generate_node_pairs,
     generate_node_pairs_batched,
     well_separated_threshold,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "EnhancedEdgeIndex",
     "NodePairSet",
     "build_enhanced_edges",
-    "generate_node_pairs",
     "generate_node_pairs_batched",
     "well_separated_threshold",
     "BuildExecutor",

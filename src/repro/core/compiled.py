@@ -1,9 +1,10 @@
 """The compiled oracle: flat NumPy query tables over a built SE oracle.
 
-``SEOracle.query`` walks Python objects — layer arrays, tree nodes, a
-per-probe scalar hash lookup.  That is fine for one query but is the
-bottleneck of a serving workload where millions of queries arrive in
-batches.  ``CompiledOracle`` freezes a built oracle into flat tables:
+``SEOracle.query`` walks Python objects — layer arrays, tree nodes, one
+scalar perfect-hash probe per candidate pair.  That is fine for one
+query but is the bottleneck of a serving workload where millions of
+queries arrive in batches.  ``CompiledOracle`` freezes a built oracle
+into flat tables:
 
 * the **ancestor-chain matrix** ``chains``: one ``int64`` row per POI
   holding the compressed-node id at each original layer (``-1`` where
@@ -16,10 +17,11 @@ batches.  ``CompiledOracle`` freezes a built oracle into flat tables:
   half of a packed pair key so a batch forms candidate keys with one
   broadcast OR;
 * the **pair table**: any table with the ``get_batch(keys, default)``
-  contract, probed for a whole batch at once — the perfect hash
-  flattened into parallel multiply-shift tables with a float64
-  distance column (:meth:`~repro.datastructures.perfect_hash.
-  PerfectHashMap.get_batch`), or the paged backend's sorted pair run
+  contract, probed for a whole batch at once — the oracle's perfect
+  hash, whose flat multiply-shift tables and float64 distance column
+  the scalar query probes one key at a time
+  (:meth:`~repro.datastructures.perfect_hash.PerfectHashMap.
+  get_batch`), or the paged backend's sorted pair run
   (:mod:`~repro.core.paged`).
 
 The scalar query algorithm (Section 3.4) probes three candidate
@@ -44,8 +46,8 @@ same-chain stored pairs are leaf self-pairs, which is what makes
 Cost model: a batch of ``m`` queries costs ``m (h+1)`` probed keys
 plus ``2 m' (h+1)`` for the unresolved fraction ``m'/m`` (typically
 < 10%), all in a handful of NumPy passes — no Python per query.
-Compilation is one O(n·h) chain sweep plus an O(#pairs) table flatten;
-it pays off after a few thousand queries (see
+Compilation is one O(n·h) chain sweep (the pair hash's tables exist
+from the build on); it pays off after a few thousand queries (see
 ``benchmarks/bench_query_throughput.py``).
 """
 
@@ -131,10 +133,6 @@ class CompiledOracle:
         if not oracle.is_built:
             raise RuntimeError("oracle not built; call build() first")
         chains = chain_matrix(oracle.tree, oracle.engine.num_pois)
-        # Freeze the hash's batch tables now: compilation is the
-        # declared one-time cost point, so the first query_batch must
-        # not silently pay it.
-        oracle.pair_hash._freeze()
         return cls(chains, oracle.pair_hash, oracle.epsilon)
 
     # ------------------------------------------------------------------
@@ -169,11 +167,11 @@ class CompiledOracle:
         return True
 
     def size_bytes(self) -> int:
-        """Byte model: chain matrix + key planes + the pair table."""
+        """Byte model: chain matrix + key planes + 16 bytes per stored
+        pair (key and distance, as ``SEOracle.size_bytes`` counts it)."""
         planes = (self._exact_high.nbytes + self._exact_low.nbytes
                   + self._span_high.nbytes + self._span_low.nbytes)
-        return (self._chains.nbytes + planes
-                + self._pair_hash.size_bytes(8))
+        return self._chains.nbytes + planes + 16 * len(self._pair_hash)
 
     # ------------------------------------------------------------------
     # queries

@@ -20,7 +20,11 @@ bottom-up through the layers.
 
 Enhanced edges are keyed by ``(layer, centre_a, centre_b)`` — exactly
 the identity of a same-layer node pair in ``T_org``, since a node of
-``T_org`` is determined by its layer and centre.
+``T_org`` is determined by its layer and centre.  Only the build reads
+them, so :class:`EnhancedEdgeIndex` holds them as one sorted key run
+rather than a perfect hash: the generator hands it each wavefront of
+centre pairs at once, and it resolves them with one ``searchsorted``
+per layer.  The perfect hash indexes the node pair set alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datastructures.perfect_hash import PerfectHashMap
 from ..geodesic.engine import GeodesicEngine
 from .compressed_tree import CompressedPartitionTree
 from .parallel import BuildExecutor, SerialExecutor
@@ -40,17 +43,15 @@ __all__ = [
     "EnhancedEdgeIndex",
     "build_enhanced_edges",
     "NodePairSet",
-    "generate_node_pairs",
     "generate_node_pairs_batched",
     "well_separated_threshold",
 ]
 
-DistanceProvider = Callable[[int, int], float]
-
 #: Batched centre-distance provider: one call answers a whole round of
 #: pair candidates (``[(center_a, center_b), ...] -> [distance, ...]``),
 #: which is what lets the naive construction fan its SSADs out across
-#: a build executor.
+#: a build executor and the efficient one probe its enhanced edges
+#: once per round.
 BatchDistanceProvider = Callable[[Sequence[Tuple[int, int]]], List[float]]
 
 _EPS = 1e-9
@@ -71,54 +72,59 @@ def enhanced_edge_factor(epsilon: float) -> float:
 
 
 class EnhancedEdgeIndex:
-    """Perfect-hash index of enhanced edges with O(h) pair lookup.
+    """The enhanced edges as a sorted key run, probed per wavefront.
 
     The key of an edge between same-layer nodes centred ``a`` and ``b``
-    is ``(layer, min(a,b), max(a,b))`` packed into one integer.
+    is ``(layer * n + min(a, b)) * n + max(a, b)``; ``keys`` (int64)
+    ascend and ``distances`` (float64) are aligned with them.  The
+    index lives only while the build runs, so a sorted run and one
+    ``np.searchsorted`` per layer serve it; no hash is built for it.
     """
 
-    def __init__(self, table: PerfectHashMap, tree: PartitionTree,
-                 num_pois: int, edge_count: int):
-        self._table = table
-        self._tree = tree
+    def __init__(self, keys: np.ndarray, distances: np.ndarray,
+                 tree: PartitionTree, num_pois: int):
+        self.keys = keys
+        self.distances = distances
         self._n = num_pois
-        self.edge_count = edge_count
-        self.lookup_failures = 0
+        self._height = tree.height
+        self._first_layer = np.zeros(num_pois, dtype=np.int64)
+        for center, layer in tree.first_layer_of_center.items():
+            self._first_layer[center] = layer
+        self.edge_count = int(keys.shape[0])
 
-    def _key(self, layer: int, center_a: int, center_b: int) -> int:
-        if center_a > center_b:
-            center_a, center_b = center_b, center_a
-        return (layer * self._n + center_a) * self._n + center_b
+    def pair_distances(self, centers_a, centers_b) -> np.ndarray:
+        """Centre distances of a wavefront of centre pairs, via the
+        deepest enhanced edge on both chains (NaN where none is found).
 
-    def edge_distance(self, layer: int, center_a: int,
-                      center_b: int) -> Optional[float]:
-        """Distance of the enhanced edge at ``layer``, if present."""
-        return self._table.get(self._key(layer, center_a, center_b))
-
-    def pair_distance(self, center_a: int, center_b: int) -> Optional[float]:
-        """Centre distance via the deepest enhanced edge on both chains.
-
-        Walks layers bottom-up (Step 4's traversal).  A key only exists
-        at layers where *both* centres already head their own node, so
-        the first hit is guaranteed to connect nodes centred exactly at
-        ``center_a`` / ``center_b`` (see Lemma 4 discussion).
+        Walks layers bottom-up (Step 4's traversal), for every pair at
+        once: at each layer, one ``searchsorted`` over the still
+        unresolved pairs whose start layer — the later first layer of
+        the two centres — is at or above it.  A key only exists at
+        layers where *both* centres already head their own node, so a
+        pair's first hit connects nodes centred exactly at its two
+        centres (see Lemma 4 discussion).  Equal centres answer 0.
         """
-        if center_a == center_b:
-            return 0.0
-        start = max(self._tree.first_layer_of_center[center_a],
-                    self._tree.first_layer_of_center[center_b])
-        for layer in range(self._tree.height, start - 1, -1):
-            distance = self.edge_distance(layer, center_a, center_b)
-            if distance is not None:
-                return distance
-        return None
-
-    def size_bytes(self) -> int:
-        return self._table.size_bytes(value_bytes=8)
+        a = np.asarray(centers_a, dtype=np.int64)
+        b = np.asarray(centers_b, dtype=np.int64)
+        low = np.minimum(a, b)
+        high = np.maximum(a, b)
+        start = np.maximum(self._first_layer[a], self._first_layer[b])
+        result = np.where(a == b, 0.0, np.nan)
+        pending = np.flatnonzero(a != b)
+        for layer in range(self._height, -1, -1):
+            if not (pending.size and self.keys.size):
+                break
+            probe = pending[start[pending] <= layer]
+            keys = (layer * self._n + low[probe]) * self._n + high[probe]
+            at = np.searchsorted(self.keys, keys)
+            hit = self.keys.take(at, mode="clip") == keys
+            result[probe[hit]] = self.distances[at[hit]]
+            pending = pending[np.isnan(result[pending])]
+        return result
 
 
 def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
-                         epsilon: float, seed: int = 0,
+                         epsilon: float,
                          executor: Optional[BuildExecutor] = None
                          ) -> EnhancedEdgeIndex:
     """Step 2 of the efficient construction: one SSAD per tree node.
@@ -131,9 +137,8 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
     This is the fan-out stage of the build pipeline: each layer is one
     SSAD batch handed to ``executor`` (default: a
     :class:`~repro.core.parallel.SerialExecutor` on the live engine),
-    and the per-node results are reduced in layer/node order — the
-    entry insertion order, and hence the index, is identical whichever
-    executor ran the batch.
+    and the per-node results are reduced in layer/node order, so the
+    index is identical whichever executor ran the batch.
     """
     if executor is None:
         executor = SerialExecutor()
@@ -164,17 +169,15 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
             dists.append(reached.dists[keep])
         # An edge found from both ends keeps the distance found from
         # the end first in layer order (the two can differ in the last
-        # bit); edges stay in first-found order.
-        layer_keys = np.concatenate(keys)
-        _, first = np.unique(layer_keys, return_index=True)
-        first.sort()
-        edge_keys.append(layer_keys[first])
+        # bit).  Keys ascend by layer first, so the per-layer sorted
+        # runs concatenate into one.
+        layer_keys, first = np.unique(np.concatenate(keys),
+                                      return_index=True)
+        edge_keys.append(layer_keys)
         edge_dists.append(np.concatenate(dists)[first])
 
-    keys_all = np.concatenate(edge_keys).tolist()
-    table = PerfectHashMap(
-        list(zip(keys_all, np.concatenate(edge_dists).tolist())), seed=seed)
-    return EnhancedEdgeIndex(table, tree, n, edge_count=len(keys_all))
+    return EnhancedEdgeIndex(np.concatenate(edge_keys).astype(np.int64),
+                             np.concatenate(edge_dists), tree, n)
 
 
 @dataclass
@@ -195,27 +198,6 @@ class NodePairSet:
 
     def distance_of(self, node_a: int, node_b: int) -> Optional[float]:
         return self.pairs.get((node_a, node_b))
-
-
-def generate_node_pairs(tree: CompressedPartitionTree,
-                        epsilon: float,
-                        distance_provider: DistanceProvider) -> NodePairSet:
-    """Generate the node pair set (the Section 3.3 procedure).
-
-    Starting from ``(root, root)``, repeatedly split the node with the
-    larger radius (ties: smaller node id) of any non-well-separated
-    pair, until all pairs are well-separated.
-
-    ``distance_provider(center_a, center_b)`` supplies geodesic centre
-    distances: the enhanced-edge index for the efficient construction,
-    or per-pair SSAD for the naive one.  This is a convenience wrapper
-    over :func:`generate_node_pairs_batched` for callers with a
-    point-wise provider.
-    """
-    def batch(center_pairs: Sequence[Tuple[int, int]]) -> List[float]:
-        return [distance_provider(a, b) for a, b in center_pairs]
-
-    return generate_node_pairs_batched(tree, epsilon, batch)
 
 
 def generate_node_pairs_batched(tree: CompressedPartitionTree,

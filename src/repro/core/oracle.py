@@ -29,11 +29,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..datastructures.perfect_hash import PerfectHashMap, pack_pair
 from ..geodesic.engine import GeodesicEngine
 from .compressed_tree import CompressedPartitionTree, compress_tree
 from .node_pairs import (
-    EnhancedEdgeIndex,
     NodePairSet,
     build_enhanced_edges,
     generate_node_pairs_batched,
@@ -148,7 +149,6 @@ class SEOracle:
         self._original_tree: Optional[PartitionTree] = None
         self._pair_set: Optional[NodePairSet] = None
         self._pair_hash: Optional[PerfectHashMap] = None
-        self._enhanced: Optional[EnhancedEdgeIndex] = None
         self._compiled = None
         self._built = False
 
@@ -198,38 +198,35 @@ class SEOracle:
             # Stage 2: fan-out — the SSAD-heavy distance bulk.
             # ----------------------------------------------------------
             fallbacks = 0
+            enhanced_edges = 0
             if self.method == "efficient":
                 tick = time.perf_counter()
                 enhanced = build_enhanced_edges(engine, original,
                                                 self.epsilon,
-                                                seed=self.seed,
                                                 executor=executor)
                 self.stats.enhanced_seconds = time.perf_counter() - tick
-                self._enhanced = enhanced
+                enhanced_edges = enhanced.edge_count
 
                 def batch_provider(center_pairs: Sequence[Tuple[int, int]]
                                    ) -> List[float]:
                     nonlocal fallbacks
-                    distances = []
-                    misses = []
-                    for position, (a, b) in enumerate(center_pairs):
-                        distance = enhanced.pair_distance(a, b)
-                        if distance is None:
-                            # Lemma 4 says this cannot happen; recover
-                            # with an SSAD rather than fail, and
-                            # surface it in stats.
-                            fallbacks += 1
-                            misses.append(position)
-                        distances.append(distance)
-                    if misses:
+                    centers = np.array(center_pairs,
+                                       dtype=np.int64).reshape(-1, 2)
+                    distances = enhanced.pair_distances(centers[:, 0],
+                                                        centers[:, 1])
+                    misses = np.flatnonzero(np.isnan(distances))
+                    if misses.size:
+                        # Lemma 4 says this cannot happen; recover with
+                        # an SSAD rather than fail, and surface it in
+                        # stats.
+                        fallbacks += int(misses.size)
                         recovered = executor.map_pair_distances(
-                            [center_pairs[i] for i in misses])
-                        if len(recovered) != len(misses):
+                            [center_pairs[i] for i in misses.tolist()])
+                        if len(recovered) != misses.size:
                             raise ValueError(
                                 "executor returned a misaligned batch")
-                        for position, distance in zip(misses, recovered):
-                            distances[position] = distance
-                    return distances
+                        distances[misses] = recovered
+                    return distances.tolist()
             else:
                 cache: Dict[Tuple[int, int], float] = {}
 
@@ -286,8 +283,7 @@ class SEOracle:
         stats.root_radius = tree.root_radius
         stats.original_nodes = original.num_nodes
         stats.compressed_nodes = tree.num_nodes
-        stats.enhanced_edges = (self._enhanced.edge_count
-                                if self._enhanced else 0)
+        stats.enhanced_edges = enhanced_edges
         stats.pairs_considered = pair_set.considered
         stats.pairs_stored = len(pair_set)
         stats.ssad_calls = engine.ssad_calls
@@ -356,13 +352,16 @@ class SEOracle:
         """Oracle size under the repository's byte-count model.
 
         Counts only what must persist to answer queries: the compressed
-        tree and the perfect-hashed node pair set.  (``T_org`` and the
-        enhanced edges are construction scaffolding, discarded after
-        build — mirroring the paper's accounting, where the oracle is
-        "the compressed partition tree and the node pair set".)
+        tree and the node pair set, 16 bytes per stored pair (its packed
+        key and its distance).  (``T_org`` and the enhanced edges are
+        construction scaffolding, discarded after build — mirroring the
+        paper's accounting, where the oracle is "the compressed
+        partition tree and the node pair set".)  A fresh build and the
+        same oracle loaded from JSON or from a store report the same
+        number; a store's real footprint is its file size.
         """
         self._require_built()
-        return self._tree.size_bytes() + self._pair_hash.size_bytes(8)
+        return self._tree.size_bytes() + 16 * len(self._pair_hash)
 
     def _require_built(self) -> None:
         if not self._built:

@@ -25,10 +25,11 @@ store through a **fixed-size page pool**:
   source chain node and land in a few adjacent pages, so a pool far
   smaller than the run still hits;
 * the small routing state — the ancestor-chain matrix and its derived
-  key planes, the tree tables, the fences, the nearest-neighbour
-  column RNN reads — loads once at open (O(n·h) bytes plus 8 bytes per
-  key page, independent of what queries touch) and is accounted
-  separately as ``fixed_bytes``;
+  key planes, the fences, the nearest-neighbour column RNN reads —
+  loads once at open (O(n·h) bytes plus 8 bytes per key page,
+  independent of what queries touch) and is accounted separately as
+  ``fixed_bytes``.  The tree tables are never read: the probe needs
+  only the chains;
 * the query is the compiled oracle's own two-phase probe: the pool is
   the :class:`~repro.core.compiled.CompiledOracle`'s pair table (the
   ``get_batch(keys, default)`` contract).  Each key is found by its
@@ -81,7 +82,6 @@ DEFAULT_PAGE_BYTES = 64 * 1024
 #: loads once at open.
 PAGED_SECTIONS = ("pair_keys", "pair_distances")
 
-_RESIDENT_SECTIONS = ("tree_table", "tree_radii", "chains")
 
 
 def check_pageable(meta: Mapping[str, Any], path: str) -> None:
@@ -271,18 +271,16 @@ class PagedOracle(CompiledStore):
                 else:
                     max_pages = 1 << 30  # effectively unbounded
             check_pageable(store.meta, store.path)
-            required = (*_RESIDENT_SECTIONS, *PAGED_SECTIONS)
+            required = ("chains", *PAGED_SECTIONS)
             missing = [name for name in required if name not in store.names]
             if missing:
                 raise ValueError(f"{store.path}: store is missing sections {missing}")
             self._identify(store.meta, store)
             self._read_nearest(store)
-            sections = store.arrays(_RESIDENT_SECTIONS, mmap=False)
-            resident = sum(array.nbytes for array in sections.values())
-            self._routing_bytes = resident + 4 * sections["chains"].nbytes
+            chains = store.array("chains", mmap=False)
+            self._routing_bytes = 5 * chains.nbytes
             self._pool = _PagePool(store, page_bytes, max_pages)
-            self.compiled = CompiledOracle(sections["chains"], self._pool,
-                                           self.epsilon)
+            self.compiled = CompiledOracle(chains, self._pool, self.epsilon)
         except BaseException:
             store.close()  # no caller will get to close it
             raise
@@ -315,10 +313,10 @@ class PagedOracle(CompiledStore):
 
     @property
     def fixed_bytes(self) -> int:
-        """Resident state outside the pool: every resident section,
-        the four key planes derived from the chains (4 × n·(h+1) × 8
-        bytes), the fences and the nearest-neighbour column once read
-        or derived.  Reported in the ledger so "bounded" is an
+        """Resident state outside the pool: the chain matrix, the four
+        key planes derived from it (4 × n·(h+1) × 8 bytes), the fences
+        and last key, and the nearest-neighbour column once read or
+        derived.  Reported in the ledger so "bounded" is an
         auditable claim, not a slogan."""
         column = sum(array.nbytes for array in self._nearest or ())
         return self._routing_bytes + self._pool.fixed_bytes + column

@@ -244,7 +244,6 @@ def load_oracle(path: PathLike, engine: GeodesicEngine,
     oracle._built = True
     compiled_section = document.get("compiled")
     if compiled_section is not None:
-        pair_hash._freeze()  # compiled: the first batch must not pay it
         oracle._compiled = CompiledOracle(
             np.asarray(compiled_section["chains"], dtype=np.int64),
             pair_hash, document["epsilon"],

@@ -362,9 +362,9 @@ def pack_oracle(oracle: SEOracle, path: PathLike,
                 previous: Optional[PathLike] = None) -> Dict[str, Any]:
     """Write a built oracle as a format-v4 binary store.
 
-    Compiles the oracle (chain matrix + frozen hash tables) if that has
-    not happened yet — packing is the natural one-time cost point, so
-    an :func:`open_oracle` load never pays it.
+    Compiles the oracle (its chain matrix) if that has not happened
+    yet, and writes the pair hash's tables as the build drew them, so
+    an :func:`open_oracle` load never pays either.
 
     ``canonical=True`` pins the meta document's wall-clock field
     (``stats.total_seconds``) to zero, so two builds of the *same*
@@ -420,8 +420,8 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
     sections["chains"] = chain_matrix(tree, num_pois)
     sections.update(_hash_sections(pair_hash))
     sections.update(_nearest_sections(
-        compile_sections(sections, seed=document["seed"],
-                         epsilon=document["epsilon"]), num_pois))
+        compile_sections(sections, epsilon=document["epsilon"]),
+        num_pois))
     stats = document.get("stats", {})
     meta = _meta_document(
         epsilon=document["epsilon"], strategy=document["strategy"],
@@ -731,14 +731,13 @@ def read_store_meta(path: PathLike) -> Dict[str, Any]:
         return store.meta
 
 
-def compile_sections(sections, *, seed: int,
-                     epsilon: float) -> CompiledOracle:
+def compile_sections(sections, *, epsilon: float) -> CompiledOracle:
     """The query tables over one v4 section set (arrays, mmap'd or
     not): the one construction behind :func:`open_oracle` and the tile
     loader."""
     pair_hash = PerfectHashMap.from_frozen(
         **{name: sections[section]
-           for section, name in _HASH_SECTIONS.items()}, seed=seed)
+           for section, name in _HASH_SECTIONS.items()})
     return CompiledOracle(sections["chains"], pair_hash, epsilon)
 
 
@@ -947,8 +946,7 @@ class StoredOracle(CompiledStore):
         self.stats["non_zero_copy_sections"] = sorted(
             name for name, entry in meta["sections"].items()
             if not entry["zero_copy"])
-        self.compiled = compile_sections(self._sections, seed=self.seed,
-                                         epsilon=self.epsilon)
+        self.compiled = compile_sections(self._sections, epsilon=self.epsilon)
         # The open itself, not the cost of hashing the terrain.
         self.load_seconds = time.perf_counter() - store.opened
 
@@ -982,11 +980,10 @@ class StoredOracle(CompiledStore):
                   strict: bool = True) -> SEOracle:
         """Full :class:`SEOracle` over ``engine`` (tree + pairs + hash).
 
-        The pair hash is the store's frozen map, so batch queries keep
-        running off the mapped tables; the scalar hash structures and
-        the per-pair dict both materialise lazily, on first scalar
-        probe / ``pairs`` access — rehydration itself stays O(tree),
-        not O(#pairs).
+        The pair hash is the store's own map, so scalar and batch
+        queries both probe the mapped tables; only the per-pair dict
+        materialises lazily, on first ``pairs`` access — rehydration
+        itself stays O(tree), not O(#pairs).
         """
         if strict:
             self.check_fingerprint(engine)

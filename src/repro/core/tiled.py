@@ -531,7 +531,7 @@ def open_tiled_oracle(path, mmap: bool = True,
                 poi_portal.append(
                     store.array(prefix + "poi_portal", mmap=False))
             else:  # packed before the blocks existed
-                compiled = compile_sections(loader(tile), seed=meta["seed"],
+                compiled = compile_sections(loader(tile),
                                             epsilon=meta["epsilon"])
                 poi_portal.append(_poi_portal(
                     compiled, int(np.count_nonzero(owner == tile)),
@@ -670,8 +670,7 @@ class TiledOracle(StoreHandle, DistanceIndexMixin):
             compiled = self._resident.get(tile)
             if compiled is None:
                 sections = self._loader(tile)
-                compiled = compile_sections(sections, seed=self.seed,
-                                            epsilon=self.epsilon)
+                compiled = compile_sections(sections, epsilon=self.epsilon)
                 nbytes = sum(int(array.nbytes)
                              for array in sections.values())
                 self._resident.admit(tile, compiled, nbytes)

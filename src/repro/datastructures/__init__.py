@@ -9,7 +9,8 @@ scratch:
 * :class:`~repro.datastructures.bplustree.BPlusTree` — per-grid-cell
   point index of the greedy selection strategy;
 * :class:`~repro.datastructures.perfect_hash.PerfectHashMap` — FKS
-  two-level perfect hashing for node-pair and enhanced-edge lookup;
+  two-level perfect hashing of the node pair set (scalar and batch
+  probes read one set of multiply-shift tables);
 * :class:`~repro.datastructures.grid_index.GridDensityIndex` — the
   grid + B+-tree + max-heap combination of Implementation Detail 1.
 

@@ -231,8 +231,7 @@ class TestTiledEquivalenceProperty:
     @staticmethod
     def _reference(build, sources, targets):
         from repro.core.store import compile_sections
-        tiles = [compile_sections(sections, seed=build.meta["seed"],
-                                  epsilon=build.meta["epsilon"])
+        tiles = [compile_sections(sections, epsilon=build.meta["epsilon"])
                  for sections in build.sections]
 
         def legs(tile, site):

@@ -4,9 +4,17 @@ import importlib
 import itertools
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from repro.core import SEOracle, well_separated_threshold
+from repro.core import (
+    EnhancedEdgeIndex,
+    SEOracle,
+    SerialExecutor,
+    build_enhanced_edges,
+    build_partition_tree,
+    well_separated_threshold,
+)
 from repro.core.store import oracle_sections
 from repro.geodesic import GeodesicEngine
 from repro.terrain import make_terrain, sample_uniform
@@ -213,6 +221,94 @@ class TestEffortCountersAcrossKernels:
             assert array.tobytes() == other.tobytes(), name
 
 
+class TestEnhancedEdgeIndex:
+    """The sorted edge run answers a whole wavefront as the bottom-up
+    walk over a dict of the same edges answers each pair."""
+
+    def test_pair_distances_match_reference_walk(self, small_engine):
+        """Every centre pair, equal centres included, on the full run
+        and on one with every third edge dropped (where some pairs
+        find no edge and answer NaN)."""
+        tree = build_partition_tree(small_engine, seed=3)
+        full = build_enhanced_edges(small_engine, tree, 0.25)
+        assert full.keys.dtype == np.int64
+        assert (np.diff(full.keys) > 0).all()
+        assert full.edge_count == full.keys.size
+        keep = np.arange(full.edge_count) % 3 != 0
+        n = small_engine.num_pois
+        thinned = EnhancedEdgeIndex(full.keys[keep], full.distances[keep],
+                                    tree, n)
+        centers_a = np.repeat(np.arange(n), n)
+        centers_b = np.tile(np.arange(n), n)
+        for index in (full, thinned):
+            edges = dict(zip(index.keys.tolist(),
+                             index.distances.tolist()))
+
+            def walk(a, b):
+                if a == b:
+                    return 0.0
+                start = max(tree.first_layer_of_center[a],
+                            tree.first_layer_of_center[b])
+                for layer in range(tree.height, start - 1, -1):
+                    distance = edges.get((layer * n + min(a, b)) * n
+                                         + max(a, b))
+                    if distance is not None:
+                        return distance
+                return np.nan
+
+            expected = np.array([walk(a, b) for a, b in
+                                 zip(centers_a.tolist(),
+                                     centers_b.tolist())])
+            got = index.pair_distances(centers_a, centers_b)
+            np.testing.assert_array_equal(got, expected)
+            assert (got[::n + 1] == 0).all()
+        assert np.isnan(got).any()
+
+    def test_missing_edges_fall_back_to_pair_ssads(self, small_engine):
+        """With edges dropped from the index, every centre pair the run
+        cannot resolve is counted and answered by the executor's pair
+        SSAD."""
+        oracle_module = importlib.import_module("repro.core.oracle")
+        real = oracle_module.build_enhanced_edges
+
+        def thinned(engine, tree, *args, **kwargs):
+            index = real(engine, tree, *args, **kwargs)
+            keep = np.arange(index.edge_count) % 3 != 0
+            return EnhancedEdgeIndex(index.keys[keep],
+                                     index.distances[keep], tree,
+                                     engine.num_pois)
+
+        class Recording(SerialExecutor):
+            def __init__(self):
+                super().__init__()
+                self.rounds = []
+
+            def map_pair_distances(self, pairs):
+                distances = super().map_pair_distances(pairs)
+                self.rounds.append(dict(zip(pairs, distances)))
+                return distances
+
+        executor = Recording()
+        with mock.patch.object(oracle_module, "build_enhanced_edges",
+                               thinned):
+            oracle = SEOracle(small_engine, epsilon=0.25, seed=3,
+                              executor=executor).build()
+        asked = sum(len(answers) for answers in executor.rounds)
+        assert asked > 0
+        assert oracle.stats.enhanced_lookup_fallbacks == asked
+        recovered = {}
+        for answers in executor.rounds:
+            recovered.update(answers)
+        tree = oracle.tree
+        used = 0
+        for (node_a, node_b), distance in oracle.pair_set.pairs.items():
+            centers = (tree.node(node_a).center, tree.node(node_b).center)
+            if centers in recovered:
+                assert distance == recovered[centers]
+                used += 1
+        assert used > 0
+
+
 class TestSmallCases:
     def test_single_poi_oracle(self, small_terrain):
         pois = sample_uniform(small_terrain, 1, seed=1)
@@ -250,6 +346,8 @@ class TestSizeModel:
     def test_size_components(self, oracle):
         assert oracle.size_bytes() > 0
         assert oracle.tree.size_bytes() < oracle.size_bytes()
+        assert oracle.size_bytes() \
+            == oracle.tree.size_bytes() + 16 * oracle.num_pairs
 
     def test_size_grows_with_n(self, medium_terrain):
         sizes = []

@@ -128,7 +128,9 @@ class TestLedgerAccounting:
 
     def test_fixed_bytes_count_the_nearest_column(self, packed):
         """The column is resident state, read at open; so are the
-        fences: the first key of every key page plus the run's last."""
+        chains with their four key planes and the fences (the first key
+        of every key page plus the run's last).  The tree tables are
+        not: nothing on the paged path reads them."""
         path, _ = packed
         _, layouts = section_layouts(path)
         nbytes = {
@@ -139,12 +141,7 @@ class TestLedgerAccounting:
         assert column == 24 * NUM_POIS
         with PagedOracle(path, page_bytes=1024, max_pages=4) as paged:
             key_pages = -(-nbytes["pair_keys"] // 1024)
-            routing = (
-                nbytes["tree_table"]
-                + nbytes["tree_radii"]
-                + 5 * nbytes["chains"]
-                + 8 * (key_pages + 1)
-            )
+            routing = 5 * nbytes["chains"] + 8 * (key_pages + 1)
             assert paged.fixed_bytes == routing + column
 
     def test_unbounded_pool_loads_each_page_once(self, packed):

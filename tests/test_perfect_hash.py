@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datastructures import PerfectHashMap, pack_pair, unpack_pair
@@ -47,20 +47,20 @@ class TestPerfectHashMap:
         assert table.get(5) is None
 
     def test_single_entry(self):
-        table = PerfectHashMap([(42, "answer")])
-        assert table[42] == "answer"
+        table = PerfectHashMap([(42, 4.25)])
+        assert table[42] == 4.25
         assert 42 in table
         assert 41 not in table
 
     def test_missing_key_raises(self):
-        table = PerfectHashMap([(1, "a")])
+        table = PerfectHashMap([(1, 0.5)])
         with pytest.raises(KeyError):
             table[2]
 
     def test_get_with_default(self):
-        table = PerfectHashMap([(1, "a")])
+        table = PerfectHashMap([(1, 0.5)])
         assert table.get(2, "dflt") == "dflt"
-        assert table.get(1) == "a"
+        assert table.get(1) == 0.5
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -70,9 +70,26 @@ class TestPerfectHashMap:
         with pytest.raises(ValueError):
             PerfectHashMap([(-3, "a")])
 
+    def test_keys_beyond_uint64_rejected(self):
+        with pytest.raises(ValueError):
+            PerfectHashMap([(7, 1.0), (1 << 64, 2.0)])
+
     def test_negative_lookup_is_miss(self):
-        table = PerfectHashMap([(1, "a")])
+        table = PerfectHashMap([(1, 0.5)])
         assert -1 not in table
+        assert (1 << 64) + 1 not in table
+
+    def test_keys_congruent_modulo_mersenne_prime(self):
+        """0 and 2^61-1 are one residue modulo the Mersenne prime a
+        modular universal hash would use; both must answer."""
+        prime = (1 << 61) - 1
+        table = PerfectHashMap([(0, 1.5), (prime, 2.5)], seed=3)
+        assert table.get(0) == 1.5 and table.get(prime) == 2.5
+        assert 0 in table and prime in table
+        assert table[0] == 1.5 and table[prime] == 2.5
+        probes = np.array([0, prime, 2 * prime, 1], dtype=np.uint64)
+        assert table.get_batch(probes, default=-1.0).tolist() \
+            == [1.5, 2.5, -1.0, -1.0]
 
     def test_all_entries_retrievable(self):
         entries = [(i * 7 + 1, i) for i in range(500)]
@@ -87,31 +104,33 @@ class TestPerfectHashMap:
             assert (probe in table) == (probe in keys)
 
     def test_iteration_and_items(self):
-        entries = [(5, "a"), (9, "b"), (2, "c")]
+        entries = [(5, 0.5), (9, 0.25), (2, 0.125)]
         table = PerfectHashMap(entries)
         assert set(table) == {5, 9, 2}
         assert dict(table.items()) == dict(entries)
 
     def test_space_is_linear(self):
+        """The construction's own rule: level one re-draws until the
+        squared bucket sizes sum to at most 8n, and every bucket of b
+        keys gets fewer than 4 b² slots (2 for a singleton), after one
+        shared 2-slot empty region."""
         n = 2000
-        table = PerfectHashMap([(i * 13 + 5, None) for i in range(n)])
-        # FKS guarantee: expected sum of squared bucket sizes < 4n.
-        assert table.slot_count() <= 4 * n
-        assert table.size_bytes() > 0
-
-    def test_deterministic_given_seed(self):
-        entries = [(i, i) for i in range(100)]
-        t1 = PerfectHashMap(entries, seed=11)
-        t2 = PerfectHashMap(entries, seed=11)
-        assert t1._a == t2._a and t1._b == t2._b
+        table = PerfectHashMap([(i * 13 + 5, 1.0) for i in range(n)])
+        frozen = table.frozen_arrays()
+        level1_a, level1_shift = frozen["level1"]
+        buckets = (level1_a * frozen["keys"]) >> level1_shift
+        squares = int(np.sum(np.bincount(buckets.astype(np.int64)) ** 2))
+        assert squares <= 8 * n
+        assert frozen["slots"].size < 2 + 4 * squares
 
     def test_packed_pair_keys(self):
         pairs = [(i, j) for i in range(20) for j in range(20)]
         table = PerfectHashMap(
-            [(pack_pair(u, v), (u, v)) for u, v in pairs], seed=1
+            [(pack_pair(u, v), float(100 * u + v)) for u, v in pairs],
+            seed=1
         )
         for u, v in pairs:
-            assert table[pack_pair(u, v)] == (u, v)
+            assert table[pack_pair(u, v)] == 100 * u + v
         assert pack_pair(25, 25) not in table
 
 
@@ -163,41 +182,41 @@ class TestBatchLookup:
         assert values[2] == 1400.0
 
     def test_non_float_values_rejected(self):
-        table = PerfectHashMap([(1, "a"), (2, "b")])
-        with pytest.raises(TypeError):
-            table.get_batch(np.array([1], dtype=np.uint64))
+        for values in (["a", "b"], [None, 1.0], [(1, 2), (3, 4)]):
+            with pytest.raises(TypeError):
+                PerfectHashMap(list(zip([1, 2], values)))
 
     def test_deterministic_frozen_tables(self):
         entries = [(i * 7, float(i)) for i in range(200)]
-        one = PerfectHashMap(entries, seed=5)
-        two = PerfectHashMap(entries, seed=5)
-        assert one._freeze().level1_a == two._freeze().level1_a
-        assert (one._freeze().slots == two._freeze().slots).all()
+        one = PerfectHashMap(entries, seed=5).frozen_arrays()
+        two = PerfectHashMap(entries, seed=5).frozen_arrays()
+        assert (one["level1"] == two["level1"]).all()
+        assert (one["slots"] == two["slots"]).all()
 
-    # Stored keys stay below the scalar hash's Mersenne prime 2^61-1
-    # (its universal family needs key < p; key == p aliases key 0).
-    # Probes may be any uint64 — the frozen tables accept the full
-    # domain, and out-of-domain probes must come back as misses.
+    # Keys and probes span the whole uint64 domain: get, in and
+    # get_batch must agree with a dict on every one of them.
     @settings(max_examples=40, deadline=None)
-    @given(st.dictionaries(st.integers(0, 2**61 - 2), st.floats(
+    @given(st.dictionaries(st.integers(0, 2**64 - 1), st.floats(
         allow_nan=False, allow_infinity=True), min_size=1, max_size=120),
         st.integers(0, 2**16))
+    @example({0: 1.0, 2**61 - 1: 2.0, 2**64 - 1: 3.0}, 0)
     def test_matches_scalar_get_property(self, entries, seed):
         table = PerfectHashMap(list(entries.items()), seed=seed)
         present = np.array(list(entries), dtype=np.uint64)
         rng = np.random.default_rng(seed)
-        absent = rng.integers(0, 2**63, size=50, dtype=np.uint64)
+        absent = rng.integers(0, 2**64, size=50, dtype=np.uint64)
         probes = np.concatenate([present, absent])
         values = table.get_batch(probes, default=np.inf)
         for index, probe in enumerate(probes.tolist()):
-            expected = table.get(probe, np.inf)
-            got = values[index]
-            assert got == expected or (np.isnan(got)
-                                       and np.isnan(expected))
+            expected = entries.get(probe, np.inf)
+            assert values[index] == expected
+            assert table.get(probe, np.inf) == expected
+            assert (probe in table) == (probe in entries)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(st.integers(0, 2**40), st.integers(), max_size=150),
+@given(st.dictionaries(st.integers(0, 2**40), st.floats(allow_nan=False),
+                       max_size=150),
        st.integers(0, 2**16))
 def test_behaves_like_dict(entries, seed):
     table = PerfectHashMap(list(entries.items()), seed=seed)

@@ -433,6 +433,29 @@ class TestCrossVersionMatrix:
             assert paged.num_pairs == stored.num_pairs
             assert (paged.query_matrix() == stored.query_matrix()).all()
 
+    def test_v4_fixture_repacks_in_key_order(self, workload,
+                                             version_files, tmp_path):
+        """The fixture's map holds its pairs in build order; packing
+        the rehydrated oracle still writes the key-ordered run, the
+        same hash sections as the fresh pack of the document."""
+        from repro.core import open_oracle, pack_oracle
+        from repro.core.store import StoreFile
+        with open_oracle(self.V4) as stored:
+            oracle = stored.to_oracle(workload, strict=False)
+        keys = list(oracle.pair_hash)
+        assert keys != sorted(keys)
+        for key, value in oracle.pair_hash.items():
+            assert oracle.pair_hash[key] == value
+        repacked = tmp_path / "repacked.store"
+        pack_oracle(oracle, repacked)
+        names = ("pair_keys", "pair_distances", "hash_level1",
+                 "hash_level2_a", "hash_level2_shift",
+                 "hash_level2_offset", "hash_slots", "chains")
+        with StoreFile(repacked) as one, \
+                StoreFile(version_files["4-fresh"]) as two:
+            for name in names:
+                assert one.member(name) == two.member(name), name
+
     def test_checked_in_v4_fixture_mmaps_byte_for_byte(self, workload):
         """The committed store opens straight off its bytes: mapped
         sections, fingerprint intact, fresh-pack answer parity."""

@@ -341,6 +341,21 @@ class TestRehydration:
         assert full.stats.executor == built.stats.executor
         assert full.stats.jobs == built.stats.jobs
 
+    def test_fresh_json_and_store_sizes_agree(self, store_path, workload,
+                                              built, tmp_path):
+        """One size model: the tree plus 16 bytes per stored pair,
+        whichever way the oracle came to be."""
+        document = tmp_path / "oracle.json"
+        save_oracle(built, document, binary=False)
+        loaded = [load_oracle(document, workload),
+                  load_oracle(store_path, workload)]
+        expected = built.tree.size_bytes() + 16 * built.num_pairs
+        assert built.size_bytes() == expected
+        assert [oracle.size_bytes() for oracle in loaded] \
+            == [expected, expected]
+        assert {oracle.compiled().size_bytes() for oracle in loaded} \
+            == {built.compiled().size_bytes()}
+
 
 class TestDocumentConversion:
     def test_json_to_binary_lossless(self, built, workload, tmp_path):
@@ -476,8 +491,8 @@ class TestKeyOrderedPack:
 
 
 class TestFrozenHashPersistence:
-    """The persisted frozen tables answer like the original map —
-    batch immediately, scalar after the lazy FKS rebuild."""
+    """The persisted tables answer like the original map, batch and
+    scalar lookups alike."""
 
     def test_batch_lookup_identical(self, store_path, built):
         stored = open_oracle(store_path)
@@ -492,10 +507,8 @@ class TestFrozenHashPersistence:
     def test_scalar_lookup_lazy_rebuild(self, store_path, built):
         stored = open_oracle(store_path)
         restored = stored.compiled.pair_hash
-        assert not restored._scalar_ready
         for key, value in built.pair_hash.items():
             assert restored[key] == value
-        assert restored._scalar_ready
         assert 1 not in restored
         assert len(restored) == len(built.pair_hash)
 
