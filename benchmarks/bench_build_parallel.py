@@ -2,8 +2,9 @@
 
 Builds the same SE oracle workload once per ``--jobs`` value, reports
 build-seconds vs worker count, and *gates on parity*: every parallel
-build must be bit-identical to the serial reference (same node pairs,
-same float64 distances, same tree, same SSAD effort counters).  The
+build must be bit-identical to the serial reference (same pair-run
+keys, same float64 distance bytes, same tree columns, same SSAD effort
+counters).  The
 process exits non-zero when parity breaks, which is what lets CI use
 this script as a perf-regression smoke gate.
 
@@ -24,6 +25,8 @@ import os
 import platform
 import sys
 import time
+
+import numpy as np
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -96,27 +99,24 @@ def run_record(jobs: int, seconds: float, speedup: float, problems: list) -> dic
     }
 
 
-def tree_shape(oracle: SEOracle) -> list:
-    return [
-        (node.node_id, node.center, node.layer, node.radius, node.parent)
-        for node in oracle.tree.nodes
-    ]
-
-
 def check_parity(reference: SEOracle, candidate: SEOracle) -> list:
     """Bitwise serial-vs-parallel comparison; returns mismatch notes."""
     problems = []
-    ref_pairs = reference.pair_set.pairs
-    cand_pairs = candidate.pair_set.pairs
-    if set(ref_pairs) != set(cand_pairs):
-        problems.append(f"pair keys differ: {len(ref_pairs)} vs {len(cand_pairs)}")
+    ref_run = reference.pair_hash.frozen_arrays()
+    cand_run = candidate.pair_hash.frozen_arrays()
+    ref_keys, cand_keys = ref_run["keys"], cand_run["keys"]
+    if ref_keys.tobytes() != cand_keys.tobytes():
+        problems.append(f"pair keys differ: {len(ref_keys)} vs {len(cand_keys)}")
     else:
-        drifted = sum(1 for key in ref_pairs if ref_pairs[key] != cand_pairs[key])
+        same = ref_run["values"].view(np.uint64) == cand_run["values"].view(np.uint64)
+        drifted = int((~same).sum())
         if drifted:
             problems.append(f"{drifted} pair distances differ bitwise")
-    if tree_shape(reference) != tree_shape(candidate):
-        problems.append("compressed trees differ")
-    for counter in ("ssad_calls", "settled_nodes", "heap_pushes"):
+    for column in ("table", "radii"):
+        ref_column = getattr(reference.tree, column)
+        if ref_column.tobytes() != getattr(candidate.tree, column).tobytes():
+            problems.append(f"compressed tree {column} columns differ")
+    for counter in ("pairs_considered", "ssad_calls", "settled_nodes", "heap_pushes"):
         ref_value = getattr(reference.stats, counter)
         cand_value = getattr(candidate.stats, counter)
         if ref_value != cand_value:

@@ -1,19 +1,14 @@
 """Core: the SE distance oracle and its tree / node-pair machinery."""
 
-from .compressed_tree import (
-    CompressedPartitionTree,
-    CompressedTreeNode,
-    compress_tree,
-)
+from .compressed_tree import CompressedPartitionTree, compress_tree
 from .node_pairs import (
     EnhancedEdgeIndex,
-    NodePairSet,
     build_enhanced_edges,
     generate_node_pairs_batched,
     well_separated_threshold,
 )
 from .a2a import A2AOracle, build_site_pois
-from .compiled import CompiledOracle, compile_oracle
+from .compiled import CompiledOracle
 from .dynamic import DynamicSEOracle
 from .index import (
     DistanceIndex,
@@ -63,7 +58,6 @@ __all__ = [
     "ensure_index",
     "pair_arrays",
     "CompiledOracle",
-    "compile_oracle",
     "A2AOracle",
     "build_site_pois",
     "DynamicSEOracle",
@@ -87,10 +81,8 @@ __all__ = [
     "PartitionTreeNode",
     "build_partition_tree",
     "CompressedPartitionTree",
-    "CompressedTreeNode",
     "compress_tree",
     "EnhancedEdgeIndex",
-    "NodePairSet",
     "build_enhanced_edges",
     "generate_node_pairs_batched",
     "well_separated_threshold",

@@ -1,15 +1,17 @@
 """The compiled oracle: flat NumPy query tables over a built SE oracle.
 
-``SEOracle.query`` walks Python objects — layer arrays, tree nodes, one
-scalar perfect-hash probe per candidate pair.  That is fine for one
-query but is the bottleneck of a serving workload where millions of
-queries arrive in batches.  ``CompiledOracle`` freezes a built oracle
-into flat tables:
+``SEOracle.query`` walks in Python — one parent-pointer walk per
+layer array, one scalar perfect-hash probe per candidate pair.  That is
+fine for one query but is the bottleneck of a serving workload where
+millions of queries arrive in batches.  ``CompiledOracle`` freezes a
+built oracle into flat tables:
 
 * the **ancestor-chain matrix** ``chains``: one ``int64`` row per POI
   holding the compressed-node id at each original layer (``-1`` where
   the compressed path skips the layer) — ``tree.layer_array`` for every
-  POI at once, padded to the tree height;
+  POI at once, padded to the tree height, derived from the tree's
+  parent and layer columns in ``O(h)`` vectorised passes
+  (:meth:`~repro.core.compressed_tree.CompressedPartitionTree.chains`);
 * four **pre-packed key planes** derived from it: the *exact* plane
   (chain node at layer ``k``) and the *spanner* plane (the chain node
   whose compressed span covers layer ``k``, i.e. the node ``B`` with
@@ -46,8 +48,9 @@ same-chain stored pairs are leaf self-pairs, which is what makes
 Cost model: a batch of ``m`` queries costs ``m (h+1)`` probed keys
 plus ``2 m' (h+1)`` for the unresolved fraction ``m'/m`` (typically
 < 10%), all in a handful of NumPy passes — no Python per query.
-Compilation is one O(n·h) chain sweep (the pair hash's tables exist
-from the build on); it pays off after a few thousand queries (see
+Compilation is the chain derivation plus the key planes, a handful of
+NumPy passes (the pair hash's tables exist from the build on); it pays
+off after a few thousand queries (see
 ``benchmarks/bench_query_throughput.py``).
 """
 
@@ -58,12 +61,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from ..datastructures.perfect_hash import PerfectHashMap
-from .compressed_tree import CompressedPartitionTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .oracle import SEOracle
 
-__all__ = ["CompiledOracle", "compile_oracle", "chain_matrix"]
+__all__ = ["CompiledOracle"]
 
 _ID_MASK = np.uint64(0xFFFFFFFF)
 _SHIFT = np.uint64(32)
@@ -132,8 +134,7 @@ class CompiledOracle:
         """Freeze a built :class:`~repro.core.oracle.SEOracle`."""
         if not oracle.is_built:
             raise RuntimeError("oracle not built; call build() first")
-        chains = chain_matrix(oracle.tree, oracle.engine.num_pois)
-        return cls(chains, oracle.pair_hash, oracle.epsilon)
+        return cls(oracle.tree.chains(), oracle.pair_hash, oracle.epsilon)
 
     # ------------------------------------------------------------------
     # accessors
@@ -256,17 +257,3 @@ class CompiledOracle:
         grid_t = np.tile(ids, count)
         return self.query_batch(grid_s, grid_t).reshape(count, count)
 
-
-def chain_matrix(tree: CompressedPartitionTree, num_pois: int) -> np.ndarray:
-    """``tree.layer_array`` for every POI as one ``-1``-padded matrix."""
-    chains = np.full((num_pois, tree.height + 1), -1, dtype=np.int64)
-    for poi in range(num_pois):
-        for layer, node in enumerate(tree.layer_array(poi)):
-            if node is not None:
-                chains[poi, layer] = node
-    return chains
-
-
-def compile_oracle(oracle: "SEOracle") -> CompiledOracle:
-    """Functional alias for :meth:`CompiledOracle.from_oracle`."""
-    return CompiledOracle.from_oracle(oracle)

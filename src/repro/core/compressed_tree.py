@@ -9,181 +9,206 @@ oracle stores afterwards is linear in ``n``, not in ``n * h``.
 Compressed nodes remember their *original* layer number — the layer of
 the corresponding node in ``T_org`` — because the query algorithm's
 layer arithmetic (Observation 1) is expressed in original layers.
+
+The tree is held as the store's own columns from :func:`compress_tree`
+on: one int64 ``table`` row per node (centre, original layer, parent,
+origin id) and a float64 ``radii`` column, row index = node id.  A
+fresh build, a JSON document and a mapped store all wrap the same two
+arrays; the children index, the leaf of every POI and the ancestor
+chains are derived from them in vectorised passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .partition_tree import PartitionTree
 
-__all__ = ["CompressedTreeNode", "CompressedPartitionTree", "compress_tree"]
-
-
-@dataclass
-class CompressedTreeNode:
-    """A node of the compressed partition tree.
-
-    ``layer`` is the layer number in the *original* partition tree;
-    ``radius`` is the original radius, except leaves where it is 0.
-    ``origin_id`` is the node id in ``T_org`` this node came from.
-    """
-
-    node_id: int
-    center: int
-    layer: int
-    radius: float
-    parent: Optional[int]
-    origin_id: int
-    children: List[int] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
-    def enlarged_radius(self) -> float:
-        """Radius of the enlarged disk ``D(c_O, 2 r_O)`` (Section 3.3)."""
-        return 2.0 * self.radius
+__all__ = ["CompressedPartitionTree", "compress_tree"]
 
 
 class CompressedPartitionTree:
-    """Compressed partition tree with per-POI leaf lookup."""
+    """Compressed partition tree over flat node columns.
 
-    def __init__(self, nodes: List[CompressedTreeNode], root_id: int,
+    Parameters
+    ----------
+    table:
+        int64 ``(num_nodes, 4)``: centre, original layer, parent id
+        (``-1`` at the root) and the node id in ``T_org`` it came from.
+    radii:
+        float64 ``(num_nodes,)`` original radii, 0 at the leaves.
+    root_id, height, root_radius:
+        The root's id, the original tree's height ``h`` and ``r_0``.
+    """
+
+    def __init__(self, table: np.ndarray, radii: np.ndarray, root_id: int,
                  height: int, root_radius: float):
-        self.nodes = nodes
-        self.root_id = root_id
-        self.height = height
-        self.root_radius = root_radius
-        self.leaf_of_poi: Dict[int, int] = {}
-        for node in nodes:
-            if node.is_leaf:
-                self.leaf_of_poi[node.center] = node.node_id
+        self.table = table
+        self.radii = radii
+        self.root_id = int(root_id)
+        self.height = int(height)
+        self.root_radius = float(root_radius)
 
     # ------------------------------------------------------------------
-    # accessors
+    # columns
     # ------------------------------------------------------------------
     @property
-    def root(self) -> CompressedTreeNode:
-        return self.nodes[self.root_id]
+    def centers(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def layers(self) -> np.ndarray:
+        return self.table[:, 1]
+
+    @property
+    def parents(self) -> np.ndarray:
+        return self.table[:, 2]
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return int(self.table.shape[0])
 
-    def node(self, node_id: int) -> CompressedTreeNode:
-        return self.nodes[node_id]
+    @cached_property
+    def child_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, children)``: node ``v``'s children, in ascending
+        id order, are ``children[starts[v]:starts[v + 1]]``."""
+        parents = self.parents
+        non_root = np.flatnonzero(parents >= 0)
+        children = non_root[np.argsort(parents[non_root], kind="stable")]
+        starts = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(parents[non_root], minlength=self.num_nodes),
+                  out=starts[1:])
+        return starts, children
 
-    def path_to_root(self, node_id: int) -> List[int]:
-        """Node ids from ``node_id`` (inclusive) up to the root."""
-        path = [node_id]
-        while self.nodes[path[-1]].parent is not None:
-            path.append(self.nodes[path[-1]].parent)
-        return path
+    @cached_property
+    def leaf_of_poi(self) -> np.ndarray:
+        """int64 ``(num_pois,)``: the leaf node whose centre is each POI."""
+        starts, _ = self.child_index
+        leaves = np.flatnonzero(starts[1:] == starts[:-1])
+        leaf_of_poi = np.empty(leaves.size, dtype=np.int64)
+        leaf_of_poi[self.centers[leaves]] = leaves
+        return leaf_of_poi
+
+    @property
+    def num_pois(self) -> int:
+        return int(self.leaf_of_poi.shape[0])
+
+    # ------------------------------------------------------------------
+    # ancestor chains
+    # ------------------------------------------------------------------
+    @cached_property
+    def _walk(self) -> Tuple[List[int], List[int], List[int]]:
+        # Python lists: the scalar walk would pay a NumPy scalar
+        # conversion per step otherwise.
+        return (self.parents.tolist(), self.layers.tolist(),
+                self.leaf_of_poi.tolist())
 
     def layer_array(self, poi: int) -> List[Optional[int]]:
         """The query algorithm's ``A_s`` array for a POI.
 
         ``array[i]`` is the node id at original layer ``i`` along the
         path from the POI's leaf to the root, or ``None`` when the
-        (compressed) path skips that layer.
+        (compressed) path skips that layer — one parent-pointer walk,
+        the scalar query's reference.
         """
+        parents, layers, leaves = self._walk
         array: List[Optional[int]] = [None] * (self.height + 1)
-        for node_id in self.path_to_root(self.leaf_of_poi[poi]):
-            array[self.nodes[node_id].layer] = node_id
+        node = leaves[poi]
+        while node >= 0:
+            array[layers[node]] = node
+            node = parents[node]
         return array
 
-    def descendant_leaf_centers(self, node_id: int) -> List[int]:
-        """The representative set RS(O): centres of leaf descendants."""
-        result = []
-        stack = [node_id]
-        while stack:
-            node = self.nodes[stack.pop()]
-            if node.is_leaf:
-                result.append(node.center)
-            else:
-                stack.extend(node.children)
-        return result
+    def parent_layer(self, node_id: int) -> Optional[int]:
+        """The original layer of ``node_id``'s parent (``None`` at the
+        root): the first layer of the span the node covers."""
+        parents, layers, _ = self._walk
+        parent = parents[node_id]
+        return None if parent < 0 else layers[parent]
+
+    def chains(self) -> np.ndarray:
+        """:meth:`layer_array` for every POI as one ``-1``-padded int64
+        ``(num_pois, height + 1)`` matrix, one vectorised step up the
+        parent column per pass (at most ``h + 1`` passes)."""
+        rows = np.arange(self.num_pois)
+        chains = np.full((rows.size, self.height + 1), -1, dtype=np.int64)
+        node = self.leaf_of_poi
+        while rows.size:
+            chains[rows, self.layers[node]] = node
+            node = self.parents[node]
+            up = node >= 0
+            rows, node = rows[up], node[up]
+        return chains
 
     def size_bytes(self) -> int:
         """Byte model: 6 8-byte fields per node (id, centre, layer,
-        radius, parent, child-slot)."""
-        child_slots = sum(len(node.children) for node in self.nodes)
-        return 8 * (5 * len(self.nodes) + child_slots)
+        radius, parent, child-slot); every node but the root fills one
+        child slot."""
+        return 8 * (6 * self.num_nodes - 1)
 
     # ------------------------------------------------------------------
     # invariants (tests)
     # ------------------------------------------------------------------
     def check_structure(self, num_pois: int) -> None:
         """Assert Lemma 9's shape: n leaves, >=2 children internally."""
-        leaves = [node for node in self.nodes if node.is_leaf]
-        assert len(leaves) == num_pois, "one leaf per POI required"
-        assert all(node.radius == 0.0 for node in leaves)
-        for node in self.nodes:
-            if node.node_id == self.root_id:
-                assert node.parent is None
-                continue
-            assert node.parent is not None
-            assert node.node_id in self.nodes[node.parent].children
-            assert self.nodes[node.parent].layer < node.layer
-        internal = [node for node in self.nodes if not node.is_leaf]
-        for node in internal:
-            if node.node_id != self.root_id:
-                assert len(node.children) >= 2, (
-                    f"internal node {node.node_id} kept a single child"
-                )
-        assert len(self.nodes) <= 2 * num_pois - 1 or num_pois == 1
+        starts, _ = self.child_index
+        fanout = np.diff(starts)
+        leaves = fanout == 0
+        assert int(leaves.sum()) == num_pois, "one leaf per POI required"
+        assert np.array_equal(np.sort(self.centers[leaves]),
+                              np.arange(num_pois))
+        assert (self.radii[leaves] == 0.0).all()
+        parents = self.parents
+        non_root = np.arange(self.num_nodes) != self.root_id
+        assert parents[self.root_id] == -1
+        assert (parents[non_root] >= 0).all()
+        assert (self.layers[parents[non_root]]
+                < self.layers[non_root]).all()
+        assert (fanout[non_root & ~leaves] >= 2).all(), (
+            "an internal node kept a single child")
+        assert self.num_nodes <= 2 * num_pois - 1 or num_pois == 1
 
 
 def compress_tree(tree: PartitionTree) -> CompressedPartitionTree:
     """Compress a partition tree (Section 3.2's three-step procedure)."""
     original = tree.nodes
     height = tree.height
+    centers = np.array([node.center for node in original], dtype=np.int64)
+    layers = np.array([node.layer for node in original], dtype=np.int64)
+    radii = np.array([node.radius for node in original], dtype=np.float64)
+    parents = np.array([-1 if node.parent is None else node.parent
+                        for node in original], dtype=np.int64)
+    root = tree.root.node_id
 
     # Decide which original nodes survive: the root, every leaf, and
     # every internal node with at least two children.
-    survives = [False] * len(original)
-    for node in original:
-        if node.layer == height or len(node.children) >= 2:
-            survives[node.node_id] = True
-    survives[tree.root.node_id] = True
+    fanout = np.bincount(parents[parents >= 0], minlength=len(original))
+    survives = (layers == height) | (fanout >= 2)
+    survives[root] = True
+    new_id = np.cumsum(survives) - 1
 
-    compressed: List[CompressedTreeNode] = []
-    new_id_of: Dict[int, int] = {}
-    for node in original:
-        if not survives[node.node_id]:
-            continue
-        is_leaf = node.layer == height
-        new_id = len(compressed)
-        new_id_of[node.node_id] = new_id
-        compressed.append(CompressedTreeNode(
-            node_id=new_id,
-            center=node.center,
-            layer=node.layer,
-            radius=0.0 if is_leaf else node.radius,
-            parent=None,  # fixed below
-            origin_id=node.node_id,
-        ))
+    # Re-parent: walk every survivor's parent pointer up past the
+    # nodes that do not survive, all survivors at once, one layer per
+    # pass.
+    kept = np.flatnonzero(survives)
+    ancestor = parents[kept]
+    while True:
+        climbing = np.flatnonzero(ancestor >= 0)
+        climbing = climbing[~survives[ancestor[climbing]]]
+        if not climbing.size:
+            break
+        ancestor[climbing] = parents[ancestor[climbing]]
 
-    # Re-parent: walk up from each surviving node to the nearest
-    # surviving proper ancestor.
-    for node in original:
-        if not survives[node.node_id]:
-            continue
-        ancestor = node.parent
-        while ancestor is not None and not survives[ancestor]:
-            ancestor = original[ancestor].parent
-        if ancestor is not None:
-            child = new_id_of[node.node_id]
-            parent = new_id_of[ancestor]
-            compressed[child].parent = parent
-            compressed[parent].children.append(child)
-
+    table = np.column_stack((
+        centers[kept], layers[kept],
+        np.where(ancestor >= 0, new_id[ancestor], -1), kept))
     return CompressedPartitionTree(
-        nodes=compressed,
-        root_id=new_id_of[tree.root.node_id],
+        table=table.astype(np.int64, copy=False),
+        radii=np.where(layers[kept] == height, 0.0, radii[kept]),
+        root_id=int(new_id[root]),
         height=height,
         root_radius=tree.root_radius,
     )

@@ -24,13 +24,20 @@ the identity of a same-layer node pair in ``T_org``, since a node of
 them, so :class:`EnhancedEdgeIndex` holds them as one sorted key run
 rather than a perfect hash: the generator hands it each wavefront of
 centre pairs at once, and it resolves them with one ``searchsorted``
-per layer.  The perfect hash indexes the node pair set alone.
+per layer.
+
+The generator itself (:func:`generate_node_pairs_batched`) runs over
+the compressed tree's columns — centres, radii and the children index
+— one NumPy wavefront per round, and returns the node pair set in the
+form every store holds it: an ascending run of packed pair keys with
+their distances.  The perfect hash indexes that run in order, so its
+key and value columns are the store's ``pair_keys`` and
+``pair_distances`` as built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,19 +49,21 @@ from .partition_tree import PartitionTree
 __all__ = [
     "EnhancedEdgeIndex",
     "build_enhanced_edges",
-    "NodePairSet",
     "generate_node_pairs_batched",
     "well_separated_threshold",
 ]
 
 #: Batched centre-distance provider: one call answers a whole round of
-#: pair candidates (``[(center_a, center_b), ...] -> [distance, ...]``),
-#: which is what lets the naive construction fan its SSADs out across
-#: a build executor and the efficient one probe its enhanced edges
-#: once per round.
-BatchDistanceProvider = Callable[[Sequence[Tuple[int, int]]], List[float]]
+#: pair candidates (``(centers_a, centers_b) -> distances``, aligned
+#: int64 arrays in, float64 out), which is what lets the naive
+#: construction fan its SSADs out across a build executor and the
+#: efficient one probe its enhanced edges once per round.
+BatchDistanceProvider = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _EPS = 1e-9
+
+#: :func:`~repro.datastructures.perfect_hash.pack_pair`'s id shift.
+_PAIR_SHIFT = np.uint64(32)
 
 
 def well_separated_threshold(epsilon: float) -> float:
@@ -180,78 +189,75 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
                              np.concatenate(edge_dists), tree, n)
 
 
-@dataclass
-class NodePairSet:
-    """The generated node pair set with its distances.
-
-    ``pairs`` maps ordered compressed-node-id pairs ``(o1, o2)`` to the
-    geodesic distance between their centres.  ``considered`` counts all
-    pairs examined by the generator (Theorem 2's bound).
-    """
-
-    pairs: Dict[Tuple[int, int], float]
-    considered: int
-    epsilon: float
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def distance_of(self, node_a: int, node_b: int) -> Optional[float]:
-        return self.pairs.get((node_a, node_b))
-
-
 def generate_node_pairs_batched(tree: CompressedPartitionTree,
                                 epsilon: float,
                                 batch_provider: BatchDistanceProvider
-                                ) -> NodePairSet:
-    """The Section 3.3 generator, wavefront-staged for bulk providers.
+                                ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The Section 3.3 generator, as a wavefront over the tree columns.
 
-    Pairs are expanded in rounds: every pair of the current frontier
-    needs its centre distance before the split test can run, so each
-    round issues *one* batched distance request covering the whole
-    frontier, then splits in frontier order.  Whether a pair is split
-    depends only on its own distance, so the generated pair set — and
-    the ``considered`` count — are exactly those of the depth-first
-    reference formulation, independent of round structure or of how a
-    build executor chunks the batch.
+    Returns ``(keys, distances, considered)``: the node pair set as an
+    ascending uint64 run of packed ``(o1, o2)`` keys
+    (:func:`~repro.datastructures.perfect_hash.pack_pair`), the float64
+    centre distances aligned with it, and the number of pairs the
+    generator examined (Theorem 2's bound).
+
+    Pairs are expanded in rounds starting from ``(root, root)``: each
+    round asks ``batch_provider`` for the centre distances of the whole
+    frontier at once, keeps the well-separated pairs, and replaces
+    every other pair by the pairs of its larger-radius node's children
+    (ties split the smaller id) with the other node, in frontier order.
+    Whether a pair splits depends only on its own distance, so the pair
+    set, its distances and ``considered`` are those of the depth-first
+    formulation, whatever the round structure.
     """
     threshold = well_separated_threshold(epsilon)
-    root = tree.root_id
-    pairs: Dict[Tuple[int, int], float] = {}
+    starts, children = tree.child_index
+    fanout = np.diff(starts)
+    centers = tree.centers
+    radii = tree.radii
+    first = np.array([tree.root_id], dtype=np.int64)
+    second = first
+    keys: List[np.ndarray] = []
+    distances: List[np.ndarray] = []
     considered = 0
-    frontier: List[Tuple[int, int]] = [(root, root)]
 
-    while frontier:
-        distances = batch_provider(
-            [(tree.node(a).center, tree.node(b).center)
-             for a, b in frontier])
-        if len(distances) != len(frontier):
+    while first.size:
+        found = np.asarray(batch_provider(centers[first], centers[second]),
+                           dtype=np.float64)
+        if found.shape != first.shape:
             raise ValueError("batch provider returned a misaligned batch")
-        next_frontier: List[Tuple[int, int]] = []
-        for pair, distance in zip(frontier, distances):
-            considered += 1
-            node_a = tree.node(pair[0])
-            node_b = tree.node(pair[1])
-            larger = max(node_a.enlarged_radius, node_b.enlarged_radius)
-            if distance >= threshold * larger * (1.0 - _EPS):
-                # Well-separated (leaf self-pairs land here with 0 >= 0).
-                pairs[pair] = distance
-                continue
-            # Split the node with the larger radius; ties -> smaller id.
-            if (node_a.radius, -node_a.node_id) \
-                    >= (node_b.radius, -node_b.node_id):
-                split, split_first = node_a, True
-            else:
-                split, split_first = node_b, False
-            if split.is_leaf:
-                # Both leaves and not separated: only possible for
-                # identical centres, which dedup rules out; guard anyway.
-                raise RuntimeError(
-                    f"cannot split leaf pair {pair}; duplicate POIs present?"
-                )
-            for child in split.children:
-                next_frontier.append(
-                    (child, pair[1]) if split_first else (pair[0], child))
-        frontier = next_frontier
+        considered += int(first.size)
+        radius_a = radii[first]
+        radius_b = radii[second]
+        larger = np.maximum(2.0 * radius_a, 2.0 * radius_b)
+        # Well-separated (leaf self-pairs land here with 0 >= 0).
+        kept = found >= threshold * larger * (1.0 - _EPS)
+        keys.append((first[kept].astype(np.uint64) << _PAIR_SHIFT)
+                    | second[kept].astype(np.uint64))
+        distances.append(found[kept])
 
-    return NodePairSet(pairs=pairs, considered=considered, epsilon=epsilon)
+        split = ~kept
+        first, second = first[split], second[split]
+        radius_a, radius_b = radius_a[split], radius_b[split]
+        split_first = (radius_a > radius_b) | (
+            (radius_a == radius_b) & (first <= second))
+        node = np.where(split_first, first, second)
+        count = fanout[node]
+        if (count == 0).any():
+            # Both leaves and not separated: only possible for
+            # identical centres, which dedup rules out; guard anyway.
+            bad = int(np.flatnonzero(count == 0)[0])
+            raise RuntimeError(
+                f"cannot split leaf pair ({int(first[bad])}, "
+                f"{int(second[bad])}); duplicate POIs present?")
+        # Each split pair fans out into one pair per child, in order.
+        begin = np.repeat(starts[node] + count - np.cumsum(count), count)
+        child = children[begin + np.arange(begin.size)]
+        stay = np.repeat(np.where(split_first, second, first), count)
+        split_first = np.repeat(split_first, count)
+        first = np.where(split_first, child, stay)
+        second = np.where(split_first, stay, child)
+
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    return keys[order], np.concatenate(distances)[order], considered

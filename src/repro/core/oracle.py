@@ -27,18 +27,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
 from ..datastructures.perfect_hash import PerfectHashMap, pack_pair
 from ..geodesic.engine import GeodesicEngine
 from .compressed_tree import CompressedPartitionTree, compress_tree
-from .node_pairs import (
-    NodePairSet,
-    build_enhanced_edges,
-    generate_node_pairs_batched,
-)
+from .node_pairs import build_enhanced_edges, generate_node_pairs_batched
 from .parallel import BuildExecutor, make_executor
 from .partition_tree import PartitionTree, build_partition_tree
 
@@ -147,7 +143,6 @@ class SEOracle:
         self.stats = BuildStats()
         self._tree: Optional[CompressedPartitionTree] = None
         self._original_tree: Optional[PartitionTree] = None
-        self._pair_set: Optional[NodePairSet] = None
         self._pair_hash: Optional[PerfectHashMap] = None
         self._compiled = None
         self._built = False
@@ -207,33 +202,34 @@ class SEOracle:
                 self.stats.enhanced_seconds = time.perf_counter() - tick
                 enhanced_edges = enhanced.edge_count
 
-                def batch_provider(center_pairs: Sequence[Tuple[int, int]]
-                                   ) -> List[float]:
+                def batch_provider(centers_a: np.ndarray,
+                                   centers_b: np.ndarray) -> np.ndarray:
                     nonlocal fallbacks
-                    centers = np.array(center_pairs,
-                                       dtype=np.int64).reshape(-1, 2)
-                    distances = enhanced.pair_distances(centers[:, 0],
-                                                        centers[:, 1])
+                    distances = enhanced.pair_distances(centers_a,
+                                                        centers_b)
                     misses = np.flatnonzero(np.isnan(distances))
                     if misses.size:
                         # Lemma 4 says this cannot happen; recover with
                         # an SSAD rather than fail, and surface it in
                         # stats.
                         fallbacks += int(misses.size)
-                        recovered = executor.map_pair_distances(
-                            [center_pairs[i] for i in misses.tolist()])
+                        recovered = executor.map_pair_distances(list(zip(
+                            centers_a[misses].tolist(),
+                            centers_b[misses].tolist())))
                         if len(recovered) != misses.size:
                             raise ValueError(
                                 "executor returned a misaligned batch")
                         distances[misses] = recovered
-                    return distances.tolist()
+                    return distances
             else:
                 cache: Dict[Tuple[int, int], float] = {}
 
-                def batch_provider(center_pairs: Sequence[Tuple[int, int]]
-                                   ) -> List[float]:
+                def batch_provider(centers_a: np.ndarray,
+                                   centers_b: np.ndarray) -> List[float]:
                     # One executor round per wavefront: compute every
                     # distinct uncached centre pair, first-seen order.
+                    center_pairs = list(zip(centers_a.tolist(),
+                                            centers_b.tolist()))
                     need: List[Tuple[int, int]] = []
                     for a, b in center_pairs:
                         if a == b:
@@ -257,14 +253,15 @@ class SEOracle:
             # Stage 3: reduce — pair generation + perfect hashing.
             # ----------------------------------------------------------
             tick = time.perf_counter()
-            pair_set = generate_node_pairs_batched(tree, self.epsilon,
-                                                   batch_provider)
+            keys, distances, considered = generate_node_pairs_batched(
+                tree, self.epsilon, batch_provider)
             self.stats.pairs_seconds = time.perf_counter() - tick
 
             tick = time.perf_counter()
-            entries = [(pack_pair(a, b), distance)
-                       for (a, b), distance in pair_set.pairs.items()]
-            pair_hash = PerfectHashMap(entries, seed=self.seed)
+            # The run in key order: the hash's key and value columns
+            # are the store's pair run as built.
+            pair_hash = PerfectHashMap(
+                zip(keys.tolist(), distances.tolist()), seed=self.seed)
             self.stats.hash_seconds = time.perf_counter() - tick
         finally:
             if owns_executor:
@@ -272,7 +269,6 @@ class SEOracle:
 
         self._original_tree = original
         self._tree = tree
-        self._pair_set = pair_set
         self._pair_hash = pair_hash
         self._compiled = None  # stale after a rebuild; recompiled lazily
         self._built = True
@@ -284,8 +280,8 @@ class SEOracle:
         stats.original_nodes = original.num_nodes
         stats.compressed_nodes = tree.num_nodes
         stats.enhanced_edges = enhanced_edges
-        stats.pairs_considered = pair_set.considered
-        stats.pairs_stored = len(pair_set)
+        stats.pairs_considered = considered
+        stats.pairs_stored = len(pair_hash)
         stats.ssad_calls = engine.ssad_calls
         stats.settled_nodes = engine.settled_nodes
         stats.heap_pushes = engine.heap_pushes
@@ -334,11 +330,6 @@ class SEOracle:
         return self._original_tree
 
     @property
-    def pair_set(self) -> NodePairSet:
-        self._require_built()
-        return self._pair_set
-
-    @property
     def pair_hash(self) -> PerfectHashMap:
         self._require_built()
         return self._pair_hash
@@ -346,7 +337,7 @@ class SEOracle:
     @property
     def num_pairs(self) -> int:
         self._require_built()
-        return len(self._pair_set)
+        return len(self._pair_hash)
 
     def size_bytes(self) -> int:
         """Oracle size under the repository's byte-count model.
@@ -393,10 +384,10 @@ class SEOracle:
             node_t = array_t[layer]
             if node_t is None:
                 continue
-            parent = tree.node(node_t).parent
-            if parent is None:
+            top = tree.parent_layer(node_t)
+            if top is None:
                 continue
-            for k in range(tree.node(parent).layer, layer):
+            for k in range(top, layer):
                 node_s = array_s[k]
                 if node_s is None:
                     continue
@@ -409,10 +400,10 @@ class SEOracle:
             node_s = array_s[layer]
             if node_s is None:
                 continue
-            parent = tree.node(node_s).parent
-            if parent is None:
+            top = tree.parent_layer(node_s)
+            if top is None:
                 continue
-            for k in range(tree.node(parent).layer, layer):
+            for k in range(top, layer):
                 node_t = array_t[k]
                 if node_t is None:
                     continue
@@ -485,12 +476,12 @@ class SEOracle:
         A pair covers ``(s, t)`` exactly when its nodes are
         ancestors-or-self of the two leaves, so the candidates are the
         O(h²) product of the two root chains — probed through the pair
-        set's keyed lookup, the same layer arrays the query walks —
-        never a scan over every stored pair.
+        hash, the same layer arrays the query walks — never a scan over
+        every stored pair.
         """
         self._require_built()
         tree = self._tree
-        pair_set = self._pair_set
+        pair_hash = self._pair_hash
         chain_s = [node for node in tree.layer_array(source)
                    if node is not None]
         chain_t = [node for node in tree.layer_array(target)
@@ -498,7 +489,7 @@ class SEOracle:
         matches = []
         for node_s in chain_s:
             for node_t in chain_t:
-                distance = pair_set.distance_of(node_s, node_t)
+                distance = pair_hash.get(pack_pair(node_s, node_t))
                 if distance is not None:
                     matches.append((node_s, node_t, distance))
         if len(matches) != 1:

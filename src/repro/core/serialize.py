@@ -6,7 +6,8 @@ serialises a built :class:`~repro.core.oracle.SEOracle` to a compact,
 versioned document (and back) without pickling arbitrary objects:
 
 * the compressed partition tree (centres, layers, radii, parents);
-* the node pair set (ordered id pairs + distances);
+* the node pair set (ordered id pairs + distances, in the pair hash's
+  order: key order for a build);
 * the construction metadata (ε, strategy, seed, stats).
 
 The terrain/POI workload is *not* embedded — the loader receives the
@@ -48,11 +49,11 @@ from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
-from ..datastructures.perfect_hash import PerfectHashMap, pack_pair
+from ..datastructures.perfect_hash import (PerfectHashMap, pack_pair,
+                                           unpack_pair)
 from ..geodesic.engine import GeodesicEngine
 from .compiled import CompiledOracle
-from .compressed_tree import CompressedPartitionTree, CompressedTreeNode
-from .node_pairs import NodePairSet
+from .compressed_tree import CompressedPartitionTree
 from .oracle import SEOracle
 
 __all__ = ["save_oracle", "load_oracle", "workload_fingerprint",
@@ -115,6 +116,7 @@ def save_oracle(oracle: SEOracle, path: PathLike,
     if compiled is None:
         compiled = oracle.is_compiled
     tree = oracle.tree
+    nodes = zip(tree.table.tolist(), tree.radii.tolist())
     document: Dict[str, Any] = {
         "format": "repro-se-oracle",
         "version": JSON_FORMAT_VERSION,
@@ -132,15 +134,14 @@ def save_oracle(oracle: SEOracle, path: PathLike,
             "height": tree.height,
             "root_radius": tree.root_radius,
             "nodes": [
-                [node.node_id, node.center, node.layer, node.radius,
-                 -1 if node.parent is None else node.parent,
-                 node.origin_id]
-                for node in tree.nodes
+                [node_id, center, layer, radius, parent, origin]
+                for node_id, ((center, layer, parent, origin), radius)
+                in enumerate(nodes)
             ],
         },
         "pairs": [
-            [a, b, distance]
-            for (a, b), distance in oracle.pair_set.pairs.items()
+            [*unpack_pair(key), distance]
+            for key, distance in oracle.pair_hash.items()
         ],
         "stats": {
             "height": oracle.stats.height,
@@ -171,23 +172,32 @@ def _json_version_guard(document: Dict[str, Any],
 
 
 def _document_tree(document: Dict[str, Any]) -> CompressedPartitionTree:
-    """Rebuild the compressed tree of a v1–v3 JSON document."""
-    nodes = []
-    for node_id, center, layer, radius, parent, origin in \
-            document["tree"]["nodes"]:
-        nodes.append(CompressedTreeNode(
-            node_id=node_id, center=center, layer=layer, radius=radius,
-            parent=None if parent == -1 else parent, origin_id=origin,
-        ))
-    for node in nodes:
-        if node.parent is not None:
-            nodes[node.parent].children.append(node.node_id)
+    """The compressed tree of a v1–v3 JSON document, as its columns.
+
+    Node rows are ``[node_id, center, layer, radius, parent, origin]``
+    in id order; every id and layer is far below 2^53, so one float64
+    parse holds them and the radii exactly.
+    """
+    rows = np.array(document["tree"]["nodes"],
+                    dtype=np.float64).reshape(-1, 6)
     return CompressedPartitionTree(
-        nodes=nodes,
+        table=rows[:, [1, 2, 4, 5]].astype(np.int64),
+        radii=rows[:, 3].copy(),
         root_id=document["tree"]["root_id"],
         height=document["tree"]["height"],
         root_radius=document["tree"]["root_radius"],
     )
+
+
+def _document_pairs(document: Dict[str, Any]) -> PerfectHashMap:
+    """The pair hash of a v1–v3 JSON document, in its pair order.
+
+    A repeated pair is refused (``ValueError``), as at pack time.
+    """
+    return PerfectHashMap(
+        [(pack_pair(a, b), distance)
+         for a, b, distance in document["pairs"]],
+        seed=document["seed"])
 
 
 def _is_binary_store(path: PathLike) -> bool:
@@ -226,20 +236,11 @@ def load_oracle(path: PathLike, engine: GeodesicEngine,
             "(terrain / POIs / Steiner density mismatch)"
         )
 
-    tree = _document_tree(document)
-    pairs = {(a, b): distance for a, b, distance in document["pairs"]}
-    pair_set = NodePairSet(pairs=pairs, considered=len(pairs),
-                           epsilon=document["epsilon"])
-    pair_hash = PerfectHashMap(
-        [(pack_pair(a, b), distance) for (a, b), distance in pairs.items()],
-        seed=document["seed"],
-    )
-
+    pair_hash = _document_pairs(document)
     oracle = SEOracle(engine, document["epsilon"],
                       strategy=document["strategy"],
                       method=document["method"], seed=document["seed"])
-    oracle._tree = tree
-    oracle._pair_set = pair_set
+    oracle._tree = _document_tree(document)
     oracle._pair_hash = pair_hash
     oracle._built = True
     compiled_section = document.get("compiled")

@@ -62,7 +62,8 @@ On-disk layout (format version 4)
     on the order the build generated pairs in.
 ``chains.npy``
     int64 ``(num_pois, height+1)`` compiled ancestor-chain matrix
-    (:func:`~repro.core.compiled.chain_matrix`), ``-1``-padded.
+    (:meth:`~repro.core.compressed_tree.CompressedPartitionTree.chains`),
+    ``-1``-padded.
 ``nn_poi.npy`` / ``nn_distance.npy``
     The nearest-neighbour column (:func:`nearest_pois`): int64
     ``(num_pois,)`` each POI's nearest other POI (``-1`` when none is
@@ -99,11 +100,10 @@ from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from ..datastructures.perfect_hash import PerfectHashMap, unpack_pair
+from ..datastructures.perfect_hash import PerfectHashMap
 from ..geodesic.engine import GeodesicEngine
-from .compiled import CompiledOracle, chain_matrix
-from .compressed_tree import CompressedPartitionTree, CompressedTreeNode
-from .node_pairs import NodePairSet
+from .compiled import CompiledOracle
+from .compressed_tree import CompressedPartitionTree
 from .oracle import SEOracle
 
 __all__ = ["pack_oracle", "pack_document", "open_oracle", "StoredOracle",
@@ -220,14 +220,7 @@ def _write_store(path: PathLike, meta: Dict[str, Any],
 
 def _tree_sections(tree: CompressedPartitionTree
                    ) -> Dict[str, np.ndarray]:
-    table = np.empty((tree.num_nodes, 4), dtype=np.int64)
-    radii = np.empty(tree.num_nodes, dtype=np.float64)
-    for node in tree.nodes:
-        table[node.node_id] = (
-            node.center, node.layer,
-            -1 if node.parent is None else node.parent, node.origin_id)
-        radii[node.node_id] = node.radius
-    return {"tree_table": table, "tree_radii": radii}
+    return {"tree_table": tree.table, "tree_radii": tree.radii}
 
 
 def _meta_document(*, epsilon: float, strategy: str, method: str,
@@ -259,7 +252,9 @@ def _hash_sections(pair_hash: PerfectHashMap) -> Dict[str, np.ndarray]:
     ``pair_keys`` ascends, ``pair_distances`` follows it, and every
     filled ``hash_slots`` entry is remapped to its pair's new position,
     so a hash probe reads the same pair it reads in memory.  The level
-    tables are the map's own.
+    tables are the map's own.  A build's hash already holds its run in
+    key order (the remap is then the identity); a hash loaded from a
+    document or store written before the key order is repacked here.
     """
     frozen = pair_hash.frozen_arrays()
     order = np.argsort(frozen["keys"])
@@ -408,20 +403,17 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
     what :func:`~repro.core.serialize.load_oracle` followed by
     :func:`pack_oracle` would produce.
     """
-    from .serialize import _document_tree, _json_version_guard
+    from .serialize import (_document_pairs, _document_tree,
+                            _json_version_guard)
     _json_version_guard(document, source="pack_document")
     tree = _document_tree(document)
-    num_pois = len(tree.leaf_of_poi)
-    from ..datastructures.perfect_hash import pack_pair
-    entries = [(pack_pair(a, b), distance)
-               for a, b, distance in document["pairs"]]
-    pair_hash = PerfectHashMap(entries, seed=document["seed"])
+    pair_hash = _document_pairs(document)
     sections = _tree_sections(tree)
-    sections["chains"] = chain_matrix(tree, num_pois)
+    sections["chains"] = tree.chains()
     sections.update(_hash_sections(pair_hash))
     sections.update(_nearest_sections(
         compile_sections(sections, epsilon=document["epsilon"]),
-        num_pois))
+        tree.num_pois))
     stats = document.get("stats", {})
     meta = _meta_document(
         epsilon=document["epsilon"], strategy=document["strategy"],
@@ -429,7 +421,7 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
         fingerprint=document["fingerprint"],
         build=document.get("build", {"executor": "serial", "jobs": 1}),
         stats={"height": stats.get("height", tree.height),
-               "pairs_stored": stats.get("pairs_stored", len(entries)),
+               "pairs_stored": stats.get("pairs_stored", len(pair_hash)),
                "total_seconds": stats.get("total_seconds", 0.0)},
         tree=tree,
     )
@@ -882,42 +874,6 @@ class CompiledStore(StoreHandle):
         return self.compiled.query_matrix(pois)
 
 
-class _MappedPairSet(NodePairSet):
-    """A :class:`NodePairSet` over the store's mapped key/distance
-    columns.
-
-    The per-pair Python dict is exactly the reconstruction cost the
-    store exists to avoid, and the rehydrated oracle's query path
-    never touches it (queries go through the frozen pair hash) — so
-    it materialises lazily, on the first access to ``pairs`` /
-    ``distance_of`` (e.g. ``covering_pair`` or a JSON re-save).
-    """
-
-    def __init__(self, keys: np.ndarray, distances: np.ndarray,
-                 epsilon: float):
-        # Deliberately skips the dataclass __init__: `pairs` is the
-        # lazy property below, `considered`/`epsilon` plain attributes.
-        self._keys = keys
-        self._distances = distances
-        self._pairs: Optional[Dict[Tuple[int, int], float]] = None
-        self.considered = int(keys.shape[0])
-        self.epsilon = epsilon
-
-    @property
-    def pairs(self) -> Dict[Tuple[int, int], float]:
-        if self._pairs is None:
-            self._pairs = {
-                unpack_pair(int(key)): float(distance)
-                for key, distance in zip(
-                    np.asarray(self._keys).tolist(),
-                    np.asarray(self._distances).tolist())
-            }
-        return self._pairs
-
-    def __len__(self) -> int:
-        return int(self._keys.shape[0])
-
-
 class StoredOracle(CompiledStore):
     """An opened v4 store: compiled query tables + build metadata.
 
@@ -926,11 +882,12 @@ class StoredOracle(CompiledStore):
     the store (``mmap``) or a copy read at open, and the map holds its
     own descriptor, so the reader closes as soon as the tables exist.
     The compiled tables are live immediately (queries need no engine);
-    :meth:`to_oracle` rehydrates a full :class:`~repro.core.oracle.
-    SEOracle` against a terrain engine when the scalar/tree API is
-    needed — e.g. for a binary -> JSON conversion.  :meth:`close`
-    drops its views of the map; tables already handed out (an
-    overlay's base, a rehydrated oracle) keep their own references.
+    :meth:`to_oracle` wraps the same sections as a full
+    :class:`~repro.core.oracle.SEOracle` against a terrain engine when
+    the scalar/tree API is needed — e.g. for a binary -> JSON
+    conversion.  :meth:`close` drops its views of the map; tables
+    already handed out (an overlay's base, a rehydrated oracle) keep
+    their own references.
     """
 
     def __init__(self, path: Union[StoreFile, PathLike], mmap: bool = True):
@@ -953,53 +910,30 @@ class StoredOracle(CompiledStore):
     def _release(self) -> None:
         self._sections = self.compiled = _ClosedTables(self.path)
 
-    def tree(self) -> CompressedPartitionTree:
-        """Rebuild the compressed partition tree from the table section."""
-        table = np.asarray(self._sections["tree_table"])
-        radii = np.asarray(self._sections["tree_radii"])
-        nodes = []
-        for node_id in range(table.shape[0]):
-            center, layer, parent, origin = (int(v) for v in table[node_id])
-            nodes.append(CompressedTreeNode(
-                node_id=node_id, center=center, layer=layer,
-                radius=float(radii[node_id]),
-                parent=None if parent == -1 else parent,
-                origin_id=origin,
-            ))
-        for node in nodes:
-            if node.parent is not None:
-                nodes[node.parent].children.append(node.node_id)
-        return CompressedPartitionTree(
-            nodes=nodes,
-            root_id=self.tree_meta["root_id"],
-            height=self.tree_meta["height"],
-            root_radius=self.tree_meta["root_radius"],
-        )
-
     def to_oracle(self, engine: GeodesicEngine,
                   strict: bool = True) -> SEOracle:
-        """Full :class:`SEOracle` over ``engine`` (tree + pairs + hash).
+        """Full :class:`SEOracle` over ``engine``: the store's sections,
+        wrapped.
 
-        The pair hash is the store's own map, so scalar and batch
-        queries both probe the mapped tables; only the per-pair dict
-        materialises lazily, on first ``pairs`` access — rehydration
-        itself stays O(tree), not O(#pairs).
+        The tree is the mapped (or copied) ``tree_table`` and
+        ``tree_radii`` sections and the pair hash the store's own
+        mapped tables, so scalar and batch queries both probe the map;
+        nothing is copied or rebuilt per node or per pair.
         """
         if strict:
             self.check_fingerprint(engine)
-        pair_set = _MappedPairSet(self._sections["pair_keys"],
-                                  self._sections["pair_distances"],
-                                  self.epsilon)
         oracle = SEOracle(engine, self.epsilon, strategy=self.strategy,
                           method=self.method, seed=self.seed)
-        oracle._tree = self.tree()
-        oracle._pair_set = pair_set
+        meta = self.tree_meta
+        oracle._tree = CompressedPartitionTree(
+            self._sections["tree_table"], self._sections["tree_radii"],
+            meta["root_id"], meta["height"], meta["root_radius"])
         oracle._pair_hash = self.compiled.pair_hash
         oracle._compiled = self.compiled
         oracle._built = True
         oracle.stats.height = self.stats.get("height", 0)
         oracle.stats.pairs_stored = self.stats.get("pairs_stored",
-                                                   len(pair_set))
+                                                   self.num_pairs)
         oracle.stats.total_seconds = self.stats.get("total_seconds", 0.0)
         oracle.stats.executor = self.build.get("executor", "serial")
         oracle.stats.jobs = self.build.get("jobs", 1)

@@ -16,8 +16,15 @@ from repro.core import (
     well_separated_threshold,
 )
 from repro.core.store import oracle_sections
+from repro.datastructures.perfect_hash import unpack_pair
 from repro.geodesic import GeodesicEngine
 from repro.terrain import make_terrain, sample_uniform
+
+
+def stored_pairs(oracle):
+    """``((o1, o2), distance)`` for every stored node pair."""
+    for key, distance in oracle.pair_hash.items():
+        yield unpack_pair(key), distance
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +83,15 @@ class TestNodePairProperties:
         """Theorem 1, part 1: every stored pair is well-separated."""
         tree = oracle.tree
         threshold = well_separated_threshold(oracle.epsilon)
-        for (a, b), stored in oracle.pair_set.pairs.items():
-            node_a, node_b = tree.node(a), tree.node(b)
-            true_distance = exact[(node_a.center, node_b.center)]
-            larger = max(node_a.enlarged_radius, node_b.enlarged_radius)
-            assert true_distance >= threshold * larger * (1 - 1e-6)
+        for (a, b), stored in stored_pairs(oracle):
+            centers = (int(tree.centers[a]), int(tree.centers[b]))
+            larger = 2.0 * max(tree.radii[a], tree.radii[b])
+            assert exact[centers] >= threshold * larger * (1 - 1e-6)
 
     def test_stored_distance_is_center_distance(self, oracle, exact):
         tree = oracle.tree
-        for (a, b), stored in oracle.pair_set.pairs.items():
-            centers = (tree.node(a).center, tree.node(b).center)
+        for (a, b), stored in stored_pairs(oracle):
+            centers = (int(tree.centers[a]), int(tree.centers[b]))
             assert stored == pytest.approx(exact[centers], rel=1e-6)
 
     def test_unique_node_pair_match(self, oracle, medium_engine):
@@ -301,8 +307,8 @@ class TestEnhancedEdgeIndex:
             recovered.update(answers)
         tree = oracle.tree
         used = 0
-        for (node_a, node_b), distance in oracle.pair_set.pairs.items():
-            centers = (tree.node(node_a).center, tree.node(node_b).center)
+        for (node_a, node_b), distance in stored_pairs(oracle):
+            centers = (int(tree.centers[node_a]), int(tree.centers[node_b]))
             if centers in recovered:
                 assert distance == recovered[centers]
                 used += 1

@@ -36,17 +36,14 @@ def workload():
 
 def assert_bit_identical(serial: SEOracle, parallel: SEOracle) -> None:
     """Bitwise structural equality plus exact effort-counter parity."""
-    assert set(serial.pair_set.pairs) == set(parallel.pair_set.pairs)
-    for key, distance in serial.pair_set.pairs.items():
-        # Exact float equality on purpose: parallel reduction must not
-        # change a single bit.
-        assert parallel.pair_set.pairs[key] == distance
-    assert serial.pair_set.considered == parallel.pair_set.considered
-    serial_nodes = [(n.node_id, n.center, n.layer, n.radius, n.parent)
-                    for n in serial.tree.nodes]
-    parallel_nodes = [(n.node_id, n.center, n.layer, n.radius, n.parent)
-                      for n in parallel.tree.nodes]
-    assert serial_nodes == parallel_nodes
+    # Byte equality on purpose: parallel reduction must not change a
+    # single bit of any key or distance.
+    for name, column in serial.pair_hash.frozen_arrays().items():
+        assert parallel.pair_hash.frozen_arrays()[name].tobytes() \
+            == column.tobytes(), name
+    assert serial.stats.pairs_considered == parallel.stats.pairs_considered
+    assert serial.tree.table.tobytes() == parallel.tree.table.tobytes()
+    assert serial.tree.radii.tobytes() == parallel.tree.radii.tobytes()
     assert serial.stats.ssad_calls == parallel.stats.ssad_calls
     assert serial.stats.settled_nodes == parallel.stats.settled_nodes
     assert serial.stats.heap_pushes == parallel.stats.heap_pushes

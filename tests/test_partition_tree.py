@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import build_partition_tree, compress_tree
@@ -188,48 +189,91 @@ class TestCompression:
     def test_leaf_radius_zero(self, tree_and_engine):
         tree, _ = tree_and_engine
         compressed = compress_tree(tree)
-        for node in compressed.nodes:
-            if node.is_leaf:
-                assert node.radius == 0.0
-                assert node.enlarged_radius == 0.0
-            else:
-                assert node.radius > 0.0
+        starts, _ = compressed.child_index
+        leaves = starts[1:] == starts[:-1]
+        assert (compressed.radii[leaves] == 0.0).all()
+        assert (compressed.radii[~leaves] > 0.0).all()
 
     def test_layers_preserved_from_original(self, tree_and_engine):
         """Compressed nodes keep their original layer number."""
         tree, _ = tree_and_engine
         compressed = compress_tree(tree)
-        for node in compressed.nodes:
-            original = tree.node(node.origin_id)
-            assert original.layer == node.layer
-            assert original.center == node.center
+        for center, layer, _, origin in compressed.table.tolist():
+            original = tree.node(origin)
+            assert original.layer == layer
+            assert original.center == center
+
+    def test_columns_match_node_walk(self, tree_and_engine):
+        """The vectorised compression equals the node-by-node procedure:
+        survivors in original id order, each re-parented to its nearest
+        surviving ancestor, leaf radii zeroed."""
+        tree, _ = tree_and_engine
+        survives = [node.layer == tree.height or len(node.children) >= 2
+                    or node.parent is None for node in tree.nodes]
+        new_id = {}
+        rows, radii = [], []
+        for node in tree.nodes:
+            if not survives[node.node_id]:
+                continue
+            new_id[node.node_id] = len(rows)
+            ancestor = node.parent
+            while ancestor is not None and not survives[ancestor]:
+                ancestor = tree.node(ancestor).parent
+            rows.append([node.center, node.layer, ancestor, node.node_id])
+            radii.append(0.0 if node.layer == tree.height else node.radius)
+        for row in rows:
+            row[2] = -1 if row[2] is None else new_id[row[2]]
+        compressed = compress_tree(tree)
+        assert compressed.table.dtype == np.int64
+        assert compressed.table.tolist() == rows
+        assert compressed.radii.tobytes() == np.array(radii).tobytes()
+        assert compressed.root_id == new_id[tree.root.node_id]
 
     def test_leaf_lookup(self, tree_and_engine):
         tree, engine = tree_and_engine
         compressed = compress_tree(tree)
+        starts, _ = compressed.child_index
         for poi in range(engine.num_pois):
-            leaf = compressed.node(compressed.leaf_of_poi[poi])
-            assert leaf.center == poi
-            assert leaf.is_leaf
+            leaf = compressed.leaf_of_poi[poi]
+            assert compressed.centers[leaf] == poi
+            assert starts[leaf] == starts[leaf + 1]
 
     def test_representative_sets_partition_pois(self, tree_and_engine):
         tree, engine = tree_and_engine
         compressed = compress_tree(tree)
-        root_rs = compressed.descendant_leaf_centers(compressed.root_id)
+        starts, children = compressed.child_index
+
+        def leaf_centers(node):
+            stack, found = [node], []
+            while stack:
+                node = stack.pop()
+                below = children[starts[node]:starts[node + 1]].tolist()
+                if below:
+                    stack.extend(below)
+                else:
+                    found.append(int(compressed.centers[node]))
+            return found
+
+        root_rs = leaf_centers(compressed.root_id)
         assert sorted(root_rs) == list(range(engine.num_pois))
-        for child in compressed.root.children:
-            child_rs = compressed.descendant_leaf_centers(child)
-            assert set(child_rs) <= set(root_rs)
+        root_children = children[starts[compressed.root_id]:
+                                 starts[compressed.root_id + 1]]
+        for child in root_children.tolist():
+            assert set(leaf_centers(child)) <= set(root_rs)
 
     def test_layer_array(self, tree_and_engine):
         tree, engine = tree_and_engine
         compressed = compress_tree(tree)
         array = compressed.layer_array(0)
-        assert array[compressed.root.layer] == compressed.root_id
+        assert array[compressed.layers[compressed.root_id]] \
+            == compressed.root_id
         leaf_id = compressed.leaf_of_poi[0]
-        assert array[compressed.node(leaf_id).layer] == leaf_id
+        assert array[compressed.layers[leaf_id]] == leaf_id
         # Entries must lie on the leaf-to-root path.
-        path = set(compressed.path_to_root(leaf_id))
+        path, node = set(), int(leaf_id)
+        while node >= 0:
+            path.add(node)
+            node = int(compressed.parents[node])
         assert all(entry in path for entry in array if entry is not None)
 
     def test_single_poi_compression(self, small_terrain):
@@ -237,4 +281,5 @@ class TestCompression:
         engine = GeodesicEngine(small_terrain, pois, points_per_edge=0)
         compressed = compress_tree(build_partition_tree(engine))
         assert compressed.num_nodes == 1
-        assert compressed.root.is_leaf
+        assert compressed.leaf_of_poi.tolist() == [compressed.root_id]
+        compressed.check_structure(1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FullAPSPBaseline
-from repro.core import CompiledOracle, SEOracle, compile_oracle
+from repro.core import CompiledOracle, SEOracle
 from repro.geodesic import GeodesicEngine
 from repro.terrain import make_terrain, sample_clustered, sample_uniform
 
@@ -163,18 +163,22 @@ class TestCompiledLifecycle:
         pois = sample_uniform(mesh, 8, seed=54)
         oracle = SEOracle(GeodesicEngine(mesh, pois), epsilon=0.25)
         with pytest.raises(RuntimeError):
-            compile_oracle(oracle)
+            CompiledOracle.from_oracle(oracle)
 
     def test_chain_matrix_matches_layer_arrays(self):
-        _, oracle = build_workload(3, 12, "uniform", 0.5, seed=55)
-        compiled = oracle.compiled()
-        tree = oracle.tree
-        chains = compiled.chains
-        assert chains.shape == (12, tree.height + 1)
-        for poi in range(12):
-            expected = [-1 if node is None else node
-                        for node in tree.layer_array(poi)]
-            assert chains[poi].tolist() == expected
+        """The vectorised chains (the compiled path's input) equal the
+        scalar query's parent-pointer walk for every POI."""
+        for _, exponent, count, layout, epsilon in GRID[:3]:
+            engine, oracle = build_workload(exponent, count, layout,
+                                            epsilon, seed=55)
+            tree = oracle.tree
+            chains = oracle.compiled().chains
+            assert chains.shape == (engine.num_pois, tree.height + 1)
+            assert np.array_equal(chains, tree.chains())
+            for poi in range(engine.num_pois):
+                expected = [-1 if node is None else node
+                            for node in tree.layer_array(poi)]
+                assert chains[poi].tolist() == expected
 
     def test_chains_view_is_read_only(self):
         _, oracle = build_workload(3, 12, "uniform", 0.5, seed=56)

@@ -107,11 +107,12 @@ class TestParallelBuildRoundTrip:
         save_oracle(parallel, path)
         loaded = load_oracle(path, workload)
 
-        assert set(loaded.pair_set.pairs) == set(built.pair_set.pairs)
-        for key, distance in built.pair_set.pairs.items():
-            # Exact equality: the parallel fan-out and a JSON round
-            # trip must both preserve every float bit.
-            assert loaded.pair_set.pairs[key] == distance
+        # Byte equality: the parallel fan-out and a JSON round trip
+        # must both preserve every float bit, and the document's pairs
+        # come back as the build's key-ordered run.
+        for name, column in built.pair_hash.frozen_arrays().items():
+            assert loaded.pair_hash.frozen_arrays()[name].tobytes() \
+                == column.tobytes(), name
         n = workload.num_pois
         for source in range(n):
             for target in range(n):
@@ -261,6 +262,23 @@ class TestVersion3Fixture:
         loaded = load_oracle(self.FIXTURE, workload, strict=False)
         assert loaded.is_compiled  # chains came from the document
         assert loaded.query_batch([0], [1])[0] == loaded.query(0, 1)
+
+    def test_repeated_pair_is_refused_by_load_and_pack(self, workload,
+                                                       tmp_path):
+        """A document that repeats a pair at another distance is no
+        oracle: loading it and packing it both refuse it, rather than
+        one of them keeping the last distance."""
+        from repro.core import pack_document
+        document = json.loads(self.FIXTURE.read_text())
+        a, b, distance = document["pairs"][len(document["pairs"]) // 2]
+        document["pairs"].append([a, b, distance * 2.0 + 1.0])
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="duplicate keys"):
+            load_oracle(path, workload, strict=False)
+        with pytest.raises(ValueError, match="duplicate keys"):
+            pack_document(document, tmp_path / "repeated.store")
+        assert not (tmp_path / "repeated.store").exists()
 
 
 class TestCrossVersionMatrix:

@@ -314,19 +314,24 @@ class TestRehydration:
         full = open_oracle(store_path).to_oracle(workload)
         assert full.covering_pair(0, 7) == built.covering_pair(0, 7)
 
-    def test_pair_dict_materialises_lazily(self, store_path, built,
-                                           workload):
-        """Rehydration must not pay the O(#pairs) dict build; batched
-        and scalar queries never touch it."""
-        full = open_oracle(store_path).to_oracle(workload)
-        assert full._pair_set._pairs is None
-        full.query(0, 7)
-        full.query_batch([0, 1], [2, 3])
-        assert full._pair_set._pairs is None
-        assert len(full.pair_set) == built.num_pairs  # len stays lazy
-        assert full._pair_set._pairs is None
-        assert full.pair_set.pairs == built.pair_set.pairs  # now built
-        assert full._pair_set._pairs is not None
+    def test_rehydration_wraps_the_mapped_sections(self, store_path,
+                                                   built, workload):
+        """Rehydration copies and rebuilds nothing per node or per pair:
+        the tree columns and the pair hash are views of the store's
+        one map, equal to the build's byte for byte."""
+        with open_oracle(store_path) as stored:
+            full = stored.to_oracle(workload)
+            mapped = stored.compiled.pair_hash.frozen_arrays()["keys"].base
+        assert isinstance(mapped, mmap.mmap)
+        assert full.tree.table.base is mapped
+        assert full.tree.radii.base is mapped
+        assert full.pair_hash.frozen_arrays()["keys"].base is mapped
+        assert full.tree.table.tobytes() == built.tree.table.tobytes()
+        assert full.tree.radii.tobytes() == built.tree.radii.tobytes()
+        for name, column in built.pair_hash.frozen_arrays().items():
+            assert full.pair_hash.frozen_arrays()[name].tobytes() \
+                == column.tobytes(), name
+        assert full.query(0, 7) == built.query(0, 7)
 
     def test_load_oracle_sniffs_binary(self, store_path, workload,
                                        built):
