@@ -26,11 +26,7 @@ from .parallel import (
     make_executor,
     map_jobs,
 )
-from .partition_tree import (
-    PartitionTree,
-    PartitionTreeNode,
-    build_partition_tree,
-)
+from .partition_tree import PartitionTree, build_partition_tree
 from .serialize import load_oracle, save_oracle, workload_fingerprint
 from .store import (
     StoredOracle,
@@ -78,7 +74,6 @@ __all__ = [
     "pack_tiled",
     "plan_tiles",
     "PartitionTree",
-    "PartitionTreeNode",
     "build_partition_tree",
     "CompressedPartitionTree",
     "compress_tree",

@@ -174,20 +174,14 @@ class CompressedPartitionTree:
 
 def compress_tree(tree: PartitionTree) -> CompressedPartitionTree:
     """Compress a partition tree (Section 3.2's three-step procedure)."""
-    original = tree.nodes
     height = tree.height
-    centers = np.array([node.center for node in original], dtype=np.int64)
-    layers = np.array([node.layer for node in original], dtype=np.int64)
-    radii = np.array([node.radius for node in original], dtype=np.float64)
-    parents = np.array([-1 if node.parent is None else node.parent
-                        for node in original], dtype=np.int64)
-    root = tree.root.node_id
+    centers, layers, parents = tree.centers, tree.layers, tree.parents
 
-    # Decide which original nodes survive: the root, every leaf, and
-    # every internal node with at least two children.
-    fanout = np.bincount(parents[parents >= 0], minlength=len(original))
+    # Decide which original nodes survive: the root (node 0), every
+    # leaf, and every internal node with at least two children.
+    fanout = np.bincount(parents[1:], minlength=tree.num_nodes)
     survives = (layers == height) | (fanout >= 2)
-    survives[root] = True
+    survives[0] = True
     new_id = np.cumsum(survives) - 1
 
     # Re-parent: walk every survivor's parent pointer up past the
@@ -207,8 +201,9 @@ def compress_tree(tree: PartitionTree) -> CompressedPartitionTree:
         np.where(ancestor >= 0, new_id[ancestor], -1), kept))
     return CompressedPartitionTree(
         table=table.astype(np.int64, copy=False),
-        radii=np.where(layers[kept] == height, 0.0, radii[kept]),
-        root_id=int(new_id[root]),
+        radii=np.where(layers[kept] == height, 0.0,
+                       tree.root_radius / (1 << layers[kept])),
+        root_id=0,  # the root survives first
         height=height,
         root_radius=tree.root_radius,
     )

@@ -140,8 +140,6 @@ class FlushMemo:
     def __init__(self):
         #: (source ext, bound) -> row over target external ids
         self.rows: Dict[_RowKey, PoiRow] = {}
-        #: sorted (ext, ext) -> early-exit pair distance (naive method)
-        self.pairs: Dict[Tuple[int, int], float] = {}
         #: external ids that were base POIs when ``rows`` was captured
         self.members: frozenset = frozenset()
 
@@ -162,7 +160,6 @@ class FlushMemo:
     def commit(self, executor: "MemoExecutor") -> None:
         """Adopt one finished rebuild's rows as the new generation."""
         self.rows = executor.captured_rows
-        self.pairs = executor.captured_pairs
         self.members = frozenset(executor.active_ids)
 
 
@@ -197,11 +194,8 @@ class MemoExecutor(BuildExecutor):
         self._gate = gate
         self._inner: Optional[BuildExecutor] = None
         self.captured_rows: Dict[_RowKey, PoiRow] = {}
-        self.captured_pairs: Dict[Tuple[int, int], float] = {}
         self.reused_rows = 0
         self.computed_rows = 0
-        self.reused_pairs = 0
-        self.computed_pairs = 0
 
     # ------------------------------------------------------------------
     # BuildExecutor surface
@@ -264,44 +258,18 @@ class MemoExecutor(BuildExecutor):
         return results  # type: ignore[return-value]
 
     def map_pair_distances(self, pairs) -> List[float]:
-        results: List[Optional[float]] = [None] * len(pairs)
-        misses: List[int] = []
-        members = self._memo.members
-        for position, (slot_a, slot_b) in enumerate(pairs):
-            ext_a, ext_b = self._ext_of[slot_a], self._ext_of[slot_b]
-            key = (ext_a, ext_b) if ext_a < ext_b else (ext_b, ext_a)
-            cached = self._memo.pairs.get(key) if self._allow_reuse \
-                and ext_a in members and ext_b in members else None
-            if cached is None:
-                misses.append(position)
-            else:
-                results[position] = cached
-                self.captured_pairs[key] = cached
-                self.reused_pairs += 1
-        if misses:
-            fresh = self._inner.map_pair_distances(
-                [pairs[position] for position in misses])
-            if len(fresh) != len(misses):
-                raise ValueError("executor returned a misaligned batch")
-            for position, distance in zip(misses, fresh):
-                slot_a, slot_b = pairs[position]
-                ext_a = self._ext_of[slot_a]
-                ext_b = self._ext_of[slot_b]
-                key = (ext_a, ext_b) if ext_a < ext_b \
-                    else (ext_b, ext_a)
-                self.captured_pairs[key] = float(distance)
-                results[position] = distance
-                self.computed_pairs += 1
-            if self._gate is not None:
-                self._gate.pause(len(misses))
-        return results  # type: ignore[return-value]
+        """Forwarded to the inner executor (the efficient build asks
+        for pair distances only on a Lemma 4 miss); still charged to
+        the slice gate."""
+        distances = self._inner.map_pair_distances(pairs)
+        if self._gate is not None and pairs:
+            self._gate.pause(len(pairs))
+        return distances
 
     def stats(self) -> Dict[str, int]:
         return {
             "reused_rows": self.reused_rows,
             "computed_rows": self.computed_rows,
-            "reused_pairs": self.reused_pairs,
-            "computed_pairs": self.computed_pairs,
         }
 
     # ------------------------------------------------------------------

@@ -91,14 +91,12 @@ class EnhancedEdgeIndex:
     """
 
     def __init__(self, keys: np.ndarray, distances: np.ndarray,
-                 tree: PartitionTree, num_pois: int):
+                 tree: PartitionTree):
         self.keys = keys
         self.distances = distances
-        self._n = num_pois
+        self._first_layer = tree.first_layer
+        self._n = int(tree.first_layer.shape[0])
         self._height = tree.height
-        self._first_layer = np.zeros(num_pois, dtype=np.int64)
-        for center, layer in tree.first_layer_of_center.items():
-            self._first_layer[center] = layer
         self.edge_count = int(keys.shape[0])
 
     def pair_distances(self, centers_a, centers_b) -> np.ndarray:
@@ -143,10 +141,11 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
     centre found inside.  The root layer (radius ``r_0``) covers all of
     ``P`` by construction, so its SSAD runs in cover-all mode.
 
-    This is the fan-out stage of the build pipeline: each layer is one
-    SSAD batch handed to ``executor`` (default: a
+    This is the fan-out stage of the build pipeline: each layer (ids
+    ``layer_starts[i]:layer_starts[i + 1]`` of the tree's columns) is
+    one SSAD batch handed to ``executor`` (default: a
     :class:`~repro.core.parallel.SerialExecutor` on the live engine),
-    and the per-node results are reduced in layer/node order, so the
+    and the layer's rows are reduced in one pass in node order, so the
     index is identical whichever executor ran the batch.
     """
     if executor is None:
@@ -154,39 +153,36 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
         executor.bind(engine)
     factor = enhanced_edge_factor(epsilon)
     n = engine.num_pois
+    starts = tree.layer_starts.tolist()
     edge_keys: List[np.ndarray] = []
     edge_dists: List[np.ndarray] = []
-    for layer_number, layer in enumerate(tree.layers):
-        nodes = [tree.node(node_id) for node_id in layer]
-        in_layer = np.zeros(n, dtype=bool)
-        in_layer[[node.center for node in nodes]] = True
-        bounds = [factor * node.radius * (1.0 + _EPS) for node in nodes]
-        radii = [None] * len(nodes) if layer_number == 0 else bounds
-        reached_per_node = executor.map_ssad(
-            list(zip((node.center for node in nodes), radii)))
-        if len(reached_per_node) != len(nodes):
+    for layer in range(tree.height + 1):
+        centers = tree.centers[starts[layer]:starts[layer + 1]]
+        bound = factor * tree.layer_radius(layer) * (1.0 + _EPS)
+        radius = None if layer == 0 else bound
+        rows = executor.map_ssad([(center, radius)
+                                  for center in centers.tolist()])
+        if len(rows) != centers.size:
             raise ValueError("executor returned a misaligned batch")
-        keys: List[np.ndarray] = []
-        dists: List[np.ndarray] = []
-        for node, bound, reached in zip(nodes, bounds, reached_per_node):
-            keep = (in_layer[reached.ids] & (reached.ids != node.center)
-                    & (reached.dists <= bound))
-            others = reached.ids[keep]
-            low = np.minimum(others, node.center)
-            high = np.maximum(others, node.center)
-            keys.append((layer_number * n + low) * n + high)
-            dists.append(reached.dists[keep])
+        ids = np.concatenate([row.ids for row in rows])
+        dists = np.concatenate([row.dists for row in rows])
+        source = np.repeat(centers, [row.ids.size for row in rows])
+        in_layer = np.zeros(n, dtype=bool)
+        in_layer[centers] = True
+        keep = in_layer[ids] & (ids != source) & (dists <= bound)
+        low = np.minimum(ids[keep], source[keep])
+        high = np.maximum(ids[keep], source[keep])
         # An edge found from both ends keeps the distance found from
-        # the end first in layer order (the two can differ in the last
+        # the end first in node order (the two can differ in the last
         # bit).  Keys ascend by layer first, so the per-layer sorted
         # runs concatenate into one.
-        layer_keys, first = np.unique(np.concatenate(keys),
+        layer_keys, first = np.unique((layer * n + low) * n + high,
                                       return_index=True)
         edge_keys.append(layer_keys)
-        edge_dists.append(np.concatenate(dists)[first])
+        edge_dists.append(dists[keep][first])
 
     return EnhancedEdgeIndex(np.concatenate(edge_keys).astype(np.int64),
-                             np.concatenate(edge_dists), tree, n)
+                             np.concatenate(edge_dists), tree)
 
 
 def generate_node_pairs_batched(tree: CompressedPartitionTree,

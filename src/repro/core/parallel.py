@@ -2,12 +2,13 @@
 
 ``SEOracle.build()`` is organised as an explicit three-stage pipeline:
 
-1. **plan** — partition-tree construction and compression.  Inherently
-   sequential: each cover pass selects its next centre from the points
-   the previous passes left uncovered, so this stage always runs on
-   the live engine.
+1. **plan** — partition-tree construction (as node columns) and
+   compression.  Inherently sequential: each cover pass selects its
+   next centre from the points the previous passes left uncovered, so
+   this stage always runs on the live engine.
 2. **fan-out** — the SSAD-heavy distance work: enhanced-edge sweeps
-   (one radius-bounded SSAD per tree node) for the efficient method,
+   (one radius-bounded SSAD per node of the original tree, one batch
+   per layer of its node columns) for the efficient method,
    or per-pair centre distances for the naive method.  These
    computations are independent of each other — exactly the
    embarrassingly parallel bulk the paper amortises across queries —
@@ -57,6 +58,11 @@ SSADTask = Tuple[int, Optional[float]]
 #: Counter deltas a worker reports per chunk:
 #: ``(ssad_calls, settled_nodes, heap_pushes)``.
 CounterDelta = Tuple[int, int, int]
+
+#: Target number of chunks per worker per batch.  More chunks smooth
+#: load imbalance between SSADs of very different radii at the cost of
+#: more pickling round-trips.
+_CHUNKS_PER_JOB = 4
 
 
 class BuildExecutor:
@@ -186,13 +192,8 @@ class MultiprocessExecutor(BuildExecutor):
     ----------
     jobs:
         Worker process count (>= 2; use :func:`make_executor` for the
-        general ``jobs`` convention).
-    chunks_per_job:
-        Target number of chunks per worker per batch.  Larger values
-        smooth load imbalance between SSADs of very different radii at
-        the cost of more pickling round-trips.
-    mp_context:
-        A ``multiprocessing`` context, or ``None`` for fork-if-available.
+        general ``jobs`` convention).  Workers start from
+        :func:`_default_context` (fork on Linux).
 
     Determinism
     -----------
@@ -204,19 +205,10 @@ class MultiprocessExecutor(BuildExecutor):
 
     name = "multiprocess"
 
-    def __init__(
-        self,
-        jobs: int,
-        chunks_per_job: int = 4,
-        mp_context=None,
-    ) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 2:
             raise ValueError("MultiprocessExecutor needs jobs >= 2")
-        if chunks_per_job < 1:
-            raise ValueError("chunks_per_job must be positive")
         self.jobs = int(jobs)
-        self.chunks_per_job = int(chunks_per_job)
-        self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
         self._engine: Optional[GeodesicEngine] = None
 
@@ -225,10 +217,9 @@ class MultiprocessExecutor(BuildExecutor):
             if engine is self._engine:
                 return
             self.close()  # new workload -> new snapshot -> new pool
-        context = self._mp_context or _default_context()
         self._pool = ProcessPoolExecutor(
             max_workers=self.jobs,
-            mp_context=context,
+            mp_context=_default_context(),
             initializer=_init_worker,
             initargs=(engine.snapshot(),),
         )
@@ -244,7 +235,7 @@ class MultiprocessExecutor(BuildExecutor):
     # batch maps
     # ------------------------------------------------------------------
     def _chunk(self, items: list) -> List[list]:
-        per_chunk = max(1, -(-len(items) // (self.jobs * self.chunks_per_job)))
+        per_chunk = max(1, -(-len(items) // (self.jobs * _CHUNKS_PER_JOB)))
         return [
             items[start : start + per_chunk]
             for start in range(0, len(items), per_chunk)

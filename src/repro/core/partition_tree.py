@@ -14,6 +14,12 @@ B+-tree / max-heap combination in
 :class:`~repro.datastructures.grid_index.GridDensityIndex`) and the
 two SSAD stopping rules of Implementation Detail 2 (provided by
 :class:`~repro.geodesic.engine.GeodesicEngine`).
+
+The tree is built as int64 columns, three ints appended per node
+(centre, layer, parent) plus the first id of each layer: the layout
+of the compressed tree's own columns
+(:mod:`~repro.core.compressed_tree`), so compression and the
+enhanced-edge sweep read arrays and no node objects exist.
 """
 
 from __future__ import annotations
@@ -21,15 +27,14 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Literal, Optional
+from typing import Callable, List, Literal, Optional
 
 import numpy as np
 
 from ..datastructures.grid_index import GridDensityIndex
 from ..geodesic.engine import GeodesicEngine, PoiRow
 
-__all__ = ["PartitionTreeNode", "PartitionTree", "build_partition_tree"]
+__all__ = ["PartitionTree", "build_partition_tree"]
 
 SelectionStrategy = Literal["random", "greedy"]
 
@@ -44,112 +49,83 @@ SSADHook = Callable[[int, Optional[float]], PoiRow]
 # borderline points from being dropped by both sides of a boundary.
 _EPS = 1e-9
 
-
-@dataclass
-class PartitionTreeNode:
-    """A node of the (original) partition tree.
-
-    Attributes
-    ----------
-    node_id:
-        Dense id within the tree (index into ``tree.nodes``).
-    center:
-        POI index of the node centre ``c_O``.
-    layer:
-        Layer number (0 = root).
-    radius:
-        ``r_O = r0 / 2**layer``.
-    parent:
-        Parent node id, or ``None`` for the root.
-    children:
-        Child node ids (next layer).
-    """
-
-    node_id: int
-    center: int
-    layer: int
-    radius: float
-    parent: Optional[int]
-    children: List[int] = field(default_factory=list)
+#: Safety bound on tree depth; Lemma 2 bounds the real height by
+#: ``log2(d_max / d_min) + 1``, < 60 for any physical terrain.
+_MAX_LAYERS = 64
 
 
 class PartitionTree:
-    """The original (uncompressed) partition tree ``T_org``.
+    """The original (uncompressed) partition tree ``T_org``, as columns.
 
-    Nodes are stored in a flat list; layers are lists of node ids.  The
-    tree keeps, per POI, the id of its layer-``h`` (leaf) node and the
-    shallowest layer at which the POI first became a centre — the
-    "chain top", used by the enhanced-edge lookup.
+    Parameters
+    ----------
+    table:
+        int64 ``(num_nodes, 3)``: centre, layer and parent id (``-1``
+        at the root); row index = node id.  Nodes are numbered layer by
+        layer in selection order, so the root is node 0 — the layout of
+        the compressed tree's first three ``table`` columns.
+    layer_starts:
+        int64 ``(height + 2,)``: layer ``i`` is node ids
+        ``layer_starts[i]:layer_starts[i + 1]``.
+    root_radius:
+        ``r0``; layer ``i``'s radius is ``r0 / 2**i``.
+
+    ``first_layer`` (int64, one per POI) is the shallowest layer at
+    which each POI heads a node — the "chain top" the enhanced-edge
+    lookup starts from.
     """
 
-    def __init__(self, nodes: List[PartitionTreeNode],
-                 layers: List[List[int]], root_radius: float):
-        self.nodes = nodes
-        self.layers = layers
-        self.root_radius = root_radius
+    def __init__(self, table: np.ndarray, layer_starts: np.ndarray,
+                 root_radius: float):
+        self.table = table
+        self.layer_starts = layer_starts
+        self.root_radius = float(root_radius)
+        # Ids ascend by layer and the leaf layer heads every POI, so
+        # each POI's first row is its first layer.
+        _, first = np.unique(self.centers, return_index=True)
+        self.first_layer = self.layers[first]
 
-        self.leaf_of_center: Dict[int, int] = {}
-        self.first_layer_of_center: Dict[int, int] = {}
-        for node in nodes:
-            current = self.first_layer_of_center.get(node.center)
-            if current is None or node.layer < current:
-                self.first_layer_of_center[node.center] = node.layer
-            if node.layer == self.height:
-                self.leaf_of_center[node.center] = node.node_id
+    @property
+    def centers(self) -> np.ndarray:
+        return self.table[:, 0]
 
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
+    @property
+    def layers(self) -> np.ndarray:
+        return self.table[:, 1]
+
+    @property
+    def parents(self) -> np.ndarray:
+        return self.table[:, 2]
+
     @property
     def height(self) -> int:
         """h: the deepest layer number."""
-        return len(self.layers) - 1
-
-    @property
-    def root(self) -> PartitionTreeNode:
-        return self.nodes[self.layers[0][0]]
+        return int(self.layer_starts.shape[0]) - 2
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    def node(self, node_id: int) -> PartitionTreeNode:
-        return self.nodes[node_id]
+        return int(self.table.shape[0])
 
     def layer_radius(self, layer: int) -> float:
         """``r_i = r0 / 2**i``."""
         return self.root_radius / (1 << layer)
 
-    def ancestor_at_layer(self, node_id: int, layer: int) -> int:
-        """The ancestor of ``node_id`` living in ``layer`` (<= its own)."""
-        node = self.nodes[node_id]
-        while node.layer > layer:
-            if node.parent is None:
-                raise ValueError("layer above the root")
-            node = self.nodes[node.parent]
-        if node.layer != layer:
-            raise ValueError(f"node {node_id} has no ancestor at layer {layer}")
-        return node.node_id
-
-    # ------------------------------------------------------------------
-    # invariant checks (used by tests)
-    # ------------------------------------------------------------------
     def check_structure(self) -> None:
-        """Assert parent/child and layer bookkeeping consistency."""
-        for node in self.nodes:
-            if node.parent is None:
-                assert node.layer == 0, "non-root without parent"
-            else:
-                parent = self.nodes[node.parent]
-                assert parent.layer == node.layer - 1
-                assert node.node_id in parent.children
-            for child_id in node.children:
-                assert self.nodes[child_id].parent == node.node_id
-        for layer_number, layer in enumerate(self.layers):
-            for node_id in layer:
-                assert self.nodes[node_id].layer == layer_number
-        assert len(self.layers[0]) == 1, "root layer must be singleton"
-        assert len(self.layers[-1]) == len(self.leaf_of_center)
+        """Assert the column bookkeeping (used by tests): contiguous
+        layers from a single root, every parent one layer up, and one
+        leaf per POI."""
+        starts = self.layer_starts
+        sizes = np.diff(starts)
+        assert starts[0] == 0 and starts[-1] == self.num_nodes
+        assert sizes[0] == 1, "root layer must be singleton"
+        assert (sizes > 0).all()
+        assert np.array_equal(self.layers,
+                              np.repeat(np.arange(sizes.size), sizes))
+        parents = self.parents
+        assert parents[0] == -1 and (parents[1:] >= 0).all()
+        assert (self.layers[parents[1:]] == self.layers[1:] - 1).all()
+        leaves = self.centers[starts[-2]:]
+        assert np.array_equal(np.sort(leaves), np.arange(leaves.size))
 
 
 def _position_priorities(engine: GeodesicEngine, seed: int) -> List[int]:
@@ -180,7 +156,6 @@ def _position_priorities(engine: GeodesicEngine, seed: int) -> List[int]:
 def build_partition_tree(engine: GeodesicEngine,
                          strategy: SelectionStrategy = "random",
                          seed: int = 0,
-                         max_layers: int = 64,
                          ssad: Optional[SSADHook] = None) -> PartitionTree:
     """Build the partition tree over ``engine``'s POI set (Section 3.2).
 
@@ -193,9 +168,6 @@ def build_partition_tree(engine: GeodesicEngine,
         ``"greedy"`` (densest grid cell first).
     seed:
         Randomness seed (point selection).
-    max_layers:
-        Safety bound on tree depth; Lemma 2 bounds the real height by
-        ``log2(d_max / d_min) + 1``, < 60 for any physical terrain.
     ssad:
         Optional SSAD provider replacing ``engine.distances_from_poi``
         — the incremental-flush memo hook.  Must return exactly what
@@ -209,9 +181,8 @@ def build_partition_tree(engine: GeodesicEngine,
         ssad = engine.distances_from_poi
 
     if n == 1:
-        root = PartitionTreeNode(node_id=0, center=0, layer=0, radius=0.0,
-                                 parent=None)
-        return PartitionTree([root], [[0]], root_radius=0.0)
+        return PartitionTree(np.array([[0, 0, -1]], dtype=np.int64),
+                             np.array([0, 1], dtype=np.int64), 0.0)
 
     priorities = _position_priorities(engine, seed)
 
@@ -226,23 +197,21 @@ def build_partition_tree(engine: GeodesicEngine,
     if r0 <= 0.0:
         raise ValueError("all POIs are co-located; deduplicate first")
 
-    nodes: List[PartitionTreeNode] = [
-        PartitionTreeNode(node_id=0, center=root_center, layer=0,
-                          radius=r0, parent=None)
-    ]
-    layers: List[List[int]] = [[0]]
+    # Three ints per node (centre, layer, parent), in node id order.
+    rows: List[int] = [root_center, 0, -1]
+    layer_starts: List[int] = [0, 1]
 
     # ------------------------------------------------------------------
     # Step 2: non-root layers.
     # ------------------------------------------------------------------
     xy = engine.pois.xy()
-    for layer_number in range(1, max_layers + 1):
+    for layer_number in range(1, _MAX_LAYERS + 1):
         radius = r0 / (1 << layer_number)
-        previous_layer = layers[-1]
+        previous = layer_starts[-2]
+        previous_centers = rows[3 * previous::3]
         # Position in the previous layer per centre POI (for parenting).
         previous_slot = np.full(n, -1, dtype=np.int64)
-        previous_slot[[nodes[i].center for i in previous_layer]] = \
-            np.arange(len(previous_layer))
+        previous_slot[previous_centers] = np.arange(len(previous_centers))
 
         uncovered = set(range(n))
         grid: Optional[GridDensityIndex] = None
@@ -253,10 +222,9 @@ def build_partition_tree(engine: GeodesicEngine,
             )
         # Centres of the previous layer are selected first (Step 2(b)(i)),
         # in priority order (the queue is popped from its tail).
-        center_queue = [nodes[i].center for i in previous_layer]
-        center_queue.sort(key=lambda poi: (priorities[poi], poi),
-                          reverse=True)
-        new_layer: List[int] = []
+        center_queue = sorted(previous_centers,
+                              key=lambda poi: (priorities[poi], poi),
+                              reverse=True)
 
         while uncovered:
             center = _select_point(center_queue, uncovered, grid,
@@ -273,23 +241,17 @@ def build_partition_tree(engine: GeodesicEngine,
             uncovered.difference_update(covered)
             if grid is not None:
                 grid.remove_all(covered)
+            rows += (center, layer_number,
+                     previous + _nearest_parent(previous_slot, reached))
 
-            parent_id = previous_layer[_nearest_parent(previous_slot,
-                                                       reached)]
-            node_id = len(nodes)
-            node = PartitionTreeNode(node_id=node_id, center=center,
-                                     layer=layer_number, radius=radius,
-                                     parent=parent_id)
-            nodes.append(node)
-            nodes[parent_id].children.append(node_id)
-            new_layer.append(node_id)
-
-        layers.append(new_layer)
-        if len(new_layer) == n:
-            return PartitionTree(nodes, layers, r0)
+        layer_starts.append(len(rows) // 3)
+        if layer_starts[-1] - layer_starts[-2] == n:
+            return PartitionTree(
+                np.array(rows, dtype=np.int64).reshape(-1, 3),
+                np.array(layer_starts, dtype=np.int64), r0)
 
     raise RuntimeError(
-        f"partition tree did not terminate within {max_layers} layers; "
+        f"partition tree did not terminate within {_MAX_LAYERS} layers; "
         "check for (near-)duplicate POIs"
     )
 

@@ -27,6 +27,9 @@ __all__ = ["GridDensityIndex"]
 
 Cell = Tuple[int, int]
 
+#: Fan-out of the per-cell B+-trees.
+_BTREE_ORDER = 16
+
 
 class GridDensityIndex:
     """Uniform x-y grid over point ids with density-ordered cell access.
@@ -39,8 +42,6 @@ class GridDensityIndex:
         Grid cell width; the paper uses ``O(r0 / 2^i)`` for Layer ``i``.
     rng:
         Source of randomness for picking a point within the densest cell.
-    btree_order:
-        Fan-out of the per-cell B+-trees.
     """
 
     def __init__(
@@ -48,13 +49,11 @@ class GridDensityIndex:
         points: Dict[int, Tuple[float, float]],
         cell_width: float,
         rng: Optional[random.Random] = None,
-        btree_order: int = 16,
     ):
         if cell_width <= 0 or not math.isfinite(cell_width):
             raise ValueError(f"cell_width must be positive, got {cell_width}")
         self._width = cell_width
         self._rng = rng if rng is not None else random.Random(0)
-        self._btree_order = btree_order
         self._cells: Dict[Cell, BPlusTree] = {}
         self._cell_of: Dict[int, Cell] = {}
         self._heap = IndexedMaxHeap()
@@ -94,7 +93,7 @@ class GridDensityIndex:
         cell = self.cell_of(x, y)
         tree = self._cells.get(cell)
         if tree is None:
-            tree = BPlusTree(order=self._btree_order)
+            tree = BPlusTree(order=_BTREE_ORDER)
             self._cells[cell] = tree
         tree.insert(point_id)
         self._cell_of[point_id] = cell

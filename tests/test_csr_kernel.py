@@ -9,6 +9,7 @@ SciPy hidden) must match it too: the same distances at every node and
 the same settled counts.
 """
 
+import contextlib
 import math
 from unittest import mock
 
@@ -398,6 +399,32 @@ class TestEngineBatchedAPIs:
             assert (engine.ssad_calls, engine.settled_nodes) == fast_counts
         assert engine.poi_distances_from_node(sources[1]).tobytes() \
             == engine.node_rows(sources[1:2], columns)[0].tobytes()
+
+    @pytest.mark.parametrize("hide_scipy", [False, True],
+                             ids=["scipy", "python"])
+    def test_bounded_poi_row_is_a_cut_of_any_wider_row(self, engine,
+                                                       hide_scipy):
+        """A POI row bounded at R' is the ``dists <= R'`` cut of the same
+        source's row at any larger R or in cover-all mode: the same ids
+        in the same order, the same float bits.  Bounds sit on reached
+        distances (the boundary itself) and between them."""
+        hidden = (mock.patch.object(dijkstra_module, "_scipy_dijkstra", None)
+                  if hide_scipy else contextlib.nullcontext())
+        with hidden:
+            for source in range(0, engine.num_pois, 3):
+                full = engine.distances_from_poi(source)
+                reached = np.sort(full.dists)
+                bounds = sorted({*reached[[1, 4, 8]].tolist(),
+                                 *(0.5 * (reached[2:12:3]
+                                          + reached[3:13:3])).tolist()})
+                rows = engine.distances_many([source] * len(bounds),
+                                             radius=bounds)
+                for i, (bound, row) in enumerate(zip(bounds, rows)):
+                    for wider in [full, *rows[i + 1:]]:
+                        cut = wider.dists <= bound
+                        assert row.ids.tobytes() == wider.ids[cut].tobytes()
+                        assert row.dists.tobytes() \
+                            == wider.dists[cut].tobytes()
 
     def test_counters_include_heap_pushes(self, engine):
         engine.reset_counters()

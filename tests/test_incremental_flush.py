@@ -19,8 +19,7 @@ from repro.core.store import oracle_sections, pack_oracle
 from repro.terrain import make_terrain, sample_uniform
 
 EPSILON = 0.25
-STAT_KEYS = {"reused_rows", "computed_rows",
-             "reused_pairs", "computed_pairs"}
+STAT_KEYS = {"reused_rows", "computed_rows"}
 
 
 def make_oracle(seed, num_pois=12, rebuild_factor=10.0):
@@ -172,7 +171,6 @@ class TestReuseAccounting:
         stats = oracle.flush()
         assert stats["computed_rows"] == 0
         assert stats["reused_rows"] > 0
-        assert stats["computed_pairs"] == 0
 
     def test_delete_only_flush_reuses_most_rows(self):
         oracle = make_oracle(79)

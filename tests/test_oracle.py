@@ -243,7 +243,7 @@ class TestEnhancedEdgeIndex:
         keep = np.arange(full.edge_count) % 3 != 0
         n = small_engine.num_pois
         thinned = EnhancedEdgeIndex(full.keys[keep], full.distances[keep],
-                                    tree, n)
+                                    tree)
         centers_a = np.repeat(np.arange(n), n)
         centers_b = np.tile(np.arange(n), n)
         for index in (full, thinned):
@@ -253,8 +253,7 @@ class TestEnhancedEdgeIndex:
             def walk(a, b):
                 if a == b:
                     return 0.0
-                start = max(tree.first_layer_of_center[a],
-                            tree.first_layer_of_center[b])
+                start = max(tree.first_layer[a], tree.first_layer[b])
                 for layer in range(tree.height, start - 1, -1):
                     distance = edges.get((layer * n + min(a, b)) * n
                                          + max(a, b))
@@ -281,8 +280,7 @@ class TestEnhancedEdgeIndex:
             index = real(engine, tree, *args, **kwargs)
             keep = np.arange(index.edge_count) % 3 != 0
             return EnhancedEdgeIndex(index.keys[keep],
-                                     index.distances[keep], tree,
-                                     engine.num_pois)
+                                     index.distances[keep], tree)
 
         class Recording(SerialExecutor):
             def __init__(self):

@@ -21,46 +21,70 @@ def _center_distances(engine, center, radius=None):
     return engine.distances_from_poi(center, radius=radius)
 
 
+def _layer_centers(tree, layer):
+    starts = tree.layer_starts
+    return tree.centers[starts[layer]:starts[layer + 1]].tolist()
+
+
+def _children(tree):
+    """Child ids per node, read off the parent column."""
+    children = {node: [] for node in range(tree.num_nodes)}
+    for node, parent in enumerate(tree.parents.tolist()):
+        if parent >= 0:
+            children[parent].append(node)
+    return children
+
+
 class TestStructure:
     def test_basic_shape(self, tree_and_engine):
         tree, engine = tree_and_engine
         tree.check_structure()
-        assert tree.root.layer == 0
-        assert tree.root.radius == tree.root_radius
+        assert tree.table.dtype == np.int64
+        assert tree.table.shape == (tree.num_nodes, 3)
+        assert tree.layer_starts.tolist()[:2] == [0, 1]
+        assert tree.layers[0] == 0 and tree.parents[0] == -1
+        assert tree.layer_radius(0) == tree.root_radius
 
     def test_leaf_layer_has_n_nodes(self, tree_and_engine):
         tree, engine = tree_and_engine
-        assert len(tree.layers[-1]) == engine.num_pois
-        leaf_centers = {tree.node(i).center for i in tree.layers[-1]}
-        assert leaf_centers == set(range(engine.num_pois))
+        leaf_centers = _layer_centers(tree, tree.height)
+        assert len(leaf_centers) == engine.num_pois
+        assert set(leaf_centers) == set(range(engine.num_pois))
 
     def test_layer_radii_halve(self, tree_and_engine):
         tree, _ = tree_and_engine
-        for layer_number in range(tree.height + 1):
-            expected = tree.root_radius / (1 << layer_number)
-            for node_id in tree.layers[layer_number]:
-                assert tree.node(node_id).radius == pytest.approx(expected)
+        for layer_number in range(1, tree.height + 1):
+            assert 2.0 * tree.layer_radius(layer_number) \
+                == tree.layer_radius(layer_number - 1)
 
     def test_every_node_has_child_chain(self, tree_and_engine):
         """Each node's centre re-appears as a child centre (chain)."""
         tree, _ = tree_and_engine
-        for node in tree.nodes:
-            if node.layer == tree.height:
+        centers = tree.centers.tolist()
+        for node, below in _children(tree).items():
+            if tree.layers[node] == tree.height:
+                assert below == []
                 continue
-            child_centers = {tree.node(c).center for c in node.children}
-            assert node.center in child_centers
+            assert centers[node] in {centers[child] for child in below}
 
-    def test_first_layer_of_center(self, tree_and_engine):
-        tree, _ = tree_and_engine
-        for node in tree.nodes:
-            assert tree.first_layer_of_center[node.center] <= node.layer
+    def test_first_layer(self, tree_and_engine):
+        """A POI's first layer is its shallowest row, and from there it
+        heads one node in every layer down to the leaves."""
+        tree, engine = tree_and_engine
+        assert tree.first_layer.dtype == np.int64
+        assert tree.first_layer.shape == (engine.num_pois,)
+        for poi in range(engine.num_pois):
+            rows = np.flatnonzero(tree.centers == poi)
+            assert tree.layers[rows].tolist() == list(
+                range(tree.first_layer[poi], tree.height + 1))
 
-    def test_ancestor_at_layer(self, tree_and_engine):
+    def test_parent_walk_climbs_one_layer_per_step(self, tree_and_engine):
         tree, _ = tree_and_engine
-        leaf = tree.layers[-1][0]
+        node = int(tree.layer_starts[-2])
         for layer in range(tree.height, -1, -1):
-            ancestor = tree.ancestor_at_layer(leaf, layer)
-            assert tree.node(ancestor).layer == layer
+            assert tree.layers[node] == layer
+            node = int(tree.parents[node])
+        assert node == -1
 
 
 class TestSeparationProperty:
@@ -69,8 +93,7 @@ class TestSeparationProperty:
         tree, engine = tree_and_engine
         for layer_number in (1, 2, min(3, tree.height)):
             radius = tree.layer_radius(layer_number)
-            centers = [tree.node(i).center
-                       for i in tree.layers[layer_number]]
+            centers = _layer_centers(tree, layer_number)
             for center in centers[:8]:  # spot-check a prefix
                 reached = _center_distances(engine, center,
                                             radius=radius * 0.999)
@@ -90,8 +113,7 @@ class TestCoveringProperty:
         for layer_number in range(tree.height + 1):
             radius = tree.layer_radius(layer_number)
             covered = set()
-            for node_id in tree.layers[layer_number]:
-                center = tree.node(node_id).center
+            for center in _layer_centers(tree, layer_number):
                 reached = _center_distances(engine, center,
                                             radius=radius * (1 + 1e-6))
                 covered.update(p for p, d in reached.items()
@@ -104,17 +126,20 @@ class TestCoveringProperty:
 class TestDistanceProperty:
     def test_descendant_centers_within_double_radius(self, tree_and_engine):
         tree, engine = tree_and_engine
+        centers = tree.centers.tolist()
+        children = _children(tree)
         # For a few internal nodes, check all descendants.
-        internal = [n for n in tree.nodes if n.children][:6]
+        internal = [node for node, below in children.items() if below][:6]
         for node in internal:
-            reached = _center_distances(engine, node.center,
-                                        radius=2.0 * node.radius * (1 + 1e-6))
-            stack = list(node.children)
+            radius = tree.layer_radius(int(tree.layers[node]))
+            reached = _center_distances(engine, centers[node],
+                                        radius=2.0 * radius * (1 + 1e-6))
+            stack = list(children[node])
             while stack:
-                child = tree.node(stack.pop())
-                assert reached.get(child.center, math.inf) \
-                    <= 2.0 * node.radius * (1 + 1e-6)
-                stack.extend(child.children)
+                child = stack.pop()
+                assert reached.get(centers[child], math.inf) \
+                    <= 2.0 * radius * (1 + 1e-6)
+                stack.extend(children[child])
 
 
 class TestHeightBound:
@@ -157,14 +182,14 @@ class TestEdgeCases:
         pois = sample_uniform(small_terrain, 2, seed=3)
         engine = GeodesicEngine(small_terrain, pois, points_per_edge=0)
         tree = build_partition_tree(engine)
-        assert len(tree.layers[-1]) == 2
+        assert np.diff(tree.layer_starts)[-1] == 2
         tree.check_structure()
 
     def test_deterministic_given_seed(self, medium_engine):
         t1 = build_partition_tree(medium_engine, seed=9)
         t2 = build_partition_tree(medium_engine, seed=9)
-        assert [(n.center, n.layer) for n in t1.nodes] \
-            == [(n.center, n.layer) for n in t2.nodes]
+        assert t1.table.tobytes() == t2.table.tobytes()
+        assert t1.layer_starts.tolist() == t2.layer_starts.tolist()
 
     def test_strategies_build_valid_trees(self, medium_engine):
         for strategy in ("random", "greedy"):
@@ -199,35 +224,40 @@ class TestCompression:
         tree, _ = tree_and_engine
         compressed = compress_tree(tree)
         for center, layer, _, origin in compressed.table.tolist():
-            original = tree.node(origin)
-            assert original.layer == layer
-            assert original.center == center
+            assert tree.table[origin, :2].tolist() == [center, layer]
 
     def test_columns_match_node_walk(self, tree_and_engine):
         """The vectorised compression equals the node-by-node procedure:
         survivors in original id order, each re-parented to its nearest
         surviving ancestor, leaf radii zeroed."""
         tree, _ = tree_and_engine
-        survives = [node.layer == tree.height or len(node.children) >= 2
-                    or node.parent is None for node in tree.nodes]
+        centers = tree.centers.tolist()
+        layers = tree.layers.tolist()
+        parents = tree.parents.tolist()
+        fanout = [0] * tree.num_nodes
+        for parent in parents[1:]:
+            fanout[parent] += 1
+        survives = [layer == tree.height or count >= 2 or parent < 0
+                    for layer, count, parent in zip(layers, fanout, parents)]
         new_id = {}
         rows, radii = [], []
-        for node in tree.nodes:
-            if not survives[node.node_id]:
+        for node in range(tree.num_nodes):
+            if not survives[node]:
                 continue
-            new_id[node.node_id] = len(rows)
-            ancestor = node.parent
-            while ancestor is not None and not survives[ancestor]:
-                ancestor = tree.node(ancestor).parent
-            rows.append([node.center, node.layer, ancestor, node.node_id])
-            radii.append(0.0 if node.layer == tree.height else node.radius)
+            new_id[node] = len(rows)
+            ancestor = parents[node]
+            while ancestor >= 0 and not survives[ancestor]:
+                ancestor = parents[ancestor]
+            rows.append([centers[node], layers[node], ancestor, node])
+            radii.append(0.0 if layers[node] == tree.height
+                         else tree.layer_radius(layers[node]))
         for row in rows:
-            row[2] = -1 if row[2] is None else new_id[row[2]]
+            row[2] = -1 if row[2] < 0 else new_id[row[2]]
         compressed = compress_tree(tree)
         assert compressed.table.dtype == np.int64
         assert compressed.table.tolist() == rows
         assert compressed.radii.tobytes() == np.array(radii).tobytes()
-        assert compressed.root_id == new_id[tree.root.node_id]
+        assert compressed.root_id == new_id[0]
 
     def test_leaf_lookup(self, tree_and_engine):
         tree, engine = tree_and_engine
