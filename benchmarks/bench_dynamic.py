@@ -274,7 +274,7 @@ def measure_flush_curve(
             stats = incremental.flush()
             incremental_seconds = time.perf_counter() - tick
             tick = time.perf_counter()
-            reference.flush(incremental=False)
+            reference.force_rebuild()
             full_seconds = time.perf_counter() - tick
 
             points.append({

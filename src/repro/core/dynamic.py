@@ -38,12 +38,10 @@ External POI ids are stable across rebuilds.
 from __future__ import annotations
 
 import math
-import threading
 from typing import (
     TYPE_CHECKING,
-    Any,
+    Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -55,7 +53,7 @@ import numpy as np
 from ..geodesic.engine import GeodesicEngine
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POI, POISet
-from .incremental import FlushAborted, FlushMemo, SliceGate
+from .incremental import FlushMemo, MemoExecutor
 from .index import aligned_id_arrays
 from .oracle import SEOracle
 
@@ -64,6 +62,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .store import StoredOracle
 
 __all__ = ["DynamicSEOracle"]
+
+#: What a prepared flush's build returns and :meth:`DynamicSEOracle.
+#: install_flush` adopts: the active ids it was prepared over, the
+#: fresh engine and oracle, and the memo executor that built them.
+_FreshBase = Tuple[List[int], GeodesicEngine, SEOracle, MemoExecutor]
 
 
 class DynamicSEOracle:
@@ -142,7 +145,7 @@ class DynamicSEOracle:
         self._delta_rows: Dict[int, np.ndarray] = {}
         self._overlay_cache: Dict[Tuple[int, int], float] = {}
         # Cross-rebuild SSAD memo (see :mod:`~repro.core.incremental`):
-        # every rebuild recaptures it; an incremental flush replays it.
+        # every rebuild recaptures it; a flush replays it.
         self._memo = FlushMemo()
         #: row reuse/recompute counts of the most recent rebuild
         self.last_flush_stats: Dict[str, int] = {}
@@ -219,17 +222,29 @@ class DynamicSEOracle:
         slots = list(self._base_index.values())
         return dict(zip(externals, nearest[slots].tolist()))
 
-    def _build_fresh(self, reuse: bool, gate: Optional[SliceGate] = None
-                     ) -> Tuple[List[int], GeodesicEngine, SEOracle, Any]:
-        """Build a fresh base over the active set, without installing.
+    def prepare_flush(self) -> Callable[[], _FreshBase]:
+        """Step one of a flush: read its inputs, return its build.
 
-        The deterministic replay: construction runs the exact pipeline
-        a from-scratch build would run, through the memo executor —
-        with ``reuse`` the memo substitutes rows that are provably
-        bit-equal to fresh ones, without it every row recomputes (and
-        is captured all the same).  No ``self`` state is mutated, so a
-        sliced background flush can interleave with readers and only
-        :meth:`_install_fresh` needs the caller's lock.
+        Reads what the rebuild needs — the active set, the
+        insert-blocked radii, the memo generation and the base POI
+        set — under the caller's lock, if it holds one, and returns a
+        callable that builds the fresh base from them alone.  The
+        build touches no shared state, so it may run on another thread
+        without the lock while every query keeps answering from the
+        pre-flush state.  Pass its result to :meth:`install_flush`; a
+        build that is never installed leaves the oracle as it was.
+        """
+        self._require_built()
+        return self._prepare(reuse=True)
+
+    def _prepare(self, reuse: bool) -> Callable[[], _FreshBase]:
+        """The deterministic replay, prepared.
+
+        Construction runs the exact pipeline a from-scratch build
+        would run, through the memo executor: with ``reuse`` the memo
+        substitutes rows that are provably bit-equal to fresh ones,
+        without it every row recomputes (and is captured all the
+        same).
         """
         active_ids = self._active_ids()
         if not active_ids:
@@ -238,27 +253,34 @@ class DynamicSEOracle:
         if reuse and self._overlay and self._memo.rows:
             blocked = self._insert_blocked_radius()
         cache = self._memo.begin(active_ids, blocked_radius=blocked,
-                                 allow_reuse=reuse, gate=gate)
+                                 allow_reuse=reuse)
         base_pois = POISet([self._records[i] for i in active_ids])
         if len(base_pois) != len(active_ids):
             raise RuntimeError("active POIs collided after dedup")
-        engine = GeodesicEngine(
-            self._mesh, base_pois, points_per_edge=self._points_per_edge
-        )
-        oracle = SEOracle(
-            engine, self.epsilon, seed=self._seed, jobs=self.jobs,
-            ssad_cache=cache,
-        ).build()
-        return active_ids, engine, oracle, cache
+        mesh, points_per_edge = self._mesh, self._points_per_edge
+        epsilon, seed, jobs = self.epsilon, self._seed, self.jobs
 
-    def _install_fresh(self, active_ids: List[int],
-                       engine: GeodesicEngine, oracle: SEOracle,
-                       cache: Any) -> None:
-        """Adopt a freshly built base; the only state-mutating half."""
+        def build() -> _FreshBase:
+            engine = GeodesicEngine(mesh, base_pois,
+                                    points_per_edge=points_per_edge)
+            oracle = SEOracle(engine, epsilon, seed=seed, jobs=jobs,
+                              ssad_cache=cache).build()
+            return active_ids, engine, oracle, cache
+
+        return build
+
+    def install_flush(self, fresh: _FreshBase) -> Dict[str, int]:
+        """Step three of a flush: adopt what the build returned.
+
+        Returns the build's row reuse/recompute counters.  Raises
+        ``RuntimeError`` when the POI set changed since
+        :meth:`prepare_flush`; the oracle is then left as it was.
+        """
+        active_ids, engine, oracle, cache = fresh
         if active_ids != self._active_ids():
             raise RuntimeError(
-                "POI set changed while an incremental flush was in "
-                "flight; rerun the flush"
+                "POI set changed while a flush was in flight; rerun "
+                "the flush"
             )
         self._engine = engine
         self._oracle = oracle
@@ -276,9 +298,10 @@ class DynamicSEOracle:
         self._memo.commit(cache)
         self.last_flush_stats = cache.stats()
         self.rebuild_count += 1
+        return dict(self.last_flush_stats)
 
-    def _rebuild(self, reuse: bool = False) -> None:
-        self._install_fresh(*self._build_fresh(reuse))
+    def _rebuild(self, reuse: bool = False) -> Dict[str, int]:
+        return self.install_flush(self._prepare(reuse)())
 
     def _reset_delta(self) -> None:
         """Rebuild the alive mask / base-slot map; drop delta tables."""
@@ -295,88 +318,27 @@ class DynamicSEOracle:
     def force_rebuild(self) -> None:
         """Rebuild the base oracle from scratch — the reference path.
 
-        Every SSAD recomputes on the fresh engine; the incremental
-        :meth:`flush` must produce bit-identical tables to this, which
-        is exactly what the rebuild-equivalence fuzz wall asserts.
-        (The build still recaptures the memo, so a later incremental
-        flush starts from this generation.)
+        Every SSAD recomputes on the fresh engine; :meth:`flush` must
+        produce bit-identical tables to this, which is exactly what the
+        rebuild-equivalence fuzz wall asserts.  (The build still
+        recaptures the memo, so a later flush starts from this
+        generation.)
         """
         self._require_built()
         self._rebuild(reuse=False)
 
-    def flush(self, incremental: bool = True) -> Dict[str, int]:
+    def flush(self) -> Dict[str, int]:
         """Fold the overlay and tombstones into a fresh base.
 
-        With ``incremental=True`` (default) the rebuild replays the
-        cross-rebuild SSAD memo: only rows damaged by the churn — and
-        the splice bookkeeping around them — are recomputed, making
-        flush cost proportional to the damage rather than the terrain.
-        The resulting tables are bit-identical to
-        :meth:`force_rebuild` on the same live POI set.  With
-        ``incremental=False`` this *is* a ``force_rebuild``.  Returns
-        the reuse/recompute counters of the run.
+        Runs :meth:`prepare_flush`, its build and :meth:`install_flush`
+        inline.  The rebuild replays the cross-rebuild SSAD memo: only
+        rows damaged by the churn are recomputed, so flush cost follows
+        the damage rather than the terrain.  The resulting tables are
+        bit-identical to :meth:`force_rebuild` on the same live POI
+        set.  Returns the reuse/recompute counters of the run.
         """
         self._require_built()
-        self._rebuild(reuse=incremental)
-        return dict(self.last_flush_stats)
-
-    def flush_steps(self, incremental: bool = True,
-                    slice_ssads: int = 8) -> Iterator[Dict[str, Any]]:
-        """:meth:`flush`, delivered as bounded work slices.
-
-        A generator: each ``next()`` performs at most ``slice_ssads``
-        SSAD computations of the rebuild and then returns control, so
-        a serving layer can interleave queries between slices (run
-        each slice under its lock, answer readers between slices) and
-        publish one generation at the end.  The final slice installs
-        the fresh base — until then every query keeps answering from
-        the pre-flush state.  The POI set must not change while the
-        generator is being driven (the install re-checks and raises).
-
-        The rebuild itself runs on a private worker thread that is
-        parked at a gate between slices; abandoning the generator
-        aborts the worker cleanly.
-        """
-        self._require_built()
-        if slice_ssads < 1:
-            raise ValueError("slice_ssads must be at least 1")
-        gate = SliceGate(slice_ssads)
-        outcome: Dict[str, Any] = {}
-
-        def worker() -> None:
-            try:
-                gate.pause(0)  # wait for the first slice grant
-                outcome["result"] = self._build_fresh(
-                    reuse=incremental, gate=gate)
-            except FlushAborted:
-                pass
-            except BaseException as error:  # propagated to the driver
-                outcome["error"] = error
-            finally:
-                gate.finish()
-
-        thread = threading.Thread(
-            target=worker, name="se-flush-builder", daemon=True)
-        thread.start()
-        slice_number = 0
-        try:
-            while not gate.run_slice():
-                if "error" in outcome:
-                    break
-                slice_number += 1
-                yield {"slice": slice_number, "done": False}
-            thread.join()
-            if "error" in outcome:
-                raise outcome["error"]
-            self._install_fresh(*outcome["result"])
-            yield {
-                "slice": slice_number + 1,
-                "done": True,
-                **self.last_flush_stats,
-            }
-        finally:
-            gate.abort()
-            thread.join(timeout=60.0)
+        return self._rebuild(reuse=True)
 
     def adopt_store(self, stored: "StoredOracle") -> None:
         """Swap the base tables for a freshly packed store's (mmap).

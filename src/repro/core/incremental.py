@@ -44,7 +44,6 @@ always describes exactly one generation.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +51,7 @@ import numpy as np
 from ..geodesic.engine import PoiRow
 from .parallel import BuildExecutor
 
-__all__ = ["FlushMemo", "MemoExecutor", "SliceGate", "FlushAborted"]
+__all__ = ["FlushMemo", "MemoExecutor"]
 
 #: Conservative relative slack on the insert-inside-radius test: a row
 #: is only reused when every inserted POI is *clearly* outside its
@@ -63,68 +62,6 @@ _SLACK = 1e-9
 #: meaning cover-all mode.  The bound is the exact float the build
 #: passes to the engine, so a changed root radius misses cleanly.
 _RowKey = Tuple[int, Optional[float]]
-
-
-class FlushAborted(RuntimeError):
-    """Raised inside an abandoned sliced flush's builder thread."""
-
-
-class SliceGate:
-    """Cooperative pause points between bounded slices of flush work.
-
-    The builder thread calls :meth:`pause` after each unit of SSAD
-    work and blocks whenever its allowance is spent; the driving
-    generator calls :meth:`run_slice` to grant one budget's worth of
-    work and regain control once the builder stalls (or finishes).
-    :meth:`abort` unblocks an abandoned builder with
-    :class:`FlushAborted`.
-    """
-
-    def __init__(self, budget: int):
-        if budget < 1:
-            raise ValueError("slice budget must be at least 1")
-        self.budget = int(budget)
-        self._cv = threading.Condition()
-        self._allowance = 0
-        self._paused = False
-        self._finished = False
-        self._aborted = False
-
-    # -- builder side ---------------------------------------------------
-    def pause(self, cost: int = 1) -> None:
-        """Charge ``cost`` work units; block once the allowance is spent."""
-        with self._cv:
-            self._allowance -= cost
-            while self._allowance <= 0 and not self._aborted:
-                self._paused = True
-                self._cv.notify_all()
-                self._cv.wait()
-            self._paused = False
-            if self._aborted:
-                raise FlushAborted("sliced flush abandoned by its driver")
-
-    def finish(self) -> None:
-        with self._cv:
-            self._finished = True
-            self._cv.notify_all()
-
-    # -- driver side ----------------------------------------------------
-    def run_slice(self) -> bool:
-        """Grant one budget; returns True once the builder has finished."""
-        with self._cv:
-            if self._finished:
-                return True
-            self._allowance = self.budget
-            self._paused = False
-            self._cv.notify_all()
-            while not self._paused and not self._finished:
-                self._cv.wait()
-            return self._finished
-
-    def abort(self) -> None:
-        with self._cv:
-            self._aborted = True
-            self._cv.notify_all()
 
 
 class FlushMemo:
@@ -145,17 +82,17 @@ class FlushMemo:
 
     def begin(self, active_ids: Sequence[int],
               blocked_radius: Optional[Dict[int, float]] = None,
-              allow_reuse: bool = True,
-              gate: Optional[SliceGate] = None) -> "MemoExecutor":
-        """Bind the memo to one rebuild over ``active_ids``.
+              allow_reuse: bool = True) -> "MemoExecutor":
+        """Bind the memo's current generation to one rebuild over
+        ``active_ids``.
 
         ``blocked_radius`` maps a previous-generation member external
         id to the distance of its nearest *inserted* POI — the
         invalidation data; omit it (or pass ``allow_reuse=False``) to
         disable reuse while still capturing the build's rows.
         """
-        return MemoExecutor(self, list(active_ids),
-                            blocked_radius or {}, allow_reuse, gate)
+        return MemoExecutor(self.rows, self.members, list(active_ids),
+                            blocked_radius or {}, allow_reuse)
 
     def commit(self, executor: "MemoExecutor") -> None:
         """Adopt one finished rebuild's rows as the new generation."""
@@ -167,31 +104,31 @@ class MemoExecutor(BuildExecutor):
     """A :class:`BuildExecutor` wrapper that replays memoised rows.
 
     Wraps the rebuild's real executor (bound by ``bind``): every SSAD
-    task first consults the memo — a valid hit is re-slotted from
-    external ids into the new build's dense ids and returned without
-    touching the engine — and misses are computed through the inner
-    executor, then captured in external-id space for the *next*
-    generation.  ``name``/``jobs`` mirror the inner executor so build
-    stats and store metadata stay byte-comparable between memoised and
+    task first consults the memo generation it was begun with — a
+    valid hit is re-slotted from external ids into the new build's
+    dense ids and returned without touching the engine — and misses
+    are computed through the inner executor, then captured in
+    external-id space for the *next* generation.  It reads no shared
+    state after construction, so a build can run off the owner's
+    lock.  ``name``/``jobs`` mirror the inner executor so build stats
+    and store metadata stay byte-comparable between memoised and
     from-scratch builds.
     """
 
-    def __init__(self, memo: FlushMemo, active_ids: List[int],
-                 blocked_radius: Dict[int, float], allow_reuse: bool,
-                 gate: Optional[SliceGate]):
-        self._memo = memo
+    def __init__(self, rows: Dict[_RowKey, PoiRow], members: frozenset,
+                 active_ids: List[int], blocked_radius: Dict[int, float],
+                 allow_reuse: bool):
+        self._rows = rows
         self.active_ids = active_ids
         self._ext_of = active_ids  # new slot -> ext
         self._ext_array = np.asarray(active_ids, dtype=np.int64)
         # ext -> new slot, -1 for ids outside the active set.
-        span = max(max(active_ids, default=-1), max(memo.members, default=-1))
+        span = max(max(active_ids, default=-1), max(members, default=-1))
         self._slot_of = np.full(span + 1, -1, dtype=np.int64)
         self._slot_of[self._ext_array] = np.arange(len(active_ids))
         self._blocked = blocked_radius
-        self._inserted = [ext for ext in active_ids
-                          if ext not in memo.members]
+        self._inserted = [ext for ext in active_ids if ext not in members]
         self._allow_reuse = allow_reuse
-        self._gate = gate
         self._inner: Optional[BuildExecutor] = None
         self.captured_rows: Dict[_RowKey, PoiRow] = {}
         self.reused_rows = 0
@@ -239,32 +176,21 @@ class MemoExecutor(BuildExecutor):
                 results[position] = row
                 self.reused_rows += 1
         if misses:
-            chunk = self._gate.budget if self._gate is not None \
-                else len(misses)
-            for start in range(0, len(misses), chunk):
-                part = misses[start:start + chunk]
-                fresh = self._inner.map_ssad(
-                    [tasks[position] for position in part])
-                if len(fresh) != len(part):
-                    raise ValueError(
-                        "executor returned a misaligned batch")
-                for position, row in zip(part, fresh):
-                    slot, radius = tasks[position]
-                    self._capture_row(int(slot), radius, row)
-                    results[position] = row
-                    self.computed_rows += 1
-                if self._gate is not None:
-                    self._gate.pause(len(part))
+            fresh = self._inner.map_ssad(
+                [tasks[position] for position in misses])
+            if len(fresh) != len(misses):
+                raise ValueError("executor returned a misaligned batch")
+            for position, row in zip(misses, fresh):
+                slot, radius = tasks[position]
+                self._capture_row(int(slot), radius, row)
+                results[position] = row
+                self.computed_rows += 1
         return results  # type: ignore[return-value]
 
     def map_pair_distances(self, pairs) -> List[float]:
         """Forwarded to the inner executor (the efficient build asks
-        for pair distances only on a Lemma 4 miss); still charged to
-        the slice gate."""
-        distances = self._inner.map_pair_distances(pairs)
-        if self._gate is not None and pairs:
-            self._gate.pause(len(pairs))
-        return distances
+        for pair distances only on a Lemma 4 miss)."""
+        return self._inner.map_pair_distances(pairs)
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -288,7 +214,7 @@ class MemoExecutor(BuildExecutor):
             return None
         ext = self._ext_of[slot]
         key = (ext, None if radius is None else float(radius))
-        cached = self._memo.rows.get(key)
+        cached = self._rows.get(key)
         if cached is None:
             return None
         if self._inserted:

@@ -36,7 +36,7 @@ from ..geodesic.engine import GeodesicEngine
 from .compressed_tree import CompressedPartitionTree, compress_tree
 from .node_pairs import build_enhanced_edges, generate_node_pairs_batched
 from .parallel import BuildExecutor, make_executor
-from .partition_tree import PartitionTree, build_partition_tree
+from .partition_tree import build_partition_tree
 
 __all__ = ["SEOracle", "BuildStats"]
 
@@ -142,7 +142,6 @@ class SEOracle:
         self._ssad_cache = ssad_cache
         self.stats = BuildStats()
         self._tree: Optional[CompressedPartitionTree] = None
-        self._original_tree: Optional[PartitionTree] = None
         self._pair_hash: Optional[PerfectHashMap] = None
         self._compiled = None
         self._built = False
@@ -267,7 +266,6 @@ class SEOracle:
             if owns_executor:
                 executor.close()
 
-        self._original_tree = original
         self._tree = tree
         self._pair_hash = pair_hash
         self._compiled = None  # stale after a rebuild; recompiled lazily
@@ -323,11 +321,6 @@ class SEOracle:
     def tree(self) -> CompressedPartitionTree:
         self._require_built()
         return self._tree
-
-    @property
-    def original_tree(self) -> PartitionTree:
-        self._require_built()
-        return self._original_tree
 
     @property
     def pair_hash(self) -> PerfectHashMap:

@@ -14,7 +14,7 @@ persistence story:
   carrying the workload fingerprint and build metadata.  The file is
   readable by plain ``numpy.load`` (it *is* an npz).
 * :class:`StoreFile` is the one reader, with one descriptor per open
-  store: every read (maps, copies, rows, pages, raw members) goes
+  store: every read (maps, copies, rows, pages) goes
   through it, and ``close()`` (or collection) releases it.
   :func:`open_oracle` opens one and hands it to the backend.  The
   default backend maps the whole store read-only straight off disk,
@@ -165,17 +165,11 @@ def _member_info(name: str) -> zipfile.ZipInfo:
 
 
 def _write_store(path: PathLike, meta: Dict[str, Any],
-                 sections: Dict[str, np.ndarray],
-                 raw_members: Optional[Dict[str, bytes]] = None) -> None:
-    """Write a v4 store; ``raw_members`` short-circuits serialization.
+                 sections: Dict[str, np.ndarray]) -> None:
+    """Write a v4 store.
 
-    ``raw_members`` maps a section name to the ready-made ``.npy``
-    member bytes of a previous store generation — the incremental
-    repack path: sections the flush left untouched flow straight from
-    the old file into the new one.  Because the member format is fully
-    deterministic (pinned timestamps, ZIP_STORED, canonical npy
-    headers), the output is byte-identical to re-serializing.
-
+    The member format is deterministic (pinned timestamps, ZIP_STORED,
+    canonical npy headers), so the same sections write the same bytes.
     The store is published atomically: the members go to a temp file
     in the target's directory, which is fsync'd and ``os.replace``'d
     over ``path``; the directory is then fsync'd so the rename is
@@ -185,7 +179,6 @@ def _write_store(path: PathLike, meta: Dict[str, Any],
     page.  A failed write unlinks the temp file and leaves ``path`` as
     it was.
     """
-    raw_members = raw_members or {}
     target = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(target))
     temp = os.path.join(directory, f".{os.path.basename(target)}."
@@ -196,14 +189,12 @@ def _write_store(path: PathLike, meta: Dict[str, Any],
                 archive.writestr(_member_info(_META_MEMBER),
                                  json.dumps(meta, sort_keys=True, indent=1))
                 for name, array in sections.items():
-                    raw = raw_members.get(name)
-                    if raw is None:
-                        buffer = io.BytesIO()
-                        np.lib.format.write_array(
-                            buffer, np.ascontiguousarray(array),
-                            allow_pickle=False)
-                        raw = buffer.getvalue()
-                    archive.writestr(_member_info(name + ".npy"), raw)
+                    buffer = io.BytesIO()
+                    np.lib.format.write_array(
+                        buffer, np.ascontiguousarray(array),
+                        allow_pickle=False)
+                    archive.writestr(_member_info(name + ".npy"),
+                                     buffer.getvalue())
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, target)
@@ -326,35 +317,8 @@ def _nearest_sections(index, count: int,
                     nearest_pois(index, count)))
 
 
-def _reusable_members(previous: PathLike,
-                      sections: Dict[str, np.ndarray]
-                      ) -> Dict[str, bytes]:
-    """Raw ``.npy`` member bytes of ``previous`` for every section the
-    new build left unchanged (same dtype/shape/values).
-
-    The incremental-repack half of the sublinear flush: dirty sections
-    serialize fresh, clean ones are copied byte-for-byte from the old
-    generation — ``np.array_equal`` bails out at the first differing
-    element, so comparing a dirty section costs almost nothing.
-    """
-    reusable: Dict[str, bytes] = {}
-    try:
-        with StoreFile(previous) as store:
-            old_sections = store.arrays(sections)
-            for name, array in sections.items():
-                old = old_sections[name]
-                if (old.dtype != array.dtype or old.shape != array.shape
-                        or not np.array_equal(old, array)):
-                    continue
-                reusable[name] = store.member(name)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        return {}  # unreadable / incompatible previous: full write
-    return reusable
-
-
 def pack_oracle(oracle: SEOracle, path: PathLike,
-                canonical: bool = False,
-                previous: Optional[PathLike] = None) -> Dict[str, Any]:
+                canonical: bool = False) -> None:
     """Write a built oracle as a format-v4 binary store.
 
     Compiles the oracle (its chain matrix) if that has not happened
@@ -365,10 +329,6 @@ def pack_oracle(oracle: SEOracle, path: PathLike,
     (``stats.total_seconds``) to zero, so two builds of the *same*
     oracle content — e.g. an incremental flush and a from-scratch
     rebuild over the same live POI set — pack to byte-identical files.
-    ``previous`` names an earlier store generation to splice unchanged
-    section bytes from (see :func:`_reusable_members`); the output is
-    byte-identical either way.  Returns a small report:
-    ``{"sections": total, "reused": copied-from-previous}``.
     """
     from .serialize import workload_fingerprint
     sections = oracle_sections(oracle)
@@ -386,11 +346,7 @@ def pack_oracle(oracle: SEOracle, path: PathLike,
                else oracle.stats.total_seconds},
         tree=oracle.tree,
     )
-    raw_members: Dict[str, bytes] = {}
-    if previous is not None and os.path.exists(previous):
-        raw_members = _reusable_members(previous, sections)
-    _write_store(path, meta, sections, raw_members=raw_members)
-    return {"sections": len(sections), "reused": len(raw_members)}
+    _write_store(path, meta, sections)
 
 
 def pack_document(document: Dict[str, Any], path: PathLike) -> None:
@@ -474,8 +430,7 @@ class StoreFile:
     (:func:`_npy_header`), so a reopen parses no header.  Every read
     goes through the one descriptor opened here — maps and copies of
     sections (:meth:`arrays`), positional row and page reads
-    (:meth:`rows`, :meth:`read`), raw members (:meth:`member`) — so a
-    reader keeps reading the generation it opened after an
+    (:meth:`rows`, :meth:`read`) — so a reader keeps reading the generation it opened after an
     ``os.replace``.  One :meth:`arrays` call takes one read-only map
     over the byte span of the sections it names and hands each out as
     an array view of it.  :meth:`close` (or leaving a ``with`` block)
@@ -647,11 +602,6 @@ class StoreFile:
                 errno.EIO, f"{self.path}: short read at byte {offset} "
                 f"({len(raw)} of {size} bytes); was the store truncated?")
         return raw
-
-    def member(self, name: str) -> bytes:
-        """A section's whole ``.npy`` member bytes, header included."""
-        with self._lock:
-            return self._archive.read(name + ".npy")
 
 
 def section_layouts(path: PathLike

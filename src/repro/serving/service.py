@@ -176,7 +176,6 @@ class TerrainCounters:
     refreshes: int = 0        # generation re-mmaps (tracked terrains)
     updates: int = 0          # POI inserts + deletes (mutable only)
     flushes: int = 0          # rebuild + repack cycles (mutable only)
-    flush_slices: int = 0     # background-flush work slices (mutable)
     server_batches: int = 0   # coalesced dispatches (network server)
     server_batched_queries: int = 0  # point queries they carried
     load_seconds: float = 0.0
@@ -200,7 +199,6 @@ class TerrainCounters:
             "refreshes": self.refreshes,
             "updates": self.updates,
             "flushes": self.flushes,
-            "flush_slices": self.flush_slices,
             "server_batches": self.server_batches,
             "server_batched_queries": self.server_batched_queries,
             "mean_server_batch": mean_batch,
@@ -247,7 +245,7 @@ class MutableRegistration(_Registration):
     overlay: Optional[DynamicSEOracle] = None
     dirty: bool = False
     #: a background flush is in flight: updates and further flushes
-    #: must wait for it (queries keep flowing between its slices)
+    #: must wait for it (queries keep flowing while it builds)
     flushing: bool = False
 
     @property
@@ -656,9 +654,8 @@ class OracleService:
         The rebuild replays the overlay's cross-rebuild SSAD memo, so
         only churn-damaged rows recompute; it is bit-identical to the
         from-scratch reference,
-        :meth:`~repro.core.dynamic.DynamicSEOracle.force_rebuild`.  The
-        repack splices unchanged section bytes from the previous
-        generation.  For a flush that never stalls readers, see
+        :meth:`~repro.core.dynamic.DynamicSEOracle.force_rebuild`.  For
+        a flush that builds without the service lock, see
         :meth:`flush_background`.
         """
         registration = self._mutable(terrain_id)
@@ -674,17 +671,14 @@ class OracleService:
                        ) -> Dict[str, Any]:
         """Pack + atomic-replace + re-adopt one flushed generation.
 
-        The pack is canonical (wall-clock meta pinned) and splices
-        unchanged section bytes from the outgoing generation — the
-        incremental-repack half of the sublinear flush.
+        The pack is canonical (wall-clock meta pinned), so a flushed
+        store equals a from-scratch rebuild's pack byte for byte.  It
+        publishes atomically; a failed pack leaves the store as it
+        was, the registration dirty and the (already rebuilt) overlay
+        serving.
         """
         overlay = registration.overlay
-        # The pack reads the outgoing generation's sections first and
-        # publishes atomically; a failed pack leaves the store as it
-        # was, the registration dirty and the (already rebuilt)
-        # overlay serving.
-        pack_oracle(overlay.oracle, registration.path, canonical=True,
-                    previous=registration.path)
+        pack_oracle(overlay.oracle, registration.path, canonical=True)
         with open_oracle(registration.path, engine=overlay.engine,
                          strict=True) as stored:
             overlay.adopt_store(stored)
@@ -693,46 +687,39 @@ class OracleService:
         registration.dirty = False
         return registration.meta
 
-    def flush_background(self, terrain_id: str, incremental: bool = True,
-                         slice_ssads: int = 8) -> threading.Thread:
-        """Flush in bounded slices on a worker thread; returns it.
+    def flush_background(self, terrain_id: str) -> threading.Thread:
+        """:meth:`flush` on a worker thread, building off the lock;
+        returns the thread.
 
-        The rebuild proceeds as :meth:`~repro.core.dynamic.
-        DynamicSEOracle.flush_steps` slices: each slice takes the
-        service lock, performs at most ``slice_ssads`` SSAD
-        computations, and releases it — so reader queries interleave
-        between slices instead of stalling for the whole rebuild.  One
-        generation is published at the end (atomic repack + re-adopt,
-        under the lock), exactly as a synchronous flush would.
-        Updates and other flushes on the terrain are refused while the
-        flush is in flight; join the returned thread to wait for
-        completion.  Errors are recorded on the thread's
-        ``flush_outcome`` dict under ``"error"``.
+        The worker takes the service lock to run :meth:`~repro.core.
+        dynamic.DynamicSEOracle.prepare_flush`, releases it for the
+        build, and takes it again to install the fresh base and
+        publish one generation (atomic repack + re-adopt), exactly as
+        a synchronous flush would.  Readers keep answering from the
+        pre-flush generation for the whole build.  Updates and other
+        flushes on the terrain are refused while the flush is in
+        flight; join the returned thread to wait for completion.
+        Errors are recorded on the thread's ``flush_outcome`` dict
+        under ``"error"``.
         """
         with self._lock:
             registration = self._mutable(terrain_id)
             self._refuse_mid_flush(terrain_id, registration,
                                    "flush_background")
             registration.flushing = True
+        overlay = registration.overlay
         outcome: Dict[str, Any] = {}
 
         def runner() -> None:
             try:
-                overlay = registration.overlay
-                if registration.dirty and overlay.has_pending_updates:
-                    steps = overlay.flush_steps(
-                        incremental=incremental, slice_ssads=slice_ssads)
-                    try:
-                        while True:
-                            with self._lock:
-                                try:
-                                    next(steps)
-                                except StopIteration:
-                                    break
-                                registration.counters.flush_slices += 1
-                    finally:
-                        steps.close()
                 with self._lock:
+                    build = (overlay.prepare_flush()
+                             if registration.dirty
+                             and overlay.has_pending_updates else None)
+                fresh = None if build is None else build()
+                with self._lock:
+                    if fresh is not None:
+                        overlay.install_flush(fresh)
                     if registration.dirty:
                         outcome["meta"] = self._publish_flush(
                             registration)

@@ -71,7 +71,7 @@ def assert_sections_identical(left, right):
 
 
 class TestSplicedTablesEqualReference:
-    """flush(incremental=True) == force_rebuild, array-for-array."""
+    """flush() == force_rebuild, array-for-array."""
 
     @pytest.mark.parametrize("seed", [41, 43, 47])
     @pytest.mark.parametrize("kind", ["insert", "delete", "mixed"])
@@ -111,7 +111,9 @@ class TestSplicedTablesEqualReference:
     def test_explicit_full_flush_is_force_rebuild(self):
         oracle = make_oracle(59)
         oracle.insert(33.0, 44.0)
-        stats = oracle.flush(incremental=False)
+        oracle.force_rebuild()
+        stats = oracle.last_flush_stats
+        assert set(stats) == STAT_KEYS
         assert stats["reused_rows"] == 0
         assert stats["computed_rows"] > 0
 
@@ -134,34 +136,15 @@ class TestCanonicalRepackByteIdentity:
         pack_oracle(reference.oracle, right, canonical=True)
         assert left.read_bytes() == right.read_bytes()
 
-    def test_previous_splice_preserves_bytes(self, tmp_path):
-        """``previous=`` is a pure serialization shortcut: output
-        bytes match a from-scratch pack exactly."""
-        oracle = make_oracle(67)
-        before = tmp_path / "gen0.sestore"
-        pack_oracle(oracle.oracle, before, canonical=True)
-
-        oracle.delete(int(oracle.live_ids()[0]))
-        oracle.flush()
-        plain = tmp_path / "gen1-plain.sestore"
-        spliced = tmp_path / "gen1-spliced.sestore"
-        report = pack_oracle(oracle.oracle, plain, canonical=True)
-        spliced_report = pack_oracle(oracle.oracle, spliced,
-                                     canonical=True, previous=before)
-        assert plain.read_bytes() == spliced.read_bytes()
-        assert spliced_report["sections"] == report["sections"]
-
     def test_idempotent_flush_reuses_every_section(self, tmp_path):
-        """No churn → next generation splices all sections from the
-        previous store."""
+        """No churn → the next generation packs every section byte
+        for byte as the previous store."""
         oracle = make_oracle(71)
         gen0 = tmp_path / "gen0.sestore"
         pack_oracle(oracle.oracle, gen0, canonical=True)
         oracle.flush()  # no pending updates: pure replay
         gen1 = tmp_path / "gen1.sestore"
-        report = pack_oracle(oracle.oracle, gen1, canonical=True,
-                             previous=gen0)
-        assert report["reused"] == report["sections"]
+        pack_oracle(oracle.oracle, gen1, canonical=True)
         assert gen0.read_bytes() == gen1.read_bytes()
 
 
@@ -190,50 +173,49 @@ class TestReuseAccounting:
 
 
 class TestFlushSteps:
-    def test_sliced_flush_matches_reference(self):
+    """``prepare_flush`` → its build → ``install_flush``: the three
+    steps every flush runs."""
+
+    def test_prepared_flush_matches_reference(self):
         incremental = make_oracle(89)
         reference = make_oracle(89)
         trace = draw_trace(89, incremental, "mixed")
         apply_trace(incremental, trace)
         apply_trace(reference, trace)
 
-        slices = list(incremental.flush_steps(slice_ssads=4))
+        build = incremental.prepare_flush()
+        stats = incremental.install_flush(build())
         reference.force_rebuild()
 
-        assert len(slices) > 1
-        assert all(not step["done"] for step in slices[:-1])
-        final = slices[-1]
-        assert final["done"] is True
-        assert set(final) >= STAT_KEYS | {"slice", "done"}
+        assert set(stats) == STAT_KEYS
+        assert stats == incremental.last_flush_stats
         assert_sections_identical(incremental.oracle, reference.oracle)
 
-    def test_queries_answer_between_slices(self):
+    def test_queries_answer_until_install(self):
         oracle = make_oracle(97)
         inserted = oracle.insert(40.0, 60.0)
-        expected = oracle.query(inserted, int(oracle.live_ids()[0]))
-        steps = oracle.flush_steps(slice_ssads=2)
-        for _ in range(3):
-            step = next(steps)
-            assert step["done"] is False
-            # Readers keep getting pre-flush (overlay) answers.
-            assert oracle.query(
-                inserted, int(oracle.live_ids()[0])) == expected
-            assert oracle.has_pending_updates
-        for step in steps:
-            pass
-        assert step["done"] is True
+        base = int(oracle.live_ids()[0])
+        expected = oracle.query(inserted, base)
+        build = oracle.prepare_flush()
+        assert oracle.query(inserted, base) == expected
+        fresh = build()
+        # Built but not installed: readers keep the pre-flush
+        # (overlay) answers.
+        assert oracle.query(inserted, base) == expected
+        assert oracle.has_pending_updates
+        oracle.install_flush(fresh)
         assert not oracle.has_pending_updates
 
     def test_abandoned_flush_leaves_oracle_intact(self):
         oracle = make_oracle(101)
         oracle.insert(25.0, 75.0)
         rebuilds = oracle.rebuild_count
-        steps = oracle.flush_steps(slice_ssads=1)
-        next(steps)
-        steps.close()  # abort mid-build
+        before = oracle.query_matrix()
+        oracle.prepare_flush()()  # built, never installed
         assert oracle.rebuild_count == rebuilds
         assert oracle.has_pending_updates
-        # A later full-strength flush still lands.
+        assert np.array_equal(oracle.query_matrix(), before)
+        # A later flush still lands.
         oracle.flush()
         assert not oracle.has_pending_updates
         assert oracle.rebuild_count == rebuilds + 1
@@ -241,14 +223,9 @@ class TestFlushSteps:
     def test_mid_flight_mutation_is_detected(self):
         oracle = make_oracle(103)
         oracle.insert(30.0, 30.0)
-        steps = oracle.flush_steps(slice_ssads=1)
-        next(steps)
+        build = oracle.prepare_flush()
         oracle.insert(70.0, 70.0)  # changes the active set mid-flush
+        fresh = build()
         with pytest.raises(RuntimeError, match="changed while"):
-            for _ in steps:
-                pass
-
-    def test_invalid_slice_budget(self):
-        oracle = make_oracle(107)
-        with pytest.raises(ValueError):
-            next(oracle.flush_steps(slice_ssads=0))
+            oracle.install_flush(fresh)
+        assert oracle.has_pending_updates

@@ -17,6 +17,7 @@ import pytest
 from repro.core import (
     SEOracle,
     build_enhanced_edges,
+    build_partition_tree,
     generate_node_pairs_batched,
     load_oracle,
     open_oracle,
@@ -83,7 +84,9 @@ class CentreDistance:
         self.engine = engine
         self.index = None
         if oracle.method == "efficient":
-            tree = oracle.original_tree
+            tree = build_partition_tree(
+                engine, strategy=oracle.strategy, seed=oracle.seed
+            )
             self.index = build_enhanced_edges(engine, tree, oracle.epsilon)
         self.memo = {}
 

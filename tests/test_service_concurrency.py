@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from repro.core import SEOracle, pack_oracle
+from repro.core import SEOracle, dynamic, pack_oracle
 from repro.geodesic import GeodesicEngine
 from repro.serving import OracleService, TerrainSpec, ThreadedServer
 from repro.serving.loadgen import OracleClient, sample_pairs
@@ -297,10 +297,10 @@ class TestMutableChurn:
 
     def test_background_flush_under_reader_hammering(
             self, mutable_service):
-        """A background (sliced, incremental) flush runs while reader
-        threads hammer the terrain: no torn reads — every answer is
-        the pre-flush or post-flush serial value — one atomic
-        generation swap, and the counters reconcile."""
+        """A background flush runs while reader threads hammer the
+        terrain: no torn reads — every answer is the pre-flush or
+        post-flush serial value — one atomic generation swap, and the
+        counters reconcile."""
         service = mutable_service
         pairs = sample_pairs(NUM_POIS, 40, seed=37)
         poi = service.insert_poi("m", 41.0, 52.0)
@@ -325,7 +325,7 @@ class TestMutableChurn:
         readers = [threading.Thread(target=reader) for _ in range(2)]
         for thread in readers:
             thread.start()
-        flusher = service.flush_background("m", slice_ssads=2)
+        flusher = service.flush_background("m")
         flusher.join()
         stop.set()
         for thread in readers:
@@ -341,7 +341,44 @@ class TestMutableChurn:
 
         counters = service.stats()["m"]
         assert counters["flushes"] == 1
-        assert counters["flush_slices"] >= 1
+        assert counters["dirty"] is False
+
+    def test_readers_answer_while_the_build_is_parked(
+            self, mutable_service, monkeypatch):
+        """The background flush builds without the service lock: with
+        its build parked in the engine constructor, a reader's query
+        still completes, with the pre-flush answer."""
+        service = mutable_service
+        poi = service.insert_poi("m", 41.0, 52.0)
+        service.delete_poi("m", poi)
+        expected = service.query("m", 0, 1)
+        parked, release = threading.Event(), threading.Event()
+        engine_class = dynamic.GeodesicEngine
+
+        def parked_engine(*args, **kwargs):
+            parked.set()
+            release.wait(timeout=10.0)
+            return engine_class(*args, **kwargs)
+
+        monkeypatch.setattr(dynamic, "GeodesicEngine", parked_engine)
+        flusher = service.flush_background("m")
+        try:
+            assert parked.wait(timeout=10.0), "the flush build never ran"
+            answers = []
+            reader = threading.Thread(
+                target=lambda: answers.append(service.query("m", 0, 1)),
+                daemon=True)
+            reader.start()
+            reader.join(timeout=10.0)
+            assert answers == [expected], \
+                "reader blocked behind the flush build"
+        finally:
+            release.set()
+            flusher.join(timeout=60.0)
+        assert not flusher.is_alive()
+        assert "error" not in flusher.flush_outcome
+        counters = service.stats()["m"]
+        assert counters["flushes"] == 1
         assert counters["dirty"] is False
 
     def test_updates_refused_while_background_flush_in_flight(
@@ -376,7 +413,6 @@ class TestMutableChurn:
         assert "error" not in thread.flush_outcome
         counters = service.stats()["m"]
         assert counters["flushes"] == 0
-        assert counters["flush_slices"] == 0
 
     def test_server_batcher_interleaves_with_direct_updates(
             self, mutable_service):
