@@ -229,3 +229,13 @@ class TestFlushSteps:
         with pytest.raises(RuntimeError, match="changed while"):
             oracle.install_flush(fresh)
         assert oracle.has_pending_updates
+
+    def test_prepare_requires_a_built_oracle(self):
+        mesh = make_terrain(grid_exponent=3, extent=(100.0, 100.0),
+                            relief=15.0, seed=107)
+        pois = sample_uniform(mesh, 12, seed=108)
+        unbuilt = DynamicSEOracle(mesh, pois, epsilon=EPSILON)
+        with pytest.raises(RuntimeError, match="not built"):
+            unbuilt.prepare_flush()
+        with pytest.raises(RuntimeError, match="not built"):
+            unbuilt.flush()

@@ -381,6 +381,38 @@ class TestMutableChurn:
         assert counters["flushes"] == 1
         assert counters["dirty"] is False
 
+    def test_failed_background_build_leaves_the_terrain_dirty(
+            self, mutable_service, monkeypatch):
+        """A build that raises is recorded on ``flush_outcome`` and
+        never installed: the terrain keeps its pre-flush answers,
+        stays dirty, takes updates again, and a later flush lands."""
+        service = mutable_service
+        poi = service.insert_poi("m", 41.0, 52.0)
+        service.delete_poi("m", poi)
+        expected = service.query("m", 0, 1)
+        failure = RuntimeError("engine build failed")
+        engine_class = dynamic.GeodesicEngine
+
+        def failing_engine(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(dynamic, "GeodesicEngine", failing_engine)
+        flusher = service.flush_background("m")
+        flusher.join(timeout=60.0)
+        assert not flusher.is_alive()
+        assert flusher.flush_outcome.get("error") is failure
+        assert service.query("m", 0, 1) == expected
+        counters = service.stats()["m"]
+        assert counters["flushes"] == 0
+        assert counters["dirty"] is True
+
+        monkeypatch.setattr(dynamic, "GeodesicEngine", engine_class)
+        service.insert_poi("m", 10.0, 10.0)
+        service.flush("m")
+        counters = service.stats()["m"]
+        assert counters["flushes"] == 1
+        assert counters["dirty"] is False
+
     def test_updates_refused_while_background_flush_in_flight(
             self, mutable_service):
         """The mid-flight guard: while a background flush owns the
