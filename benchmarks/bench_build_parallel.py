@@ -14,7 +14,9 @@ Usage::
         --scale tiny --jobs 1 2 --out BENCH_build.json
 
 The JSON report records the workload shape, per-jobs timings and
-speedups, and the parity verdicts.
+speedups, the parity verdicts, and the serial reference build's
+breakdown: its stage seconds (tree, enhanced, pairs, hash) and its
+SSAD effort counters (``ssad_calls``, ``settled_nodes``).
 """
 
 from __future__ import annotations
@@ -177,7 +179,14 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "serial_seconds": serial_seconds,
         "pairs": reference.num_pairs,
+        "stage_seconds": {
+            "tree": reference.stats.tree_seconds,
+            "enhanced": reference.stats.enhanced_seconds,
+            "pairs": reference.stats.pairs_seconds,
+            "hash": reference.stats.hash_seconds,
+        },
         "ssad_calls": reference.stats.ssad_calls,
+        "settled_nodes": reference.stats.settled_nodes,
         "parity": parity_ok,
         "runs": runs,
     }

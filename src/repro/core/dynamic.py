@@ -226,13 +226,14 @@ class DynamicSEOracle:
         """Step one of a flush: read its inputs, return its build.
 
         Reads what the rebuild needs — the active set, the
-        insert-blocked radii, the memo generation and the base POI
-        set — under the caller's lock, if it holds one, and returns a
-        callable that builds the fresh base from them alone.  The
-        build touches no shared state, so it may run on another thread
-        without the lock while every query keeps answering from the
-        pre-flush state.  Pass its result to :meth:`install_flush`; a
-        build that is never installed leaves the oracle as it was.
+        insert-blocked radii, the memo generation, the base POI set
+        and the current engine's immutable site-free graph core — under
+        the caller's lock, if it holds one, and returns a callable that
+        builds the fresh base from them alone.  The build touches no
+        shared state, so it may run on another thread without the lock
+        while every query keeps answering from the pre-flush state.
+        Pass its result to :meth:`install_flush`; a build that is never
+        installed leaves the oracle as it was.
         """
         self._require_built()
         return self._prepare(reuse=True)
@@ -257,12 +258,19 @@ class DynamicSEOracle:
         base_pois = POISet([self._records[i] for i in active_ids])
         if len(base_pois) != len(active_ids):
             raise RuntimeError("active POIs collided after dedup")
+        # The current engine's site-free core (Steiner placement, face
+        # cliques, weight model) is immutable: the fresh engine only
+        # attaches the active POIs to it.
+        core = None if self._engine is None else self._engine.graph.core
         mesh, points_per_edge = self._mesh, self._points_per_edge
         epsilon, seed, jobs = self.epsilon, self._seed, self.jobs
 
         def build() -> _FreshBase:
-            engine = GeodesicEngine(mesh, base_pois,
-                                    points_per_edge=points_per_edge)
+            if core is None:
+                engine = GeodesicEngine(mesh, base_pois,
+                                        points_per_edge=points_per_edge)
+            else:
+                engine = GeodesicEngine.on_core(core, base_pois)
             oracle = SEOracle(engine, epsilon, seed=seed, jobs=jobs,
                               ssad_cache=cache).build()
             return active_ids, engine, oracle, cache

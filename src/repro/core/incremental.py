@@ -38,7 +38,10 @@ renumbering.  Capture maps a row's dense POI ids to external ids with
 one gather; reuse maps them back to the new build's dense ids with
 another, and entries whose target was deleted drop out there.  Every
 rebuild (memoised or not) recaptures the memo wholesale, so the memo
-always describes exactly one generation.
+always describes exactly one generation.  A build asks for one row per
+centre per stage (the partition tree's and the enhanced-edge sweep's,
+each at the centre's first layer), so a generation holds at most two
+rows per POI, and a replayed row serves every layer of its centre.
 """
 
 from __future__ import annotations

@@ -11,12 +11,16 @@ distance stored with that pair ε-approximates ``d_g(p, q)``.
 Every considered pair needs the geodesic distance between its centres.
 The *naive* construction runs one SSAD per pair; the *efficient*
 construction (Section 3.5) instead precomputes **enhanced edges**: for
-every node ``O`` of the original partition tree, one radius-bounded
-SSAD from ``c_O`` records the distance to every same-layer centre
-within ``l * r_O`` where ``l = 8/ε + 10``.  Lemma 4 proves that every
-pair the generator considers finds its centre distance on some
-enhanced edge, discoverable in O(h) by walking both centre chains
-bottom-up through the layers.
+every node ``O`` of the original partition tree, the distance from
+``c_O`` to every same-layer centre within ``l * r_O`` where
+``l = 8/ε + 10``.  Lemma 4 proves that every pair the generator
+considers finds its centre distance on some enhanced edge,
+discoverable in O(h) by walking both centre chains bottom-up through
+the layers.  The paper runs one radius-bounded SSAD per node; a
+centre heads a node at every layer from its first one down, and its
+deeper rows are its first-layer row cut at smaller radii, so the
+build runs one SSAD per distinct centre and reads every layer's
+edges from those rows (:func:`build_enhanced_edges`).
 
 Enhanced edges are keyed by ``(layer, centre_a, centre_b)`` — exactly
 the identity of a same-layer node pair in ``T_org``, since a node of
@@ -134,19 +138,25 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
                          epsilon: float,
                          executor: Optional[BuildExecutor] = None
                          ) -> EnhancedEdgeIndex:
-    """Step 2 of the efficient construction: one SSAD per tree node.
+    """Step 2 of the efficient construction: one SSAD per centre.
 
-    For every node ``O`` of ``T_org`` run a radius-bounded SSAD from
-    ``c_O`` out to ``l * r_O`` and record an edge to every same-layer
-    centre found inside.  The root layer (radius ``r_0``) covers all of
-    ``P`` by construction, so its SSAD runs in cover-all mode.
+    For every node ``O`` of ``T_org``, record an edge to every
+    same-layer centre within ``l * r_O`` of ``c_O``.  A POI heads a
+    node at every layer from its first one down, so one radius-bounded
+    SSAD per distinct centre, out to ``l * r`` of its first layer,
+    holds every row its nodes need: a deeper node's row is that row's
+    ``dists <= l * r_O`` cut, bit for bit.  The root layer (radius
+    ``r_0``) covers all of ``P`` by construction, so the root centre's
+    SSAD runs in cover-all mode.
 
-    This is the fan-out stage of the build pipeline: each layer (ids
-    ``layer_starts[i]:layer_starts[i + 1]`` of the tree's columns) is
-    one SSAD batch handed to ``executor`` (default: a
-    :class:`~repro.core.parallel.SerialExecutor` on the live engine),
-    and the layer's rows are reduced in one pass in node order, so the
-    index is identical whichever executor ran the batch.
+    This is the fan-out stage of the build pipeline: the ``n`` SSADs,
+    in node order of the centres' first nodes, are one batch handed to
+    ``executor`` (default: a
+    :class:`~repro.core.parallel.SerialExecutor` on the live engine).
+    Each layer (ids ``layer_starts[i]:layer_starts[i + 1]`` of the
+    tree's columns) is then reduced from its centres' rows in one pass
+    in node order, so the index is identical whichever executor ran
+    the batch.
     """
     if executor is None:
         executor = SerialExecutor()
@@ -154,19 +164,28 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
     factor = enhanced_edge_factor(epsilon)
     n = engine.num_pois
     starts = tree.layer_starts.tolist()
+    bounds = [factor * tree.layer_radius(layer) * (1.0 + _EPS)
+              for layer in range(tree.height + 1)]
+    # Node ids ascend by layer, so each POI's first node sits at its
+    # first layer and the first nodes in id order run layer by layer.
+    first_nodes = np.sort(np.unique(tree.centers, return_index=True)[1])
+    firsts = tree.centers[first_nodes].tolist()
+    rows = executor.map_ssad([
+        (center, None if layer == 0 else bounds[layer])
+        for center, layer in zip(firsts, tree.layers[first_nodes].tolist())
+    ])
+    if len(rows) != len(firsts):
+        raise ValueError("executor returned a misaligned batch")
+    row_of = dict(zip(firsts, rows))
     edge_keys: List[np.ndarray] = []
     edge_dists: List[np.ndarray] = []
     for layer in range(tree.height + 1):
         centers = tree.centers[starts[layer]:starts[layer + 1]]
-        bound = factor * tree.layer_radius(layer) * (1.0 + _EPS)
-        radius = None if layer == 0 else bound
-        rows = executor.map_ssad([(center, radius)
-                                  for center in centers.tolist()])
-        if len(rows) != centers.size:
-            raise ValueError("executor returned a misaligned batch")
-        ids = np.concatenate([row.ids for row in rows])
-        dists = np.concatenate([row.dists for row in rows])
-        source = np.repeat(centers, [row.ids.size for row in rows])
+        bound = bounds[layer]
+        layer_rows = [row_of[center] for center in centers.tolist()]
+        ids = np.concatenate([row.ids for row in layer_rows])
+        dists = np.concatenate([row.dists for row in layer_rows])
+        source = np.repeat(centers, [row.ids.size for row in layer_rows])
         in_layer = np.zeros(n, dtype=bool)
         in_layer[centers] = True
         keep = in_layer[ids] & (ids != source) & (dists <= bound)

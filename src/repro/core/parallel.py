@@ -6,13 +6,14 @@
    compression.  Inherently sequential: each cover pass selects its
    next centre from the points the previous passes left uncovered, so
    this stage always runs on the live engine.
-2. **fan-out** — the SSAD-heavy distance work: enhanced-edge sweeps
-   (one radius-bounded SSAD per node of the original tree, one batch
-   per layer of its node columns) for the efficient method,
-   or per-pair centre distances for the naive method.  These
-   computations are independent of each other — exactly the
-   embarrassingly parallel bulk the paper amortises across queries —
-   and are expressed as *batches* handed to a :class:`BuildExecutor`.
+2. **fan-out** — the SSAD-heavy distance work: the enhanced-edge
+   sweep (one radius-bounded SSAD per distinct centre of the original
+   tree, all in one batch, each cut for its deeper layers) for the
+   efficient method, or per-pair centre distances for the naive
+   method.  These computations are independent of each other —
+   exactly the embarrassingly parallel bulk the paper amortises
+   across queries — and are expressed as *batches* handed to a
+   :class:`BuildExecutor`.
 3. **reduce** — node-pair generation over the precomputed distances
    and perfect-hash indexing, reassembled in a deterministic order.
 

@@ -7,13 +7,22 @@ disks: Layer ``i`` consists of nodes whose disks have radius
 ``P`` (*Covering*); every descendant's centre stays within twice a
 node's radius (*Distance*).
 
-The top-down construction follows the paper's Steps 1-2 exactly,
+The top-down construction builds the tree of the paper's Steps 1-2,
 including the two point-selection strategies of Implementation
 Detail 1 (*random* and *greedy*, the latter backed by the grid /
 B+-tree / max-heap combination in
 :class:`~repro.datastructures.grid_index.GridDensityIndex`) and the
 two SSAD stopping rules of Implementation Detail 2 (provided by
-:class:`~repro.geodesic.engine.GeodesicEngine`).
+:class:`~repro.geodesic.engine.GeodesicEngine`).  It departs from the
+steps as written in one place, not in their output: Step 2(b)(ii)
+runs an SSAD per node, but Step 2(b)(i) selects every previous-layer
+centre again, so a POI that first heads a node at layer ``i`` heads
+one at every deeper layer, and each of its deeper SSADs would be its
+first row cut at a smaller radius.  The builder runs one SSAD per
+centre — the root's cover-all row, any other centre's ``2 * r_i``
+row at its first layer — and cuts that row with ``dists <= bound``
+at every deeper layer.  Dijkstra settles a node at the same distance
+under any larger limit, so the cut equals a fresh row bit for bit.
 
 The tree is built as int64 columns, three ints appended per node
 (centre, layer, parent) plus the first id of each layer: the layout
@@ -27,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from typing import Callable, List, Literal, Optional
+from typing import Callable, Dict, List, Literal, Optional
 
 import numpy as np
 
@@ -171,7 +180,8 @@ def build_partition_tree(engine: GeodesicEngine,
     ssad:
         Optional SSAD provider replacing ``engine.distances_from_poi``
         — the incremental-flush memo hook.  Must return exactly what
-        the engine would.
+        the engine would.  It is asked once per centre, at the
+        centre's first layer (see the module docstring).
     """
     n = engine.num_pois
     if n == 0:
@@ -191,6 +201,8 @@ def build_partition_tree(engine: GeodesicEngine,
     # ------------------------------------------------------------------
     root_center = min(range(n), key=lambda poi: (priorities[poi], poi))
     distances = ssad(root_center, None)  # SSAD version 1
+    # Each centre's first row, cut for its deeper layers.
+    first_rows: Dict[int, PoiRow] = {root_center: distances}
     if len(distances) < n:
         raise ValueError("POI set is not geodesically connected")
     r0 = float(distances.dists.max())
@@ -232,7 +244,13 @@ def build_partition_tree(engine: GeodesicEngine,
             # Step 2(b)(ii): SSAD bounded by 2 * radius — enough both to
             # cover D(center, radius) and to reach the nearest previous-
             # layer centre (within r_{i-1} = 2 * radius by Covering).
-            reached = ssad(center, 2.0 * radius * (1.0 + _EPS))
+            bound = 2.0 * radius * (1.0 + _EPS)
+            first = first_rows.get(center)
+            if first is None:
+                reached = first_rows[center] = ssad(center, bound)
+            else:
+                cut = first.dists <= bound
+                reached = PoiRow(first.ids[cut], first.dists[cut])
             inside = reached.ids[reached.dists <= radius * (1.0 + _EPS)]
             # Ascending POI order: the greedy grid's heap breaks density
             # ties by update order, so the removal order is part of

@@ -53,7 +53,7 @@ from ..datastructures.csr import CSRGraph
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POISet
 from .dijkstra import DijkstraResult, dijkstra, row_block
-from .graph import GeodesicGraph
+from .graph import GeodesicGraph, GraphCore
 
 __all__ = ["GeodesicEngine", "EngineSnapshot", "PoiRow"]
 
@@ -155,14 +155,28 @@ class GeodesicEngine:
 
     def __init__(self, mesh: TriangleMesh, pois: POISet,
                  points_per_edge: int = 2, weight_fn=None):
-        self._mesh = mesh
+        self._attach(GeodesicGraph(mesh, points_per_edge,
+                                   weight_fn=weight_fn), pois)
+
+    @classmethod
+    def on_core(cls, core: GraphCore, pois: POISet) -> "GeodesicEngine":
+        """An engine over ``pois`` on an existing graph's site-free core.
+
+        Equal, array for array, to ``GeodesicEngine(core.mesh, pois,
+        k, weight_fn=core.weight_fn)``, without placing the Steiner
+        points or pricing the face cliques again: only the POI sites
+        are attached.  The dynamic oracle's rebuilds start here.
+        """
+        engine = cls.__new__(cls)
+        engine._attach(GeodesicGraph.from_core(core), pois)
+        return engine
+
+    def _attach(self, graph: GeodesicGraph, pois: POISet) -> None:
+        self._mesh = graph.mesh
         self._pois = pois
-        self._graph = GeodesicGraph(mesh, points_per_edge,
-                                    weight_fn=weight_fn)
-        self._index_pois(self._graph.attach_pois(pois))
-        self.ssad_calls = 0
-        self.settled_nodes = 0
-        self.heap_pushes = 0
+        self._graph = graph
+        self._index_pois(graph.attach_pois(pois))
+        self.reset_counters()
 
     def _index_pois(self, poi_nodes: List[int]) -> None:
         """The POI -> host-node map, plus the node-ordered gather arrays

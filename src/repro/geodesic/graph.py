@@ -31,10 +31,18 @@ list neighbours in first-occurrence order.  Sites enter through the
 CSR's overlay; :meth:`freeze_sites` merges a stable batch (the engine's
 POI set) into the static arrays, so build-time SSADs run on flat arrays
 and only sites attached later can be detached.
+
+Everything before the first site — the Steiner placement, the node
+positions, the face boundaries, the site-free CSR arrays and the weight
+model — is one immutable :class:`GraphCore` (:attr:`GeodesicGraph.core`).
+:meth:`GeodesicGraph.from_core` starts a new graph on an existing core
+without placing or pricing anything again; the dynamic oracle's
+rebuilds attach their POI sets that way.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,9 +50,97 @@ import numpy as np
 from ..datastructures.csr import CSRGraph
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POISet
-from .steiner import place_steiner_points
+from .steiner import SteinerPlacement, place_steiner_points
 
-__all__ = ["GeodesicGraph"]
+__all__ = ["GeodesicGraph", "GraphCore"]
+
+
+@dataclass(frozen=True)
+class GraphCore:
+    """The site-free part of a :class:`GeodesicGraph`, shared read-only.
+
+    Attributes
+    ----------
+    mesh, placement:
+        The terrain and its Steiner points.
+    points:
+        ``(N + S, 3)`` positions of the vertex then Steiner nodes.
+    face_boundary:
+        ``(M, 3+3k)`` sorted boundary node ids of every face.
+    indptr, indices, weights:
+        The CSR arrays of the face cliques, before any site.
+    weight_fn:
+        The edge-weight model (``None``: Euclidean length).
+
+    Nothing writes these arrays after construction: sites go to a
+    graph's own CSR overlay, and freezing them builds new arrays.
+    """
+
+    mesh: TriangleMesh
+    placement: SteinerPlacement
+    points: np.ndarray
+    face_boundary: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    weight_fn: Optional[Callable]
+
+
+def _face_boundaries(mesh: TriangleMesh, k: int) -> np.ndarray:
+    """``(M, 3+3k)`` sorted boundary node ids of every face.
+
+    The corners come first (vertex ids are below every Steiner id),
+    then the Steiner points of the face's three edges in edge order:
+    edge ``i`` of ``mesh.edges`` holds Steiner ids ``i*k .. i*k+k-1``
+    (see :class:`~repro.geodesic.steiner.SteinerPlacement`).
+    """
+    n = mesh.num_vertices
+    corners = np.sort(mesh.faces.astype(np.int64), axis=1)
+    edges = mesh.edge_array
+    # mesh.edges is sorted, so its u * n + v keys are too.
+    sides = corners[:, [0, 0, 1]] * n + corners[:, [1, 2, 2]]
+    edge_ids = np.sort(np.searchsorted(edges[:, 0] * n + edges[:, 1],
+                                       sides), axis=1)
+    steiner = n + edge_ids[:, :, None] * k + np.arange(k)
+    return np.hstack([corners, steiner.reshape(len(corners), 3 * k)])
+
+
+def _clique_csr(boundary: np.ndarray, points: np.ndarray,
+                weight_fn: Optional[Callable]) -> CSRGraph:
+    """Freeze the per-face boundary cliques into CSR arrays."""
+    base = len(points)
+    first, second = np.triu_indices(boundary.shape[1], 1)
+    us = boundary[:, first].ravel()
+    vs = boundary[:, second].ravel()
+    # Faces sharing an edge repeat its pairs; keep each pair's first
+    # occurrence, in face order.
+    _, seen = np.unique(us * base + vs, return_index=True)
+    seen.sort()
+    us, vs = us[seen], vs[seen]
+    weights = _price(points[us], points[vs], weight_fn)
+    keep = ~np.isinf(weights)  # weight models may delete edges
+    us, vs, weights = us[keep], vs[keep], weights[keep]
+    # Both directions of edge e sit at 2e and 2e+1, so every row
+    # lists its neighbours in edge order.
+    return CSRGraph.from_entries(np.stack([us, vs], axis=1).ravel(),
+                                 np.stack([vs, us], axis=1).ravel(),
+                                 np.repeat(weights, 2), base)
+
+
+def _price(a: np.ndarray, b: np.ndarray,
+           weight_fn: Optional[Callable]) -> np.ndarray:
+    """Weights of the edges ``a[i]``–``b[i]`` (rows of coordinates).
+
+    Lengths must come from NumPy's dot routine (BLAS ``ddot``
+    rounding, like the reference loop's ``delta @ delta``); ``einsum``
+    or a sum of squares changes the last bit.  ``weight_fn`` is
+    called once per edge, in order.
+    """
+    if weight_fn is None:
+        delta = a - b
+        return np.sqrt((delta[:, None, :] @ delta[:, :, None]).ravel())
+    return np.array([float(weight_fn(p, q)) for p, q in zip(a, b)],
+                    dtype=np.float64)
 
 
 class GeodesicGraph:
@@ -67,75 +163,36 @@ class GeodesicGraph:
 
     def __init__(self, mesh: TriangleMesh, points_per_edge: int = 2,
                  weight_fn: Optional[Callable] = None):
-        self._mesh = mesh
-        self._weight_fn = weight_fn
-        self._placement = place_steiner_points(mesh, points_per_edge)
-        self._num_vertices = mesh.num_vertices
-        self._num_steiner = self._placement.count
-        self._points = np.vstack([mesh.vertices, self._placement.positions])
+        placement = place_steiner_points(mesh, points_per_edge)
+        points = np.vstack([mesh.vertices, placement.positions])
+        boundary = _face_boundaries(mesh, placement.points_per_edge)
+        csr = _clique_csr(boundary, points, weight_fn)
+        self._adopt(GraphCore(mesh, placement, points, boundary,
+                              csr.indptr, csr.indices, csr.weights,
+                              weight_fn))
+
+    @classmethod
+    def from_core(cls, core: GraphCore) -> "GeodesicGraph":
+        """A site-free graph on ``core``: equal, array for array, to
+        ``GeodesicGraph(core.mesh, k, weight_fn=core.weight_fn)``, but
+        nothing is placed or priced again."""
+        graph = cls.__new__(cls)
+        graph._adopt(core)
+        return graph
+
+    def _adopt(self, core: GraphCore) -> None:
+        self._core = core
+        self._mesh = core.mesh
+        self._weight_fn = core.weight_fn
+        self._placement = core.placement
+        self._num_vertices = core.mesh.num_vertices
+        self._num_steiner = core.placement.count
+        self._points = core.points
+        self._face_boundary = core.face_boundary
         self._site_points: List[np.ndarray] = []
         self._site_faces: List[int] = []
         self._sites_by_face: Dict[int, List[int]] = {}
-        self._face_boundary = self._boundaries()
-        self._csr = self._build()
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _boundaries(self) -> np.ndarray:
-        """``(M, 3+3k)`` sorted boundary node ids of every face.
-
-        The corners come first (vertex ids are below every Steiner id),
-        then the Steiner points of the face's three edges in edge order:
-        edge ``i`` of ``mesh.edges`` holds Steiner ids ``i*k .. i*k+k-1``
-        (see :class:`~repro.geodesic.steiner.SteinerPlacement`).
-        """
-        mesh = self._mesh
-        n = self._num_vertices
-        k = self._placement.points_per_edge
-        corners = np.sort(mesh.faces.astype(np.int64), axis=1)
-        edges = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)
-        # mesh.edges is sorted, so its u * n + v keys are too.
-        sides = corners[:, [0, 0, 1]] * n + corners[:, [1, 2, 2]]
-        edge_ids = np.sort(np.searchsorted(edges[:, 0] * n + edges[:, 1],
-                                           sides), axis=1)
-        steiner = n + edge_ids[:, :, None] * k + np.arange(k)
-        return np.hstack([corners, steiner.reshape(len(corners), 3 * k)])
-
-    def _build(self) -> CSRGraph:
-        """Freeze the per-face boundary cliques into CSR arrays."""
-        boundary = self._face_boundary
-        base = len(self._points)
-        first, second = np.triu_indices(boundary.shape[1], 1)
-        us = boundary[:, first].ravel()
-        vs = boundary[:, second].ravel()
-        # Faces sharing an edge repeat its pairs; keep each pair's first
-        # occurrence, in face order.
-        _, seen = np.unique(us * base + vs, return_index=True)
-        seen.sort()
-        us, vs = us[seen], vs[seen]
-        weights = self._price(self._points[us], self._points[vs])
-        keep = ~np.isinf(weights)  # weight models may delete edges
-        us, vs, weights = us[keep], vs[keep], weights[keep]
-        # Both directions of edge e sit at 2e and 2e+1, so every row
-        # lists its neighbours in edge order.
-        return CSRGraph.from_entries(np.stack([us, vs], axis=1).ravel(),
-                                     np.stack([vs, us], axis=1).ravel(),
-                                     np.repeat(weights, 2), base)
-
-    def _price(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Weights of the edges ``a[i]``–``b[i]`` (rows of coordinates).
-
-        Lengths must come from NumPy's dot routine (BLAS ``ddot``
-        rounding, like the reference loop's ``delta @ delta``); ``einsum``
-        or a sum of squares changes the last bit.  ``weight_fn`` is
-        called once per edge, in order.
-        """
-        if self._weight_fn is None:
-            delta = a - b
-            return np.sqrt((delta[:, None, :] @ delta[:, :, None]).ravel())
-        return np.array([float(self._weight_fn(p, q)) for p, q in zip(a, b)],
-                        dtype=np.float64)
+        self._csr = CSRGraph(core.indptr, core.indices, core.weights)
 
     # ------------------------------------------------------------------
     # accessors
@@ -143,6 +200,11 @@ class GeodesicGraph:
     @property
     def mesh(self) -> TriangleMesh:
         return self._mesh
+
+    @property
+    def core(self) -> GraphCore:
+        """The immutable site-free core (see :class:`GraphCore`)."""
+        return self._core
 
     @property
     def num_nodes(self) -> int:
@@ -223,8 +285,8 @@ class GeodesicGraph:
         targets = self.face_boundary_nodes(face_id)
         targets.extend(self._sites_by_face.get(face_id, []))
         others = np.array([self.position(other) for other in targets])
-        weights = self._price(np.broadcast_to(position, others.shape),
-                              others)
+        weights = _price(np.broadcast_to(position, others.shape), others,
+                         self._weight_fn)
         keep = ~np.isinf(weights)
         self._csr.attach_node(np.asarray(targets)[keep], weights[keep])
         self._site_points.append(position)

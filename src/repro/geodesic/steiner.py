@@ -18,6 +18,7 @@ approximation quality: the weighted-graph distance is within a factor
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -37,25 +38,37 @@ class SteinerPlacement:
     ----------
     positions:
         ``(S, 3)`` coordinates of the Steiner points.
-    edge_points:
-        For every mesh edge ``(u, v)`` (``u < v``), the list of Steiner
-        point indices placed on it, ordered from ``u`` to ``v``.
+    edges:
+        ``(E, 2)`` int64: the mesh's sorted edges
+        (:attr:`~repro.terrain.mesh.TriangleMesh.edge_array`).
+        Numbering is edge-major: edge ``i`` holds the points
+        ``i*k .. i*k+k-1`` of ``positions`` for ``k =
+        points_per_edge``, ordered from its smaller to its larger
+        endpoint, which the geodesic graph's array builder relies on.
         Indices are *local* to ``positions`` (0-based); the geodesic
-        graph offsets them by the mesh vertex count.  Numbering is
-        edge-major: edge ``i`` of ``mesh.edges`` holds indices
-        ``i*k .. i*k+k-1`` for ``k = points_per_edge``, which the
-        geodesic graph's array builder relies on.
+        graph offsets them by the mesh vertex count.
     points_per_edge:
         The placement density used.
     """
 
     positions: np.ndarray
-    edge_points: Dict[Edge, List[int]]
+    edges: np.ndarray
     points_per_edge: int
 
     @property
     def count(self) -> int:
         return len(self.positions)
+
+    @cached_property
+    def edge_points(self) -> Dict[Edge, List[int]]:
+        """For every mesh edge ``(u, v)`` (``u < v``), the local indices
+        of its Steiner points, from ``u`` to ``v`` (the edge-major
+        rule); empty at density 0."""
+        k = self.points_per_edge
+        if k == 0:
+            return {}
+        return {(u, v): list(range(i * k, i * k + k))
+                for i, (u, v) in enumerate(self.edges.tolist())}
 
 
 def place_steiner_points(mesh: TriangleMesh,
@@ -64,22 +77,19 @@ def place_steiner_points(mesh: TriangleMesh,
 
     With ``points_per_edge == 0`` the placement is empty and the
     geodesic graph degenerates to the plain vertex graph (fastest,
-    coarsest metric).
+    coarsest metric).  Point ``j`` of edge ``(u, v)`` is
+    ``start + f_j * (end - start)`` with ``f_j = j / (k + 1)``,
+    computed for every edge at once.
     """
     if points_per_edge < 0:
         raise ValueError("points_per_edge must be non-negative")
-    edge_points: Dict[Edge, List[int]] = {}
-    positions: List[np.ndarray] = []
+    edges = mesh.edge_array
     if points_per_edge == 0:
-        return SteinerPlacement(np.zeros((0, 3)), {}, 0)
+        return SteinerPlacement(np.zeros((0, 3)), edges, 0)
     vertices = mesh.vertices
     fractions = np.arange(1, points_per_edge + 1) / (points_per_edge + 1)
-    for edge in mesh.edges:
-        u, v = edge
-        base = len(positions)
-        start, end = vertices[u], vertices[v]
-        for fraction in fractions:
-            positions.append(start + fraction * (end - start))
-        edge_points[edge] = list(range(base, base + points_per_edge))
-    return SteinerPlacement(np.asarray(positions), edge_points,
+    start = vertices[edges[:, 0]][:, None, :]
+    end = vertices[edges[:, 1]][:, None, :]
+    positions = start + fractions[None, :, None] * (end - start)
+    return SteinerPlacement(positions.reshape(-1, 3), edges,
                             points_per_edge)

@@ -66,6 +66,7 @@ class TriangleMesh:
         self._faces = faces
         self._faces.setflags(write=False)
         # Lazy caches.
+        self._edge_array: Optional[np.ndarray] = None
         self._edges: Optional[List[Tuple[int, int]]] = None
         self._edge_faces: Optional[Dict[Tuple[int, int], List[int]]] = None
         self._vertex_neighbors: Optional[List[List[int]]] = None
@@ -95,7 +96,7 @@ class TriangleMesh:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def __repr__(self) -> str:
         return (
@@ -107,27 +108,53 @@ class TriangleMesh:
     # derived topology
     # ------------------------------------------------------------------
     @property
+    def edge_array(self) -> np.ndarray:
+        """``(E, 2)`` int64 undirected edges ``(u, v)``, ``u < v``, in
+        sorted order: :attr:`edges` as one read-only array."""
+        if self._edge_array is None:
+            low, high = self._face_sides()
+            keys = np.unique(low * self.num_vertices + high)
+            edges = np.stack(np.divmod(keys, self.num_vertices), axis=1)
+            edges.setflags(write=False)
+            self._edge_array = edges
+        return self._edge_array
+
+    @property
     def edges(self) -> List[Tuple[int, int]]:
         """Sorted list of undirected edges as ``(u, v)`` with ``u < v``."""
         if self._edges is None:
-            self._build_edges()
+            self._edges = list(map(tuple, self.edge_array.tolist()))
         return self._edges
 
     @property
     def edge_faces(self) -> Dict[Tuple[int, int], List[int]]:
-        """Map from undirected edge to the list of incident face ids."""
+        """Map from undirected edge to the list of incident face ids.
+
+        Each list ascends by face id; the keys run in the order the
+        faces first reach each edge (face by face, sides ``ab``, ``bc``,
+        ``ac``).
+        """
         if self._edge_faces is None:
-            self._build_edges()
+            low, high = self._face_sides()
+            keys = low * self.num_vertices + high
+            # Sides grouped by edge (in :attr:`edges` order), each group
+            # in face order.
+            order = np.argsort(keys, kind="stable")
+            _, starts = np.unique(keys[order], return_index=True)
+            faces = (order // 3).tolist()
+            bounds = starts.tolist() + [order.size]
+            lists = [faces[a:b] for a, b in zip(bounds, bounds[1:])]
+            edges = self.edges
+            self._edge_faces = {edges[i]: lists[i]
+                                for i in np.argsort(order[starts]).tolist()}
         return self._edge_faces
 
-    def _build_edges(self) -> None:
-        edge_faces: Dict[Tuple[int, int], List[int]] = {}
-        for face_id, (a, b, c) in enumerate(self._faces):
-            for u, v in ((a, b), (b, c), (a, c)):
-                key = (int(u), int(v)) if u < v else (int(v), int(u))
-                edge_faces.setdefault(key, []).append(face_id)
-        self._edge_faces = edge_faces
-        self._edges = sorted(edge_faces)
+    def _face_sides(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every face's sides ``ab``, ``bc``, ``ac`` as ``(low, high)``
+        vertex id arrays, face-major (side ``s`` is on face ``s // 3``)."""
+        u = self._faces[:, [0, 1, 0]].ravel()
+        v = self._faces[:, [1, 2, 2]].ravel()
+        return np.minimum(u, v), np.maximum(u, v)
 
     @property
     def vertex_neighbors(self) -> List[List[int]]:
@@ -168,7 +195,7 @@ class TriangleMesh:
 
     def edge_lengths(self) -> np.ndarray:
         """Lengths of all edges, aligned with :attr:`edges`."""
-        edge_array = np.asarray(self.edges, dtype=np.int64)
+        edge_array = self.edge_array
         if edge_array.size == 0:
             return np.zeros(0)
         delta = self._vertices[edge_array[:, 0]] - self._vertices[edge_array[:, 1]]
@@ -272,7 +299,12 @@ class TriangleMesh:
 
 
 class _FaceLocationGrid:
-    """Uniform planar grid over face bounding boxes for point location."""
+    """Uniform planar grid over face bounding boxes for point location.
+
+    Cell ``(x, y)`` lists every face whose bounding box overlaps it, in
+    ascending face id: ``faces[starts[c]:starts[c + 1]]`` for ``c = x *
+    ny + y``.
+    """
 
     def __init__(self, mesh: TriangleMesh, target_faces_per_cell: float = 2.0):
         self._mesh = mesh
@@ -289,15 +321,21 @@ class _FaceLocationGrid:
         self._nx = self._ny = cells
         self._dx = width / cells
         self._dy = height / cells
-        self._buckets: Dict[Tuple[int, int], List[int]] = {}
-        xy = mesh.vertices[:, :2]
-        for face_id, face in enumerate(mesh.faces):
-            corners = xy[face]
-            min_cx, min_cy = self._cell(corners[:, 0].min(), corners[:, 1].min())
-            max_cx, max_cy = self._cell(corners[:, 0].max(), corners[:, 1].max())
-            for cell_x in range(min_cx, max_cx + 1):
-                for cell_y in range(min_cy, max_cy + 1):
-                    self._buckets.setdefault((cell_x, cell_y), []).append(face_id)
+        corners = mesh.vertices[:, :2][mesh.faces]  # (M, 3, 2)
+        min_cx, min_cy = self._cells(corners.min(axis=1))
+        max_cx, max_cy = self._cells(corners.max(axis=1))
+        # Each face spans a rectangle of cells, visited column-major.
+        span_y = max_cy - min_cy + 1
+        count = (max_cx - min_cx + 1) * span_y
+        face = np.repeat(np.arange(mesh.num_faces), count)
+        rank = np.arange(face.size) - np.repeat(np.cumsum(count) - count,
+                                                count)
+        cell = ((min_cx[face] + rank // span_y[face]) * self._ny
+                + min_cy[face] + rank % span_y[face])
+        self._faces = face[np.argsort(cell, kind="stable")]
+        self._starts = np.zeros(self._nx * self._ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell, minlength=self._nx * self._ny),
+                  out=self._starts[1:])
 
     def _cell(self, x: float, y: float) -> Tuple[int, int]:
         cell_x = int((x - self._x0) / self._dx)
@@ -305,11 +343,23 @@ class _FaceLocationGrid:
         return (min(max(cell_x, 0), self._nx - 1),
                 min(max(cell_y, 0), self._ny - 1))
 
+    def _cells(self, xy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_cell` of every row of ``xy``."""
+        cell_x = ((xy[:, 0] - self._x0) / self._dx).astype(np.int64)
+        cell_y = ((xy[:, 1] - self._y0) / self._dy).astype(np.int64)
+        return (np.clip(cell_x, 0, self._nx - 1),
+                np.clip(cell_y, 0, self._ny - 1))
+
+    def cell_faces(self, cell_x: int, cell_y: int) -> List[int]:
+        """Face ids whose bounding box overlaps the cell, ascending."""
+        cell = cell_x * self._ny + cell_y
+        return self._faces[self._starts[cell]:self._starts[cell + 1]].tolist()
+
     def locate(self, x: float, y: float) -> int:
         low_x, high_x, low_y, high_y = self._reach
         if not (low_x <= x <= high_x and low_y <= y <= high_y):
             return -1  # also NaN
-        for face_id in self._buckets.get(self._cell(x, y), ()):
+        for face_id in self.cell_faces(*self._cell(x, y)):
             if self._mesh.contains_point_2d(face_id, x, y):
                 return face_id
         return -1

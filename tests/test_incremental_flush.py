@@ -14,9 +14,10 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import DynamicSEOracle
-from repro.core.store import oracle_sections, pack_oracle
-from repro.terrain import make_terrain, sample_uniform
+from repro.core import DynamicSEOracle, SEOracle
+from repro.core.store import open_oracle, oracle_sections, pack_oracle
+from repro.geodesic import GeodesicEngine, euclidean_weight
+from repro.terrain import POISet, make_terrain, sample_uniform
 
 EPSILON = 0.25
 STAT_KEYS = {"reused_rows", "computed_rows"}
@@ -239,3 +240,83 @@ class TestFlushSteps:
             unbuilt.prepare_flush()
         with pytest.raises(RuntimeError, match="not built"):
             unbuilt.flush()
+
+
+class TestFlushEngine:
+    """A flush engine attaches the active POIs to the previous engine's
+    site-free graph core.  It must equal a from-scratch engine over
+    the same POIs, and the flushed oracle one built over such an
+    engine (``force_rebuild`` shares the core too, so it is no
+    reference here)."""
+
+    @pytest.mark.parametrize("seed", [41, 47])
+    @pytest.mark.parametrize("kind", ["insert", "delete", "mixed"])
+    @pytest.mark.parametrize("rebuild", ["flush", "force_rebuild"])
+    def test_rebuild_engine_equals_a_from_scratch_engine(self, seed, kind, rebuild):
+        oracle = make_oracle(seed)
+        core = oracle.engine.graph.core
+        apply_trace(oracle, draw_trace(seed, oracle, kind))
+        getattr(oracle, rebuild)()
+        engine = oracle.engine
+        assert engine.graph.core is core
+        fresh = GeodesicEngine(engine.mesh, engine.pois, points_per_edge=1)
+        for name in ("indptr", "indices", "weights"):
+            got = getattr(engine.graph.csr, name)
+            want = getattr(fresh.graph.csr, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert engine.graph.csr.num_overlay == 0
+        hosts = [engine.poi_node(i) for i in range(engine.num_pois)]
+        assert hosts == [fresh.poi_node(i) for i in range(fresh.num_pois)]
+        placement = core.placement
+        expected = fresh.graph.core.placement
+        assert placement.points_per_edge == expected.points_per_edge
+        assert placement.positions.tobytes() == expected.positions.tobytes()
+        assert placement.edges.tobytes() == expected.edges.tobytes()
+        boundary = fresh.graph.core.face_boundary
+        assert core.face_boundary.tobytes() == boundary.tobytes()
+        reference = SEOracle(fresh, EPSILON, seed=1).build()
+        assert_sections_identical(oracle.oracle, reference)
+
+    def test_inserts_and_flushes_leave_the_core_unchanged(self):
+        oracle = make_oracle(43)
+        core = oracle.engine.graph.core
+        arrays = (core.indptr, core.indices, core.weights, core.points)
+        before = [array.copy() for array in arrays]
+        oracle.insert(30.0, 60.0)
+        oracle.flush()
+        oracle.insert(60.0, 30.0)
+        assert oracle.engine.graph.core is core
+        assert all(np.array_equal(a, b) for a, b in zip(before, arrays))
+
+
+def doubled(a, b):
+    """Twice the Euclidean length: a custom edge-weight model."""
+    return 2.0 * euclidean_weight(a, b)
+
+
+class TestFlushKeepsTheWeightModel:
+    """A store-backed dynamic oracle over a weighted engine rebuilds
+    with that engine's weights, not the default Euclidean ones."""
+
+    @pytest.mark.parametrize("rebuild", ["flush", "force_rebuild"])
+    def test_rebuild_answers_as_a_fresh_weighted_build(self, tmp_path, rebuild):
+        mesh = make_terrain(grid_exponent=3, seed=13)
+        pois = sample_uniform(mesh, 16, seed=14)
+        engine = GeodesicEngine(mesh, pois, points_per_edge=1, weight_fn=doubled)
+        built = SEOracle(engine, EPSILON, seed=0).build()
+        path = tmp_path / "weighted.store"
+        pack_oracle(built, path)
+        kept = POISet(list(pois)[:15])
+        survivors = GeodesicEngine(mesh, kept, points_per_edge=1, weight_fn=doubled)
+        fresh = SEOracle(survivors, EPSILON, seed=0).build()
+        with open_oracle(path) as stored:
+            dynamic = DynamicSEOracle.from_store(stored, engine)
+            assert dynamic.query(0, 5) == built.query(0, 5)
+            dynamic.delete(15)
+            getattr(dynamic, rebuild)()
+            assert dynamic.query(0, 5) == fresh.query(0, 5)
+            assert_sections_identical(dynamic.oracle, fresh)
+        plain = GeodesicEngine(mesh, kept, points_per_edge=1)
+        unweighted = SEOracle(plain, EPSILON, seed=0).build()
+        assert fresh.query(0, 5) != unweighted.query(0, 5)

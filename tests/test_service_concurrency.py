@@ -353,14 +353,15 @@ class TestMutableChurn:
         service.delete_poi("m", poi)
         expected = service.query("m", 0, 1)
         parked, release = threading.Event(), threading.Event()
-        engine_class = dynamic.GeodesicEngine
+        # A flush builds its engine on the current engine's graph core.
+        on_core = dynamic.GeodesicEngine.on_core
 
         def parked_engine(*args, **kwargs):
             parked.set()
             release.wait(timeout=10.0)
-            return engine_class(*args, **kwargs)
+            return on_core(*args, **kwargs)
 
-        monkeypatch.setattr(dynamic, "GeodesicEngine", parked_engine)
+        monkeypatch.setattr(dynamic.GeodesicEngine, "on_core", parked_engine)
         flusher = service.flush_background("m")
         try:
             assert parked.wait(timeout=10.0), "the flush build never ran"
@@ -391,12 +392,13 @@ class TestMutableChurn:
         service.delete_poi("m", poi)
         expected = service.query("m", 0, 1)
         failure = RuntimeError("engine build failed")
-        engine_class = dynamic.GeodesicEngine
+        on_core = dynamic.GeodesicEngine.__dict__["on_core"]
 
         def failing_engine(*args, **kwargs):
             raise failure
 
-        monkeypatch.setattr(dynamic, "GeodesicEngine", failing_engine)
+        monkeypatch.setattr(dynamic.GeodesicEngine, "on_core",
+                            failing_engine)
         flusher = service.flush_background("m")
         flusher.join(timeout=60.0)
         assert not flusher.is_alive()
@@ -406,7 +408,7 @@ class TestMutableChurn:
         assert counters["flushes"] == 0
         assert counters["dirty"] is True
 
-        monkeypatch.setattr(dynamic, "GeodesicEngine", engine_class)
+        monkeypatch.setattr(dynamic.GeodesicEngine, "on_core", on_core)
         service.insert_poi("m", 10.0, 10.0)
         service.flush("m")
         counters = service.stats()["m"]
