@@ -147,11 +147,12 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
     holds every row its nodes need: a deeper node's row is that row's
     ``dists <= l * r_O`` cut, bit for bit.  The root layer (radius
     ``r_0``) covers all of ``P`` by construction, so the root centre's
-    SSAD runs in cover-all mode.
+    row is its cover-all row: the one the tree build ran for ``r_0``
+    (``tree.root_row``), reused here.
 
-    This is the fan-out stage of the build pipeline: the ``n`` SSADs,
-    in node order of the centres' first nodes, are one batch handed to
-    ``executor`` (default: a
+    This is the fan-out stage of the build pipeline: the other
+    ``n - 1`` SSADs, in node order of the centres' first nodes, are one
+    batch handed to ``executor`` (default: a
     :class:`~repro.core.parallel.SerialExecutor` on the live engine).
     Each layer (ids ``layer_starts[i]:layer_starts[i + 1]`` of the
     tree's columns) is then reduced from its centres' rows in one pass
@@ -170,10 +171,14 @@ def build_enhanced_edges(engine: GeodesicEngine, tree: PartitionTree,
     # first layer and the first nodes in id order run layer by layer.
     first_nodes = np.sort(np.unique(tree.centers, return_index=True)[1])
     firsts = tree.centers[first_nodes].tolist()
-    rows = executor.map_ssad([
-        (center, None if layer == 0 else bounds[layer])
-        for center, layer in zip(firsts, tree.layers[first_nodes].tolist())
-    ])
+    tasks = [(center, None if layer == 0 else bounds[layer])
+             for center, layer in zip(firsts,
+                                      tree.layers[first_nodes].tolist())]
+    if tree.root_row is None:
+        rows = executor.map_ssad(tasks)
+    else:
+        # The root (node 0) leads; its cover-all row is the tree's own.
+        rows = [tree.root_row] + executor.map_ssad(tasks[1:])
     if len(rows) != len(firsts):
         raise ValueError("executor returned a misaligned batch")
     row_of = dict(zip(firsts, rows))

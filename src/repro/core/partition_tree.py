@@ -23,6 +23,8 @@ centre — the root's cover-all row, any other centre's ``2 * r_i``
 row at its first layer — and cuts that row with ``dists <= bound``
 at every deeper layer.  Dijkstra settles a node at the same distance
 under any larger limit, so the cut equals a fresh row bit for bit.
+The root's row is also the enhanced-edge sweep's root row, so the
+tree keeps it (``PartitionTree.root_row``) and no build runs it twice.
 
 The tree is built as int64 columns, three ints appended per node
 (centre, layer, parent) plus the first id of each layer: the layout
@@ -79,16 +81,23 @@ class PartitionTree:
     root_radius:
         ``r0``; layer ``i``'s radius is ``r0 / 2**i``.
 
+    root_row:
+        The root centre's cover-all SSAD row, which the builder ran
+        for ``r0``; the enhanced-edge sweep reuses it as its root row
+        instead of running it again.  ``None`` when no SSAD ran (a
+        single POI).
+
     ``first_layer`` (int64, one per POI) is the shallowest layer at
     which each POI heads a node — the "chain top" the enhanced-edge
     lookup starts from.
     """
 
     def __init__(self, table: np.ndarray, layer_starts: np.ndarray,
-                 root_radius: float):
+                 root_radius: float, root_row: Optional[PoiRow] = None):
         self.table = table
         self.layer_starts = layer_starts
         self.root_radius = float(root_radius)
+        self.root_row = root_row
         # Ids ascend by layer and the leaf layer heads every POI, so
         # each POI's first row is its first layer.
         _, first = np.unique(self.centers, return_index=True)
@@ -266,7 +275,7 @@ def build_partition_tree(engine: GeodesicEngine,
         if layer_starts[-1] - layer_starts[-2] == n:
             return PartitionTree(
                 np.array(rows, dtype=np.int64).reshape(-1, 3),
-                np.array(layer_starts, dtype=np.int64), r0)
+                np.array(layer_starts, dtype=np.int64), r0, distances)
 
     raise RuntimeError(
         f"partition tree did not terminate within {_MAX_LAYERS} layers; "

@@ -50,9 +50,16 @@ run :func:`validate_request` and then :func:`answer`.
 
 Hot path
 --------
-:func:`validate_request` checks a well-formed point ``query`` directly
-and :func:`encode_distance` formats its reply without ``json``; both
-give exactly what the generic path gives, and defer to it otherwise.
+:func:`decode_line` parses a line with ``JSONDecoder.raw_decode`` and
+keeps the result when it is an object followed by nothing but JSON
+whitespace (space, tab, newline, carriage return), which is what a
+well-formed request is; anything else (a BOM, leading whitespace, two
+values, a non-object, a parse error) goes through ``json.loads``, so
+every error message is the one ``json.loads`` gives.
+:func:`validate_request` checks a well-formed point ``query``
+directly and :func:`encode_distance` formats its reply without
+``json``.  All three give exactly what the generic path gives, and
+defer to it otherwise.
 """
 
 from __future__ import annotations
@@ -181,6 +188,11 @@ _ANSWERS: Dict[str, Callable[[Any, Dict[str, Any]], Dict[str, Any]]] = {
 #: POI ids are int64 in every index: larger ids cannot name a POI
 ID_LIMIT = 1 << 63
 
+#: ``json.loads``'s own decoder settings, for :func:`decode_line`
+_DECODER = json.JSONDecoder()
+#: what ``json`` skips between values
+_JSON_SPACE = " \t\n\r"
+
 
 class ProtocolError(Exception):
     """A typed protocol-level failure, mapping 1:1 to an error reply."""
@@ -228,8 +240,19 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     not JSON or not a JSON object — never a bare ``json`` exception,
     so servers can answer with a typed error instead of dying.
     """
+    text = line.decode("utf-8", errors="replace")
     try:
-        message = json.loads(line.decode("utf-8", errors="replace"))
+        message, end = _DECODER.raw_decode(text)
+    except (ValueError, RecursionError):
+        pass
+    else:
+        # ``json.loads`` would accept exactly this: no leading
+        # whitespace or BOM (``raw_decode`` refuses both), one value,
+        # then only JSON whitespace.
+        if isinstance(message, dict) and not text[end:].strip(_JSON_SPACE):
+            return message
+    try:
+        message = json.loads(text)
     except (ValueError, RecursionError) as error:
         # JSONDecodeError is a ValueError, as is an integer literal past
         # the interpreter's digit limit; nesting deeper than the

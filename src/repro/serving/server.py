@@ -37,15 +37,24 @@ Hot path
 --------
 The index probe is a few percent of a pipelined point query's server
 time; the rest is protocol work, so that is what the hot path trims.
-``protocol.validate_request`` checks a well-formed ``query`` directly,
-and ``protocol.encode_distance`` formats its reply without ``json``.
-Each connection's sender collects the replies that are ready and
-writes them with one ``writer.write`` per burst: a window of 64
-pipelined queries costs one ``send``, not 64.  It writes what it holds
-before it waits on a query still in its batch, and writes and drains
-before it waits on an empty queue, so coalescing never delays a reply
-and backpressure still applies once per burst.  The bytes on the wire
-are the same as one write per reply.
+A connection's reader takes whatever the socket has buffered with one
+``reader.read(_READ_SIZE)``, keeps the unfinished last line, and hands
+every complete line, in order, to ``_handle_line``
+(``protocol.decode_line``, ``protocol.validate_request``, the
+batcher).  The replies to one read go on the connection's queue as one
+list, so a window of 64 pipelined queries costs one read and one queue
+entry, not 64.  The sender walks each list and writes the replies that
+are ready with one ``writer.write`` per burst
+(``protocol.encode_distance`` formats a distance reply without
+``json``).  It writes what it holds before it waits on a query still
+in its batch, and writes and drains before it waits on an empty queue,
+so coalescing never delays a reply and backpressure still applies once
+per burst.  Per line nothing changes: blank lines get no reply, each
+bad line its own typed error, a line of more than ``_LINE_LIMIT``
+bytes before its newline (or an unfinished one grown past that) a
+"request line too long" after the replies before it and then the
+close, and a last line sent without a newline is answered at EOF.
+The bytes on the wire are those of one read and one write per line.
 
 Workers
 -------
@@ -269,14 +278,17 @@ class OracleServer:
     """One worker's asyncio TCP server over one :class:`OracleService`.
 
     Connections speak the newline-delimited JSON protocol.  Requests on
-    a connection may be pipelined: every line is handled inline in the
-    reader loop (no per-request task — point queries resolve to batcher
-    futures) and responses are written strictly in request order, one
-    write per burst of ready replies (clients that tag requests with
-    ``id`` get the echo back regardless).
+    a connection may be pipelined: the reader loop takes whatever the
+    socket has buffered in one read and handles every complete line of
+    it inline (no per-request task — point queries resolve to batcher
+    futures), queueing the burst's replies as one entry.  Responses are
+    written strictly in request order, one write per burst of ready
+    replies (clients that tag requests with ``id`` get the echo back
+    regardless).
     """
 
     _LINE_LIMIT = 1 << 20  # 1 MiB: huge batch requests, not huge abuse
+    _READ_SIZE = 1 << 16  # at most this much of a burst per read
 
     def __init__(
         self,
@@ -358,33 +370,30 @@ class OracleServer:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
+        # One entry per burst: the replies to every complete line of
+        # one read, in order.
         responses: asyncio.Queue = asyncio.Queue()
         sender = asyncio.create_task(self._send_responses(responses, writer))
+        partial = b""  # the read's last line, still without its newline
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Line exceeded the stream limit.
-                    await responses.put(
-                        protocol.error_response(
-                            None, "bad-request", "request line too long"
-                        )
-                    )
+                    chunk = await reader.read(self._READ_SIZE)
+                except ConnectionError:
                     break
-                except (ConnectionError, asyncio.IncompleteReadError):
+                if not chunk:
+                    # EOF: a last line sent without a newline is still
+                    # a request.
+                    if partial.strip():
+                        await responses.put([self._handle_line(partial)])
                     break
-                if not line:
+                lines = (partial + chunk).split(b"\n")
+                partial = lines.pop()
+                burst, overrun = self._handle_burst(lines, partial)
+                if burst:
+                    await responses.put(burst)
+                if overrun:
                     break
-                if not line.strip():
-                    continue
-                # Handled inline, no task per request: sync verbs
-                # resolve to a response dict right here, and `query`
-                # resolves to a (request_id, future) pair the sender
-                # awaits in order.  A burst of pipelined lines is
-                # processed back-to-back without yielding, which is
-                # exactly what feeds the batcher whole batches.
-                await responses.put(self._handle_line(line))
         except asyncio.CancelledError:
             pass
         finally:
@@ -420,31 +429,62 @@ class OracleServer:
                     await writer.drain()
                 except (ConnectionError, RuntimeError):
                     return
-            item = await queue.get()
-            if item is None:
+            burst = await queue.get()
+            if burst is None:
                 if held:
                     writer.write(b"".join(held))
                 return
-            if isinstance(item, tuple):
-                request_id, future = item
-                if held and not future.done():
-                    writer.write(b"".join(held))
-                    held.clear()
-                try:
-                    distance = await future
-                    line = protocol.encode_distance(
-                        request_id, float(distance)
-                    )
-                except asyncio.CancelledError:
-                    raise
-                except Exception as error:
-                    error_type, message = protocol.classify_exception(error)
-                    line = protocol.encode(protocol.error_response(
-                        request_id, error_type, message
-                    ))
-            else:
-                line = protocol.encode(item)
-            held.append(line)
+            for item in burst:
+                if isinstance(item, tuple):
+                    request_id, future = item
+                    if held and not future.done():
+                        writer.write(b"".join(held))
+                        held.clear()
+                    try:
+                        distance = await future
+                        line = protocol.encode_distance(
+                            request_id, float(distance)
+                        )
+                    except asyncio.CancelledError:
+                        raise
+                    except Exception as error:
+                        error_type, message = protocol.classify_exception(
+                            error)
+                        line = protocol.encode(protocol.error_response(
+                            request_id, error_type, message
+                        ))
+                else:
+                    line = protocol.encode(item)
+                held.append(line)
+
+    def _handle_burst(self, lines: List[bytes],
+                      partial: bytes) -> Tuple[List[Any], bool]:
+        """The replies to one read's complete ``lines`` (split off
+        their newlines), in order, and whether the read overran
+        ``_LINE_LIMIT``.
+
+        Blank lines get no reply.  A line longer than the limit, or a
+        ``partial`` last line that has grown past it, ends the burst
+        with a "request line too long" reply; no line after it is
+        handled.
+        """
+        replies: List[Any] = []
+        overrun = len(partial) > self._LINE_LIMIT
+        for line in lines:
+            if len(line) > self._LINE_LIMIT:
+                overrun = True
+                break
+            if line.strip():
+                # Handled inline, no task per request: sync verbs
+                # resolve to a response dict right here, and `query`
+                # to a (request_id, future) pair the sender awaits in
+                # order.  The whole burst is handled without yielding,
+                # which is what feeds the batcher whole batches.
+                replies.append(self._handle_line(line + b"\n"))
+        if overrun:
+            replies.append(protocol.error_response(
+                None, "bad-request", "request line too long"))
+        return replies, overrun
 
     def _handle_line(self, line: bytes) -> Any:
         """One request line -> a response dict, or (id, future) for

@@ -295,6 +295,103 @@ def _outcome(validate, message):
         return "error", (error.error_type, error.message)
 
 
+def _loads_outcome(line):
+    """``decode_line`` by ``json.loads`` alone: the message, or the
+    ``bad-request`` text."""
+    try:
+        message = json.loads(line.decode("utf-8", errors="replace"))
+    except (ValueError, RecursionError) as error:
+        return "error", f"invalid JSON: {error}"
+    if not isinstance(message, dict):
+        return "error", (
+            f"expected a JSON object, got {type(message).__name__}")
+    return "ok", message
+
+
+def _decode_outcome(line):
+    try:
+        return "ok", decode_line(line)
+    except ProtocolError as error:
+        assert error.error_type == "bad-request"
+        return "error", error.message
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_PADDING = st.text(alphabet=" \t\r", max_size=3).map(str.encode)
+_ATOMS = st.one_of(
+    st.dictionaries(st.text(max_size=3), _json_values(), max_size=3).map(
+        lambda value: json.dumps(value).encode()),
+    _json_values().map(lambda value: json.dumps(value).encode()),
+    st.binary(max_size=12),
+    st.sampled_from([
+        b"\xef\xbb\xbf",  # a UTF-8 BOM
+        b"\xff", b"\xc3", b"\x80\x80",  # invalid UTF-8 outside strings
+        b'"a\xffb"', b'{"k":"\xfe\xc3("}',  # ... and inside them
+        b"{}", b",", b"{", b"}", b"[", b"]", b":", b'"', b"\x0b",
+        b"\xc2\xa0", b"NaN", b"-Infinity", b"1e999", b"-0", b"null",
+        b'{"op":"query","id":1,"terrain":"a","source":1,"target":2}',
+        b"[" * 100_000,  # nesting past the recursion limit
+        b'{"a":' * 100_000,
+        b"1" * (_DIGIT_LIMIT + 1),  # an integer past the digit limit
+    ]),
+)
+
+
+@st.composite
+def wire_line(draw):
+    """A line: arbitrary bytes, or JSON atoms run together with ``' \\t\\r'``
+    padding, optionally ended by the wire's ``\\n`` or ``\\r\\n``."""
+    if draw(st.booleans()):
+        line = draw(st.binary())
+    else:
+        line = draw(_PADDING)
+        for atom in draw(st.lists(_ATOMS, min_size=1, max_size=3)):
+            line += atom + draw(_PADDING)
+    return line + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+
+
+class TestDecodeFastPath:
+    @settings(max_examples=600, deadline=None)
+    @given(line=wire_line())
+    @example(line=b'{"op":"hello"}\n')
+    @example(line=b'{"op":"hello"} \t\r\n')
+    @example(line=b' {"op":"hello"}\n')
+    @example(line=b'\xef\xbb\xbf{"op":"hello"}\n')
+    @example(line=b'{"op":"hello"}\x0b\n')
+    @example(line=b'{"op":"hello"}\xc2\xa0')
+    @example(line=b'{"a":"\xff"}\n')
+    @example(line=b'\xff{"a":1}')
+    @example(line=b'{"a":1}{"b":2}\n')
+    @example(line=b'{"a":1} [2]')
+    @example(line=b'{"a":1},\n')
+    @example(line=b'{"a":1,}\n')
+    @example(line=b'{"a":NaN,"b":1e999,"c":-Infinity}\n')
+    @example(line=b"NaN\n")
+    @example(line=b"[1, 2]\n")
+    @example(line=b'"text"')
+    @example(line=b"")
+    @example(line=b"\n")
+    @example(line=b"[" * 100_000 + b"]" * 100_000)
+    @example(line=b'{"a":' * 100_000 + b"1" + b"}" * 100_000)
+    @example(line=b'{"op":"query","source":' + b"1" * (_DIGIT_LIMIT + 1)
+             + b"}\n")
+    def test_matches_json_loads(self, line):
+        """Every line decodes to what ``json.loads`` gives, or fails
+        with the message its error gives (``repr`` compares NaNs)."""
+        assert repr(_decode_outcome(line)) == repr(_loads_outcome(line))
+
+    def test_well_formed_object_skips_json_loads(self, monkeypatch):
+        def no_loads(*args, **kwargs):
+            raise AssertionError("took json.loads")
+
+        monkeypatch.setattr(json, "loads", no_loads)
+        assert decode_line(
+            b'{"op":"query","id":3,"terrain":"alps","source":1,'
+            b'"target":2}\r\n') == {"op": "query", "id": 3,
+                                    "terrain": "alps", "source": 1,
+                                    "target": 2}
+
+
 class TestQueryFastPath:
     @settings(max_examples=600, deadline=None)
     @given(message=query_shaped())

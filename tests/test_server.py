@@ -1,11 +1,13 @@
 """End-to-end tests for the asyncio TCP server: wire parity with the
 direct service, typed errors, pipelining, batching/coalescing, the
-coalesced reply writer, a protocol fuzz wall, and the load-generator
-round trip.
+coalesced reply writer, a protocol fuzz wall, burst reads, and the
+load-generator round trip.
 
-No asyncio plumbing in the tests themselves — the server runs on its
-own event-loop thread (:class:`ThreadedServer`) and the tests speak to
-it through the synchronous :class:`OracleClient`.
+Most tests use no asyncio plumbing — the server runs on its own
+event-loop thread (:class:`ThreadedServer`) and the tests speak to it
+through the synchronous :class:`OracleClient`.  The burst-read tests
+drive one connection's reader loop directly instead, so that they, not
+the kernel, choose where each read ends.
 """
 
 import asyncio
@@ -39,6 +41,7 @@ from repro.serving.protocol import (
     ok_response,
     request,
 )
+from repro.serving.server import OracleServer
 from repro.terrain import make_terrain, sample_uniform
 
 NUM_POIS = 12
@@ -525,6 +528,164 @@ class TestProtocolFuzz:
                         line, reply)
             assert c.call("hello", request_id="after")["protocol"] \
                 == PROTOCOL_VERSION
+
+
+class _CollectingWriter:
+    """The part of ``asyncio.StreamWriter`` the server uses; keeps
+    every byte written."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def _serve_chunks(service, chunks, eof=True):
+    """Reply bytes of one connection whose reads return ``chunks``,
+    one per read: each chunk is fed and the loop yields so the server
+    reads it before the next one arrives.  Without ``eof`` the server
+    must end the connection itself."""
+
+    async def drive():
+        server = OracleServer(service, max_batch=32)
+        reader = asyncio.StreamReader(limit=OracleServer._LINE_LIMIT)
+        writer = _CollectingWriter()
+        connection = asyncio.ensure_future(
+            server._serve_connection(reader, writer))
+        for chunk in chunks:
+            reader.feed_data(chunk)
+            await asyncio.sleep(0)
+        if eof:
+            reader.feed_eof()
+        await asyncio.wait_for(connection, timeout=30)
+        return bytes(writer.data)
+
+    return asyncio.run(drive())
+
+
+@pytest.fixture(scope="module")
+def static_service(store_path):
+    """A service over the static 'alps' store that only the burst
+    tests drive."""
+    service = OracleService(max_resident=2)
+    service.register("alps", TerrainSpec(str(store_path)))
+    with service:
+        yield service
+
+
+_BLANK_AND_ODD_LINES = st.sampled_from([
+    b"", b" ", b"\x0b", b"\x0c", b" \t\x0b\x0c\r",
+    b"\xff\xfe", b'{"op":"terrains","id":"\xff"}', b"[1, 2]", b'"hello"',
+    b"3", b'\xef\xbb\xbf{"op":"terrains","id":1}',
+    b'{"op":"terrains","id":2} {"op":"terrains"}',
+])
+
+
+@st.composite
+def wire_lines(draw):
+    """Request lines ended by ``\\n`` or ``\\r\\n``; the last one
+    sometimes sent without its newline.  ``stats`` replies carry the
+    coalescing counters, which move with the cuts, so no line asks
+    for them."""
+    lines = draw(st.lists(
+        st.one_of(request_line().filter(lambda line: b'"stats"' not in line),
+                  _BLANK_AND_ODD_LINES),
+        min_size=1, max_size=10))
+    framed = [line + draw(st.sampled_from([b"\n", b"\r\n"]))
+              for line in lines]
+    if draw(st.booleans()):
+        framed[-1] = lines[-1]
+    return framed
+
+
+def _too_long():
+    return encode(error_response(None, "bad-request",
+                                 "request line too long"))
+
+
+class TestBurstReads:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=wire_lines(), data=st.data())
+    def test_any_cut_replies_like_one_line_per_read(self, static_service,
+                                                    lines, data):
+        stream = b"".join(lines)
+        cuts = sorted(set(data.draw(st.lists(
+            st.integers(min_value=1, max_value=max(1, len(stream) - 1)),
+            max_size=8))))
+        chunks = [stream[start:end] for start, end
+                  in zip([0] + cuts, cuts + [len(stream)])]
+        expected = _serve_chunks(static_service, lines)
+        assert _serve_chunks(static_service, chunks) == expected
+        assert expected.count(b"\n") == sum(
+            1 for line in lines if line.strip())
+
+    @staticmethod
+    def _query(service, request_id, source, target):
+        """A ``query`` line and its reply."""
+        line = encode(request("query", request_id, terrain="alps",
+                              source=source, target=target))
+        return line, encode(ok_response(
+            request_id, {"distance": service.query("alps", source, target)}))
+
+    @staticmethod
+    def _padded(request_id, size):
+        """A ``terrains`` request of exactly ``size`` bytes."""
+        head = b'{"op":"terrains","id":%d,"pad":"' % request_id
+        return head + b"x" * (size - len(head) - 2) + b'"}'
+
+    def test_line_at_the_limit_is_answered(self, static_service):
+        limit = OracleServer._LINE_LIMIT
+        line = self._padded(1, limit) + b"\n"
+        query, reply = self._query(static_service, 2, 0, 5)
+        # The line arrives over many reads and ends exactly at the limit.
+        chunks = [line[start:start + 300_000]
+                  for start in range(0, len(line), 300_000)]
+        assert _serve_chunks(static_service, chunks + [query]) \
+            == encode(ok_response(1, {"terrains": ["alps"]})) + reply
+
+    def test_line_past_the_limit_ends_the_connection(self, static_service):
+        first, first_reply = self._query(static_service, 1, 0, 1)
+        second, second_reply = self._query(static_service, 2, 1, 2)
+        after, _ = self._query(static_service, 4, 2, 3)
+        burst = (first + second
+                 + self._padded(3, OracleServer._LINE_LIMIT + 1) + b"\n"
+                 + after)
+        assert _serve_chunks(static_service, [burst], eof=False) \
+            == first_reply + second_reply + _too_long()
+
+    def test_partial_line_past_the_limit_ends_the_connection(
+            self, static_service):
+        query, reply = self._query(static_service, 1, 0, 1)
+        half = OracleServer._LINE_LIMIT // 2
+        chunks = [query + b"y" * half, b"y" * half, b"y"]
+        assert _serve_chunks(static_service, chunks, eof=False) \
+            == reply + _too_long()
+
+    def test_lines_decode_with_the_newline_they_were_sent_with(
+            self, static_service):
+        """Error positions count a line's ending, so each line reaches
+        ``decode_line`` as sent: with its ``\\n`` or ``\\r\\n``, and the
+        last one at EOF with none."""
+        lines = [b'{"op":"query","id":5,\n', b'{"op":"query","id":5,\r\n',
+                 b'{"op":"query","id":5,']
+        assert _serve_chunks(static_service, [b"".join(lines)]) == b"".join(
+            encode(_expected_error(line, None)) for line in lines)
+
+    def test_last_line_without_newline_is_answered(self, static_service):
+        first, first_reply = self._query(static_service, 1, 0, 1)
+        last, last_reply = self._query(static_service, 2, 3, 4)
+        assert _serve_chunks(static_service, [first + last.rstrip(b"\n")]) \
+            == first_reply + last_reply
 
 
 class TestMutableVerbs:
