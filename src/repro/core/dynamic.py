@@ -89,10 +89,6 @@ class DynamicSEOracle:
         Rebuild once ``overlay + tombstones > factor * active``.
     points_per_edge:
         Steiner density of the metric graph.
-    jobs:
-        Build-fan-out worker processes for the underlying SE oracle
-        (applies to the initial build *and* every amortised rebuild);
-        see :class:`~repro.core.oracle.SEOracle`.
     """
 
     def __init__(
@@ -103,7 +99,6 @@ class DynamicSEOracle:
         rebuild_factor: float = 0.25,
         points_per_edge: int = 1,
         seed: int = 0,
-        jobs: int = 1,
     ):
         if rebuild_factor <= 0:
             raise ValueError("rebuild_factor must be positive")
@@ -112,7 +107,6 @@ class DynamicSEOracle:
         self.rebuild_factor = rebuild_factor
         self._points_per_edge = points_per_edge
         self._seed = seed
-        self.jobs = jobs
         self.rebuild_count = 0
 
         # External id -> current POI record; stable across rebuilds.
@@ -165,8 +159,6 @@ class DynamicSEOracle:
         stored: "StoredOracle",
         engine: GeodesicEngine,
         rebuild_factor: float = 0.25,
-        jobs: int = 1,
-        strict: bool = True,
     ) -> "DynamicSEOracle":
         """A dynamic oracle whose base is an opened binary store.
 
@@ -175,8 +167,7 @@ class DynamicSEOracle:
         store — and the delta overlay grows on top (copy-on-write:
         updates only ever allocate delta state).  ``engine`` must be
         the workload the store was packed for (checked via the
-        fingerprint unless ``strict=False``); its POI set seeds the
-        external ids ``0..n-1``.
+        fingerprint); its POI set seeds the external ids ``0..n-1``.
 
         No build happens here: the oracle is ready immediately, and the
         first amortised rebuild (or an explicit :meth:`force_rebuild`)
@@ -189,10 +180,9 @@ class DynamicSEOracle:
             rebuild_factor=rebuild_factor,
             points_per_edge=engine.graph.points_per_edge,
             seed=stored.seed,
-            jobs=jobs,
         )
         dynamic._engine = engine
-        dynamic._oracle = stored.to_oracle(engine, strict=strict)
+        dynamic._oracle = stored.to_oracle(engine)
         dynamic._compiled = stored.compiled
         dynamic._base_index = {i: i for i in range(engine.num_pois)}
         dynamic._reset_delta()
@@ -263,7 +253,7 @@ class DynamicSEOracle:
         # attaches the active POIs to it.
         core = None if self._engine is None else self._engine.graph.core
         mesh, points_per_edge = self._mesh, self._points_per_edge
-        epsilon, seed, jobs = self.epsilon, self._seed, self.jobs
+        epsilon, seed = self.epsilon, self._seed
 
         def build() -> _FreshBase:
             if core is None:
@@ -271,7 +261,7 @@ class DynamicSEOracle:
                                         points_per_edge=points_per_edge)
             else:
                 engine = GeodesicEngine.on_core(core, base_pois)
-            oracle = SEOracle(engine, epsilon, seed=seed, jobs=jobs,
+            oracle = SEOracle(engine, epsilon, seed=seed,
                               ssad_cache=cache).build()
             return active_ids, engine, oracle, cache
 

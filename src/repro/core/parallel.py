@@ -30,8 +30,9 @@ This module provides the executors behind stage 2:
   one — same node pairs, same float distances, same stats.
 
 Pick an executor with :func:`make_executor`, or pass ``jobs=N``
-anywhere a build entry point accepts it (``SEOracle``,
-``DynamicSEOracle``, ``A2AOracle``, ``python -m repro build --jobs``).
+anywhere a build entry point accepts it (``SEOracle``, ``A2AOracle``,
+``python -m repro build --jobs``).  ``DynamicSEOracle`` builds and
+rebuilds serially.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ node's radius (*Distance*).
 The top-down construction builds the tree of the paper's Steps 1-2,
 including the two point-selection strategies of Implementation
 Detail 1 (*random* and *greedy*, the latter backed by the grid /
-B+-tree / max-heap combination in
-:class:`~repro.datastructures.grid_index.GridDensityIndex`) and the
+per-cell set / max-heap combination in
+:class:`~repro.datastructures.grid_index.GridDensityIndex`, whose
+heap tie order is part of every greedy tree) and the
 two SSAD stopping rules of Implementation Detail 2 (provided by
 :class:`~repro.geodesic.engine.GeodesicEngine`).  It departs from the
 steps as written in one place, not in their output: Step 2(b)(ii)

@@ -891,7 +891,7 @@ class StoredOracle(CompiledStore):
 
 
 def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
-                strict: bool = True, mmap: bool = True,
+                mmap: bool = True,
                 max_resident_tiles: Optional[int] = None,
                 max_resident_bytes: Optional[int] = None):
     """Open a v4 store with memory-mapped query tables.
@@ -911,12 +911,11 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
         File written by :func:`pack_oracle` / :func:`pack_document` /
         :func:`~repro.core.tiled.pack_tiled`.
     engine:
-        Optional workload to validate against (``strict``).  Serving
-        processes that trust their terrain registry pass ``None`` and
-        skip the mesh hash entirely — the whole point of the store is
-        that queries never need the terrain.
-    strict:
-        With ``engine``: raise on a workload fingerprint mismatch.
+        Optional workload to validate against: raise on a workload
+        fingerprint mismatch.  Serving processes that trust their
+        terrain registry pass ``None`` and skip the mesh hash
+        entirely — the whole point of the store is that queries never
+        need the terrain.
     mmap:
         Map sections read-only straight off disk (default).  ``False``
         reads copies instead.  Every backend reads the descriptor it
@@ -943,7 +942,7 @@ def open_oracle(path: PathLike, engine: Optional[GeodesicEngine] = None,
             store, mmap=mmap, max_resident_tiles=max_resident_tiles)
     else:
         stored = StoredOracle(store, mmap=mmap)
-    if engine is not None and strict:
+    if engine is not None:
         try:
             stored.check_fingerprint(engine)
         except ValueError:

@@ -1,26 +1,25 @@
 """Data-structure substrates used by the SE oracle construction.
 
-The paper leans on four classic structures, all implemented here from
-scratch:
+The paper leans on four classic structures: a max-heap, per-cell
+B+-trees, perfect hashing and a grid.  A grid cell holds a few POIs,
+so its B+-tree is a Python ``set``; the other three are classes of
+this package:
 
-* :class:`~repro.datastructures.binheap.IndexedMinHeap` /
-  :class:`~repro.datastructures.binheap.IndexedMaxHeap` — priority
-  queues with key updates (SSAD search frontier, greedy cell heap);
-* :class:`~repro.datastructures.bplustree.BPlusTree` — per-grid-cell
-  point index of the greedy selection strategy;
+* :class:`~repro.datastructures.binheap.IndexedMaxHeap` — the greedy
+  strategy's max-heap of grid cells keyed by size, with key updates;
 * :class:`~repro.datastructures.perfect_hash.PerfectHashMap` — FKS
   two-level perfect hashing of the node pair set (scalar and batch
   probes read one set of multiply-shift tables);
 * :class:`~repro.datastructures.grid_index.GridDensityIndex` — the
-  grid + B+-tree + max-heap combination of Implementation Detail 1.
+  grid + per-cell set + max-heap combination of Implementation
+  Detail 1.
 
 On top of those, :class:`~repro.datastructures.csr.CSRGraph` is the
 flat NumPy-backed adjacency substrate (frozen CSR core + dynamic site
 overlay) every shortest-path search runs on.
 """
 
-from .binheap import IndexedMaxHeap, IndexedMinHeap
-from .bplustree import BPlusTree
+from .binheap import IndexedMaxHeap
 from .csr import CSRGraph, DijkstraScratch
 from .grid_index import GridDensityIndex
 from .perfect_hash import PerfectHashMap, pack_pair, unpack_pair
@@ -28,9 +27,7 @@ from .perfect_hash import PerfectHashMap, pack_pair, unpack_pair
 __all__ = [
     "CSRGraph",
     "DijkstraScratch",
-    "IndexedMinHeap",
     "IndexedMaxHeap",
-    "BPlusTree",
     "GridDensityIndex",
     "PerfectHashMap",
     "pack_pair",

@@ -1,54 +1,44 @@
-"""Indexed binary heaps with decrease-key / increase-key support.
+"""Indexed binary max-heap with key updates in either direction.
 
-The paper's construction algorithm needs two priority queues:
-
-* the SSAD (single-source all-destination) shortest-path search uses a
-  *min*-heap keyed by tentative geodesic distance, with ``decrease_key``
-  whenever a shorter path to a settled-candidate is found;
-* the greedy point-selection strategy (Implementation Detail 1, Section
-  3.2) uses a *max*-heap over grid cells keyed by the number of uncovered
-  POIs in the cell, with the key decremented every time a point of the
-  cell is covered.
-
-Both are provided here on top of a single array-backed indexed heap.
-Items may be any hashable objects; each item appears at most once.
+The greedy point-selection strategy (Implementation Detail 1, Section
+3.2) keeps a *max*-heap over grid cells keyed by the number of
+uncovered POIs in the cell, and updates a cell's key every time one
+of its points is covered.  Among equally dense cells the heap's array
+order decides which cell is read, so that order is part of every
+SE(Greedy) tree: the sift rules below (swap only on a strictly larger
+key, left child before right, swap-with-last removal) are the
+contract, not an implementation detail.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Hashable, Tuple
 
-__all__ = ["IndexedMinHeap", "IndexedMaxHeap"]
+__all__ = ["IndexedMaxHeap"]
 
 
-class IndexedMinHeap:
-    """An array-backed binary min-heap with O(log n) ``decrease_key``.
+class IndexedMaxHeap:
+    """An array-backed binary max-heap with O(log n) key updates.
 
-    The heap maps hashable *items* to float *keys*.  Unlike ``heapq`` it
-    supports changing the key of an item already in the heap, which the
-    SSAD search and the greedy grid both require.
+    The heap maps hashable *items* to float *keys*; each item
+    appears at most once.  Unlike ``heapq`` it supports changing the
+    key of an item already in the heap and removing any item.
 
     Example
     -------
-    >>> heap = IndexedMinHeap()
-    >>> heap.push("a", 3.0)
-    >>> heap.push("b", 1.0)
-    >>> heap.decrease_key("a", 0.5)
-    >>> heap.pop()
-    ('a', 0.5)
+    >>> heap = IndexedMaxHeap()
+    >>> heap.push_or_update("a", 3)
+    >>> heap.push_or_update("b", 1)
+    >>> heap.update_key("b", 5)
+    >>> heap.peek()
+    ('b', 5)
     """
 
-    def __init__(self, items: Optional[Iterable[Tuple[Hashable, float]]] = None):
+    def __init__(self) -> None:
         self._keys: list[float] = []
         self._items: list[Hashable] = []
         self._pos: dict[Hashable, int] = {}
-        if items is not None:
-            for item, key in items:
-                self.push(item, key)
 
-    # ------------------------------------------------------------------
-    # basic protocol
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._items)
 
@@ -58,81 +48,44 @@ class IndexedMinHeap:
     def __contains__(self, item: Hashable) -> bool:
         return item in self._pos
 
-    def __iter__(self) -> Iterator[Hashable]:
-        """Iterate over items in arbitrary (heap) order."""
-        return iter(list(self._items))
-
     def key_of(self, item: Hashable) -> float:
         """Return the current key of ``item``; raises ``KeyError`` if absent."""
         return self._keys[self._pos[item]]
 
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def push(self, item: Hashable, key: float) -> None:
-        """Insert a new item.  Raises ``ValueError`` on duplicates."""
-        if item in self._pos:
-            raise ValueError(f"item already in heap: {item!r}")
-        self._items.append(item)
-        self._keys.append(key)
-        self._pos[item] = len(self._items) - 1
-        self._sift_up(len(self._items) - 1)
+    def peek(self) -> Tuple[Hashable, float]:
+        """Return the maximum ``(item, key)`` pair without removing it."""
+        if not self._items:
+            raise IndexError("peek from empty heap")
+        return self._items[0], self._keys[0]
 
     def push_or_update(self, item: Hashable, key: float) -> None:
         """Insert ``item`` or update its key (either direction)."""
         if item in self._pos:
             self.update_key(item, key)
-        else:
-            self.push(item, key)
-
-    def pop(self) -> Tuple[Hashable, float]:
-        """Remove and return the ``(item, key)`` pair with the minimum key."""
-        if not self._items:
-            raise IndexError("pop from empty heap")
-        top_item = self._items[0]
-        top_key = self._keys[0]
-        self._remove_at(0)
-        return top_item, top_key
-
-    def peek(self) -> Tuple[Hashable, float]:
-        """Return the minimum ``(item, key)`` pair without removing it."""
-        if not self._items:
-            raise IndexError("peek from empty heap")
-        return self._items[0], self._keys[0]
-
-    def remove(self, item: Hashable) -> float:
-        """Remove an arbitrary item; returns its key."""
-        index = self._pos[item]
-        key = self._keys[index]
-        self._remove_at(index)
-        return key
-
-    def decrease_key(self, item: Hashable, key: float) -> None:
-        """Lower the key of ``item``.  Raises if the new key is larger."""
-        index = self._pos[item]
-        if key > self._keys[index]:
-            raise ValueError(
-                f"decrease_key with larger key: {key} > {self._keys[index]}"
-            )
-        self._keys[index] = key
-        self._sift_up(index)
+            return
+        self._items.append(item)
+        self._keys.append(key)
+        self._pos[item] = len(self._items) - 1
+        self._sift_up(len(self._items) - 1)
 
     def update_key(self, item: Hashable, key: float) -> None:
         """Set the key of ``item`` to any value, restoring heap order."""
         index = self._pos[item]
         old = self._keys[index]
         self._keys[index] = key
-        if key < old:
+        if key > old:
             self._sift_up(index)
-        elif key > old:
+        elif key < old:
             self._sift_down(index)
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _remove_at(self, index: int) -> None:
+    def remove(self, item: Hashable) -> float:
+        """Remove an arbitrary item; returns its key.
+
+        The last array slot fills the hole and sifts down, then up.
+        """
+        index = self._pos[item]
+        key = self._keys[index]
         last = len(self._items) - 1
-        item = self._items[index]
         if index != last:
             self._swap(index, last)
         self._items.pop()
@@ -141,6 +94,7 @@ class IndexedMinHeap:
         if index < len(self._items):
             self._sift_down(index)
             self._sift_up(index)
+        return key
 
     def _swap(self, i: int, j: int) -> None:
         self._items[i], self._items[j] = self._items[j], self._items[i]
@@ -151,7 +105,7 @@ class IndexedMinHeap:
     def _sift_up(self, index: int) -> None:
         while index > 0:
             parent = (index - 1) >> 1
-            if self._keys[index] < self._keys[parent]:
+            if self._keys[index] > self._keys[parent]:
                 self._swap(index, parent)
                 index = parent
             else:
@@ -162,15 +116,15 @@ class IndexedMinHeap:
         while True:
             left = 2 * index + 1
             right = left + 1
-            smallest = index
-            if left < size and self._keys[left] < self._keys[smallest]:
-                smallest = left
-            if right < size and self._keys[right] < self._keys[smallest]:
-                smallest = right
-            if smallest == index:
+            largest = index
+            if left < size and self._keys[left] > self._keys[largest]:
+                largest = left
+            if right < size and self._keys[right] > self._keys[largest]:
+                largest = right
+            if largest == index:
                 break
-            self._swap(index, smallest)
-            index = smallest
+            self._swap(index, largest)
+            index = largest
 
     def check_invariants(self) -> None:
         """Assert the heap property and index consistency (for tests)."""
@@ -179,58 +133,8 @@ class IndexedMinHeap:
         assert len(self._pos) == size
         for index in range(1, size):
             parent = (index - 1) >> 1
-            assert self._keys[parent] <= self._keys[index], (
+            assert self._keys[parent] >= self._keys[index], (
                 f"heap order violated at {index}"
             )
         for item, index in self._pos.items():
             assert self._items[index] == item, "position map out of sync"
-
-
-class IndexedMaxHeap:
-    """A max-heap facade over :class:`IndexedMinHeap` (keys negated).
-
-    Used by the greedy selection strategy: cells are prioritised by the
-    number of still-uncovered POIs they contain, and the key shrinks as
-    points get covered (``increase_key`` going down in priority).
-    """
-
-    def __init__(self, items: Optional[Iterable[Tuple[Hashable, float]]] = None):
-        self._heap = IndexedMinHeap()
-        if items is not None:
-            for item, key in items:
-                self.push(item, key)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._heap
-
-    def key_of(self, item: Hashable) -> float:
-        return -self._heap.key_of(item)
-
-    def push(self, item: Hashable, key: float) -> None:
-        self._heap.push(item, -key)
-
-    def push_or_update(self, item: Hashable, key: float) -> None:
-        self._heap.push_or_update(item, -key)
-
-    def pop(self) -> Tuple[Hashable, float]:
-        item, key = self._heap.pop()
-        return item, -key
-
-    def peek(self) -> Tuple[Hashable, float]:
-        item, key = self._heap.peek()
-        return item, -key
-
-    def remove(self, item: Hashable) -> float:
-        return -self._heap.remove(item)
-
-    def update_key(self, item: Hashable, key: float) -> None:
-        self._heap.update_key(item, -key)
-
-    def check_invariants(self) -> None:
-        self._heap.check_invariants()

@@ -5,30 +5,28 @@ strategy builds "a grid on the x-y plane with the cell width equal to
 O(r0 / 2^i)", inserts the uncovered points into cells, indexes "all
 point IDs in each cell in a B+-tree" and keeps "a max-heap containing
 all non-empty cells whose keys are the sizes of their B+-trees".
-Selecting a point means popping the densest cell and picking a point
+Selecting a point means reading the densest cell and picking a point
 from it; covering a point decrements its cell's key (and drops empty
 cells from the heap).
 
-This module wires those three substrates (:class:`~repro.datastructures.
-bplustree.BPlusTree`, :class:`~repro.datastructures.binheap.
-IndexedMaxHeap`) together behind a small API used by the tree builder.
+A cell here holds a few POIs, so its point index is a Python ``set``;
+a pick reads it ``sorted``, the in-order scan a B+-tree would give.
+The cells sit in an :class:`~repro.datastructures.binheap.
+IndexedMaxHeap` keyed by size, whose tie order among equally dense
+cells is part of every greedy tree.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .binheap import IndexedMaxHeap
-from .bplustree import BPlusTree
 
 __all__ = ["GridDensityIndex"]
 
 Cell = Tuple[int, int]
-
-#: Fan-out of the per-cell B+-trees.
-_BTREE_ORDER = 16
 
 
 class GridDensityIndex:
@@ -54,7 +52,7 @@ class GridDensityIndex:
             raise ValueError(f"cell_width must be positive, got {cell_width}")
         self._width = cell_width
         self._rng = rng if rng is not None else random.Random(0)
-        self._cells: Dict[Cell, BPlusTree] = {}
+        self._cells: Dict[Cell, Set[int]] = {}
         self._cell_of: Dict[int, Cell] = {}
         self._heap = IndexedMaxHeap()
         for point_id, (x, y) in points.items():
@@ -91,21 +89,18 @@ class GridDensityIndex:
         if point_id in self._cell_of:
             raise ValueError(f"duplicate point id: {point_id}")
         cell = self.cell_of(x, y)
-        tree = self._cells.get(cell)
-        if tree is None:
-            tree = BPlusTree(order=_BTREE_ORDER)
-            self._cells[cell] = tree
-        tree.insert(point_id)
+        members = self._cells.setdefault(cell, set())
+        members.add(point_id)
         self._cell_of[point_id] = cell
-        self._heap.push_or_update(cell, len(tree))
+        self._heap.push_or_update(cell, len(members))
 
     def remove(self, point_id: int) -> None:
         """Remove a covered point, decrementing its cell's heap key."""
         cell = self._cell_of.pop(point_id)
-        tree = self._cells[cell]
-        tree.delete(point_id)
-        if tree:
-            self._heap.update_key(cell, len(tree))
+        members = self._cells[cell]
+        members.remove(point_id)
+        if members:
+            self._heap.update_key(cell, len(members))
         else:
             del self._cells[cell]
             self._heap.remove(cell)
@@ -125,21 +120,22 @@ class GridDensityIndex:
         return cell
 
     def pick_from_densest(self) -> int:
-        """Return a random point id from the densest cell (not removed)."""
+        """Return a random point id from the densest cell (not removed).
+
+        The draw indexes the cell's ids in ascending order.
+        """
         if not self._cell_of:
             raise IndexError("pick from empty index")
-        cell = self.densest_cell()
-        ids = list(self._cells[cell])
+        ids = sorted(self._cells[self.densest_cell()])
         return ids[self._rng.randrange(len(ids))]
 
     def check_invariants(self) -> None:
         """Assert cross-structure consistency (for tests)."""
         total = 0
-        for cell, tree in self._cells.items():
-            tree.check_invariants()
-            assert len(tree) > 0, "empty cell retained"
-            assert self._heap.key_of(cell) == len(tree), "heap key stale"
-            total += len(tree)
+        for cell, members in self._cells.items():
+            assert members, "empty cell retained"
+            assert self._heap.key_of(cell) == len(members), "heap key stale"
+            total += len(members)
         assert total == len(self._cell_of), "point count out of sync"
         for point_id, cell in self._cell_of.items():
             assert point_id in self._cells[cell], "cell map stale"

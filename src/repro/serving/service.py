@@ -115,8 +115,8 @@ class TerrainSpec:
         (the reader half of the multi-worker story).
     pin:
         Exclude the terrain from LRU eviction once resident.
-    rebuild_factor / jobs:
-        Overlay rebuild knobs (mutable only), as in
+    rebuild_factor:
+        Overlay rebuild threshold (mutable only), as in
         :meth:`~repro.core.dynamic.DynamicSEOracle.from_store`.
     max_resident_tiles:
         Tiled stores: bound on concurrently resident tile tables
@@ -138,7 +138,6 @@ class TerrainSpec:
     track_generation: bool = False
     pin: bool = False
     rebuild_factor: float = 0.25
-    jobs: int = 1
     max_resident_tiles: Optional[int] = None
     max_resident_bytes: Optional[int] = None
 
@@ -367,11 +366,9 @@ class OracleService:
                 "--tiles after editing the POI set")
         # The overlay keeps its own references to the mapped tables;
         # the store handle itself is closed here.
-        with open_oracle(spec.path, engine=spec.engine,
-                         strict=True) as stored:
+        with open_oracle(spec.path, engine=spec.engine) as stored:
             overlay = DynamicSEOracle.from_store(
-                stored, spec.engine, rebuild_factor=spec.rebuild_factor,
-                jobs=spec.jobs)
+                stored, spec.engine, rebuild_factor=spec.rebuild_factor)
         ensure_index(overlay)
         registration = MutableRegistration(
             path=spec.path, meta=meta, overlay=overlay, pin=True)
@@ -679,8 +676,8 @@ class OracleService:
         """
         overlay = registration.overlay
         pack_oracle(overlay.oracle, registration.path, canonical=True)
-        with open_oracle(registration.path, engine=overlay.engine,
-                         strict=True) as stored:
+        with open_oracle(registration.path,
+                         engine=overlay.engine) as stored:
             overlay.adopt_store(stored)
         registration.meta = stored.meta
         registration.counters.flushes += 1

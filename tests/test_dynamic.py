@@ -38,6 +38,24 @@ class TestLifecycle:
         assert oracle.overlay_size == 0
         assert oracle.rebuild_count == 1  # the initial build
 
+    def test_builds_and_rebuilds_serially(self, dyn):
+        """The overlay has no ``jobs`` knob: the initial build and
+        every rebuild run on the serial executor."""
+        _, _, oracle = dyn
+        assert (oracle.oracle.stats.executor,
+                oracle.oracle.stats.jobs) == ("serial", 1)
+        oracle.insert(45.0, 45.0)
+        oracle.force_rebuild()
+        assert oracle.rebuild_count == 2
+        assert (oracle.oracle.stats.executor,
+                oracle.oracle.stats.jobs) == ("serial", 1)
+
+    def test_jobs_is_not_an_option(self):
+        mesh = make_terrain(grid_exponent=3, seed=41)
+        pois = sample_uniform(mesh, 5, seed=1)
+        with pytest.raises(TypeError):
+            DynamicSEOracle(mesh, pois, epsilon=0.25, jobs=2)
+
 
 class TestQueriesOnBase:
     def test_base_queries_match_static_oracle(self, dyn):
@@ -312,6 +330,26 @@ class TestStoreBackedBase:
         assert batched[0] == batched[1] == dyn.query(fresh, 0)
         with pytest.raises(KeyError):
             dyn.query(3, 0)
+
+    def test_from_store_checks_the_fingerprint(self, stored_pair):
+        """An engine for another workload is always refused."""
+        from repro.core import DynamicSEOracle
+        from repro.geodesic import GeodesicEngine
+        _, stored, _ = stored_pair
+        other_mesh = make_terrain(grid_exponent=3, seed=999)
+        other = GeodesicEngine(other_mesh,
+                               sample_uniform(other_mesh, 12, seed=1),
+                               points_per_edge=1)
+        with pytest.raises(ValueError):
+            DynamicSEOracle.from_store(stored, other)
+
+    def test_from_store_takes_no_strict_or_jobs(self, stored_pair):
+        from repro.core import DynamicSEOracle
+        _, stored, engine = stored_pair
+        with pytest.raises(TypeError):
+            DynamicSEOracle.from_store(stored, engine, strict=False)
+        with pytest.raises(TypeError):
+            DynamicSEOracle.from_store(stored, engine, jobs=2)
 
     def test_adopt_store_requires_clean_overlay(self, stored_pair):
         from repro.core import DynamicSEOracle

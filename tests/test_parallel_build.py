@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import (
     A2AOracle,
-    DynamicSEOracle,
     MultiprocessExecutor,
     SEOracle,
     SerialExecutor,
@@ -200,18 +199,6 @@ class TestExecutorOwnership:
 
 
 class TestThreadedEntryPoints:
-    def test_dynamic_oracle_jobs(self):
-        mesh = make_terrain(grid_exponent=3, extent=(100.0, 100.0),
-                            relief=15.0, seed=41)
-        pois = sample_uniform(mesh, 10, seed=42)
-        serial = DynamicSEOracle(mesh, pois, epsilon=0.5, seed=1).build()
-        parallel = DynamicSEOracle(mesh, pois, epsilon=0.5, seed=1,
-                                   jobs=2).build()
-        for source in range(0, 10, 2):
-            for target in range(1, 10, 3):
-                assert serial.query(source, target) \
-                    == parallel.query(source, target)
-
     def test_a2a_oracle_jobs(self):
         mesh = make_terrain(grid_exponent=2, extent=(60.0, 60.0),
                             relief=8.0, seed=43)

@@ -1,5 +1,6 @@
 """Tests for the partition tree: Lemma 1's three properties and Lemma 2."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -196,6 +197,36 @@ class TestEdgeCases:
             tree = build_partition_tree(medium_engine, strategy=strategy,
                                         seed=1)
             tree.check_structure()
+
+
+#: SHA-256 over the int64 ``table`` (centre, layer, parent per node)
+#: and ``layer_starts`` of SE(Greedy) trees, recorded while the grid
+#: still kept B+-tree cells under a negated min-heap.  The grid's pick
+#: draw and its heap's tie order among equally dense cells decide
+#: every centre, so a change to either moves these digests.
+GREEDY_TREE_DIGESTS = {
+    ("small_engine", 1):
+        "51a31a603fa26c39f3de68abf2ea464904a12a6459dbb333fc332a20c299a29f",
+    ("small_engine", 2):
+        "97c7e62f3c620fd45b22b8a2426ea2e571e1783b68d20b7f606bd463750db972",
+    ("small_engine", 3):
+        "23681785dc36f28e885c6413fa78ddc6de77ca10af1927872ec62d1bbe681b4d",
+    ("medium_engine", 5):
+        "3414d57d59b63433099c772d411227d83bdc298ed6218f66ceaf57b652890032",
+    ("medium_engine", 9):
+        "b43e20ad8b3fbb4fee4f745b70f6cc33489f15eb006c8f1c1d07c03b3b8e2055",
+}
+
+
+@pytest.mark.parametrize("engine_name, seed", sorted(GREEDY_TREE_DIGESTS))
+def test_greedy_tree_matches_the_recorded_digest(request, engine_name,
+                                                 seed):
+    engine = request.getfixturevalue(engine_name)
+    tree = build_partition_tree(engine, strategy="greedy", seed=seed)
+    digest = hashlib.sha256()
+    for column in (tree.table, tree.layer_starts):
+        digest.update(np.ascontiguousarray(column, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == GREEDY_TREE_DIGESTS[engine_name, seed]
 
 
 class TestCompression:

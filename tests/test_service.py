@@ -260,6 +260,12 @@ class TestMutableRegistration:
             service.register("wrong", TerrainSpec(
                 str(path), mutable=True, engine=other))
 
+    def test_spec_has_no_jobs_knob(self):
+        """Overlay rebuilds are serial; ``rebuild_factor`` is the one
+        rebuild setting a spec carries."""
+        with pytest.raises(TypeError):
+            TerrainSpec("dunes.store", mutable=True, jobs=2)
+
     def test_static_to_mutable_drop_is_an_eviction(self, mutable_setup):
         service, engine, _, path = mutable_setup
         service.register("x", TerrainSpec(str(path)))

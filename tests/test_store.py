@@ -150,6 +150,12 @@ class TestOpen:
         with pytest.raises(ValueError):
             stored.check_fingerprint(other)
 
+    def test_open_oracle_takes_no_strict(self, store_path, workload):
+        """Passing an engine always checks the fingerprint; only the
+        JSON loader keeps ``strict=``."""
+        with pytest.raises(TypeError):
+            open_oracle(store_path, engine=workload, strict=False)
+
     def test_rejects_non_store_files(self, tmp_path, workload, built):
         json_path = tmp_path / "oracle.json"
         save_oracle(built, json_path, binary=False)
