@@ -282,7 +282,7 @@ class DynamicSEOracle:
             )
         self._engine = engine
         self._oracle = oracle
-        self._compiled = None  # recompiled lazily, on the first batch
+        self._compiled = None  # recompiled by the next multi-row batch
         self._base_index = {
             external: i for i, external in enumerate(active_ids)
         }
@@ -403,8 +403,8 @@ class DynamicSEOracle:
 
     @property
     def is_compiled(self) -> bool:
-        """True once the base tables are compiled (first batch, or a
-        store-backed base)."""
+        """True once the base tables are compiled (first batch of more
+        than one row, or a store-backed base)."""
         return self._compiled is not None
 
     @property
@@ -588,13 +588,19 @@ class DynamicSEOracle:
         compiled oracle's contract); rows touching the overlay resolve
         through the delta rows — the same memoised values the scalar
         path reads — so the whole result is bit-identical to a scalar
-        loop, with no full recompile ever triggered by an update.
+        loop, with no full recompile ever triggered by an update.  A
+        batch of one row is answered by :meth:`query`, the O(h) walk
+        over the same tables: it makes a few dict and hash probes where
+        the vectorized pass makes dozens of NumPy calls.
         """
         self._require_built()
         source_ids, target_ids = aligned_id_arrays(sources, targets)
         count = source_ids.shape[0]
         if count == 0:
             return np.empty(0, dtype=np.float64)
+        if count == 1:
+            return np.array([self.query(source_ids[0], target_ids[0])],
+                            dtype=np.float64)
         for ids in (source_ids, target_ids):
             bad = (ids < 0) | (ids >= self._next_id)
             if bad.any() or not self._alive[ids].all():

@@ -1,9 +1,10 @@
 """One LRU residency ledger behind every bounded cache in the stack.
 
 The service keeps opened terrain stores (``max_resident``), a tiled
-store keeps per-tile query tables (``max_resident_tiles``) and the page
-pool keeps column pages (``max_resident_bytes``) — all in a
-:class:`Residency`, which owns four things:
+store keeps per-tile query tables (``max_resident_tiles``), the page
+pool keeps column pages (``max_resident_bytes``) and the store reader
+remembers parsed zip directories (``store._DIRECTORY_MEMO``) — all in
+a :class:`Residency`, which owns four things:
 
 * the LRU order: a hit moves its entry to the recent end;
 * the entry bound: pinned entries count toward it but are never

@@ -21,10 +21,15 @@ persistence story:
   once (one ``mmap``, each section an array view of it), and
   assembles a :class:`~repro.core.compiled.CompiledOracle` around the
   mapped tables — no JSON parse, no per-pair Python objects, no hash
-  construction.  Load cost is one zip directory read, one positional
-  read per section header (each npy preamble is parsed once per
-  process, then memoised by its bytes), one map, and the O(n·h)
-  key-plane derivation; the O(#pairs) tables are never copied.
+  construction.  Load cost is one or two positional reads of the
+  file's tail, one map, and the O(n·h) key-plane derivation; the
+  O(#pairs) tables are never copied.  What an open parses — the
+  member table, the validated meta document and the section layouts —
+  is memoised per process, keyed by the exact bytes of the zip central
+  directory and its end record (:class:`StoreFile`), so only the first
+  open of a file generation parses its directory, reads ``meta.json``
+  and reads one header per section (each npy preamble parsed once per
+  process, memoised by its bytes).
 * :func:`pack_document` converts a v1–v3 JSON document to v4 without
   needing the terrain (the document is self-contained), so existing
   oracle files upgrade losslessly: ``python -m repro pack``.
@@ -96,7 +101,7 @@ import time
 import warnings
 import weakref
 import zipfile
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -105,6 +110,7 @@ from ..geodesic.engine import GeodesicEngine
 from .compiled import CompiledOracle
 from .compressed_tree import CompressedPartitionTree
 from .oracle import SEOracle
+from .residency import Residency
 
 __all__ = ["pack_oracle", "pack_document", "open_oracle", "StoredOracle",
            "StoreHandle", "CompiledStore", "STORE_VERSION", "compile_sections",
@@ -145,6 +151,18 @@ _NEAREST_CHUNK_PAIRS = 1 << 14
 #: extra field and npy preamble (128 bytes as written here) fit in one
 #: positional read; a longer preamble takes a second.
 _HEAD_READ = 512
+
+#: Bytes read at a file's tail for its zip central directory and end
+#: record: a store of up to about 60 members (a 4-tile store has 54)
+#: fits in one positional read; a larger directory takes a second.
+_TAIL_READ = 4096
+
+#: The zip end-of-central-directory record, without a comment.
+_END_RECORD = 22
+
+#: Zip directories a process remembers (:class:`StoreFile`): an LRU
+#: bound, in directories.
+_DIRECTORY_MEMO = 64
 
 
 # ----------------------------------------------------------------------
@@ -387,21 +405,22 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
 # ----------------------------------------------------------------------
 # reading
 # ----------------------------------------------------------------------
-def _read_meta_member(archive: zipfile.ZipFile,
-                      path: PathLike) -> Dict[str, Any]:
-    """Read + validate the meta member (format name and version)."""
+def _read_meta_member(archive: zipfile.ZipFile, path: PathLike) -> bytes:
+    """Read + validate the meta member (format name and version); its
+    bytes."""
     try:
-        meta = json.loads(archive.read(_META_MEMBER))
+        raw = archive.read(_META_MEMBER)
     except KeyError:
         raise ValueError(
             f"{path}: no {_META_MEMBER} member; not an oracle store"
         ) from None
+    meta = json.loads(raw)
     if meta.get("format") != _FORMAT_NAME:
         raise ValueError(f"{path}: not a serialized SE oracle store")
     if meta.get("version") != STORE_VERSION:
         raise ValueError(
             f"{path}: unsupported store version {meta.get('version')}")
-    return meta
+    return raw
 
 
 def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
@@ -421,16 +440,74 @@ def _npy_header(preamble: bytes) -> Tuple[Tuple[int, ...], bool, np.dtype]:
     return np.lib.format.read_array_header_2_0(handle)
 
 
+class _Directory(NamedTuple):
+    """What an open parses, remembered by :class:`StoreFile`."""
+
+    #: section name -> (local header offset, compression), in file order
+    members: Dict[str, Tuple[int, int]]
+    #: the validated ``meta.json`` member's bytes
+    meta: bytes
+    #: section name -> :meth:`StoreFile.layout`, filled as sections are read
+    layouts: Dict[str, Tuple[int, np.dtype, Tuple[int, ...]]]
+
+
+#: The directory memo, keyed by directory bytes (:func:`_directory_key`).
+_directories = Residency(_DIRECTORY_MEMO)
+_directories_lock = threading.Lock()
+
+
+def _directory_key(fd: int, size: int) -> Optional[bytes]:
+    """The file's zip central directory and end record, taken with one
+    or two positional reads of its tail: the directory memo's key.
+
+    Those bytes carry every member's name, CRC-32, sizes, compression
+    and offset, so two files share a key only when their members agree
+    in all of these.  ``None`` — no memo, a parse at every open —
+    unless the end record is the file's last 22 bytes and the
+    directory ends where it begins: a zip comment or zip64 records
+    move it, and this module's writers produce neither.
+    """
+    want = min(size, _TAIL_READ)
+    tail = os.pread(fd, want, size - want)
+    end = tail[-_END_RECORD:]
+    if (len(tail) != want or len(end) != _END_RECORD
+            or end[:4] != b"PK\x05\x06" or end[20:] != b"\0\0"):
+        return None
+    length = int.from_bytes(end[12:16], "little") + _END_RECORD
+    if int.from_bytes(end[16:20], "little") + length != size:
+        return None
+    if length > want:
+        tail = os.pread(fd, length, size - length)
+        if len(tail) != length:
+            return None
+    return tail[-length:]
+
+
 class StoreFile:
     """One open v4 store file: the reader behind every backend.
 
-    Opening reads the zip directory and the validated meta document
-    once.  A section's layout costs one positional read of its local
-    header and npy preamble, parsed through a process-wide memo
-    (:func:`_npy_header`), so a reopen parses no header.  Every read
-    goes through the one descriptor opened here — maps and copies of
-    sections (:meth:`arrays`), positional row and page reads
-    (:meth:`rows`, :meth:`read`) — so a reader keeps reading the generation it opened after an
+    Opening reads the file's zip central directory and end record with
+    one or two positional reads of its tail.  What the first open of
+    those bytes parses — the member table, the validated meta member
+    and, as sections are read, their layouts — is memoised per process
+    in an LRU of at most :data:`_DIRECTORY_MEMO` directories, keyed by
+    the directory bytes themselves.  They carry every member's CRC-32,
+    sizes and offset, so a hit is never stale: a new generation (a pack
+    or a flush) or a rewrite in place changes the key and parses again,
+    and a truncated file has lost its end record and fails as it always
+    did.  A file whose end record is not its last 22 bytes (a zip
+    comment, zip64) parses at every open.  Each open decodes its own
+    ``meta`` from the remembered bytes.  The memo holds no descriptor,
+    file object or map: a :class:`zipfile.ZipFile` is built only to
+    parse, or to inflate a compressed member, on this reader's
+    descriptor.
+
+    A section's layout costs one positional read of its local header
+    and npy preamble, whose bytes parse once per process
+    (:func:`_npy_header`).  Every read goes through the one descriptor
+    opened here — maps and copies of sections (:meth:`arrays`),
+    positional row and page reads (:meth:`rows`, :meth:`read`) — so a
+    reader keeps reading the generation it opened after an
     ``os.replace``.  One :meth:`arrays` call takes one read-only map
     over the byte span of the sections it names and hands each out as
     an array view of it.  :meth:`close` (or leaving a ``with`` block)
@@ -445,24 +522,48 @@ class StoreFile:
         self._fd = fd = os.open(self.path, os.O_RDONLY)
         self._finalizer = weakref.finalize(self, os.close, fd)
         self._lock = threading.Lock()
-        self._layouts: Dict[str, Tuple[int, np.dtype, Tuple[int, ...]]] = {}
+        self._file = self._archive = None
         self._warned = False
         try:
+            stat = os.fstat(fd)
             #: the file generation opened (see :func:`file_signature`)
-            self.signature = _signature(os.fstat(fd))
-            # The seeking side (the zip reader) shares the descriptor
-            # but never owns it.
-            self._file = open(fd, "rb", closefd=False)
-            self._archive = zipfile.ZipFile(self._file)
-            self._members = {info.filename[:-4]: info
-                             for info in self._archive.infolist()
-                             if info.filename.endswith(".npy")}
-            self.meta = _read_meta_member(self._archive, self.path)
+            self.signature = _signature(stat)
+            key = _directory_key(fd, stat.st_size)
+            with _directories_lock:
+                directory = None if key is None else _directories.get(key)
+            if directory is None:
+                directory = self._parse()
+                if key is not None:
+                    with _directories_lock:
+                        if key not in _directories:
+                            _directories.admit(key, directory)
+            self.meta = json.loads(directory.meta)
         except BaseException:
-            self._finalizer()
+            self.close()
             raise
+        self._members = directory.members
+        self._layouts = directory.layouts
         #: section names, in file order
         self.names = tuple(self._members)
+
+    def _zip(self) -> zipfile.ZipFile:
+        """The zip reader over this descriptor, built on first use; the
+        seeking side shares the descriptor but never owns it."""
+        if self._archive is None:
+            if self.closed:
+                raise ValueError(f"{self.path}: store is closed")
+            self._file = open(self._fd, "rb", closefd=False)
+            self._archive = zipfile.ZipFile(self._file)
+        return self._archive
+
+    def _parse(self) -> _Directory:
+        """Parse the zip directory and the meta member, as a memo miss."""
+        archive = self._zip()
+        members = {info.filename[:-4]: (info.header_offset,
+                                        info.compress_type)
+                   for info in archive.infolist()
+                   if info.filename.endswith(".npy")}
+        return _Directory(members, _read_meta_member(archive, self.path), {})
 
     @classmethod
     def of(cls, source: Union["StoreFile", PathLike]) -> "StoreFile":
@@ -476,8 +577,10 @@ class StoreFile:
     def close(self) -> None:
         """Release the descriptor; closing twice is a no-op."""
         with self._lock:
-            self._archive.close()
-            self._file.close()
+            if self._archive is not None:
+                self._archive.close()
+            if self._file is not None:
+                self._file.close()
             self._fd = -1
             self._finalizer()
 
@@ -494,12 +597,11 @@ class StoreFile:
         layout = self._layouts.get(name)
         if layout is not None:
             return layout
-        info = self._members[name]
-        if info.compress_type != zipfile.ZIP_STORED:
+        at, compress = self._members[name]
+        if compress != zipfile.ZIP_STORED:
             raise ValueError(
                 f"{self.path}: section {name} is compressed; in-place "
                 "reads need ZIP_STORED members")
-        at = info.header_offset
         head = os.pread(self._fd, _HEAD_READ, at)
         # Skip the local header by its own name/extra lengths — the
         # central directory's copy can differ.
@@ -521,6 +623,8 @@ class StoreFile:
         shape, fortran, dtype = _npy_header(head[start:end])
         if fortran:  # pragma: no cover - we only write C order
             raise ValueError(f"{self.path}: section {name} is Fortran-ordered")
+        # Shared by every open of this directory: racing readers store
+        # equal values.
         layout = self._layouts[name] = (at + end, dtype, shape)
         return layout
 
@@ -541,7 +645,7 @@ class StoreFile:
         out: Dict[str, np.ndarray] = {}
         mapped = {}
         for name in names:
-            if self._members[name].compress_type != zipfile.ZIP_STORED:
+            if self._members[name][1] != zipfile.ZIP_STORED:
                 out[name] = self._inflate(name, warn=mmap)
             elif mmap:
                 mapped[name] = self.layout(name)
@@ -574,14 +678,14 @@ class StoreFile:
         if warn and not self._warned:
             self._warned = True
             compressed = sorted(
-                section for section, info in self._members.items()
-                if info.compress_type != zipfile.ZIP_STORED)
+                section for section, (_, compress) in self._members.items()
+                if compress != zipfile.ZIP_STORED)
             warnings.warn(
                 f"{self.path}: sections {compressed} are compressed and "
                 "load eagerly (no zero-copy mmap); repack with "
                 "pack_oracle for in-place serving",
                 RuntimeWarning, stacklevel=3)
-        with self._lock, self._archive.open(name + ".npy") as member:
+        with self._lock, self._zip().open(name + ".npy") as member:
             return np.lib.format.read_array(member, allow_pickle=False)
 
     def rows(self, name: str, start: int, count: int) -> np.ndarray:

@@ -279,12 +279,89 @@ class TestBatchedQueries:
         assert isinstance(oracle, DistanceIndex)
         assert oracle.supports_updates
         assert not oracle.is_compiled      # nothing compiled yet
-        oracle.query_batch([0], [1])       # first batch compiles the base
+        # The first batch of more than one row compiles the base; a
+        # one-row batch takes the scalar walk.
+        oracle.query_batch([0, 1], [1, 2])
         assert oracle.is_compiled
 
     def test_empty_batch(self, dyn):
         _, _, oracle = dyn
         assert oracle.query_batch([], []).shape == (0,)
+
+
+class TestOneRowBatches:
+    """A one-row batch is answered by the scalar walk (:meth:`query`):
+    it must equal that row of a multi-row batch bit for bit, and
+    refuse an id with the same ``KeyError`` message, for base-base,
+    base-overlay, overlay-overlay and same-id pairs, before and after
+    a flush, over a built and over a store-backed base."""
+
+    @pytest.fixture(params=["built", "stored"])
+    def overlay(self, request, dyn, tmp_path):
+        from repro.core import open_oracle, pack_oracle
+        _, _, oracle = dyn
+        if request.param == "stored":
+            path = tmp_path / "base.store"
+            pack_oracle(oracle.oracle, path)
+            stored = open_oracle(path)
+            request.addfinalizer(stored.close)
+            oracle = DynamicSEOracle.from_store(stored, oracle.engine)
+        oracle.rebuild_factor = 10.0  # keep updates in the overlay
+        inserted = [oracle.insert(20.0 + 9 * k, 30.0 + 7 * k)
+                    for k in range(3)]
+        oracle.delete(4)
+        oracle.delete(inserted[1])
+        return oracle, [4, inserted[1], 9999, -1]
+
+    @staticmethod
+    def _assert_one_row_equals_batch(oracle, dead):
+        import numpy as np
+        ids = oracle.live_ids()
+        sources = np.repeat(ids, ids.size)
+        targets = np.tile(ids, ids.size)
+        # One-row reads first, so they fill the delta rows and the
+        # pair cache on their own.
+        one_rows = [oracle.query_batch(sources[i:i + 1], targets[i:i + 1])
+                    for i in range(sources.size)]
+        batched = oracle.query_batch(sources, targets)
+        for i, one in enumerate(one_rows):
+            assert one.dtype == np.float64 and one.shape == (1,)
+            assert one.tobytes() == batched[i:i + 1].tobytes(), i
+        live = int(ids[0])
+        for a, b in ([(bad, live) for bad in dead]
+                     + [(live, bad) for bad in dead]
+                     + [(dead[0], dead[1]), (dead[2], dead[2])]):
+            with pytest.raises(KeyError) as many:
+                oracle.query_batch([live, a], [live, b])
+            with pytest.raises(KeyError) as one:
+                oracle.query_batch([a], [b])
+            assert str(one.value) == str(many.value)
+
+    @staticmethod
+    def _kinds(oracle):
+        ids = oracle.live_ids().tolist()
+        overlay = [i for i in ids if oracle._base_slot[i] < 0]
+        base = [i for i in ids if i not in overlay]
+        return len(base) >= 2, len(overlay) >= 2
+
+    def test_one_row_equals_its_batch_row(self, overlay):
+        oracle, dead = overlay
+        assert self._kinds(oracle) == (True, True)
+        self._assert_one_row_equals_batch(oracle, dead)
+
+    def test_one_row_after_a_flush(self, overlay):
+        oracle, dead = overlay
+        oracle.flush()
+        assert self._kinds(oracle) == (True, False)
+        live = oracle.live_ids()
+        oracle.query_batch(live[:1], live[1:2])
+        assert not oracle.is_compiled  # the one-row read compiled nothing
+        self._assert_one_row_equals_batch(oracle, dead)
+        assert oracle.is_compiled
+        for k in range(2):
+            oracle.insert(60.0 + 9 * k, 20.0 + 11 * k)
+        assert self._kinds(oracle) == (True, True)
+        self._assert_one_row_equals_batch(oracle, dead)
 
 
 class TestStoreBackedBase:

@@ -106,10 +106,11 @@ class TestConformance:
         assert index.supports_updates is updates
         # Touch the batch path first: lazily compiling families report
         # is_compiled only once their tables exist.
-        # A base-base pair, so lazily compiling families (SE, the
-        # dynamic overlay) actually materialise their tables.
+        # Two base-base rows, so lazily compiling families (SE, the
+        # dynamic overlay) actually materialise their tables; the
+        # dynamic overlay answers a one-row batch by the scalar walk.
         ids = self._ids(index)
-        index.query_batch(ids[:1], ids[1:2])
+        index.query_batch(ids[:2], ids[1:3])
         assert index.is_compiled is compiled
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)

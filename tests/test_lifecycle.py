@@ -32,6 +32,7 @@ from repro.core import (
     pack_tiled,
     save_oracle,
 )
+from repro.core.store import _directories
 from repro.geodesic import GeodesicEngine
 from repro.serving import OracleService, TerrainSpec
 from repro.terrain import make_terrain, sample_uniform
@@ -208,6 +209,25 @@ def test_descriptor_ledger_returns_to_baseline(stores):
 
 def _descriptors():
     return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_remembered_reopens_return_every_descriptor(stores):
+    """The directory memo holds no descriptor, file object or map:
+    after 20 rounds of opens of several monolithic, paged and tiled
+    stores, nearly all answered from the memo, every descriptor is
+    back."""
+    paths, _ = stores
+    opens = [(name, kwargs) for name, kwargs, _ in CASES]
+    opens += [("a2", {}), ("b", {}), ("t4", {"max_resident_tiles": 1})]
+    before = _descriptors()
+    hits = _directories.hits
+    for _ in range(20):
+        for name, kwargs in opens:
+            with open_oracle(paths[name], **kwargs) as stored:
+                stored.query_batch(*_grid())
+    assert _directories.hits >= hits + 19 * len(opens)
+    assert _descriptors() == before
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

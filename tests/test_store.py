@@ -22,10 +22,14 @@ from repro.core import (
     pack_tiled,
     save_oracle,
 )
+from repro.core import store as store_module
 from repro.core.store import (
+    _DIRECTORY_MEMO,
     STORE_VERSION,
     StoreFile,
+    _directories,
     _npy_header,
+    file_signature,
     read_store,
     read_store_meta,
 )
@@ -301,6 +305,200 @@ class TestLayoutAgreement:
         with StoreFile(path) as store:
             with pytest.raises(ValueError, match="not an npy array"):
                 store.layout("chains")
+
+
+def _directory_offset(path):
+    """Where the zip central directory of ``path`` starts."""
+    raw = pathlib.Path(path).read_bytes()
+    return int.from_bytes(raw[-6:-2], "little")
+
+
+def _meta_only_store(path, **fields):
+    """A valid store of one ``meta.json`` member (no sections)."""
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("meta.json", json.dumps(
+            {"format": "repro-se-oracle", "version": STORE_VERSION,
+             **fields}))
+
+
+class TestDirectoryMemo:
+    """A reopen parses nothing the process has parsed: the member
+    table, the meta member and the section layouts are memoised,
+    keyed by the bytes of the file's zip directory."""
+
+    def test_reopen_builds_no_zip_and_reads_no_local_header(
+            self, store_path, monkeypatch):
+        with StoreFile(store_path) as store:
+            store.arrays(store.names)
+        reads = []
+        real_pread = os.pread
+
+        def pread(fd, size, offset):
+            reads.append(offset + size)
+            return real_pread(fd, size, offset)
+
+        def no_zip(*args, **kwargs):
+            raise AssertionError("a reopen built a zipfile.ZipFile")
+
+        monkeypatch.setattr(store_module.os, "pread", pread)
+        monkeypatch.setattr(store_module.zipfile, "ZipFile", no_zip)
+        hits = _directories.hits
+        with open_oracle(store_path) as stored:
+            assert stored.query(0, 7) == stored.query_batch([0], [7])[0]
+        assert _directories.hits == hits + 1
+        # Only reads that end at the end of the file: its tail.
+        assert reads and set(reads) == {os.path.getsize(store_path)}
+
+    def test_same_size_rewrite_in_place_parses_again(self, store_path,
+                                                     tmp_path):
+        """Overwrite a store in place with another store of the same
+        size and restore its mtime: the file signature repeats, the
+        directory does not, so the next open answers from the new
+        bytes."""
+        old, new, live = (tmp_path / name for name in
+                          ("old.store", "new.store", "live.store"))
+        _rewrite(store_path, old, lambda name, raw: None)
+
+        def doubled(name, raw):
+            if name == "pair_distances.npy":
+                distances = np.load(io.BytesIO(raw))
+                buffer = io.BytesIO()
+                np.save(buffer, distances * 2)
+                return buffer.getvalue(), zipfile.ZIP_STORED
+            if name == "meta.json":
+                fingerprint = json.loads(raw)["fingerprint"].encode()
+                return (raw.replace(fingerprint, fingerprint[::-1]),
+                        zipfile.ZIP_STORED)
+            return None
+
+        _rewrite(store_path, new, doubled)
+        assert old.stat().st_size == new.stat().st_size
+        live.write_bytes(old.read_bytes())
+        with open_oracle(live) as stored:
+            before = stored.query_matrix()
+            fingerprint = stored.fingerprint
+        stat = live.stat()
+        signature = file_signature(live)
+        with open(live, "r+b") as handle:
+            handle.write(new.read_bytes())
+        os.utime(live, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert file_signature(live) == signature
+        loads = _directories.loads
+        with open_oracle(live) as stored:
+            assert stored.fingerprint == fingerprint[::-1]
+            assert (stored.query_matrix() == 2 * before).all()
+        assert _directories.loads == loads + 1
+
+    @pytest.mark.parametrize("cut", ["last_byte", "half",
+                                     "before_directory"])
+    def test_truncated_store_fails_as_before(self, store_path, tmp_path,
+                                             cut):
+        """A store truncated on disk fails an open as zipfile does,
+        while the memo still holds its old directory."""
+        path = tmp_path / "cut.store"
+        raw = pathlib.Path(store_path).read_bytes()
+        path.write_bytes(raw)
+        with StoreFile(path) as store:
+            store.arrays(store.names)
+        size = {"last_byte": len(raw) - 1, "half": len(raw) // 2,
+                "before_directory": _directory_offset(store_path)}[cut]
+        os.truncate(path, size)
+        with pytest.raises(zipfile.BadZipFile) as expected:
+            zipfile.ZipFile(io.BytesIO(raw[:size]))
+        with pytest.raises(zipfile.BadZipFile) as caught:
+            StoreFile(path)
+        assert str(caught.value) == str(expected.value)
+        with pytest.raises(zipfile.BadZipFile):
+            open_oracle(path)
+
+    def test_each_open_gets_its_own_meta(self, store_path):
+        expected = read_store_meta(store_path)
+        first = read_store_meta(store_path)
+        first["stats"]["pairs_stored"] = -1
+        first["tree"]["height"] = 99
+        first["build"].clear()
+        first["extra"] = True
+        with StoreFile(store_path) as store:
+            assert store.meta == expected
+            store.meta["tree"]["root_id"] = -5
+        with open_oracle(store_path) as stored:
+            assert stored.meta == expected
+            assert stored.tree_meta == expected["tree"]
+        assert read_store_meta(store_path) == expected
+
+    def test_memo_holds_exactly_its_bound(self, tmp_path):
+        paths = [tmp_path / f"m{index}.store"
+                 for index in range(_DIRECTORY_MEMO + 5)]
+        for index, path in enumerate(paths):
+            _meta_only_store(path, index=index)
+            assert read_store_meta(path)["index"] == index
+        assert len(_directories) == _DIRECTORY_MEMO
+        hits, loads = _directories.hits, _directories.loads
+        read_store_meta(paths[-1])    # still remembered
+        read_store_meta(paths[0])     # evicted: parsed again
+        assert (_directories.hits, _directories.loads) == (hits + 1,
+                                                           loads + 1)
+        assert len(_directories) == _DIRECTORY_MEMO
+
+    def test_unremembered_tails_parse_at_every_open(self, tmp_path):
+        """A zip comment moves the end record: no memo, and the open
+        still answers."""
+        path = tmp_path / "comment.store"
+        _meta_only_store(path, commented=True)
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.comment = b"a comment"
+        loads = _directories.loads
+        for _ in range(2):
+            assert read_store_meta(path)["commented"] is True
+        assert _directories.loads == loads
+
+    def test_a_refused_file_is_not_remembered(self, tmp_path):
+        path = tmp_path / "foreign.zip"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("meta.json", json.dumps({"format": "x"}))
+        loads = _directories.loads
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a serialized"):
+                StoreFile(path)
+        assert _directories.loads == loads
+
+    def test_deflated_member_inflates_on_a_remembered_open(
+            self, store_path, tmp_path):
+        """A hit builds its zip reader only to inflate a compressed
+        member."""
+        path = tmp_path / "deflated.store"
+        _rewrite(store_path, path, lambda name, raw: (
+            (raw, zipfile.ZIP_DEFLATED) if name == "pair_keys.npy"
+            else None))
+        StoreFile(path).close()
+        hits = _directories.hits
+        with StoreFile(path) as store, np.load(store_path) as archive:
+            assert store._archive is None
+            keys = store.array("pair_keys", mmap=False)
+            assert keys.tobytes() == archive["pair_keys"].tobytes()
+            assert store._archive is not None
+        assert _directories.hits == hits + 1
+
+    def test_a_large_directory_takes_a_second_read(self, tmp_path):
+        """A directory longer than one tail read is still remembered."""
+        path = tmp_path / "wide.store"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("meta.json", json.dumps(
+                {"format": "repro-se-oracle", "version": STORE_VERSION}))
+            for index in range(200):
+                buffer = io.BytesIO()
+                np.save(buffer, np.arange(index + 1))
+                archive.writestr(f"section_{index:04d}.npy",
+                                 buffer.getvalue())
+        assert (path.stat().st_size - _directory_offset(path)
+                > store_module._TAIL_READ)
+        for expected_hits in (0, 1):
+            hits = _directories.hits
+            with StoreFile(path) as store:
+                assert len(store.names) == 200
+                assert (store.array("section_0199")
+                        == np.arange(200)).all()
+            assert _directories.hits == hits + expected_hits
 
 
 class TestRehydration:
