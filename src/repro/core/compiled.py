@@ -56,11 +56,12 @@ off after a few thousand queries (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..datastructures.perfect_hash import PerfectHashMap
+from .index import DistanceIndexMixin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .oracle import SEOracle
@@ -71,8 +72,13 @@ _ID_MASK = np.uint64(0xFFFFFFFF)
 _SHIFT = np.uint64(32)
 
 
-class CompiledOracle:
+class CompiledOracle(DistanceIndexMixin):
     """Flat-table form of a built SE oracle answering queries in batches.
+
+    The scalar ``query``, ``query_matrix`` and ``supports_updates``
+    (compiled tables are immutable) come from
+    :class:`~repro.core.index.DistanceIndexMixin`, over
+    :meth:`query_batch`.
 
     Construct with :meth:`from_oracle` (or ``oracle.compiled()``); the
     raw constructor takes the chain matrix directly, which is how the
@@ -159,11 +165,6 @@ class CompiledOracle:
         return self._pair_hash
 
     @property
-    def supports_updates(self) -> bool:
-        """``DistanceIndex`` flag: compiled tables are immutable."""
-        return False
-
-    @property
     def is_compiled(self) -> bool:
         return True
 
@@ -234,26 +235,3 @@ class CompiledOracle:
             )
         result[pending] = values[rows, first]
         return result
-
-    def query(self, source: int, target: int) -> float:
-        """Scalar convenience wrapper over :meth:`query_batch`."""
-        return float(self.query_batch(np.array([source]),
-                                      np.array([target]))[0])
-
-    def query_matrix(self, pois: Optional[Sequence[int]] = None
-                     ) -> np.ndarray:
-        """All-pairs distance matrix over ``pois`` (default: all POIs).
-
-        ``result[i, j]`` is the oracle distance from ``pois[i]`` to
-        ``pois[j]``; the diagonal holds the stored self-distances
-        (``0.0``).
-        """
-        if pois is None:
-            ids = np.arange(self.num_pois, dtype=np.intp)
-        else:
-            ids = np.asarray(pois, dtype=np.intp)
-        count = ids.shape[0]
-        grid_s = np.repeat(ids, count)
-        grid_t = np.tile(ids, count)
-        return self.query_batch(grid_s, grid_t).reshape(count, count)
-

@@ -412,16 +412,17 @@ class SEOracle:
     # ------------------------------------------------------------------
     # batched queries (the compiled serving path)
     # ------------------------------------------------------------------
-    def compiled(self, refresh: bool = False) -> "CompiledOracle":
+    def compiled(self) -> "CompiledOracle":
         """The flat-table form of this oracle (compiled lazily, cached).
 
         See :class:`~repro.core.compiled.CompiledOracle`; the tables
         answer whole query batches with no Python per query and are
         bit-identical to :meth:`query`.  The cache is invalidated by
-        ``build()``; pass ``refresh=True`` to force a recompile.
+        ``build()``; ``CompiledOracle.from_oracle(oracle)`` compiles
+        fresh tables without touching it.
         """
         self._require_built()
-        if self._compiled is None or refresh:
+        if self._compiled is None:
             from .compiled import CompiledOracle
             self._compiled = CompiledOracle.from_oracle(self)
         return self._compiled

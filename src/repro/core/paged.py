@@ -315,10 +315,10 @@ class PagedOracle(CompiledStore):
     def fixed_bytes(self) -> int:
         """Resident state outside the pool: the chain matrix, the four
         key planes derived from it (4 × n·(h+1) × 8 bytes), the fences
-        and last key, and the nearest-neighbour column once read or
-        derived.  Reported in the ledger so "bounded" is an
-        auditable claim, not a slogan."""
-        column = sum(array.nbytes for array in self._nearest or ())
+        and last key, and the nearest-distance column (n × 8 bytes)
+        once read or derived.  Reported in the ledger so "bounded" is
+        an auditable claim, not a slogan."""
+        column = 0 if self._nearest is None else self._nearest.nbytes
         return self._routing_bytes + self._pool.fixed_bytes + column
 
     @property

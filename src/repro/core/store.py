@@ -69,14 +69,17 @@ On-disk layout (format version 4)
     int64 ``(num_pois, height+1)`` compiled ancestor-chain matrix
     (:meth:`~repro.core.compressed_tree.CompressedPartitionTree.chains`),
     ``-1``-padded.
-``nn_poi.npy`` / ``nn_distance.npy``
-    The nearest-neighbour column (:func:`nearest_pois`): int64
-    ``(num_pois,)`` each POI's nearest other POI (``-1`` when none is
-    reachable) and float64 ``(num_pois, 2)`` its nearest and
-    second-nearest distances.  RNN on an opened store reads it
-    (:meth:`StoreHandle.nearest_column`: mapped with the other tables
-    by :class:`StoredOracle`, read resident by the paged and tiled
-    backends); stores packed before it derive it on first use.
+``nn_distance.npy``
+    The nearest-distance column (:func:`nearest_distances`): float64
+    ``(num_pois,)``, each POI's nearest finite distance to another
+    POI (``inf`` when none is reachable).  RNN on an opened store
+    reads it (:meth:`StoreHandle.nearest_column`: mapped with the
+    other tables by :class:`StoredOracle`, read resident by the paged
+    and tiled backends).  Stores packed before it derive it on first
+    use.  An earlier layout packed ``(num_pois, 2)`` nearest and
+    second-nearest distances beside an int64 nearest-POI member; such
+    a store serves from a contiguous copy of the first column and
+    ignores the rest.
 
 Every member is ZIP_STORED, so each array's bytes sit contiguously at
 a fixed file offset and :func:`open_oracle` can hand views of one map
@@ -115,7 +118,7 @@ from .residency import Residency
 __all__ = ["pack_oracle", "pack_document", "open_oracle", "StoredOracle",
            "StoreHandle", "CompiledStore", "STORE_VERSION", "compile_sections",
            "file_signature", "oracle_sections", "section_layouts", "StoreFile",
-           "nearest_pois", "PAIR_ORDER"]
+           "nearest_distances", "PAIR_ORDER"]
 
 PathLike = Union[str, os.PathLike]
 
@@ -140,10 +143,10 @@ _HASH_SECTIONS = {
 _REQUIRED_SECTIONS = ("tree_table", "tree_radii", "chains",
                       *_HASH_SECTIONS)
 
-#: The nearest-neighbour column; a tiled store prefixes it ``tiles/``.
-_NEAREST_SECTIONS = ("nn_poi", "nn_distance")
+#: The nearest-distance column; a tiled store prefixes it ``tiles/``.
+_NEAREST_SECTION = "nn_distance"
 
-#: Pairs per row chunk of :func:`nearest_pois`: bounds the probe's
+#: Pairs per row chunk of :func:`nearest_distances`: bounds the probe's
 #: intermediates without changing any result bit.
 _NEAREST_CHUNK_PAIRS = 1 << 14
 
@@ -297,20 +300,18 @@ def oracle_sections(oracle: SEOracle) -> Dict[str, np.ndarray]:
     return sections
 
 
-def nearest_pois(index, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The nearest-neighbour column of POIs ``0 .. count-1``:
-    ``(nn_poi, nn_distance)``.
+def nearest_distances(index, count: int) -> np.ndarray:
+    """Each of POIs ``0 .. count-1``'s nearest finite distance to
+    another of them: float64 ``(count,)``, ``inf`` for a POI that
+    reaches none.
 
-    ``nn_poi[q]`` is ``q``'s nearest other POI (the lowest id on a tie,
-    ``-1`` when none is reachable) and ``nn_distance[q]`` its nearest
-    and second-nearest distances.  Rows are masked as the RNN matrix
-    path masks them — ``q`` itself excluded, non-finite distances as
-    ``inf`` — and probed in row chunks off ``index.query_batch``, so
-    every distance is the float that query returns.
+    Rows are masked as the RNN matrix path masks them — the POI itself
+    excluded, non-finite distances as ``inf`` — and probed in row
+    chunks off ``index.query_batch``, so every entry is the float that
+    query returns.
     """
     ids = np.arange(count, dtype=np.intp)
-    nn_poi = np.full(count, -1, dtype=np.int64)
-    nn_distance = np.full((count, 2), np.inf)
+    nearest = np.full(count, np.inf)
     step = max(1, _NEAREST_CHUNK_PAIRS // max(count, 1))
     for start in range(0, count, step):
         rows = ids[start:start + step]
@@ -318,21 +319,16 @@ def nearest_pois(index, count: int) -> Tuple[np.ndarray, np.ndarray]:
                                            np.tile(ids, rows.size)),
                          dtype=np.float64).reshape(rows.size, count)
         block[~np.isfinite(block)] = np.inf
-        positions = np.arange(rows.size)
-        block[positions, rows] = np.inf
-        nearest = block.argmin(axis=1)
-        first = block[positions, nearest]
-        block[positions, nearest] = np.inf
-        nn_poi[rows] = np.where(np.isfinite(first), nearest, -1)
-        nn_distance[rows, 0] = first
-        nn_distance[rows, 1] = block.min(axis=1)
-    return nn_poi, nn_distance
+        block[np.arange(rows.size), rows] = np.inf
+        nearest[rows] = block.min(axis=1)
+    return nearest
 
 
-def _nearest_sections(index, count: int,
-                      prefix: str = "") -> Dict[str, np.ndarray]:
-    return dict(zip((prefix + name for name in _NEAREST_SECTIONS),
-                    nearest_pois(index, count)))
+def _nearest_column(column: np.ndarray) -> np.ndarray:
+    """The nearest distances of a packed column: the section itself,
+    or a contiguous copy of the first column of the earlier two-column
+    layout (nearest and second-nearest distances)."""
+    return column if column.ndim == 1 else np.ascontiguousarray(column[:, 0])
 
 
 def pack_oracle(oracle: SEOracle, path: PathLike,
@@ -351,7 +347,8 @@ def pack_oracle(oracle: SEOracle, path: PathLike,
     from .serialize import workload_fingerprint
     sections = oracle_sections(oracle)
     compiled = oracle.compiled()
-    sections.update(_nearest_sections(compiled, compiled.num_pois))
+    sections[_NEAREST_SECTION] = nearest_distances(compiled,
+                                                   compiled.num_pois)
     meta = _meta_document(
         epsilon=oracle.epsilon, strategy=oracle.strategy,
         method=oracle.method, seed=oracle.seed,
@@ -373,7 +370,7 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
     The JSON document is self-contained (tree + pairs + metadata), so
     no terrain engine is needed: the chain matrix is re-derived from
     the tree and the hash tables from the pair list with the stored
-    seed, and the nearest-neighbour column from those tables — exactly
+    seed, and the nearest-distance column from those tables — exactly
     what :func:`~repro.core.serialize.load_oracle` followed by
     :func:`pack_oracle` would produce.
     """
@@ -385,9 +382,9 @@ def pack_document(document: Dict[str, Any], path: PathLike) -> None:
     sections = _tree_sections(tree)
     sections["chains"] = tree.chains()
     sections.update(_hash_sections(pair_hash))
-    sections.update(_nearest_sections(
+    sections[_NEAREST_SECTION] = nearest_distances(
         compile_sections(sections, epsilon=document["epsilon"]),
-        tree.num_pois))
+        tree.num_pois)
     stats = document.get("stats", {})
     meta = _meta_document(
         epsilon=document["epsilon"], strategy=document["strategy"],
@@ -805,12 +802,12 @@ class StoreHandle:
     its build identity read from the meta document (:meth:`_identify`:
     ``fingerprint`` names the workload it was packed for), and an
     idempotent :meth:`close`, also run on leaving a ``with`` block,
-    and the nearest-neighbour column RNN reads
+    and the nearest-distance column RNN reads
     (:meth:`nearest_column`).  Subclasses release their resources in
     :meth:`_release`."""
 
     closed = False
-    _nearest: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    _nearest: Optional[np.ndarray] = None
 
     def _identify(self, meta: Dict[str, Any],
                   store: Optional[StoreFile] = None) -> None:
@@ -831,15 +828,15 @@ class StoreHandle:
         self.stat_signature = None if store is None else store.signature
 
     def _read_nearest(self, store: StoreFile, prefix: str = "") -> None:
-        """Read the packed nearest-neighbour column resident, if
+        """Read the packed nearest-distance column resident, if
         ``store`` has one (stores packed before it do not)."""
-        names = [prefix + name for name in _NEAREST_SECTIONS]
-        if all(name in store.names for name in names):
-            self._nearest = tuple(store.arrays(names, mmap=False).values())
+        name = prefix + _NEAREST_SECTION
+        if name in store.names:
+            self._nearest = _nearest_column(store.array(name, mmap=False))
 
-    def nearest_column(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(nn_poi, nn_distance)``: each POI's nearest other POI and
-        its nearest and second-nearest distances (:func:`nearest_pois`).
+    def nearest_column(self) -> np.ndarray:
+        """Each POI's nearest finite distance to another POI, ``inf``
+        when it reaches none (:func:`nearest_distances`).
 
         Read at open, or — for a store packed before the column —
         derived once here, on first use, off this store's own
@@ -847,9 +844,9 @@ class StoreHandle:
         (:func:`~repro.queries.proximity.reverse_nearest_neighbors`).
         """
         if self._nearest is None:
-            # Unlocked: racing first calls derive the same arrays, and
-            # the tuple is published by one assignment.
-            self._nearest = nearest_pois(self, self.num_pois)
+            # Unlocked: racing first calls derive the same array, and
+            # it is published by one assignment.
+            self._nearest = nearest_distances(self, self.num_pois)
         return self._nearest
 
     @property
@@ -885,7 +882,7 @@ class StoreHandle:
             )
 
     def close(self) -> None:
-        """Release the tables, the nearest-neighbour column and any
+        """Release the tables, the nearest-distance column and any
         file handle; later queries (and :meth:`nearest_column`) raise
         ``ValueError``.  Closing twice is a no-op."""
         if not self.closed:
@@ -948,10 +945,9 @@ class StoredOracle(CompiledStore):
         store = StoreFile.of(path)
         meta, self._sections = read_store(store, mmap)
         self._identify(store.meta, store)
-        if all(name in self._sections for name in _NEAREST_SECTIONS):
-            # Views of the store's map (or copies): no second read.
-            self._nearest = tuple(self._sections[name]
-                                  for name in _NEAREST_SECTIONS)
+        if _NEAREST_SECTION in self._sections:
+            # A view of the store's map (or a copy): no second read.
+            self._nearest = _nearest_column(self._sections[_NEAREST_SECTION])
         # Surface the zero-copy ledger: sections that could not be mapped
         # in place (compressed members) are a serving-performance smell.
         self.stats["non_zero_copy_sections"] = sorted(

@@ -92,7 +92,7 @@ from .residency import Counts, Residency
 from .store import (
     _FORMAT_NAME,
     _HASH_SECTIONS,
-    _nearest_sections,
+    _NEAREST_SECTION,
     _write_store,
     PAIR_ORDER,
     STORE_VERSION,
@@ -100,6 +100,7 @@ from .store import (
     StoreHandle,
     _ClosedTables,
     compile_sections,
+    nearest_distances,
 )
 
 __all__ = [
@@ -467,16 +468,17 @@ def pack_tiled(build: TiledBuild, path) -> None:
     Same container as :func:`~repro.core.store.pack_oracle` — an
     uncompressed npz-style zip — with each tile its own section set
     under ``tiles/NNNN/`` plus three global routing sections and the
-    global nearest-neighbour column (``tiles/nn_poi``,
-    ``tiles/nn_distance``: :func:`~repro.core.store.nearest_pois` off
-    the build's own stitched answers); the tile directory lives under
-    the ``"tiles"`` key of ``meta.json``.
+    global nearest-distance column (``tiles/nn_distance``:
+    :func:`~repro.core.store.nearest_distances` off the build's own
+    stitched answers); the tile directory lives under the ``"tiles"``
+    key of ``meta.json``.
     """
     sections: Dict[str, np.ndarray] = {
         "tiles/owner": build.owner,
         "tiles/local": build.local,
         "tiles/boundary": build.boundary,
-        **_nearest_sections(build.oracle(), len(build.owner), "tiles/"),
+        "tiles/" + _NEAREST_SECTION: nearest_distances(build.oracle(),
+                                                       len(build.owner)),
     }
     for tile, tile_sections in enumerate(build.sections):
         prefix = _tile_prefix(tile)
@@ -496,7 +498,7 @@ def open_tiled_oracle(path, mmap: bool = True,
     included, goes through its one descriptor.  Only the small routing
     arrays are touched up front: the owner/local maps and the boundary
     matrix (one map, with ``mmap``), and copies of the global portal
-    ids, the POI×portal blocks and the nearest-neighbour column.  Each
+    ids, the POI×portal blocks and the nearest-distance column.  Each
     tile load maps that tile's query tables as one map, which pages
     through the oracle's internal LRU: evicting the tile unmaps it.  A
     store packed before the blocks existed has no ``poi_portal``

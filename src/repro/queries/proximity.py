@@ -23,7 +23,7 @@ oracle supports:
   NumPy passes over ``n`` distances plus an ``argpartition`` — roughly
   O(n + k log k) selection work instead of a Python loop with a full
   sort.  RNN on a static store costs the same n−1 distances: the
-  store packs each POI's nearest-neighbour column
+  store packs each POI's nearest distance
   (:meth:`~repro.core.store.StoreHandle.nearest_column`), so only the
   candidates' distances to the query POI are probed.  Any other
   batched RNN resolves the whole n×n matrix (O(n²) distances, one
@@ -293,12 +293,13 @@ def reverse_nearest_neighbors(oracle, source: int,
     the scope must not act as disqualifying third POIs.
 
     A static store (anything with ``nearest_column``: the mmap'd,
-    paged and tiled backends) answers a whole-universe RNN from its
-    nearest-neighbour column, by nearest-neighbour circles (Korn &
-    Muthukrishnan, SIGMOD 2000): ``q`` qualifies iff ``d(q, source)``
-    is finite and no farther than ``q``'s nearest distance to a POI
-    other than ``source`` — its second-nearest distance when
-    ``source`` is its nearest, else its nearest.  That is one
+    paged and tiled backends) answers a whole-universe RNN from each
+    POI's packed nearest distance, by nearest-neighbour circles (Korn
+    & Muthukrishnan, SIGMOD 2000): ``q`` qualifies iff ``d(q,
+    source)`` is finite and no farther than ``q``'s nearest distance
+    to any other POI, ``source`` included.  The packed distance is a
+    float ``query_batch`` returns, so when no third POI is strictly
+    closer it is ``d(q, source)`` itself, bit for bit.  That is one
     ``query_batch`` of the n−1 pairs ``(q, source)``.  Every other
     call — a mutable index, ``candidates=`` or ``num_pois=`` — takes
     the matrix path, which stays the reference: one ``query_matrix``
@@ -327,14 +328,12 @@ def reverse_nearest_neighbors(oracle, source: int,
     if candidate_pos.size == 0:
         return []
     if whole and hasattr(oracle, "nearest_column"):
-        nn_poi, nn_distance = oracle.nearest_column()
         to_source = np.asarray(oracle.query_batch(
             candidate_pos, np.full(candidate_pos.shape, source,
                                    dtype=np.intp)), dtype=np.float64)
-        # The nearest POI other than source: the second-nearest when
-        # source is the candidate's nearest, else the nearest.
-        closest_other = nn_distance[
-            candidate_pos, (nn_poi[candidate_pos] == source).astype(np.intp)]
+        # The nearest distance, source included: no nearer than
+        # source exactly when no third POI is.
+        closest = oracle.nearest_column()[candidate_pos]
     else:
         if hasattr(oracle, "query_matrix"):
             matrix = np.asarray(oracle.query_matrix(ids), dtype=np.float64)
@@ -359,8 +358,8 @@ def reverse_nearest_neighbors(oracle, source: int,
         others[np.arange(candidate_pos.size), candidate_pos] = np.inf
         others[:, source_pos] = np.inf
         others[~np.isfinite(others)] = np.inf
-        closest_other = others.min(axis=1)
-    qualified = np.isfinite(to_source) & (closest_other >= to_source)
+        closest = others.min(axis=1)
+    qualified = np.isfinite(to_source) & (closest >= to_source)
     return [int(poi) for poi in ids[candidate_pos[qualified]]]
 
 

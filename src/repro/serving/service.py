@@ -579,8 +579,8 @@ class OracleService:
     @_locked
     def reverse_nearest(self, terrain_id: str, source: int) -> List[int]:
         """Monochromatic RNN on one terrain: the n−1 pairs ``(q,
-        source)`` against a static store's nearest-neighbour column,
-        the n×n matrix on a mutable overlay."""
+        source)`` against each POI's nearest distance, packed in a
+        static store; the n×n matrix on a mutable overlay."""
         index = self._index(terrain_id)
         count = index.num_pois
         probes = (count - 1 if hasattr(index, "nearest_column")

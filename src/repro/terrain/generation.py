@@ -8,7 +8,8 @@ so this module builds statistically similar triangulated terrains:
   terrain), giving the self-similar roughness of natural relief;
 * :func:`gaussian_hills` — smooth mountain/valley mixtures;
 * :func:`heightfield_to_mesh` — regular-grid triangulation (two
-  triangles per raster cell), matching how DEMs become TINs;
+  triangles per raster cell, :func:`grid_faces`), matching how DEMs
+  become TINs;
 * :func:`make_terrain` — the one-stop constructor used by the dataset
   registry (fractal relief + hills, scaled to a target extent);
 * :func:`refine_centroid` — the paper's "enlarged BH" construction:
@@ -30,6 +31,7 @@ from .mesh import TriangleMesh
 __all__ = [
     "diamond_square",
     "gaussian_hills",
+    "grid_faces",
     "heightfield_to_mesh",
     "make_terrain",
     "refine_centroid",
@@ -113,15 +115,37 @@ def gaussian_hills(size: int, num_hills: int = 6, seed: int = 0,
     return heights
 
 
+def grid_faces(vertex_id: np.ndarray) -> np.ndarray:
+    """The triangles of a raster grid: int64 ``(num_faces, 3)`` over a
+    ``(rows, cols)`` grid of vertex ids, ``-1`` marking nodata.
+
+    Cells are taken in row-major order, two triangles each, with the
+    diagonal alternating to avoid directional artefacts: with corners
+    ``a = (i, j)``, ``b = (i+1, j)``, ``c = (i+1, j+1)`` and
+    ``d = (i, j+1)``, cell ``(i, j)`` gives ``(a, b, c), (a, c, d)``
+    when ``i + j`` is even and ``(a, b, d), (b, c, d)`` when it is odd.
+    Every triangle with a ``-1`` corner is dropped.
+    """
+    ids = np.asarray(vertex_id, dtype=np.int64)
+    a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    rows, cols = a.shape
+    even = np.add.outer(np.arange(rows), np.arange(cols)) % 2 == 0
+    first = np.stack([a, b, np.where(even, c, d)], -1)
+    second = np.stack([np.where(even, a, b), c, d], -1)
+    faces = np.stack([first, second], axis=2).reshape(-1, 3)
+    return faces[(faces >= 0).all(axis=1)]
+
+
 def heightfield_to_mesh(heights: np.ndarray,
                         extent_x: float,
                         extent_y: float,
                         z_scale: float = 1.0) -> TriangleMesh:
     """Triangulate a raster heightfield into a TIN.
 
-    Each raster cell becomes two triangles, the standard DEM-to-TIN
-    conversion.  Vertex ``(i, j)`` sits at planar position
-    ``(i * dx, j * dy)`` with height ``heights[i, j] * z_scale``.
+    Each raster cell becomes two triangles (:func:`grid_faces`), the
+    standard DEM-to-TIN conversion.  Vertex ``(i, j)`` sits at planar
+    position ``(i * dx, j * dy)`` with height ``heights[i, j] *
+    z_scale``.
     """
     heights = np.asarray(heights, dtype=float)
     if heights.ndim != 2 or heights.shape[0] < 2 or heights.shape[1] < 2:
@@ -133,23 +157,7 @@ def heightfield_to_mesh(heights: np.ndarray,
     vertices = np.column_stack([
         (ii * dx).ravel(), (jj * dy).ravel(), (heights * z_scale).ravel()
     ])
-
-    def vid(i, j):
-        return i * cols + j
-
-    faces = []
-    for i in range(rows - 1):
-        for j in range(cols - 1):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            # Alternate the diagonal to avoid directional artefacts.
-            if (i + j) % 2 == 0:
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-            else:
-                faces.append((a, b, d))
-                faces.append((b, c, d))
-    return TriangleMesh(vertices, np.asarray(faces, dtype=np.int64))
+    return TriangleMesh(vertices, grid_faces(ii * cols + jj))
 
 
 def make_terrain(grid_exponent: int = 5,

@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .generation import grid_faces
 from .mesh import TriangleMesh
 from .poi import POI, POISet
 
@@ -442,9 +443,10 @@ def dem_to_mesh(
     Geographic grids are projected onto a local metric plane about the
     grid centre (the returned :class:`LocalProjection`; ``None`` for
     already-projected grids).  Each 2x2 cell block contributes up to
-    two triangles with an alternating diagonal; a triangle is emitted
-    only when all three of its corners carry valid heights, so nodata
-    holes become holes in the mesh instead of fabricated elevations.
+    two triangles with an alternating diagonal (:func:`~repro.terrain.
+    generation.grid_faces`); a triangle is emitted only when all three
+    of its corners carry valid heights, so nodata holes become holes
+    in the mesh instead of fabricated elevations.
     """
     grid = grid.decimate(decimate)
     heights = grid.heights
@@ -479,30 +481,13 @@ def dem_to_mesh(
         ]
     )
 
-    faces: List[Tuple[int, int, int]] = []
-
-    def emit(a: Tuple[int, int], b: Tuple[int, int], c: Tuple[int, int]) -> None:
-        ia, ib, ic = vertex_id[a], vertex_id[b], vertex_id[c]
-        if ia >= 0 and ib >= 0 and ic >= 0:
-            faces.append((int(ia), int(ib), int(ic)))
-
-    for r in range(nrows - 1):
-        for c in range(ncols - 1):
-            nw, sw = (r, c), (r + 1, c)
-            se, ne = (r + 1, c + 1), (r, c + 1)
-            if (r + c) % 2 == 0:
-                emit(nw, sw, se)
-                emit(nw, se, ne)
-            else:
-                emit(nw, sw, ne)
-                emit(sw, se, ne)
-    if not faces:
+    faces = grid_faces(vertex_id)
+    if not len(faces):
         raise IngestError(
             f"{grid.source or 'DEM'}: no triangulatable 2x2 block of valid "
             "cells (grid too sparse after nodata masking/decimation)"
         )
-    mesh = TriangleMesh(vertices, np.asarray(faces, dtype=np.int64))
-    return mesh, projection
+    return TriangleMesh(vertices, faces), projection
 
 
 # ----------------------------------------------------------------------

@@ -290,17 +290,11 @@ class TestTiledEquivalenceProperty:
 
 
 def reference_column(matrix):
-    """Each row's nearest other POI and two smallest distances, by a
-    sort over the finite off-diagonal entries (ties by lower id)."""
-    nn_poi, nn_distance = [], []
-    for row, distances in enumerate(matrix.tolist()):
-        finite = sorted((distance, poi)
-                        for poi, distance in enumerate(distances)
-                        if poi != row and np.isfinite(distance))
-        finite += [(np.inf, -1)] * 2
-        nn_poi.append(finite[0][1])
-        nn_distance.append([finite[0][0], finite[1][0]])
-    return nn_poi, nn_distance
+    """Each row's nearest distance: the minimum of its finite
+    off-diagonal entries, ``inf`` when it has none."""
+    return [min((distance for poi, distance in enumerate(distances)
+                 if poi != row and np.isfinite(distance)), default=np.inf)
+            for row, distances in enumerate(matrix.tolist())]
 
 
 def assert_column_rnn(store, label):
@@ -318,10 +312,9 @@ def assert_column_rnn(store, label):
     store.query_matrix = no_matrix
     assert [reverse_nearest_neighbors(store, source)
             for source in range(n)] == expected, label
-    nn_poi, nn_distance = store.nearest_column()
-    reference_poi, reference_distance = reference_column(matrix)
-    assert nn_poi.tolist() == reference_poi, label
-    assert nn_distance.tolist() == reference_distance, label
+    column = store.nearest_column()
+    assert column.shape == (n,) and column.dtype == np.float64, label
+    assert column.tolist() == reference_column(matrix), label
     return expected
 
 
@@ -350,7 +343,7 @@ def packed_column(path):
 
 
 class TestNearestColumnProperty:
-    """The packed nearest-neighbour column, and the RNN answered from
+    """The packed nearest-distance column, and the RNN answered from
     it, against the matrix path for every source: on monolithic stores
     (mmap'd, copied, paged at one page, ~25% and everything), and on
     stores of 1, 2 and 4 tiles at ``max_resident_tiles`` 1 and
@@ -362,7 +355,7 @@ class TestNearestColumnProperty:
         engine, oracle = drawn
         path = tmp_path / "fuzz.store"
         pack_oracle(oracle, path)
-        assert packed_column(path) == {"nn_poi", "nn_distance"}
+        assert packed_column(path) == {"nn_distance"}
         answers = {}
         for label, store in static_backends(path):
             with store:
@@ -381,7 +374,7 @@ class TestNearestColumnProperty:
                                    seed=oracle.seed)
         path = tmp_path / "tiled.store"
         pack_tiled(build, path)
-        assert packed_column(path) == {"tiles/nn_poi", "tiles/nn_distance"}
+        assert packed_column(path) == {"tiles/nn_distance"}
         answers = [assert_column_rnn(build.oracle(), "in memory")]
         for label, store in static_backends(path):
             with store:
@@ -396,7 +389,8 @@ class TestNearestColumnProperty:
                             np.array([[0, 1, 2], [1, 3, 2],
                                       [4, 5, 6], [5, 7, 6]]))
         # POI 4 (vertex 1) is equally near POIs 0 and 1; POIs 2 and 3
-        # have one reachable POI each, so no second-nearest.
+        # reach only each other, so their nearest is that distance,
+        # never an unreachable POI's inf.
         pois = pois_from_vertices(mesh, [0, 3, 4, 7, 1])
         path = tmp_path / "split.store"
         pack_tiled(build_tiled_oracle(mesh, pois, 0.3, tiles=2, seed=0),
@@ -405,8 +399,9 @@ class TestNearestColumnProperty:
             with store:
                 assert assert_column_rnn(store, label) == [
                     [4], [4], [3], [2], [0, 1]], label
-                nn_distance = store.nearest_column()[1]
-                assert np.isinf(nn_distance[2:4, 1]).all(), label
+                column = store.nearest_column()
+                assert column[2] == store.query(2, 3), label
+                assert column[3] == store.query(3, 2), label
 
     def test_tied_nearest_distances(self, tmp_path):
         from repro.core import build_tiled_oracle, pack_tiled
@@ -429,12 +424,145 @@ class TestNearestColumnProperty:
         pack_oracle(oracle, paths[0])
         pack_tiled(build_tiled_oracle(mesh, pois, 0.1, tiles=2, seed=0),
                    paths[1])
+        arms = np.arange(1, 5)
         for path in paths:
             for label, store in static_backends(path):
                 with store:
                     assert_column_rnn(store, label)
-                    nn_distance = store.nearest_column()[1]
-                    assert nn_distance[0, 0] == nn_distance[0, 1], label
+                    to_arms = store.query_batch(np.zeros(4, np.intp), arms)
+                    tied = to_arms == store.nearest_column()[0]
+                    assert tied.sum() >= 2, label
+
+    def test_isolated_poi_and_row_chunks(self, monkeypatch):
+        """A POI that reaches none packs ``inf``; ``nan``, ``inf`` and
+        the diagonal never count; the row chunks change no bit."""
+        from repro.core import store as store_module
+        n = 9
+        matrix = np.random.default_rng(5).random((n, n))
+        matrix[4, :] = matrix[:, 4] = np.inf
+        matrix[1, 2] = np.nan
+        np.fill_diagonal(matrix, 0.0)
+
+        class Table:
+            def query_batch(self, sources, targets):
+                return matrix[sources, targets]
+
+        expected = reference_column(matrix)
+        assert expected[4] == np.inf
+        for chunk in (store_module._NEAREST_CHUNK_PAIRS, 2 * n + 1, 1):
+            monkeypatch.setattr(store_module, "_NEAREST_CHUNK_PAIRS", chunk)
+            column = store_module.nearest_distances(Table(), n)
+            assert column.tolist() == expected, chunk
+
+
+def earlier_column(matrix):
+    """The two column members of the earlier store layout, as its
+    writer computed them from a matrix: each row's nearest other POI
+    (the lowest id on a tie, ``-1`` when none is reachable) and its
+    nearest and second-nearest distances."""
+    block = np.where(np.isfinite(matrix), matrix, np.inf)
+    np.fill_diagonal(block, np.inf)
+    rows = np.arange(len(block))
+    nearest = block.argmin(axis=1)
+    first = block[rows, nearest]
+    block[rows, nearest] = np.inf
+    return (np.where(np.isfinite(first), nearest, -1).astype(np.int64),
+            np.column_stack([first, block.min(axis=1)]))
+
+
+def write_earlier_layout(path, target):
+    """Rewrite the store at ``path`` to ``target`` in the earlier
+    column layout: every other section as packed, and in place of the
+    one-distance column the nearest-POI member and the two-column
+    distance member, in the slot and order that writer used."""
+    from repro.core.store import StoreFile, _write_store
+    with open_oracle(path) as fresh:
+        column = fresh.nearest_column().copy()
+        ids, distances = earlier_column(fresh.query_matrix())
+    assert distances[:, 0].tobytes() == column.tobytes()
+    with StoreFile(path) as store:
+        packed = store.arrays(store.names, mmap=False)
+        meta = store.meta
+    sections = {}
+    for name, array in packed.items():
+        if name.endswith("nn_distance"):
+            prefix = name[:-len("nn_distance")]
+            sections[prefix + "nn_poi"] = ids
+            array = distances
+        sections[name] = array
+    _write_store(target, meta, sections)
+    return column
+
+
+@pytest.fixture(scope="module")
+def earlier_workload():
+    return draw_workload(1)
+
+
+class TestEarlierColumnLayout:
+    """Stores packed with the earlier column layout (a nearest-POI
+    member and nearest plus second-nearest distances) serve from a
+    contiguous copy of the first distance column: RNN equals the
+    matrix path, nothing is derived (each RNN probes its n−1 pairs),
+    and the paged ledger counts n × 8 bytes for the column."""
+
+    def assert_serves_column_zero(self, path, column, monkeypatch):
+        from repro.core import store as store_module
+
+        def no_derivation(*args, **kwargs):
+            raise AssertionError("the packed column was derived")
+
+        monkeypatch.setattr(store_module, "nearest_distances",
+                            no_derivation)
+        n = len(column)
+        for label, store in static_backends(path):
+            with store:
+                expected = [reverse_nearest_neighbors(store, source,
+                                                      num_pois=n)
+                            for source in range(n)]
+                probes = []
+                query_batch = store.query_batch
+
+                def counted(sources, targets):
+                    probes.append(len(sources))
+                    return query_batch(sources, targets)
+
+                store.query_batch = counted
+                assert [reverse_nearest_neighbors(store, source)
+                        for source in range(n)] == expected, label
+                assert probes == [n - 1] * n, label
+                served = store.nearest_column()
+                assert served.shape == (n,), label
+                assert served.flags.c_contiguous, label
+                assert served.tobytes() == column.tobytes(), label
+
+    def test_monolithic(self, earlier_workload, tmp_path, monkeypatch):
+        from repro.core import PagedOracle
+        _, oracle = earlier_workload
+        fresh, earlier = tmp_path / "fresh.store", tmp_path / "earlier.store"
+        pack_oracle(oracle, fresh)
+        column = write_earlier_layout(fresh, earlier)
+        assert packed_column(earlier) == {"nn_poi", "nn_distance"}
+        self.assert_serves_column_zero(earlier, column, monkeypatch)
+        with PagedOracle(str(fresh), page_bytes=64, max_pages=2) as one, \
+                PagedOracle(str(earlier), page_bytes=64,
+                            max_pages=2) as other:
+            assert other.fixed_bytes == one.fixed_bytes
+            assert other.nearest_column().nbytes == 8 * len(column)
+
+    @pytest.mark.parametrize("tiles", [2, 4])
+    def test_tiled(self, earlier_workload, tiles, tmp_path, monkeypatch):
+        from repro.core import build_tiled_oracle, pack_tiled
+        engine, oracle = earlier_workload
+        fresh, earlier = tmp_path / "fresh.store", tmp_path / "earlier.store"
+        pack_tiled(build_tiled_oracle(engine.mesh, engine.pois,
+                                      oracle.epsilon, tiles=tiles,
+                                      strategy=oracle.strategy,
+                                      seed=oracle.seed), fresh)
+        column = write_earlier_layout(fresh, earlier)
+        assert packed_column(earlier) == {"tiles/nn_poi",
+                                          "tiles/nn_distance"}
+        self.assert_serves_column_zero(earlier, column, monkeypatch)
 
 
 class TestDynamicUpdateFuzz:

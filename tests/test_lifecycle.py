@@ -260,13 +260,13 @@ class TestDescriptorsPerStore:
 
     def test_closed_tiled_store_drops_its_maps(self, stores):
         """close() releases every map even while the handle is still
-        referenced, and the nearest-neighbour column goes with them."""
+        referenced, and the nearest-distance column goes with them."""
         paths, _ = stores
         before = _descriptors()
         stored = open_oracle(paths["t4"], max_resident_tiles=2)
         sources, targets = _grid()
         stored.query_batch(sources, targets)
-        assert stored.nearest_column()[0].shape == (NUM_POIS,)
+        assert stored.nearest_column().shape == (NUM_POIS,)
         stored.close()
         assert _descriptors() == before
         with pytest.raises(ValueError, match="closed"):

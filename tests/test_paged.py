@@ -137,8 +137,8 @@ class TestLedgerAccounting:
             name: int(np.prod(shape)) * dtype.itemsize
             for name, (_, dtype, shape) in layouts.items()
         }
-        column = nbytes["nn_poi"] + nbytes["nn_distance"]
-        assert column == 24 * NUM_POIS
+        column = nbytes["nn_distance"]
+        assert column == 8 * NUM_POIS
         with PagedOracle(path, page_bytes=1024, max_pages=4) as paged:
             key_pages = -(-nbytes["pair_keys"] // 1024)
             routing = 5 * nbytes["chains"] + 8 * (key_pages + 1)

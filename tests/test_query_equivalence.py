@@ -142,13 +142,12 @@ class TestDegenerateCases:
 
 
 class TestCompiledLifecycle:
-    def test_compile_is_cached_and_refreshable(self):
+    def test_compile_is_cached(self):
         _, oracle = build_workload(3, 12, "uniform", 0.5, seed=51)
         assert not oracle.is_compiled
         first = oracle.compiled()
         assert oracle.is_compiled
         assert oracle.compiled() is first
-        assert oracle.compiled(refresh=True) is not first
 
     def test_rebuild_invalidates_cache(self):
         _, oracle = build_workload(3, 12, "uniform", 0.5, seed=52)

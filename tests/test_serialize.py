@@ -6,8 +6,8 @@ import zipfile
 
 import pytest
 
-from repro.core import SEOracle, load_oracle, save_oracle, \
-    workload_fingerprint
+from repro.core import CompiledOracle, SEOracle, load_oracle, \
+    save_oracle, workload_fingerprint
 from repro.geodesic import GeodesicEngine
 from repro.terrain import make_terrain, sample_uniform
 
@@ -202,7 +202,7 @@ class TestFormatV3Compiled:
         save_oracle(built, path, compiled=True)
         loaded = load_oracle(path, workload)
         from_document = loaded.compiled()
-        recompiled = loaded.compiled(refresh=True)
+        recompiled = CompiledOracle.from_oracle(loaded)
         assert (from_document.chains == recompiled.chains).all()
 
 
@@ -360,7 +360,7 @@ class TestCrossVersionMatrix:
         """Packing is deterministic (pinned zip timestamps), so the
         fixture's members reproduce from the v3 document — any layout
         drift in the writer shows up as a diff here.  The fixture
-        predates the nearest-neighbour column (two members, written
+        predates the nearest-distance column (one member, written
         last) and the key-ordered pair run: a fresh pack's ``meta.json``
         adds the ``pair_order`` entry, and its three pair columns are
         the fixture's own arrays in key order, slots remapped.  Every
@@ -379,8 +379,7 @@ class TestCrossVersionMatrix:
 
         fixture = members(self.V4)
         fresh = members(version_files["4-fresh"])
-        assert list(fresh) == list(fixture) + ["nn_poi.npy",
-                                               "nn_distance.npy"]
+        assert list(fresh) == list(fixture) + ["nn_distance.npy"]
         reordered = {"meta.json", "pair_keys.npy", "pair_distances.npy",
                      "hash_slots.npy"}
         assert {name: fresh[name] for name in fixture
@@ -434,9 +433,9 @@ class TestCrossVersionMatrix:
             assert [rnn(stored, source) for source in range(n)] == expected
             assert [rnn(stored, source, num_pois=n)
                     for source in range(n)] == expected
-            for derived, packed in zip(stored.nearest_column(), column):
-                assert derived.dtype == packed.dtype
-                assert derived.tobytes() == packed.tobytes()
+            derived = stored.nearest_column()
+            assert derived.dtype == column.dtype
+            assert derived.tobytes() == column.tobytes()
 
     def test_v4_fixture_refuses_paging(self, version_files):
         """The fixture packs its pairs in build order: paging it is a

@@ -329,7 +329,7 @@ class TestStoreWithoutBlocks:
     @pytest.mark.parametrize("max_resident_tiles", [1, None])
     def test_rnn_matches_a_fresh_build(self, fresh_path,
                                        max_resident_tiles):
-        """The fixture derives its nearest-neighbour column on first
+        """The fixture derives its nearest-distance column on first
         RNN; it equals the fresh store's packed column, and RNN for
         every source equals the fresh store's and the matrix path's."""
         with open_oracle(fresh_path) as oracle:
@@ -343,8 +343,7 @@ class TestStoreWithoutBlocks:
                     for source in range(n)] == expected
             assert [reverse_nearest_neighbors(stored, source, num_pois=n)
                     for source in range(n)] == expected
-            for derived, packed in zip(stored.nearest_column(), column):
-                assert derived.tobytes() == packed.tobytes()
+            assert stored.nearest_column().tobytes() == column.tobytes()
 
     @pytest.mark.parametrize("mmap", [True, False])
     @pytest.mark.parametrize("max_resident_tiles", [1, None])

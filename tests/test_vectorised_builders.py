@@ -1,12 +1,15 @@
-"""The array builders of the mesh, the Steiner placement and the face
-grid equal the per-element loops they replaced, byte for byte.
+"""The array builders of the mesh, the Steiner placement, the face
+grid and the raster triangulator equal the per-element loops they
+replaced, byte for byte.
 
 The loops are kept here as references: the sorted edge list and each
 edge's ascending face list (in the order the faces first reach the
-edges), the Steiner positions, each face-grid cell's face list, and
-the geodesic CSR priced over the reference placement.  They run on
-the DEM fixture and on 2^3+1 to 2^6+1 grids, at 0 to 3 Steiner points
-per edge.
+edges), the Steiner positions, each face-grid cell's face list, the
+geodesic CSR priced over the reference placement, and the per-cell
+triangle loops of ``heightfield_to_mesh`` and ``dem_to_mesh``.  They
+run on the DEM fixture and on 2^3+1 to 2^6+1 grids, at 0 to 3 Steiner
+points per edge; the triangle loops on full grids and on random
+nodata masks.
 """
 
 import math
@@ -15,13 +18,24 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.geodesic import GeodesicGraph, place_steiner_points
+from repro.core.serialize import workload_fingerprint
+from repro.geodesic import GeodesicEngine, GeodesicGraph, place_steiner_points
 from repro.geodesic.graph import _clique_csr
 from repro.terrain import make_terrain
-from repro.terrain.ingest import dem_to_mesh, read_dem
+from repro.terrain.generation import grid_faces, heightfield_to_mesh
+from repro.terrain.ingest import (
+    DEMGrid,
+    IngestError,
+    dem_to_mesh,
+    place_pois,
+    read_dem,
+    read_poi_csv,
+)
 from repro.terrain.mesh import _FaceLocationGrid
 
-DEM_FIXTURE = pathlib.Path(__file__).parent / "data" / "dem_fixture.asc"
+DATA = pathlib.Path(__file__).parent / "data"
+DEM_FIXTURE = DATA / "dem_fixture.asc"
+POI_FIXTURE = DATA / "dem_pois.csv"
 
 
 def reference_edges(mesh):
@@ -72,6 +86,43 @@ def reference_boundaries(mesh, edges, k):
     edge_ids = np.sort(np.searchsorted(keys, sides), axis=1)
     steiner = n + edge_ids[:, :, None] * k + np.arange(k)
     return np.hstack([corners, steiner.reshape(len(corners), 3 * k)])
+
+
+def reference_heightfield_faces(rows, cols):
+    """The per-cell loop of ``heightfield_to_mesh``."""
+    faces = []
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            a, b = i * cols + j, (i + 1) * cols + j
+            c, d = (i + 1) * cols + j + 1, i * cols + j + 1
+            if (i + j) % 2 == 0:
+                faces += [(a, b, c), (a, c, d)]
+            else:
+                faces += [(a, b, d), (b, c, d)]
+    return np.asarray(faces, dtype=np.int64)
+
+
+def reference_dem_faces(vertex_id):
+    """The per-cell loop of ``dem_to_mesh``: a triangle only where all
+    three corners carry an id (``-1`` marks nodata)."""
+    faces = []
+
+    def emit(*corners):
+        ids = [int(vertex_id[corner]) for corner in corners]
+        if min(ids) >= 0:
+            faces.append(tuple(ids))
+
+    nrows, ncols = vertex_id.shape
+    for r in range(nrows - 1):
+        for c in range(ncols - 1):
+            nw, sw, se, ne = (r, c), (r + 1, c), (r + 1, c + 1), (r, c + 1)
+            if (r + c) % 2 == 0:
+                emit(nw, sw, se)
+                emit(nw, se, ne)
+            else:
+                emit(nw, sw, ne)
+                emit(sw, se, ne)
+    return np.asarray(faces, dtype=np.int64).reshape(-1, 3)
 
 
 @pytest.fixture(scope="module", params=["dem", 3, 4, 5, 6])
@@ -144,3 +195,46 @@ class TestFaceGrid:
         far = float(high[0]) + 3.0 * float(high[0] - low[0]) + 1.0
         assert mesh.locate_face(far, float(low[1])) == -1
         assert mesh.locate_face(math.nan, 0.0) == -1
+
+
+class TestGridFaces:
+    @pytest.mark.parametrize("rows", [2, 3, 8, 33])
+    @pytest.mark.parametrize("cols", [2, 5, 17, 33])
+    def test_full_grid_matches_the_heightfield_loop(self, rows, cols):
+        heights = np.random.default_rng(rows * 100 + cols).random((rows, cols))
+        mesh = heightfield_to_mesh(heights, 10.0, 12.0)
+        expected = reference_heightfield_faces(rows, cols)
+        assert mesh.faces.dtype == np.int64
+        assert mesh.faces.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_nodata_masks_match_the_dem_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        nrows, ncols = rng.integers(3, 24, size=2)
+        heights = rng.random((nrows, ncols)) * 100.0
+        heights[rng.random((nrows, ncols)) < rng.uniform(0.0, 0.4)] = np.nan
+        valid = np.isfinite(heights)
+        vertex_id = np.full(heights.shape, -1, dtype=np.int64)
+        vertex_id[valid] = np.arange(valid.sum())
+        expected = reference_dem_faces(vertex_id)
+        assert grid_faces(vertex_id).tobytes() == expected.tobytes()
+        lats = np.linspace(46.1, 46.0, nrows)
+        lons = np.linspace(7.0, 7.1, ncols)
+        grid = DEMGrid(heights, lats, lons)
+        if not len(expected):
+            with pytest.raises(IngestError):
+                dem_to_mesh(grid)
+            return
+        mesh, _ = dem_to_mesh(grid)
+        assert mesh.faces.dtype == np.int64
+        assert mesh.faces.tobytes() == expected.tobytes()
+
+    def test_dem_fixture_keeps_its_fingerprint(self):
+        """``workload_fingerprint`` hashes the faces, so a reordered
+        face list would fail the fingerprint check of every store
+        built from the fixture; this is its value under the loops."""
+        mesh, projection = dem_to_mesh(read_dem(DEM_FIXTURE))
+        _, latlons = read_poi_csv(POI_FIXTURE)
+        pois = place_pois(mesh, projection, latlons)
+        engine = GeodesicEngine(mesh, pois, points_per_edge=1)
+        assert workload_fingerprint(engine) == "e0564ddbc42bb59b"
