@@ -849,6 +849,12 @@ class StoreHandle:
             self._nearest = nearest_distances(self, self.num_pois)
         return self._nearest
 
+    def nearest_probes(self) -> int:
+        """Distances the next :meth:`nearest_column` call asks this
+        store for: none once the column is resident, ``num_pois**2``
+        while a store packed without it has not derived it yet."""
+        return 0 if self._nearest is not None else self.num_pois ** 2
+
     @property
     def supports_updates(self) -> bool:
         """A store is immutable; a dynamic overlay adds updates."""

@@ -50,6 +50,7 @@ import numpy as np
 from ..datastructures.csr import CSRGraph
 from ..terrain.mesh import TriangleMesh
 from ..terrain.poi import POISet
+from .dijkstra import load_scipy
 from .steiner import SteinerPlacement, place_steiner_points
 
 __all__ = ["GeodesicGraph", "GraphCore"]
@@ -163,6 +164,8 @@ class GeodesicGraph:
 
     def __init__(self, mesh: TriangleMesh, points_per_edge: int = 2,
                  weight_fn: Optional[Callable] = None):
+        # The process's first graph loads SciPy, so no search pays it.
+        load_scipy()
         placement = place_steiner_points(mesh, points_per_edge)
         points = np.vstack([mesh.vertices, placement.positions])
         boundary = _face_boundaries(mesh, placement.points_per_edge)

@@ -580,11 +580,13 @@ class OracleService:
     def reverse_nearest(self, terrain_id: str, source: int) -> List[int]:
         """Monochromatic RNN on one terrain: the n−1 pairs ``(q,
         source)`` against each POI's nearest distance, packed in a
-        static store; the n×n matrix on a mutable overlay."""
+        static store; the n×n matrix on a mutable overlay.  A store
+        packed without the column derives it on the first RNN after
+        each open, and that RNN counts the n×n distances it asks for."""
         index = self._index(terrain_id)
         count = index.num_pois
-        probes = (count - 1 if hasattr(index, "nearest_column")
-                  else count * count)
+        probes = (count - 1 + index.nearest_probes()
+                  if hasattr(index, "nearest_column") else count * count)
         return self._timed_proximity(
             terrain_id, probes,
             lambda: reverse_nearest_neighbors(index, source))

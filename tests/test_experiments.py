@@ -1,9 +1,14 @@
 """Tests for the experiment layer: datasets, harness, figures, tables."""
 
+import sys
+import time
+import types
+
 import pytest
 
 from repro.experiments import (
     DATASET_NAMES,
+    P2P_METHODS,
     MethodResult,
     format_result_row,
     format_series_table,
@@ -133,6 +138,29 @@ class TestP2PHarness:
         assert se.extra["store_bytes"] > 0
         # Opening the packed store must be far cheaper than building.
         assert se.extra["load_seconds"] < se.build_seconds
+
+
+class TestBuildClocks:
+    @pytest.mark.parametrize("method", sorted(P2P_METHODS))
+    def test_no_build_clock_starts_before_scipy_loads(self, method,
+                                                      monkeypatch):
+        """A process's first build must not time SciPy's import: with
+        the loader reset as in a fresh process, every clock the
+        method's factory reads finds the search stack loaded."""
+        from repro.experiments import harness
+        dataset = load_dataset("sf-small", "tiny")
+        kernel = sys.modules["repro.geodesic.dijkstra"]
+        monkeypatch.setattr(kernel, "_scipy_dijkstra", kernel._UNLOADED)
+        unloaded = []
+
+        def clock():
+            unloaded.append(kernel._scipy_dijkstra is kernel._UNLOADED)
+            return time.perf_counter()
+
+        monkeypatch.setattr(harness, "time",
+                            types.SimpleNamespace(perf_counter=clock))
+        P2P_METHODS[method](dataset.mesh, dataset.pois, 0.25, 1, 5)
+        assert unloaded and not any(unloaded)
 
 
 class TestA2AHarness:

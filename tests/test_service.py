@@ -1,12 +1,15 @@
 """Tests for the multi-terrain serving layer (OracleService)."""
 
 import os
+import pathlib
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core import SEOracle, pack_oracle
+from repro.core.compiled import CompiledOracle
 from repro.geodesic import GeodesicEngine
 from repro.queries import (
     k_nearest_neighbors,
@@ -206,6 +209,35 @@ class TestCounters:
         service.reverse_nearest("alps", 0)
         assert service.counters("alps").queries == 3 * (n - 1)
         assert service.counters("alps").batches == 3
+
+    def test_rnn_counts_the_pairs_a_derived_column_probes(self, terrains):
+        """A store packed before the nearest-distance column derives
+        it (n×n pairs) on the first RNN after each open, and that RNN
+        counts those pairs too: ``queries`` grows by exactly the pairs
+        the compiled index is asked for, across LRU reopens."""
+        v4 = pathlib.Path(__file__).parent / "data" / "oracle_v4.store"
+        asked = []
+        probe = CompiledOracle.query_batch
+
+        def counted(index, sources, targets):
+            asked.append(len(sources))
+            return probe(index, sources, targets)
+
+        with OracleService(max_resident=1) as service, \
+                mock.patch.object(CompiledOracle, "query_batch", counted):
+            service.register("v4", TerrainSpec(str(v4)))
+            service.register("alps", TerrainSpec(str(terrains["alps"][0])))
+            n = 14
+            for _ in range(3):  # each round reopens v4
+                for source, derives in ((0, True), (5, False)):
+                    before = service.counters("v4").queries
+                    asked.clear()
+                    service.reverse_nearest("v4", source)
+                    grown = service.counters("v4").queries - before
+                    assert grown == sum(asked)
+                    assert grown == n - 1 + (n * n if derives else 0)
+                service.query("alps", 0, 1)  # evicts v4
+            assert service.counters("v4").loads == 3
 
     def test_mutable_rnn_counts_the_matrix(self, mutable_setup):
         """A mutable overlay answers RNN from the n×n matrix over its
